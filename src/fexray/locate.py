@@ -5,6 +5,12 @@ the per-point iteration: stop when the update norm relative to the first
 iterate drops below the tolerance, fail on a singular Jacobian, divergence or
 iteration overflow.  Lanes are frozen once they stop, so results do not
 depend on which other points share the batch.
+
+Node coordinates enter the kernels structure-of-arrays, shape
+(n_nodes, 3, k): one column per lane when every lane has its own element, or
+k = 1 when one element serves the whole batch.  Both layouts run the same
+elementwise arithmetic per lane, so a point gets bitwise the same answer
+whichever elements share its batch.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, map_points
+from .mesh import Mesh, MeshError, map_points
 
 # success additionally requires the mapped point to reproduce the query
 RESIDUAL_REL = 1e-8
@@ -23,6 +29,10 @@ DIVERGENCE_NORM = 10.0
 SINGULAR_REL = 1e-14
 
 DEFAULT_INITIAL_GUESS = np.array([0.25, 0.25, 0.25])
+
+# Newton lanes iterated together; lanes are independent, so this only sets
+# the size of the per-iteration temporaries (chosen to stay in cache)
+NEWTON_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,11 +71,11 @@ def in_hull(xi: np.ndarray, geom_tol: float = 1e-8) -> np.ndarray:
 
 
 def _residual_jacobian_quadratic(n, xi, pts):
-    """Fused residual and Jacobian for a 10-node element.
+    """Fused residual and Jacobian for 10-node elements.
 
-    ``n`` is the plain nested-list form of the node coordinates; avoiding the
-    (k, 10, 3) intermediates of the generic kernels keeps the Newton loop
-    memory-bound on (k,) lanes only.
+    ``n`` holds the node coordinates as (10, 3, k) with k = 1 or one column
+    per lane; avoiding the (k, 10, 3) intermediates of the generic kernels
+    keeps the Newton loop memory-bound on (k,) lanes only.
     """
     x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
     w = 1.0 - x - y - z
@@ -105,6 +115,7 @@ def _residual_jacobian_quadratic(n, xi, pts):
 
 
 def _residual_jacobian_linear(n, xi, pts):
+    """Residual and constant Jacobian for 4-node elements; ``n`` is (4, 3, k)."""
     x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
     w = 1.0 - x - y - z
     f = np.empty(xi.shape)
@@ -146,31 +157,56 @@ def newton_solve(
     order: str,
     points: np.ndarray,
     settings: NewtonSettings,
-    det_scale: float,
+    det_scale,
 ):
-    """Invert the isoparametric map of one element for a batch of points.
+    """Invert the isoparametric map for a batch of points.
 
-    Returns (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
+    ``nodes`` is one element's (n_nodes, 3) coordinates, or (n_nodes, 3, k)
+    with one column per point; ``det_scale`` is a scalar or one value per
+    point.  Returns (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
     """
     points = np.asarray(points, dtype=np.float64)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    if nodes.ndim == 2:
+        nodes = nodes[..., None]
+    det_scale = np.atleast_1d(np.asarray(det_scale, dtype=np.float64))
+    k = points.shape[0]
+    xi = np.empty((k, 3))
+    converged = np.empty(k, dtype=bool)
+    iters = np.empty(k, dtype=np.int64)
+    # blocks of lanes keep the iteration's temporaries cache-sized
+    for lo in range(0, k, NEWTON_BLOCK):
+        block = slice(lo, lo + NEWTON_BLOCK)
+        xi[block], converged[block], iters[block] = _newton_lanes(
+            nodes if nodes.shape[2] == 1 else nodes[:, :, block],
+            points[block],
+            settings,
+            det_scale if det_scale.size == 1 else det_scale[block],
+        )
+    return xi, converged, iters
+
+
+def _newton_lanes(nodes, points, settings, det_scale):
     k = points.shape[0]
     xi = np.broadcast_to(settings.initial_guess, (k, 3)).copy()
     converged = np.zeros(k, dtype=bool)
     iters = np.zeros(k, dtype=np.int64)
     denom = np.ones(k)
     active = np.arange(k)
-    nlist = np.asarray(nodes, dtype=np.float64).tolist()
+    # per-lane nodes and singular thresholds are compacted along with ``active``
+    lane_nodes = nodes
+    lane_singular = SINGULAR_REL * det_scale
     kernel = (
-        _residual_jacobian_quadratic if len(nlist) == 10 else _residual_jacobian_linear
+        _residual_jacobian_quadratic if nodes.shape[0] == 10 else _residual_jacobian_linear
     )
 
     for it in range(1, settings.max_iter + 1):
         if active.size == 0:
             break
         xa = xi[active]
-        f, jac = kernel(nlist, xa, points[active])
+        f, jac = kernel(lane_nodes, xa, points[active])
         delta, det = _solve3(jac, f)
-        singular = np.abs(det) < SINGULAR_REL * det_scale
+        singular = np.abs(det) < lane_singular
         delta = np.where(singular[:, None], 0.0, delta)
         xn = xa - delta
         xi[active] = xn
@@ -186,43 +222,69 @@ def newton_solve(
         )
         fail_now = singular | (diverged & ~conv_now)
         converged[active[conv_now]] = True
-        active = active[~(conv_now | fail_now)]
+        running = ~(conv_now | fail_now)
+        active = active[running]
+        if lane_nodes.shape[2] > 1:
+            lane_nodes = lane_nodes[:, :, running]
+        if lane_singular.size > 1:
+            lane_singular = lane_singular[running]
 
     return xi, converged, iters
 
 
-def _element_scales(nodes: np.ndarray) -> tuple[float, float]:
-    """(|det| scale of the corner tetrahedron, node bounding-box diagonal)."""
-    a = nodes[1] - nodes[0]
-    b = nodes[2] - nodes[0]
-    c = nodes[3] - nodes[0]
-    det6 = abs(float(np.dot(a, np.cross(b, c))))
-    diam = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0)))
+def _element_scales(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element: (|det| scale of the corner tetrahedron, node bounding-box diagonal).
+
+    ``nodes`` has shape (n_elements, n_nodes, 3).  The stacked ``@`` products
+    run the same dot kernel as ``np.dot`` on one element's 3-vectors.
+    """
+    a = nodes[:, 1] - nodes[:, 0]
+    b = nodes[:, 2] - nodes[:, 0]
+    c = nodes[:, 3] - nodes[:, 0]
+    det6 = np.abs((a[:, None, :] @ np.cross(b, c)[:, :, None])[:, 0, 0])
+    ext = nodes.max(axis=1) - nodes.min(axis=1)
+    diam = np.sqrt((ext[:, None, :] @ ext[:, :, None])[:, 0, 0])
     return det6, diam
 
 
 def membership_test(
     mesh: Mesh,
-    e: int,
+    e,
     points: np.ndarray,
     settings: NewtonSettings,
     geom_tol: float,
+    scales: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Batched point-in-element test.
 
-    Returns (inside, xi, iterations, converged): ``inside`` lanes converged,
-    landed in the reference hull and reproduce the query point within the
-    residual bound.
+    ``e`` is one element id for all points, or an array with one id per
+    point.  ``scales`` is ``_element_scales`` of the whole mesh, for callers
+    that test many elements; without it the scales of the tested elements
+    are computed here.  Returns (inside, xi, iterations, converged):
+    ``inside`` lanes converged, landed in the reference hull and reproduce
+    the query point within the residual bound.
     """
-    nodes = mesh.element_nodes(e)
-    det_scale, diam = _element_scales(nodes)
+    points = np.asarray(points, dtype=np.float64)
+    ids = np.atleast_1d(np.asarray(e, dtype=np.int64))
+    if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_elements):
+        raise MeshError(f"element id out of range [0, {mesh.n_elements})")
+    conn = mesh.elements[ids]
+    if scales is None:
+        det_scale, diam = _element_scales(mesh.nodes[conn])
+    else:
+        det_scale, diam = scales[0][ids], scales[1][ids]
+    nodes = mesh.nodes.T[:, conn.T].transpose(1, 0, 2)  # (n_nodes, 3, lanes)
     xi, converged, iters = newton_solve(nodes, mesh.order, points, settings, det_scale)
     inside = converged & in_hull(xi, geom_tol)
     if inside.any():
         idx = np.flatnonzero(inside)
-        res = map_points(nodes, xi[idx], mesh.order) - np.asarray(points)[idx]
+        if ids.size == 1:
+            lane_nodes, lane_diam = nodes[:, :, 0], diam
+        else:
+            lane_nodes, lane_diam = nodes[:, :, idx].transpose(0, 2, 1), diam[idx]
+        res = map_points(lane_nodes, xi[idx], mesh.order) - points[idx]
         res_norm = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2 + res[:, 2] ** 2)
-        inside[idx[res_norm > RESIDUAL_REL * diam]] = False
+        inside[idx[res_norm > RESIDUAL_REL * lane_diam]] = False
     return inside, xi, iters, converged
 
 
@@ -237,14 +299,14 @@ def global_to_local(
     """
     settings = settings or NewtonSettings()
     nodes = mesh.element_nodes(e)
-    det_scale, diam = _element_scales(nodes)
+    det_scale, diam = _element_scales(nodes[None])
     xi, converged, _ = newton_solve(
         nodes, mesh.order, np.asarray(x, dtype=np.float64)[None, :], settings, det_scale
     )
     if not converged[0]:
         return None
     res = map_points(nodes, xi[0], mesh.order) - np.asarray(x, dtype=np.float64)
-    if float(np.linalg.norm(res)) > RESIDUAL_REL * diam:
+    if float(np.linalg.norm(res)) > RESIDUAL_REL * diam[0]:
         return None
     return xi[0]
 

@@ -74,6 +74,32 @@ def slab_intervals(o, inv_d, d, pmin, pmax):
     return t_enter, t_exit, hit
 
 
+def halfspace_intervals(o, d, normals, offsets):
+    """Ray parameter range inside the half-spaces n . x <= h (Cyrus-Beck).
+
+    o, d: (..., 3); normals: (..., m, 3); offsets: (..., m); leading axes
+    broadcast.  Returns (t_lo, t_hi), empty when t_lo > t_hi.  A plane
+    parallel to the ray (n . d == 0) keeps the whole line or none of it,
+    depending on whether the origin lies inside, like the zero-direction
+    axes of ``slab_intervals``.
+    """
+    o = o[..., None, :]
+    d = d[..., None, :]
+    nd = normals[..., 0] * d[..., 0] + normals[..., 1] * d[..., 1] + normals[..., 2] * d[..., 2]
+    gap = offsets - (
+        normals[..., 0] * o[..., 0] + normals[..., 1] * o[..., 1] + normals[..., 2] * o[..., 2]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel lanes replaced below
+        t = gap / nd
+    lo = np.where(nd < 0.0, t, -np.inf)
+    hi = np.where(nd > 0.0, t, np.inf)
+    outside = (nd == 0.0) & (gap < 0.0)
+    if np.any(outside):
+        lo = np.where(outside, np.inf, lo)
+        hi = np.where(outside, -np.inf, hi)
+    return lo.max(axis=-1), hi.min(axis=-1)
+
+
 def ray_aabb(ray: Ray, box: Aabb) -> Optional[HitInterval]:
     t_enter, t_exit, hit = slab_intervals(
         ray.origin, ray.inv_direction, ray.direction, box.pmin, box.pmax

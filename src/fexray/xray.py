@@ -13,6 +13,15 @@ per-ray description literally (traverse, order candidates by the linear
 entry guess, first-success point location), while ``render`` batches the
 same arithmetic over all rays of a row block and resolves multiply-claimed
 samples with the same ordering key.  Both produce bitwise-equal images.
+
+``render`` runs point location as one pass over (ray, element) pairs, taken
+from the leaf records in chunks of bounded size.  Each pair's ray is clipped
+to the element's box (in the detector frame) intersected with the four face
+half-spaces of its corner tetrahedron, each plane pushed out to the farthest
+Bezier control point.  A quadratic element lies inside the convex hull of its control net,
+hence inside that clip, so the clip drops only (sample, element) pairs
+Newton would reject.  The surviving samples go to ``membership_test`` in
+fixed-size lane batches, each lane carrying its own element id.
 """
 
 from __future__ import annotations
@@ -24,9 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locate import NewtonSettings, membership_test
+from .locate import NewtonSettings, _element_scales, membership_test
 from .mesh import Mesh, NodalField, interpolate_values
-from .raycast import Ray, slab_intervals, tet_entry, traverse
+from .raycast import (
+    TET_FACES,
+    Ray,
+    halfspace_intervals,
+    slab_intervals,
+    tet_entry,
+    traverse,
+)
 from .spatial import Aabb, ObbTree, build_obb_tree, element_bounding_points, model_aabb
 
 FACE_SELECTORS = {
@@ -38,8 +54,9 @@ FACE_SELECTORS = {
     "-z": (2, -1.0),
 }
 
-# margin factor for the per-element box prefilter; covers the in-hull
-# tolerance shell and the Newton residual bound with room to spare
+# the per-element clip (box and face planes) is pushed out by this fraction of
+# the element box diagonal; covers the in-hull tolerance shell and the Newton
+# residual bound with room to spare
 ELEMENT_BOX_MARGIN = 1e-6
 
 
@@ -145,8 +162,13 @@ def attenuate(projected_mu_integral: float, model: AttenuationModel):
 
 @dataclass
 class RenderStats:
+    """Render counters; ``pairs_tested`` counts (sample, element) pairs sent
+    to Newton, ``pairs_inside`` those accepted."""
+
     rays: int = 0
     samples: int = 0
+    pairs_tested: int = 0
+    pairs_inside: int = 0
     newton_iterations: int = 0
     non_converged: int = 0
     wall_time: float = 0.0
@@ -154,6 +176,8 @@ class RenderStats:
     def merge(self, other: "RenderStats") -> None:
         self.rays += other.rays
         self.samples += other.samples
+        self.pairs_tested += other.pairs_tested
+        self.pairs_inside += other.pairs_inside
         self.newton_iterations += other.newton_iterations
         self.non_converged += other.non_converged
 
@@ -161,6 +185,8 @@ class RenderStats:
         return (
             f"rays = {self.rays}\n"
             f"samples = {self.samples}\n"
+            f"pairs_tested = {self.pairs_tested}\n"
+            f"pairs_inside = {self.pairs_inside}\n"
             f"newton_iterations = {self.newton_iterations}\n"
             f"non_converged = {self.non_converged}\n"
             f"wall_time_s = {self.wall_time:.3f}\n"
@@ -371,6 +397,66 @@ def integrate_ray(
 # batched renderer
 
 
+@dataclass(frozen=True)
+class _ElementClip:
+    """Per-element clip volumes in detector-frame coordinates.
+
+    A point origin + a * axis_u + b * axis_v + t * normal has frame
+    coordinates (a, b, t).  It lies in element e's clip when it is inside
+    the box [lo[e], hi[e]] and ``normals[e, f] . (a, b, t) <= offsets[e, f]``
+    for each face f.
+    """
+
+    lo: np.ndarray  # (n_elements, 3)
+    hi: np.ndarray
+    normals: np.ndarray  # (n_elements, 4, 3) unit outward normals
+    offsets: np.ndarray  # (n_elements, 4)
+
+
+def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
+    """Box and face planes enclosing each element's Bezier control net.
+
+    Each plane keeps its corner-face normal and moves out to the farthest
+    control point; box and planes then grow by the margin.  Built in the
+    detector frame, where every ray runs along t at fixed (a, b); for the
+    axis-aligned detectors of ``make_detector`` the box is the world box.
+    """
+    world = element_bounding_points(mesh)
+    normals = np.empty((mesh.n_elements, len(TET_FACES), 3))
+    for f, (i, j, k) in enumerate(TET_FACES):
+        n = np.cross(world[:, j] - world[:, i], world[:, k] - world[:, i])
+        normals[:, f] = n / np.linalg.norm(n, axis=1)[:, None]
+    # the frame may be left-handed, so normals are rotated, not recomputed
+    frame = np.stack([det.axis_u, det.axis_v, det.normal])
+    normals = normals @ frame.T
+    bpts = (world - det.origin) @ frame.T
+    lo = bpts.min(axis=1)
+    hi = bpts.max(axis=1)
+    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=1)[:, None]
+    offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1) + margin
+    return _ElementClip(lo - margin, hi + margin, normals, offsets)
+
+
+_FRAME_DIRECTION = np.array([0.0, 0.0, 1.0])
+
+
+def _clip_pairs(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
+    """Clip the rays at detector-frame (a, b) to the elements e, pair by pair.
+
+    Returns (kept, t_in, t_out): the indices of the pairs whose ray crosses
+    the element's box footprint, and their clipped depth range, empty when
+    t_in > t_out.
+    """
+    lo, hi = clip.lo[e], clip.hi[e]
+    kept = np.flatnonzero(
+        (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
+    )
+    e = e[kept]
+    o = np.stack([a[kept], b[kept], np.zeros(kept.size)], axis=-1)
+    h1, h2 = halfspace_intervals(o, _FRAME_DIRECTION, clip.normals[e], clip.offsets[e])
+    return kept, np.maximum(lo[kept, 2], h1), np.minimum(hi[kept, 2], h2)
+
+
 @dataclass
 class _RenderContext:
     mesh: Mesh
@@ -381,22 +467,22 @@ class _RenderContext:
     settings: IntegrationSettings
     want_mu: bool
     model: AttenuationModel | None
-    elem_pmin: np.ndarray
-    elem_pmax: np.ndarray
+    clip: _ElementClip
+    corners: np.ndarray  # (n_elements, 4, 3)
+    scales: tuple[np.ndarray, np.ndarray]  # locate._element_scales per element
 
 
 _WORKER_CTX: _RenderContext | None = None
 
 
-def _block_rays(ctx: _RenderContext, v_lo: int, v_hi: int) -> np.ndarray:
+def _block_rays(ctx: _RenderContext, v_lo: int, v_hi: int):
+    """Ray origins of detector rows [v_lo, v_hi) and their frame coordinates (a, b)."""
     det = ctx.detector
     i_idx = np.tile(np.arange(det.nu, dtype=np.int64), v_hi - v_lo)
     j_idx = np.repeat(np.arange(v_lo, v_hi, dtype=np.int64), det.nu)
-    return (
-        det.origin
-        + (i_idx * det.pitch)[:, None] * det.axis_u
-        + (j_idx * det.pitch)[:, None] * det.axis_v
-    )
+    a = i_idx * det.pitch
+    b = j_idx * det.pitch
+    return det.origin + a[:, None] * det.axis_u + b[:, None] * det.axis_v, a, b
 
 
 def _traverse_block(ctx: _RenderContext, origins: np.ndarray):
@@ -435,7 +521,45 @@ def _traverse_block(ctx: _RenderContext, origins: np.ndarray):
     return records
 
 
-NEWTON_CHUNK = 65536
+# (ray, element) pairs clipped at once, and (sample, element) lanes per
+# membership_test call; both keep the transient arrays of a block bounded
+PAIR_CHUNK = 16384
+NEWTON_CHUNK = 32768
+
+
+def _pair_chunks(records, rec_ranges, budget: int):
+    """Yield (ray, element, j_lo, j_hi) arrays, one entry per (ray, element) pair.
+
+    Leaf records are packed whole up to ``budget`` pairs; a larger record is
+    split by rays, so only a single ray meeting more than ``budget`` elements
+    makes a larger chunk.  ``j_lo``/``j_hi`` is the record's sample range.
+    """
+    parts, size = [], 0
+    for (elems, ids, _, _), (j_lo, j_hi) in zip(records, rec_ranges):
+        rays_per_part = max(1, budget // elems.size)
+        for lo in range(0, ids.size, rays_per_part):
+            part = slice(lo, lo + rays_per_part)
+            n = ids[part].size * elems.size
+            if parts and size + n > budget:
+                yield _expand_pairs(parts)
+                parts, size = [], 0
+            parts.append((elems, ids[part], j_lo[part], j_hi[part]))
+            size += n
+    if parts:
+        yield _expand_pairs(parts)
+
+
+def _expand_pairs(parts):
+    cols = [
+        (
+            np.repeat(ids, elems.size),
+            np.tile(elems, ids.size),
+            np.repeat(j_lo, elems.size),
+            np.repeat(j_hi, elems.size),
+        )
+        for elems, ids, j_lo, j_hi in parts
+    ]
+    return tuple(np.concatenate(c) for c in zip(*cols))
 
 
 def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
@@ -447,7 +571,7 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
     mu = np.zeros(n_rays) if ctx.want_mu else None
     stats = RenderStats(rays=n_rays)
 
-    origins = _block_rays(ctx, v_lo, v_hi)
+    origins, ray_a, ray_b = _block_rays(ctx, v_lo, v_hi)
     records = _traverse_block(ctx, origins)
     if not records:
         return pd.reshape(v_hi - v_lo, det.nu), (
@@ -473,52 +597,51 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
     stats.samples = m
 
     d = det.normal
-    with np.errstate(divide="ignore"):
-        inv_d = 1.0 / d
-
-    # candidate samples per element: the ray/element-box slab interval keeps
-    # exactly the samples inside the (margined) element box, intersected with
-    # the record's own range so each (sample, element) claim arises once
+    # candidate samples per (ray, element) pair: those inside the element
+    # clip, intersected with the record's own range so each (sample, element)
+    # claim arises once
     claims_s: list[np.ndarray] = []
     claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    for (elems, ids, _, _), (rec_jlo, rec_jhi) in zip(records, rec_ranges):
-        o_rec = origins[ids]
-        for e in elems:
-            e = int(e)
-            t1, t2, box_hit = slab_intervals(
-                o_rec, inv_d, d, ctx.elem_pmin[e], ctx.elem_pmax[e]
+    for ray, elem, rec_jlo, rec_jhi in _pair_chunks(records, rec_ranges, PAIR_CHUNK):
+        kept, t_in, t_out = _clip_pairs(ctx.clip, ray_a[ray], ray_b[ray], elem)
+        j1, j2 = _grid_range(t_in, t_out, step)
+        j1 = np.maximum(j1, rec_jlo[kept])
+        j2 = np.minimum(j2, rec_jhi[kept])
+        keep = j2 >= j1
+        if not keep.any():
+            continue
+        kept = kept[keep]
+        ray, elem, j1 = ray[kept], elem[kept], j1[keep]
+        counts = j2[keep] - j1 + 1
+        t_guess, _ = tet_entry(origins[ray], d, ctx.corners[elem])
+        sidx = np.searchsorted(
+            keys, np.repeat(ray, counts) * (1 << 32) + _ragged_arange(j1, counts)
+        )
+        lane_e = np.repeat(elem, counts)
+        lane_t = np.repeat(t_guess, counts)
+        for lo in range(0, sidx.size, NEWTON_CHUNK):
+            ch = slice(lo, lo + NEWTON_CHUNK)
+            s_ch, e_ch = sidx[ch], lane_e[ch]
+            inside, xi, iters, converged = membership_test(
+                ctx.mesh, e_ch, pts[s_ch], settings.newton, settings.geom_tol, ctx.scales
             )
-            j1, j2 = _grid_range(t1, t2, step)
-            j1 = np.maximum(j1, rec_jlo)
-            j2 = np.minimum(j2, rec_jhi)
-            valid = box_hit & (j2 >= j1)
-            if not valid.any():
+            stats.pairs_tested += s_ch.size
+            stats.pairs_inside += int(np.count_nonzero(inside))
+            stats.newton_iterations += int(iters.sum())
+            stats.non_converged += int(np.count_nonzero(~converged))
+            if not inside.any():
                 continue
-            counts = np.where(valid, j2 - j1 + 1, 0)
-            j_flat = _ragged_arange(np.where(valid, j1, 0), counts)
-            ray_flat = np.repeat(ids, counts)
-            sidx = np.searchsorted(keys, ray_flat * (1 << 32) + j_flat)
-            corners = ctx.mesh.nodes[ctx.mesh.elements[e, :4]]
-            t_guess, _ = tet_entry(o_rec[valid], d, corners)
-            tkey_s = np.repeat(t_guess, counts[valid])
-            for lo in range(0, sidx.size, NEWTON_CHUNK):
-                ch = slice(lo, min(lo + NEWTON_CHUNK, sidx.size))
-                inside, xi, iters, converged = membership_test(
-                    ctx.mesh, e, pts[sidx[ch]], settings.newton, settings.geom_tol
+            e_in = e_ch[inside]
+            claims_rho.append(
+                interpolate_values(
+                    ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order
                 )
-                stats.newton_iterations += int(iters.sum())
-                stats.non_converged += int(np.count_nonzero(~converged))
-                if not inside.any():
-                    continue
-                rho = interpolate_values(
-                    ctx.values[ctx.mesh.elements[e]], xi[inside], ctx.mesh.order
-                )
-                claims_s.append(sidx[ch][inside])
-                claims_t.append(tkey_s[ch][inside])
-                claims_e.append(np.full(int(inside.sum()), e, dtype=np.int64))
-                claims_rho.append(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
+            )
+            claims_s.append(s_ch[inside])
+            claims_t.append(lane_t[ch][inside])
+            claims_e.append(e_in)
 
     if claims_s:
         cs = np.concatenate(claims_s)
@@ -586,10 +709,6 @@ def render(
         tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
         brute_box = None
 
-    bpts = element_bounding_points(mesh)
-    pmin = bpts.min(axis=1)
-    pmax = bpts.max(axis=1)
-    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(pmax - pmin, axis=1)[:, None]
     ctx = _RenderContext(
         mesh=mesh,
         values=field.values,
@@ -599,8 +718,9 @@ def render(
         settings=settings,
         want_mu=model is not None and model.variant == "table",
         model=model,
-        elem_pmin=pmin - margin,
-        elem_pmax=pmax + margin,
+        clip=_element_clip(mesh, detector),
+        corners=mesh.corner_coords(),
+        scales=_element_scales(mesh.nodes[mesh.elements]),
     )
 
     blocks = _split_rows(detector.nv, workers)

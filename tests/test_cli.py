@@ -84,7 +84,11 @@ class TestRender:
         grid = read_float_grid(out_grid.read_bytes())
         assert grid.values.max() > 1.0  # ball interior projects ~2 g/cm^2
         assert out_pgm.read_bytes().startswith(b"P5\n")
-        assert "rays =" in out_stats.read_text()
+        stats = dict(
+            line.split(" = ") for line in out_stats.read_text().splitlines()
+        )
+        assert int(stats["rays"]) > 0
+        assert int(stats["pairs_tested"]) >= int(stats["pairs_inside"]) > 0
 
         rc = main(
             ["error-map", "--grid", str(out_grid), "--oracle", "ball",

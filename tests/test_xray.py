@@ -1,11 +1,18 @@
+import dataclasses
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fexray.mesh import NodalField
+from fexray import locate, xray
+from fexray.io_text import parse_field, parse_mesh
+from fexray.locate import NewtonSettings, membership_test
+from fexray.mesh import EDGE_VERTICES, Mesh, NodalField, map_points
 from fexray.raycast import Ray, ray_tet_entry
-from fexray.spatial import Aabb, build_obb_tree, model_aabb
+from fexray.spatial import Aabb, build_obb_tree, element_bounding_points, model_aabb
 from fexray.xray import (
     AttenuationModel,
     Detector,
@@ -208,6 +215,8 @@ class TestRender:
         a = render(mesh, field, det, settings)
         b = render(mesh, field, det, settings, brute_force=True)
         np.testing.assert_array_equal(a.density, b.density)
+        # the tree prunes no accepted (sample, element) pair
+        assert a.stats.pairs_inside == b.stats.pairs_inside > 0
 
     def test_worker_count_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -219,6 +228,8 @@ class TestRender:
         np.testing.assert_array_equal(a.density, b.density)
         assert a.stats.samples == b.stats.samples
         assert a.stats.newton_iterations == b.stats.newton_iterations
+        assert a.stats.pairs_tested == b.stats.pairs_tested > 0
+        assert a.stats.pairs_inside == b.stats.pairs_inside > 0
 
     def test_repeat_run_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -390,3 +401,184 @@ class TestObliqueDetector:
             assert ref.projected_density == img.density[j, i]
         # the central ray still crosses the full ball diameter
         assert abs(img.density[7:9, 7:9].max() - 2.0) < 0.15
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def golden_scene(name):
+    mesh = parse_mesh((GOLDEN / f"{name}.mesh").read_text())
+    field = parse_field((GOLDEN / f"{name}.field").read_text())
+    return mesh, field
+
+
+def counters(stats):
+    out = dataclasses.asdict(stats)
+    del out["wall_time"]
+    return out
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_chunk_size_invariance(self, monkeypatch, name):
+        # cylinder100 under +z has corner faces parallel to the rays
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=36.0)
+        settings = IntegrationSettings(step=0.05)
+        model = AttenuationModel(
+            "table",
+            table_rho=np.array([0.0, 0.5, 1.0, 2.0]),
+            table_mu=np.array([0.0, 0.3, 0.716, 2.251]),
+        )
+
+        def renders():
+            return [
+                render(mesh, field, det, settings, model=model, brute_force=brute)
+                for brute in (False, True)
+            ]
+
+        ref = renders()
+        monkeypatch.setattr(xray, "PAIR_CHUNK", 7)
+        monkeypatch.setattr(xray, "NEWTON_CHUNK", 11)
+        monkeypatch.setattr(locate, "NEWTON_BLOCK", 4)
+        for a, b in zip(ref, renders()):
+            assert a.density.tobytes() == b.density.tobytes()
+            assert a.intensity.tobytes() == b.intensity.tobytes()
+            assert counters(a.stats) == counters(b.stats)
+            assert a.stats.pairs_inside > 0
+
+    def test_brute_force_memory_bounded(self):
+        # all rays x all elements is one record; it must be split by rays, so
+        # the brute-force peak stays near the tree render's peak
+        mesh, field = golden_scene("cylinder100")
+        box = model_aabb(mesh)
+        det = make_detector(box, "+z", rays_per_cm2=625.0)
+        settings = IntegrationSettings(step=float(box.extents[2]))
+        peaks = []
+        for brute in (False, True):
+            tracemalloc.start()
+            try:
+                render(mesh, field, det, settings, brute_force=brute)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _frame_detector(origin, d):
+    """One-pixel detector whose single ray is origin + t d."""
+    d = d / np.linalg.norm(d)
+    w = np.eye(3)[int(np.argmin(np.abs(d)))]
+    u = np.cross(d, w)
+    u /= np.linalg.norm(u)
+    return Detector(origin, u, np.cross(d, u), d, 1, 1, 1.0)
+
+
+def _assert_clip_conservative(mesh, det, t_max):
+    """Every ray point membership_test accepts lies inside the clip."""
+    clip = xray._element_clip(mesh, det)
+    kept, t_in, t_out = xray._clip_pairs(
+        clip, np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
+    )
+    lo, hi = (t_in[0], t_out[0]) if kept.size else (np.inf, -np.inf)
+
+    def accepted(t):
+        pts = det.origin + np.asarray(t)[:, None] * det.normal
+        return membership_test(mesh, 0, pts, NewtonSettings(), 1e-8)[0]
+
+    t = np.linspace(-t_max, t_max, 801)
+    inside = accepted(t)
+    if not inside.any():
+        return lo, hi
+    # bisect from the outermost accepted samples toward the surface
+    idx = np.flatnonzero(inside)
+    extremes = []
+    for k, step in ((idx[0], -1), (idx[-1], 1)):
+        a = t[k]
+        b = t[k + step] if 0 <= k + step < t.size else a + step * t_max
+        for _ in range(40):
+            mid = 0.5 * (a + b)
+            if accepted([mid])[0]:
+                a = mid
+            else:
+                b = mid
+        extremes.append(a)
+    assert lo <= min(t[idx].min(), *extremes)
+    assert max(t[idx].max(), *extremes) <= hi
+    return lo, hi
+
+
+def _curved_element(corners, disp, quadratic):
+    """One element on ``corners``; mid-edge nodes moved by ``disp`` times
+    just under the half edge length validate_mesh allows."""
+    corners = np.asarray(corners, dtype=float)
+    if not quadratic:
+        return Mesh(corners, np.arange(4, dtype=np.int64)[None])
+    nodes = list(corners)
+    for m, (a, b) in enumerate(EDGE_VERTICES):
+        edge = np.linalg.norm(corners[b] - corners[a])
+        nodes.append(0.5 * (corners[a] + corners[b]) + 0.499 * edge * disp[m])
+    return Mesh(np.array(nodes), np.arange(10, dtype=np.int64)[None])
+
+
+def _positive_corners(pts):
+    pts = np.asarray(pts, dtype=float)
+    vol6 = np.dot(pts[1] - pts[0], np.cross(pts[2] - pts[0], pts[3] - pts[0]))
+    assume(abs(vol6) > 1e-2)
+    if vol6 < 0.0:
+        pts = pts[[0, 1, 3, 2]]
+    return pts
+
+
+coord = st.floats(-1.0, 1.0)
+vec3 = st.tuples(coord, coord, coord)
+# displacement directions of unit length or less
+disp6 = st.lists(vec3, min_size=6, max_size=6).map(
+    lambda v: [np.asarray(x) / max(1.0, float(np.linalg.norm(x))) for x in v]
+)
+
+
+class TestElementClip:
+    @given(
+        st.lists(vec3, min_size=4, max_size=4),
+        disp6,
+        st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9), st.floats(0.05, 0.9)),
+        vec3,
+        st.booleans(),
+    )
+    def test_clip_keeps_every_accepted_point(self, corners, disp, xi, d, quadratic):
+        assume(np.linalg.norm(d) > 0.1)
+        mesh = _curved_element(_positive_corners(corners), disp, quadratic)
+        xi = np.asarray(xi) / max(1.0, 1.05 * sum(xi))  # inside the reference tet
+        d = np.asarray(d) / np.linalg.norm(d)
+        target = map_points(mesh.nodes, xi, mesh.order)
+        det = _frame_detector(target - 8.0 * d, d)
+        _assert_clip_conservative(mesh, det, 16.0)
+
+    @given(
+        st.lists(vec3, min_size=3, max_size=3),
+        st.floats(0.3, 1.5),
+        disp6,
+        st.booleans(),
+    )
+    def test_face_parallel_to_ray(self, others, height, disp, quadratic):
+        # corners 0 and 1 share (x, y), so faces (0, 2, 1) and (0, 1, 3)
+        # contain the -z ray direction exactly
+        c0, c2, c3 = (np.asarray(p) for p in others)
+        corners = _positive_corners([c0, c0 + [0.0, 0.0, height], c2, c3])
+        mesh = _curved_element(corners, disp, quadratic)
+        d = np.array([0.0, 0.0, -1.0])
+        bpts = element_bounding_points(mesh)[0]
+        for a, b, c in ((0, 2, 1), (0, 1, 3)):
+            n = np.cross(corners[b] - corners[a], corners[c] - corners[a])
+            assert n[2] == 0.0
+            n /= np.linalg.norm(n)
+            lift = np.array([0.0, 0.0, 4.0])
+            # just inside the corner face: a ray that may cross the element
+            det = _frame_detector(corners[a] - 1e-3 * n + lift, d)
+            _assert_clip_conservative(mesh, det, 8.0)
+            # beyond the face plane pushed out to the farthest control point
+            gap = float((bpts @ n).max() - corners[a] @ n)
+            det = _frame_detector(corners[a] + (gap + 1e-3) * n + lift, d)
+            lo, hi = _assert_clip_conservative(mesh, det, 8.0)
+            assert lo > hi
