@@ -223,6 +223,8 @@ def _newton_lanes(nodes, points, settings, det_scale):
         fail_now = singular | (diverged & ~conv_now)
         converged[active[conv_now]] = True
         running = ~(conv_now | fail_now)
+        if running.all():
+            continue
         active = active[running]
         if lane_nodes.shape[2] > 1:
             lane_nodes = lane_nodes[:, :, running]

@@ -14,8 +14,15 @@ entry guess, first-success point location), while ``render`` batches the
 same arithmetic over all rays of a row block and resolves multiply-claimed
 samples with the same ordering key.  Both produce bitwise-equal images.
 
-``render`` runs point location as one pass over (ray, element) pairs, taken
-from the leaf records in chunks of bounded size.  Each pair's ray is clipped
+``render`` traverses the tree in detector-frame coordinates: all rays share
+one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
+its origin in any box frame is linear in its pixel offsets (a, b).  Each
+leaf record's depth interval becomes a grid range; the ranges are merged
+per ray into the sample list, and each record entry keeps the offset that
+maps its grid indices to sample indices.
+
+Point location then runs as one pass over (ray, element) pairs, taken from
+the leaf records in chunks of bounded size.  Each pair's ray is clipped
 to the element's box (in the detector frame) intersected with the four face
 half-spaces of its corner tetrahedron, each plane pushed out to the farthest
 Bezier control point.  A quadratic element lies inside the convex hull of its control net,
@@ -292,12 +299,8 @@ def _grid_range(t_enter, t_exit, step: float):
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate arange(start, start+count) rows."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep = np.repeat(np.arange(len(counts)), counts)
-    base = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.repeat(starts, counts) + (np.arange(total) - base[rep])
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 @dataclass
@@ -472,7 +475,35 @@ class _RenderContext:
     scales: tuple[np.ndarray, np.ndarray]  # locate._element_scales per element
 
 
+def _render_context(mesh, field, detector, settings, model, tree, brute_force):
+    """Per-render state shared by all row blocks; builds the tree if none is given."""
+    if brute_force:
+        tree = None
+        brute_box = model_aabb(mesh)
+    else:
+        tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
+        brute_box = None
+    return _RenderContext(
+        mesh=mesh,
+        values=field.values,
+        tree=tree,
+        brute_box=brute_box,
+        detector=detector,
+        settings=settings,
+        want_mu=model is not None and model.variant == "table",
+        model=model,
+        clip=_element_clip(mesh, detector),
+        corners=mesh.corner_coords(),
+        scales=_element_scales(mesh.nodes[mesh.elements]),
+    )
+
+
 _WORKER_CTX: _RenderContext | None = None
+
+
+def _lane_origins(c, u, v, a, b):
+    """Origins c + a * u + b * v of the rays at detector-frame (a, b)."""
+    return c + a[:, None] * u + b[:, None] * v
 
 
 def _block_rays(ctx: _RenderContext, v_lo: int, v_hi: int):
@@ -482,43 +513,127 @@ def _block_rays(ctx: _RenderContext, v_lo: int, v_hi: int):
     j_idx = np.repeat(np.arange(v_lo, v_hi, dtype=np.int64), det.nu)
     a = i_idx * det.pitch
     b = j_idx * det.pitch
-    return det.origin + a[:, None] * det.axis_u + b[:, None] * det.axis_v, a, b
+    return _lane_origins(det.origin, det.axis_u, det.axis_v, a, b), a, b
 
 
-def _traverse_block(ctx: _RenderContext, origins: np.ndarray):
-    """Vectorized tree traversal; yields (elements, ray_ids, t_enter, t_exit)."""
-    d = ctx.detector.normal
+def _slab_hits(c, u, v, d, inv_d, box: Aabb, a, b):
+    """``slab_intervals(...)[2]`` for the origins c + a * u + b * v, one axis
+    at a time on the (a, b) lanes instead of on (n, 3) origins."""
+    hit = t_enter = t_exit = None
+    for k in range(3):
+        o = c[k] + a * u[k] + b * v[k]
+        if d[k] == 0.0:
+            inside = (o >= box.pmin[k]) & (o <= box.pmax[k])
+            hit = inside if hit is None else hit & inside
+            continue
+        t1 = (box.pmin[k] - o) * inv_d[k]
+        t2 = (box.pmax[k] - o) * inv_d[k]
+        lo, hi = (t1, t2) if inv_d[k] > 0.0 else (t2, t1)
+        t_enter = lo if t_enter is None else np.maximum(t_enter, lo)
+        t_exit = hi if t_exit is None else np.minimum(t_exit, hi)
+    slab = (t_enter <= t_exit) & (t_exit >= 0.0)
+    return slab if hit is None else hit & slab
+
+
+def _traverse_block(ctx: _RenderContext, ray_a: np.ndarray, ray_b: np.ndarray):
+    """Vectorized tree traversal of the rays at detector-frame (a, b).
+
+    Returns leaf records (elements, ray_ids, j_lo, j_hi): the rays with
+    samples inside the leaf box and their grid ranges.  In a node's frame a
+    ray's origin is c + a * U + b * V, with c, U, V the detector origin and
+    axes in that frame, so a node rotates four 3-vectors instead of every
+    ray origin.  Internal nodes test the lanes with ``_slab_hits``.  Leaf
+    nodes build the local origins and call ``slab_intervals`` on them: the
+    leaf-box slab calls define the render's samples, and a tracer may count
+    the samples from those calls alone.
+    """
+    det = ctx.detector
+    step = ctx.settings.step
     records = []
     if ctx.tree is None:
         box = ctx.brute_box
         with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d
-        te, tx, hit = slab_intervals(origins, inv_d, d, box.pmin, box.pmax)
-        ids = np.flatnonzero(hit)
-        if ids.size:
-            all_elems = np.arange(ctx.mesh.n_elements, dtype=np.int64)
-            records.append((all_elems, ids, te[ids], tx[ids]))
+            inv_d = 1.0 / det.normal
+        origins = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a, ray_b)
+        te, tx, _ = slab_intervals(origins, inv_d, det.normal, box.pmin, box.pmax)
+        all_elems = np.arange(ctx.mesh.n_elements, dtype=np.int64)
+        _add_record(records, all_elems, np.arange(ray_a.size, dtype=np.int64), te, tx, step)
         return records
-    stack = [(ctx.tree.root, np.arange(origins.shape[0], dtype=np.int64))]
+    det_axes = np.stack([det.axis_u, det.axis_v, det.normal])
+    stack = [(ctx.tree.root, np.arange(ray_a.size, dtype=np.int64))]
     while stack:
         node, ids = stack.pop()
-        basis = node.obb.basis
-        o_local = basis.to_local(origins[ids])
-        d_local = basis.rotate(d)
+        basis, box = node.obb.basis, node.obb.box
+        c = basis.to_local(det.origin)
+        u, v, d = basis.rotate(det_axes)
         with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d_local
-        te, tx, hit = slab_intervals(
-            o_local, inv_d, d_local, node.obb.box.pmin, node.obb.box.pmax
-        )
-        keep = ids[hit]
-        if keep.size == 0:
-            continue
+            inv_d = 1.0 / d
+        a, b = ray_a[ids], ray_b[ids]
         if node.is_leaf:
-            records.append((node.elements, keep, te[hit], tx[hit]))
-        else:
+            o_local = _lane_origins(c, u, v, a, b)
+            te, tx, _ = slab_intervals(o_local, inv_d, d, box.pmin, box.pmax)
+            _add_record(records, node.elements, ids, te, tx, step)
+            continue
+        keep = ids[_slab_hits(c, u, v, d, inv_d, box, a, b)]
+        if keep.size:
             stack.append((node.right, keep))
             stack.append((node.left, keep))
     return records
+
+
+def _add_record(records, elems, ids, t_enter, t_exit, step: float):
+    """Append (elems, ray_ids, j_lo, j_hi) for the rays whose slab interval
+    holds grid points; a missed box has an empty range."""
+    j_lo, j_hi = _grid_range(t_enter, t_exit, step)
+    full = np.flatnonzero(j_hi >= j_lo)
+    if full.size:
+        records.append((elems, ids[full], j_lo[full], j_hi[full]))
+
+
+def _merge_ranges(ray: np.ndarray, j_lo: np.ndarray, j_hi: np.ndarray):
+    """Per-ray union of at least one non-empty grid range [j_lo, j_hi].
+
+    Returns (s_ray, s_j, base): the samples in (ray, j) order, and per range
+    the offset that makes base + j the index of sample (ray, j) for every j
+    in the range.  Ranges are sorted by (ray, j_lo) and a range that starts
+    at most one past the running maximum of the ray's earlier ends joins
+    their merged run.  Grid indices are non-negative.
+    """
+    # ray-major keys: sorting them sorts by (ray, j_lo), and their running
+    # maximum restarts with every ray
+    span = int(j_hi.max()) + 2
+    key = ray * span
+    key += j_lo
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    r = ray[order]
+    reach = r * span
+    reach += j_hi[order]
+    np.maximum.accumulate(reach, out=reach)
+    start = np.empty(order.size, dtype=bool)
+    start[0] = True
+    np.greater(key[1:], reach[:-1] + 1, out=start[1:])
+    del key
+    first = np.flatnonzero(start)
+    last = np.append(first[1:] - 1, order.size - 1)
+    run_lo = j_lo[order[first]]
+    counts = reach[last] - r[last] * span - run_lo + 1
+    run_base = np.cumsum(counts) - counts - run_lo
+    base = np.empty(ray.size, dtype=np.int64)
+    base[order] = np.repeat(run_base, np.diff(np.append(first, order.size)))
+    return np.repeat(r[first], counts), _ragged_arange(run_lo, counts), base
+
+
+def _merge_records(records):
+    """Samples of the leaf records and the records with their sample offsets.
+
+    Returns (records, s_ray, s_j): each record gains a fifth column, base,
+    with base + j the index of its ray's sample j.  The merge temporaries
+    die with this call.
+    """
+    s_ray, s_j, base = _merge_ranges(*(np.concatenate(c) for c in list(zip(*records))[1:]))
+    ends = np.cumsum([rec[1].size for rec in records])
+    return [rec + (b,) for rec, b in zip(records, np.split(base, ends[:-1]))], s_ray, s_j
 
 
 # (ray, element) pairs clipped at once, and (sample, element) lanes per
@@ -527,15 +642,15 @@ PAIR_CHUNK = 16384
 NEWTON_CHUNK = 32768
 
 
-def _pair_chunks(records, rec_ranges, budget: int):
-    """Yield (ray, element, j_lo, j_hi) arrays, one entry per (ray, element) pair.
+def _pair_chunks(records, budget: int):
+    """Yield (ray, element, j_lo, j_hi, base) arrays, one entry per (ray, element) pair.
 
     Leaf records are packed whole up to ``budget`` pairs; a larger record is
     split by rays, so only a single ray meeting more than ``budget`` elements
-    makes a larger chunk.  ``j_lo``/``j_hi`` is the record's sample range.
+    makes a larger chunk.  ``j_lo``/``j_hi``/``base`` are the record's.
     """
     parts, size = [], 0
-    for (elems, ids, _, _), (j_lo, j_hi) in zip(records, rec_ranges):
+    for elems, ids, *cols in records:
         rays_per_part = max(1, budget // elems.size)
         for lo in range(0, ids.size, rays_per_part):
             part = slice(lo, lo + rays_per_part)
@@ -543,7 +658,7 @@ def _pair_chunks(records, rec_ranges, budget: int):
             if parts and size + n > budget:
                 yield _expand_pairs(parts)
                 parts, size = [], 0
-            parts.append((elems, ids[part], j_lo[part], j_hi[part]))
+            parts.append((elems, ids[part], *(col[part] for col in cols)))
             size += n
     if parts:
         yield _expand_pairs(parts)
@@ -551,13 +666,9 @@ def _pair_chunks(records, rec_ranges, budget: int):
 
 def _expand_pairs(parts):
     cols = [
-        (
-            np.repeat(ids, elems.size),
-            np.tile(elems, ids.size),
-            np.repeat(j_lo, elems.size),
-            np.repeat(j_hi, elems.size),
-        )
-        for elems, ids, j_lo, j_hi in parts
+        (np.repeat(ids, elems.size), np.tile(elems, ids.size))
+        + tuple(np.repeat(col, elems.size) for col in ray_cols)
+        for elems, ids, *ray_cols in parts
     ]
     return tuple(np.concatenate(c) for c in zip(*cols))
 
@@ -572,29 +683,18 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
     stats = RenderStats(rays=n_rays)
 
     origins, ray_a, ray_b = _block_rays(ctx, v_lo, v_hi)
-    records = _traverse_block(ctx, origins)
+    records = _traverse_block(ctx, ray_a, ray_b)
     if not records:
         return pd.reshape(v_hi - v_lo, det.nu), (
             mu.reshape(v_hi - v_lo, det.nu) if mu is not None else None
         ), stats
 
-    # global-grid samples, deduplicated across overlapping leaf intervals
-    rec_ranges = []
-    key_parts = []
-    for _, ids, te, tx in records:
-        j_lo, j_hi = _grid_range(te, tx, step)
-        rec_ranges.append((j_lo, j_hi))
-        counts = np.maximum(j_hi - j_lo + 1, 0)
-        j_flat = _ragged_arange(j_lo, counts)
-        ray_flat = np.repeat(ids, counts)
-        key_parts.append(ray_flat * (1 << 32) + j_flat)
-    keys = np.unique(np.concatenate(key_parts))
-    s_ray = (keys >> 32).astype(np.int64)
-    s_j = (keys & ((1 << 32) - 1)).astype(np.int64)
-    ts = (s_j + 0.5) * step
-    pts = origins[s_ray] + ts[:, None] * det.normal
-    m = keys.shape[0]
+    # global-grid samples, merged across overlapping leaf intervals
+    records, s_ray, s_j = _merge_records(records)
+    pts = origins[s_ray] + ((s_j + 0.5) * step)[:, None] * det.normal
+    m = s_ray.shape[0]
     stats.samples = m
+    del s_j
 
     d = det.normal
     # candidate samples per (ray, element) pair: those inside the element
@@ -604,7 +704,7 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
     claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    for ray, elem, rec_jlo, rec_jhi in _pair_chunks(records, rec_ranges, PAIR_CHUNK):
+    for ray, elem, rec_jlo, rec_jhi, base in _pair_chunks(records, PAIR_CHUNK):
         kept, t_in, t_out = _clip_pairs(ctx.clip, ray_a[ray], ray_b[ray], elem)
         j1, j2 = _grid_range(t_in, t_out, step)
         j1 = np.maximum(j1, rec_jlo[kept])
@@ -616,9 +716,7 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
         ray, elem, j1 = ray[kept], elem[kept], j1[keep]
         counts = j2[keep] - j1 + 1
         t_guess, _ = tet_entry(origins[ray], d, ctx.corners[elem])
-        sidx = np.searchsorted(
-            keys, np.repeat(ray, counts) * (1 << 32) + _ragged_arange(j1, counts)
-        )
+        sidx = _ragged_arange(base[kept] + j1, counts)
         lane_e = np.repeat(elem, counts)
         lane_t = np.repeat(t_guess, counts)
         for lo in range(0, sidx.size, NEWTON_CHUNK):
@@ -699,29 +797,13 @@ def render(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    box = model_aabb(mesh)
-    if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
+    if float(np.linalg.norm(model_aabb(mesh).extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
-    if brute_force:
-        tree = None
-        brute_box = box
-    else:
-        tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
-        brute_box = None
-
-    ctx = _RenderContext(
-        mesh=mesh,
-        values=field.values,
-        tree=tree,
-        brute_box=brute_box,
-        detector=detector,
-        settings=settings,
-        want_mu=model is not None and model.variant == "table",
-        model=model,
-        clip=_element_clip(mesh, detector),
-        corners=mesh.corner_coords(),
-        scales=_element_scales(mesh.nodes[mesh.elements]),
-    )
+    if tree is not None and tree.n_elements != mesh.n_elements:
+        raise ValueError(
+            f"tree built over {tree.n_elements} elements, mesh has {mesh.n_elements}"
+        )
+    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force)
 
     blocks = _split_rows(detector.nv, workers)
     if workers == 1:
@@ -729,8 +811,7 @@ def render(
     else:
         import multiprocessing as mp
 
-        mp_ctx = mp.get_context("fork")
-        with mp_ctx.Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+        with mp.get_context().Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
             results = pool.map(_worker_block, blocks)
 
     density = np.vstack([r[0] for r in results])

@@ -1,18 +1,28 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fexray import locate, xray
 from fexray.io_text import parse_field, parse_mesh
 from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, Mesh, NodalField, map_points
-from fexray.raycast import Ray, ray_tet_entry
-from fexray.spatial import Aabb, build_obb_tree, element_bounding_points, model_aabb
+from fexray.raycast import Ray, ray_aabb, ray_tet_entry, slab_intervals, traverse
+from fexray.spatial import (
+    Aabb,
+    Basis,
+    build_obb_tree,
+    element_bounding_points,
+    model_aabb,
+)
 from fexray.xray import (
     AttenuationModel,
     Detector,
@@ -278,6 +288,52 @@ class TestRender:
             abs(masses[0.02] - masses[0.01])
             <= abs(masses[0.08] - masses[0.04]) + 0.005
         )
+
+    def test_tree_of_other_mesh_rejected(self, ball_mesh_field):
+        # the golden ball8 tree over the 64-element ball would render with
+        # the wrong candidate elements
+        mesh, field = ball_mesh_field
+        tree = build_obb_tree(golden_scene("ball8")[0], 10)
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=4.0)
+        with pytest.raises(ValueError, match="elements"):
+            render(mesh, field, det, IntegrationSettings(), tree=tree)
+
+    def test_spawn_pool_bitwise(self):
+        # the worker pool must not depend on fork; a fork during the
+        # render would run the at-fork hook
+        code = textwrap.dedent(
+            f"""
+            import multiprocessing, os
+            from pathlib import Path
+            from fexray.io_text import parse_field, parse_mesh
+            from fexray.spatial import model_aabb
+            from fexray.xray import IntegrationSettings, make_detector, render
+
+            multiprocessing.set_start_method("spawn")
+            golden = Path({str(GOLDEN)!r})
+            mesh = parse_mesh((golden / "ball8.mesh").read_text())
+            field = parse_field((golden / "ball8.field").read_text())
+            det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=36.0)
+            settings = IntegrationSettings(step=0.05)
+            one = render(mesh, field, det, settings, workers=1)
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            two = render(mesh, field, det, settings, workers=2)
+            assert not forks, "the pool forked"
+            assert one.density.tobytes() == two.density.tobytes()
+            assert one.stats.pairs_inside == two.stats.pairs_inside > 0
+            """
+        )
+        src = str(Path(xray.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_negative_field_rejected(self, ball_mesh_field):
         mesh, _ = ball_mesh_field
@@ -582,3 +638,135 @@ class TestElementClip:
             det = _frame_detector(corners[a] + (gap + 1e-3) * n + lift, d)
             lo, hi = _assert_clip_conservative(mesh, det, 8.0)
             assert lo > hi
+
+
+# (ray, j_lo, length) rows of one leaf; length <= 0 gives an empty range
+range_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 20), st.integers(-1, 6)), min_size=1, max_size=8
+)
+
+
+class TestSampleMerge:
+    @given(st.lists(range_rows, min_size=1, max_size=4), st.integers(1, 3))
+    # overlapping, nested, adjacent, duplicate and empty ranges of one ray
+    @example([[(0, 2, 4), (0, 3, 2), (1, 0, 4)], [(0, 6, 3), (0, 2, 4), (0, 10, 0), (1, 2, 6)]], 2)
+    def test_merge_matches_unique_keys(self, leaves, n_elems):
+        # with step 1 the interval [lo + 1/4, lo + n - 1/4] holds the grid
+        # indices lo .. lo + n - 1
+        records, rows = [], []
+        for k, leaf in enumerate(leaves):
+            ray, lo, n = (np.array(c, dtype=np.int64) for c in zip(*leaf))
+            elems = np.arange(k, k + n_elems, dtype=np.int64)
+            xray._add_record(records, elems, ray, lo + 0.25, lo + n - 0.25, 1.0)
+            rows += [(k, r, j_lo, j_lo + m - 1) for r, j_lo, m in leaf if m > 0]
+        # records keep the leaf order and exactly the non-empty ranges
+        kept = [
+            (int(elems[0]), int(r), int(lo), int(hi))
+            for elems, ids, j_lo, j_hi in records
+            for r, lo, hi in zip(ids, j_lo, j_hi)
+        ]
+        assert kept == rows
+        if not records:
+            return
+        merged, s_ray, s_j = xray._merge_records(records)
+        keys = np.unique([(r << 32) + j for _, r, lo, hi in rows for j in range(lo, hi + 1)])
+        np.testing.assert_array_equal(s_ray, keys >> 32)
+        np.testing.assert_array_equal(s_j, keys & ((1 << 32) - 1))
+        assert len(merged) == len(records)
+        for rec, (*cols, base) in zip(records, merged):
+            for a, b in zip(rec, cols):
+                np.testing.assert_array_equal(a, b)
+            _, ids, j_lo, j_hi = rec
+            for r, lo, hi, b in zip(ids, j_lo, j_hi, base):
+                idx = b + np.arange(lo, hi + 1)
+                assert (s_ray[idx] == r).all()
+                np.testing.assert_array_equal(s_j[idx], np.arange(lo, hi + 1))
+
+
+def _oblique_detector(mesh):
+    box = model_aabb(mesh)
+    center = 0.5 * (box.pmin + box.pmax)
+    n = np.array([0.3, -0.5, 0.8])
+    n /= np.linalg.norm(n)
+    u = np.cross(n, [0.2, 0.9, 0.1])
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    half = 0.6 * float(np.linalg.norm(box.extents))
+    return Detector(center - 3.0 * half * n - half * (u + v), u, v, n, 17, 13, 2.0 * half / 14)
+
+
+def _leaf_ranges(ctx):
+    """{(elements, ray, j_lo, j_hi)} of the non-empty leaf ranges, batched and per ray."""
+    det, step = ctx.detector, ctx.settings.step
+    _, a, b = xray._block_rays(ctx, 0, det.nv)
+    batched = {
+        (tuple(elems), int(r), int(lo), int(hi))
+        for elems, ids, j_lo, j_hi in xray._traverse_block(ctx, a, b)
+        for r, lo, hi in zip(ids, j_lo, j_hi)
+    }
+    per_ray = set()
+    all_elems = tuple(range(ctx.mesh.n_elements))
+    for j in range(det.nv):
+        for i in range(det.nu):
+            ray = det.ray(i, j)
+            if ctx.tree is None:
+                hit = ray_aabb(ray, ctx.brute_box)
+                hits = [] if hit is None else [(all_elems, hit)]
+            else:
+                hits = [(tuple(node.elements), hit) for node, hit in traverse(ctx.tree, ray)]
+            for elems, hit in hits:
+                lo, hi = xray._grid_range(np.float64(hit.t_enter), np.float64(hit.t_exit), step)
+                if hi >= lo:
+                    per_ray.add((elems, j * det.nu + i, int(lo), int(hi)))
+    return batched, per_ray
+
+
+def _random_rows(rng):
+    rows = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    if np.linalg.det(rows) < 0.0:
+        rows[2] = -rows[2]
+    return rows
+
+
+class TestTraversal:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_slab_hits_match_slab_intervals(self, seed, aligned, identity):
+        # aligned detector axes in an identity basis give exactly zero
+        # direction components; some lanes sit exactly on a box plane
+        rng = np.random.default_rng(seed)
+        if aligned:
+            frame = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)[:, None]
+        else:
+            frame = _random_rows(rng)
+        basis = Basis(np.eye(3) if identity else _random_rows(rng), rng.normal(size=3))
+        c = basis.to_local(rng.normal(size=3))
+        u, v, d = basis.rotate(frame)
+        with np.errstate(divide="ignore"):
+            inv_d = 1.0 / d
+        a, b = rng.uniform(-2.0, 2.0, (2, 64))
+        o = xray._lane_origins(c, u, v, a, b)
+        lo, hi = np.sort(1.5 * rng.normal(size=(2, 3)), axis=0)
+        lo[0], hi[1], lo[2] = o[0, 0], o[1, 1], o[2, 2]
+        box = Aabb(np.minimum(lo, hi), np.maximum(lo, hi))
+        expected = slab_intervals(o, inv_d, d, box.pmin, box.pmax)[2]
+        np.testing.assert_array_equal(xray._slab_hits(c, u, v, d, inv_d, box, a, b), expected)
+
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    @pytest.mark.parametrize("face", ["oblique", "+x", "-x", "+y", "-y", "+z", "-z"])
+    @pytest.mark.parametrize("leaf_size", [None, 1, 3])
+    def test_leaf_records_match_per_ray_traversal(self, name, face, leaf_size):
+        # leaf_size None is brute force.  Under the axis-aligned faces, the
+        # ball8 root (leaf sizes 1 and 3) and one cylinder100 leaf (leaf
+        # size 1) see the rays with exactly zero local direction components
+        mesh, field = golden_scene(name)
+        if face == "oblique":
+            det = _oblique_detector(mesh)
+        else:
+            det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
+        settings = IntegrationSettings(step=0.02, max_leaf_elements=leaf_size or 1)
+        ctx = xray._render_context(mesh, field, det, settings, None, None, leaf_size is None)
+        batched, per_ray = _leaf_ranges(ctx)
+        assert batched == per_ray
+        assert batched
+        if leaf_size is not None:
+            assert len({elems for elems, *_ in batched}) > 1
