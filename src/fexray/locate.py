@@ -1,34 +1,56 @@
 """Global-to-local Newton iteration and point-in-element classification.
 
-The Newton kernel is batched over query points but every lane follows exactly
-the per-point iteration: stop when the update norm relative to the first
-iterate drops below the tolerance, fail on a singular Jacobian, divergence or
-iteration overflow.  Lanes are frozen once they stop, so results do not
-depend on which other points share the batch.
+A quadratic tetrahedron maps reference coordinates xi to
 
-Node coordinates enter the kernels structure-of-arrays, shape
-(n_nodes, 3, k): one column per lane when every lane has its own element, or
-k = 1 when one element serves the whole batch.  Both layouts run the same
-elementwise arithmetic per lane, so a point gets bitwise the same answer
-whichever elements share its batch.
+    X(xi) = n0 + A xi + sum_e 4 phi_a phi_b d_e,
+
+with A = [n1 - n0, n2 - n0, n3 - n0] the corner-tetrahedron matrix, phi the
+barycentrics (1 - x - y - z, x, y, z) and d_e the offset of the mid-edge node
+of edge e = (a, b) from the edge midpoint.  Newton's method is
+affine-invariant, so it runs on the reference-frame residual
+
+    g(xi) = A^-1 (X(xi) - p) = xi - lam + sum_e M_e phi_a phi_b,
+
+where lam = A^-1 (p - n0) are the corner-tetrahedron barycentrics of the
+query point p and M_e = 4 A^-1 d_e are the element's edge bulges.  In exact
+arithmetic the iterates are those of Newton on X(xi) - p.
+
+``_element_frames`` builds n0, A^-1 and the bulges once per set of elements,
+with explicit elementwise arithmetic, so an element's frame has the same bits
+whichever elements it is built with.  A straight element (every bulge exactly
+zero, and every 4-node element) has xi = lam: Newton from lam would stop
+after one iteration with a zero step, so those lanes take lam directly and
+count that one iteration.  Curved lanes start Newton from lam, unless the
+element's bulges sum to ``WARM_BULGE`` or more (see there).  A lane stops
+when the step relative to the first iterate drops below the tolerance, and
+fails on a singular Jacobian (|det g'| < SINGULAR_REL, i.e. |det J| below
+SINGULAR_REL |det A|), divergence or iteration overflow; a lane whose corner
+matrix has no inverse fails as singular.  Lanes are frozen once they stop,
+so results do not depend on which other points share the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, map_points
+from .mesh import EDGE_VERTICES, Mesh, MeshError, map_points
 
 # success additionally requires the mapped point to reproduce the query
 RESIDUAL_REL = 1e-8
 # Newton iterates escaping this reference-space ball count as diverged
 DIVERGENCE_NORM = 10.0
-# relative |det J| threshold for the singular-Jacobian bailout
+# |det| threshold of the reference-frame Jacobian (det J / det A) below
+# which a lane fails as singular
 SINGULAR_REL = 1e-14
-
-DEFAULT_INITIAL_GUESS = np.array([0.25, 0.25, 0.25])
+# The bulge term sum_e M_e phi_a phi_b moves a point by up to sum_e |M_e| / 4
+# (phi_a phi_b <= 1/4).  Once sum_e |M_e| reaches this bound that shift can
+# exceed the reference tetrahedron, lam says little about xi, and Newton
+# starts from the centroid instead.  In a sweep of random curved elements the
+# lam start missed 515 interior points of the 716 elements past the bound,
+# where the centroid start missed 41, and none of the 1 870 below it.
+WARM_BULGE = 4.0
 
 # Newton lanes iterated together; lanes are independent, so this only sets
 # the size of the per-iteration temporaries (chosen to stay in cache)
@@ -39,16 +61,12 @@ NEWTON_BLOCK = 4096
 class NewtonSettings:
     eps_tol: float = 1e-10
     max_iter: int = 20
-    initial_guess: np.ndarray = field(default_factory=lambda: DEFAULT_INITIAL_GUESS.copy())
 
     def __post_init__(self):
         if not self.eps_tol > 0.0:
             raise ValueError("eps_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        object.__setattr__(
-            self, "initial_guess", np.asarray(self.initial_guess, dtype=np.float64)
-        )
 
 
 @dataclass(frozen=True)
@@ -70,86 +88,190 @@ def in_hull(xi: np.ndarray, geom_tol: float = 1e-8) -> np.ndarray:
     return ok
 
 
-def _residual_jacobian_quadratic(n, xi, pts):
-    """Fused residual and Jacobian for 10-node elements.
+@dataclass(frozen=True)
+class _ElementFrames:
+    """Reference-frame data of a set of elements, one column per element.
 
-    ``n`` holds the node coordinates as (10, 3, k) with k = 1 or one column
-    per lane; avoiding the (k, 10, 3) intermediates of the generic kernels
-    keeps the Newton loop memory-bound on (k,) lanes only.
+    ``corner`` holds n0 in rows 0-2 and A^-1, row-major, in rows 3-11.
+    ``bulges`` row 12 * a + e (e < 6) is component a of M_e; rows
+    12 * a + 6 .. 12 * a + 11 hold the bulge differences the Jacobian uses
+    (see ``_reference_newton``).  Elements whose corner matrix has no finite
+    inverse are ``singular`` and carry zeros.
     """
-    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
-    w = 1.0 - x - y - z
-    q0 = w * (2.0 * w - 1.0)
-    q1 = x * (2.0 * x - 1.0)
-    q2 = y * (2.0 * y - 1.0)
-    q3 = z * (2.0 * z - 1.0)
-    p4 = x * w
-    p5 = x * y
-    p6 = y * w
-    p7 = z * w
-    p8 = x * z
-    p9 = y * z
-    g0 = 1.0 - 4.0 * w
-    gx = 4.0 * x - 1.0
-    gy = 4.0 * y - 1.0
-    gz = 4.0 * z - 1.0
-    t4 = w - x
-    t6 = w - y
-    t7 = w - z
-    f = np.empty(xi.shape)
-    jac = np.empty(xi.shape[:-1] + (3, 3))
-    for a in range(3):
-        n0, n1, n2, n3 = n[0][a], n[1][a], n[2][a], n[3][a]
-        n4, n5, n6, n7, n8, n9 = n[4][a], n[5][a], n[6][a], n[7][a], n[8][a], n[9][a]
-        f[..., a] = (
-            n0 * q0
-            + n1 * q1
-            + n2 * q2
-            + n3 * q3
-            + 4.0 * (n4 * p4 + n5 * p5 + n6 * p6 + n7 * p7 + n8 * p8 + n9 * p9)
-        ) - pts[..., a]
-        jac[..., a, 0] = n0 * g0 + n1 * gx + 4.0 * (n4 * t4 + (n5 - n6) * y + (n8 - n7) * z)
-        jac[..., a, 1] = n0 * g0 + n2 * gy + 4.0 * (n6 * t6 + (n5 - n4) * x + (n9 - n7) * z)
-        jac[..., a, 2] = n0 * g0 + n3 * gz + 4.0 * (n7 * t7 + (n8 - n4) * x + (n9 - n6) * y)
-    return f, jac
+
+    corner: np.ndarray  # (12, n)
+    bulges: np.ndarray  # (36, n)
+    curved: np.ndarray  # (n,) some bulge is nonzero
+    warm: np.ndarray  # (n,) sum_e |M_e| < WARM_BULGE: Newton starts from lam
+    singular: np.ndarray  # (n,)
+    nodes: np.ndarray  # (n_nodes, n, 3), for the physical residual check
+    diam: np.ndarray  # (n,) node bounding-box diagonal
 
 
-def _residual_jacobian_linear(n, xi, pts):
-    """Residual and constant Jacobian for 4-node elements; ``n`` is (4, 3, k)."""
-    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
-    w = 1.0 - x - y - z
-    f = np.empty(xi.shape)
-    jac = np.empty(xi.shape[:-1] + (3, 3))
-    for a in range(3):
-        n0, n1, n2, n3 = n[0][a], n[1][a], n[2][a], n[3][a]
-        f[..., a] = (n0 * w + n1 * x + n2 * y + n3 * z) - pts[..., a]
-        jac[..., a, 0] = n1 - n0
-        jac[..., a, 1] = n2 - n0
-        jac[..., a, 2] = n3 - n0
-    return f, jac
+def _element_frames(nodes: np.ndarray) -> _ElementFrames:
+    """Reference-frame data of elements with nodes (n, n_nodes, 3)."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    cols = nodes.transpose(1, 2, 0)  # (n_nodes, 3, n)
+    n0 = cols[0]
+    # A[r][c] = (n_{c+1} - n0)_r
+    a, b, c = cols[1][0] - n0[0], cols[2][0] - n0[0], cols[3][0] - n0[0]
+    d_, e, g = cols[1][1] - n0[1], cols[2][1] - n0[1], cols[3][1] - n0[1]
+    h, i, k = cols[1][2] - n0[2], cols[2][2] - n0[2], cols[3][2] - n0[2]
+    adj = np.array(
+        [
+            e * k - g * i, c * i - b * k, b * g - c * e,
+            g * h - d_ * k, a * k - c * h, c * d_ - a * g,
+            d_ * i - e * h, b * h - a * i, a * e - b * d_,
+        ]
+    )
+    det = a * adj[0] + b * adj[3] + c * adj[6]
+    m = np.zeros((3, 6, nodes.shape[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = adj / det
+        if nodes.shape[1] == 10:
+            for j, (p, q) in enumerate(EDGE_VERTICES):
+                off = 4.0 * (cols[4 + j] - 0.5 * (cols[p] + cols[q]))
+                for r in range(3):
+                    m[r, j] = (
+                        inv[3 * r] * off[0] + inv[3 * r + 1] * off[1]
+                    ) + inv[3 * r + 2] * off[2]
+    singular = ~(np.isfinite(inv).all(axis=0) & np.isfinite(m).all(axis=(0, 1)))
+    inv[:, singular] = 0.0
+    m[:, :, singular] = 0.0
+    # Jacobian coefficients, per component: M1 - M2, M4 - M3, M1 - M0,
+    # M5 - M3, M4 - M0, M5 - M2
+    diffs = np.stack(
+        [m[:, 1] - m[:, 2], m[:, 4] - m[:, 3], m[:, 1] - m[:, 0],
+         m[:, 5] - m[:, 3], m[:, 4] - m[:, 0], m[:, 5] - m[:, 2]],
+        axis=1,
+    )
+    ext = nodes.max(axis=1) - nodes.min(axis=1)
+    return _ElementFrames(
+        corner=np.concatenate([n0, inv]),
+        bulges=np.concatenate([m, diffs], axis=1).reshape(36, -1),
+        curved=(m != 0.0).any(axis=(0, 1)),
+        warm=sum(np.sqrt(m[0, j] ** 2 + m[1, j] ** 2 + m[2, j] ** 2) for j in range(6))
+        < WARM_BULGE,
+        singular=singular,
+        nodes=np.ascontiguousarray(nodes.transpose(1, 0, 2)),
+        diam=np.sqrt(ext[:, 0] ** 2 + ext[:, 1] ** 2 + ext[:, 2] ** 2),
+    )
 
 
-def _solve3(j, f):
-    """Solve J d = f per lane via the adjugate; returns (d, det)."""
-    a, b, c = j[..., 0, 0], j[..., 0, 1], j[..., 0, 2]
-    d_, e, g = j[..., 1, 0], j[..., 1, 1], j[..., 1, 2]
-    h, i, k = j[..., 2, 0], j[..., 2, 1], j[..., 2, 2]
-    co00 = e * k - g * i
-    co01 = c * i - b * k
-    co02 = b * g - c * e
-    co10 = g * h - d_ * k
-    co11 = a * k - c * h
-    co12 = c * d_ - a * g
-    co20 = d_ * i - e * h
-    co21 = b * h - a * i
-    co22 = a * e - b * d_
-    det = a * co00 + b * co10 + c * co20
-    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):  # singular lanes are discarded
-        x0 = (co00 * f0 + co01 * f1 + co02 * f2) / det
-        x1 = (co10 * f0 + co11 * f1 + co12 * f2) / det
-        x2 = (co20 * f0 + co21 * f1 + co22 * f2) / det
-    return np.stack([x0, x1, x2], axis=-1), det
+def _reference_newton(
+    bulges: np.ndarray, lam: np.ndarray, start: np.ndarray, settings: NewtonSettings
+):
+    """Newton on g(xi) = xi - lam + sum_e M_e phi_a phi_b from xi = start.
+
+    ``bulges`` is (36, k) per lane as in ``_ElementFrames``; ``lam`` and
+    ``start`` are (3, k).
+    With p_e = phi_a phi_b over ``EDGE_VERTICES`` and w = 1 - x - y - z the
+    Jacobian rows are
+
+        J_a0 = [a = 0] + M0 (w - x) + (M1 - M2) y + (M4 - M3) z
+        J_a1 = [a = 1] + M2 (w - y) + (M1 - M0) x + (M5 - M3) z
+        J_a2 = [a = 2] + M3 (w - z) + (M4 - M0) x + (M5 - M2) y
+
+    Returns (xi (3, k), converged, iterations).
+    """
+    k = lam.shape[1]
+    xi = np.empty((3, k))
+    converged = np.zeros(k, dtype=bool)
+    iters = np.full(k, settings.max_iter, dtype=np.int64)
+    # running lanes: rows x, y, z, lam (3), step denominator, bulges (36)
+    state = np.empty((43, k))
+    state[0:3] = start
+    state[3:6] = lam
+    state[6] = 1.0
+    state[7:] = bulges
+    lane = np.arange(k)
+    for it in range(1, settings.max_iter + 1):
+        x, y, z = state[0], state[1], state[2]
+        w = 1.0 - x - y - z
+        p = (w * x, x * y, y * w, w * z, x * z, y * z)
+        wx, wy, wz = w - x, w - y, w - z
+        f, jac = [], []
+        for a in range(3):
+            mm = state[7 + 12 * a : 19 + 12 * a]
+            f.append(
+                (state[a] - state[3 + a])
+                + (mm[0] * p[0] + mm[1] * p[1] + mm[2] * p[2]
+                   + mm[3] * p[3] + mm[4] * p[4] + mm[5] * p[5])
+            )
+            jac.append(
+                (
+                    mm[0] * wx + mm[6] * y + mm[7] * z,
+                    mm[2] * wy + mm[8] * x + mm[9] * z,
+                    mm[3] * wz + mm[10] * x + mm[11] * y,
+                )
+            )
+            jac[a][a][...] += 1.0  # the identity part of I + sum_e M_e (x) grad p_e
+        (ja, jb, jc), (jd, je, jg), (jh, ji, jk) = jac
+        co00 = je * jk - jg * ji
+        co01 = jc * ji - jb * jk
+        co02 = jb * jg - jc * je
+        co10 = jg * jh - jd * jk
+        co11 = ja * jk - jc * jh
+        co12 = jc * jd - ja * jg
+        co20 = jd * ji - je * jh
+        co21 = jb * jh - ja * ji
+        co22 = ja * je - jb * jd
+        det = ja * co00 + jb * co10 + jc * co20
+        singular = np.abs(det) < SINGULAR_REL
+        with np.errstate(divide="ignore", invalid="ignore"):  # singular lanes are discarded
+            d0 = (co00 * f[0] + co01 * f[1] + co02 * f[2]) / det
+            d1 = (co10 * f[0] + co11 * f[1] + co12 * f[2]) / det
+            d2 = (co20 * f[0] + co21 * f[1] + co22 * f[2]) / det
+        if singular.any():
+            d0[singular] = d1[singular] = d2[singular] = 0.0
+        x -= d0
+        y -= d1
+        z -= d2
+        norm = np.sqrt(x**2 + y**2 + z**2)
+        if it == 1:
+            state[6] = np.maximum(norm, 1.0)
+        step = np.sqrt(d0**2 + d1**2 + d2**2)
+        conv_now = (step / state[6] < settings.eps_tol) & ~singular
+        stop = conv_now | singular | (norm > DIVERGENCE_NORM)
+        if not stop.any():
+            continue
+        done = lane[stop]
+        xi[:, done] = state[:3, stop]
+        iters[done] = it
+        converged[done] = conv_now[stop]
+        keep = np.flatnonzero(~stop)
+        if keep.size == 0:
+            return xi, converged, iters
+        lane = lane[keep]
+        state = state.take(keep, axis=1)
+    xi[:, lane] = state[:3]
+    return xi, converged, iters
+
+
+def _solve(frames: _ElementFrames, cols: np.ndarray, points: np.ndarray, settings):
+    """Reference coordinates of ``points`` in the frames ``cols`` (one per point).
+
+    Returns (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
+    """
+    n0, inv = np.split(frames.corner.take(cols, axis=1), [3])
+    dx = points[:, 0] - n0[0]
+    dy = points[:, 1] - n0[1]
+    dz = points[:, 2] - n0[2]
+    xi = np.array(
+        [(inv[3 * r] * dx + inv[3 * r + 1] * dy) + inv[3 * r + 2] * dz for r in range(3)]
+    )
+    iters = np.ones(cols.size, dtype=np.int64)
+    converged = ~frames.singular[cols]
+    curved = np.flatnonzero(frames.curved[cols])
+    # blocks of lanes keep the iteration's temporaries cache-sized
+    for lo in range(0, curved.size, NEWTON_BLOCK):
+        c = curved[lo : lo + NEWTON_BLOCK]
+        lam = xi[:, c]
+        start = np.where(frames.warm[cols[c]], lam, 0.25)
+        xi[:, c], converged[c], iters[c] = _reference_newton(
+            frames.bulges.take(cols[c], axis=1), lam, start, settings
+        )
+    return xi.T, converged, iters
 
 
 def newton_solve(
@@ -157,96 +279,22 @@ def newton_solve(
     order: str,
     points: np.ndarray,
     settings: NewtonSettings,
-    det_scale,
+    det_scale=None,
 ):
     """Invert the isoparametric map for a batch of points.
 
     ``nodes`` is one element's (n_nodes, 3) coordinates, or (n_nodes, 3, k)
-    with one column per point; ``det_scale`` is a scalar or one value per
-    point.  Returns (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
+    with one column per point.  ``order`` and ``det_scale`` are not needed:
+    the node count sets the order, and the singular test is relative to the
+    corner matrix the reference frame divides out.  Returns
+    (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
     """
     points = np.asarray(points, dtype=np.float64)
     nodes = np.asarray(nodes, dtype=np.float64)
-    if nodes.ndim == 2:
-        nodes = nodes[..., None]
-    det_scale = np.atleast_1d(np.asarray(det_scale, dtype=np.float64))
-    k = points.shape[0]
-    xi = np.empty((k, 3))
-    converged = np.empty(k, dtype=bool)
-    iters = np.empty(k, dtype=np.int64)
-    # blocks of lanes keep the iteration's temporaries cache-sized
-    for lo in range(0, k, NEWTON_BLOCK):
-        block = slice(lo, lo + NEWTON_BLOCK)
-        xi[block], converged[block], iters[block] = _newton_lanes(
-            nodes if nodes.shape[2] == 1 else nodes[:, :, block],
-            points[block],
-            settings,
-            det_scale if det_scale.size == 1 else det_scale[block],
-        )
-    return xi, converged, iters
-
-
-def _newton_lanes(nodes, points, settings, det_scale):
-    k = points.shape[0]
-    xi = np.broadcast_to(settings.initial_guess, (k, 3)).copy()
-    converged = np.zeros(k, dtype=bool)
-    iters = np.zeros(k, dtype=np.int64)
-    denom = np.ones(k)
-    active = np.arange(k)
-    # per-lane nodes and singular thresholds are compacted along with ``active``
-    lane_nodes = nodes
-    lane_singular = SINGULAR_REL * det_scale
-    kernel = (
-        _residual_jacobian_quadratic if nodes.shape[0] == 10 else _residual_jacobian_linear
-    )
-
-    for it in range(1, settings.max_iter + 1):
-        if active.size == 0:
-            break
-        xa = xi[active]
-        f, jac = kernel(lane_nodes, xa, points[active])
-        delta, det = _solve3(jac, f)
-        singular = np.abs(det) < lane_singular
-        delta = np.where(singular[:, None], 0.0, delta)
-        xn = xa - delta
-        xi[active] = xn
-        iters[active] = it
-        if it == 1:
-            n1 = np.sqrt(xn[:, 0] ** 2 + xn[:, 1] ** 2 + xn[:, 2] ** 2)
-            denom[active] = np.maximum(n1, 1.0)
-        step = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2)
-        conv_now = step / denom[active] < settings.eps_tol
-        conv_now = conv_now & ~singular
-        diverged = (
-            np.sqrt(xn[:, 0] ** 2 + xn[:, 1] ** 2 + xn[:, 2] ** 2) > DIVERGENCE_NORM
-        )
-        fail_now = singular | (diverged & ~conv_now)
-        converged[active[conv_now]] = True
-        running = ~(conv_now | fail_now)
-        if running.all():
-            continue
-        active = active[running]
-        if lane_nodes.shape[2] > 1:
-            lane_nodes = lane_nodes[:, :, running]
-        if lane_singular.size > 1:
-            lane_singular = lane_singular[running]
-
-    return xi, converged, iters
-
-
-def _element_scales(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per element: (|det| scale of the corner tetrahedron, node bounding-box diagonal).
-
-    ``nodes`` has shape (n_elements, n_nodes, 3).  The stacked ``@`` products
-    run the same dot kernel as ``np.dot`` on one element's 3-vectors.
-    """
-    a = nodes[:, 1] - nodes[:, 0]
-    b = nodes[:, 2] - nodes[:, 0]
-    c = nodes[:, 3] - nodes[:, 0]
-    det6 = np.abs((a[:, None, :] @ np.cross(b, c)[:, :, None])[:, 0, 0])
-    ext = nodes.max(axis=1) - nodes.min(axis=1)
-    diam = np.sqrt((ext[:, None, :] @ ext[:, :, None])[:, 0, 0])
-    return det6, diam
+    frames = _element_frames(nodes[None] if nodes.ndim == 2 else nodes.transpose(2, 0, 1))
+    n = frames.diam.size
+    cols = np.zeros(points.shape[0], dtype=np.int64) if n == 1 else np.arange(n)
+    return _solve(frames, cols, points, settings)
 
 
 def membership_test(
@@ -255,38 +303,36 @@ def membership_test(
     points: np.ndarray,
     settings: NewtonSettings,
     geom_tol: float,
-    scales: tuple[np.ndarray, np.ndarray] | None = None,
+    frames: _ElementFrames | None = None,
 ):
     """Batched point-in-element test.
 
     ``e`` is one element id for all points, or an array with one id per
-    point.  ``scales`` is ``_element_scales`` of the whole mesh, for callers
-    that test many elements; without it the scales of the tested elements
-    are computed here.  Returns (inside, xi, iterations, converged):
-    ``inside`` lanes converged, landed in the reference hull and reproduce
-    the query point within the residual bound.
+    point.  ``frames`` is ``_element_frames`` of the whole mesh, for callers
+    that test many elements; without it the frames of the tested elements
+    are built here.  Returns (inside, xi, iterations, converged): ``inside``
+    lanes converged, landed in the reference hull and reproduce the query
+    point within the residual bound.
     """
     points = np.asarray(points, dtype=np.float64)
     ids = np.atleast_1d(np.asarray(e, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_elements):
         raise MeshError(f"element id out of range [0, {mesh.n_elements})")
-    conn = mesh.elements[ids]
-    if scales is None:
-        det_scale, diam = _element_scales(mesh.nodes[conn])
+    if frames is None:
+        frames = _element_frames(mesh.nodes[mesh.elements[ids]])
+        cols = np.arange(ids.size)
     else:
-        det_scale, diam = scales[0][ids], scales[1][ids]
-    nodes = mesh.nodes.T[:, conn.T].transpose(1, 0, 2)  # (n_nodes, 3, lanes)
-    xi, converged, iters = newton_solve(nodes, mesh.order, points, settings, det_scale)
+        cols = ids
+    if ids.size == 1:
+        cols = np.broadcast_to(cols, points.shape[:1])
+    xi, converged, iters = _solve(frames, cols, points, settings)
     inside = converged & in_hull(xi, geom_tol)
     if inside.any():
         idx = np.flatnonzero(inside)
-        if ids.size == 1:
-            lane_nodes, lane_diam = nodes[:, :, 0], diam
-        else:
-            lane_nodes, lane_diam = nodes[:, :, idx].transpose(0, 2, 1), diam[idx]
-        res = map_points(lane_nodes, xi[idx], mesh.order) - points[idx]
+        lane = cols[idx]
+        res = map_points(frames.nodes.take(lane, axis=1), xi[idx], mesh.order) - points[idx]
         res_norm = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2 + res[:, 2] ** 2)
-        inside[idx[res_norm > RESIDUAL_REL * lane_diam]] = False
+        inside[idx[res_norm > RESIDUAL_REL * frames.diam[lane]]] = False
     return inside, xi, iters, converged
 
 
@@ -301,14 +347,13 @@ def global_to_local(
     """
     settings = settings or NewtonSettings()
     nodes = mesh.element_nodes(e)
-    det_scale, diam = _element_scales(nodes[None])
-    xi, converged, _ = newton_solve(
-        nodes, mesh.order, np.asarray(x, dtype=np.float64)[None, :], settings, det_scale
-    )
+    x = np.asarray(x, dtype=np.float64)
+    frames = _element_frames(nodes[None])
+    xi, converged, _ = _solve(frames, np.zeros(1, dtype=np.int64), x[None, :], settings)
     if not converged[0]:
         return None
-    res = map_points(nodes, xi[0], mesh.order) - np.asarray(x, dtype=np.float64)
-    if float(np.linalg.norm(res)) > RESIDUAL_REL * diam[0]:
+    res = map_points(nodes, xi[0], mesh.order) - x
+    if float(np.linalg.norm(res)) > RESIDUAL_REL * frames.diam[0]:
         return None
     return xi[0]
 

@@ -140,6 +140,31 @@ def validate_mesh(mesh: Mesh) -> None:
         iu = np.triu_indices(elements.shape[1], k=1)
         if (d2[:, iu[0], iu[1]] < (1e-12) ** 2).any():
             raise MeshError("element contains duplicate node coordinates")
+        det = _lattice_jacobian_dets(pts)
+        if (det <= 0.0).any():
+            bad, at = np.unravel_index(int(np.argmax(det <= 0.0)), det.shape)
+            raise MeshError(
+                f"element {bad} is folded: det J <= 0 at reference point "
+                f"{_FOLD_LATTICE[at].tolist()}"
+            )
+
+
+def _lattice_jacobian_dets(pts: np.ndarray) -> np.ndarray:
+    """det J of 10-node elements (m, 10, 3) at the points of ``_FOLD_LATTICE``.
+
+    det J of a quadratic tetrahedron is a cubic in xi, so a sign change
+    shows at this lattice unless it hides between its points; a value
+    <= 0 at any point proves the element folded or degenerate.
+    """
+    m = pts.shape[0]
+    # (60, 10) @ (10, 3m): row 3 * point + b holds dN_i/dxi_b at that point
+    t = (_FOLD_GRADIENTS @ pts.transpose(1, 0, 2).reshape(10, 3 * m)).reshape(20, 3, m, 3)
+    # t[point, b, element, a] = J_ab, the transpose of J
+    return (
+        t[:, 0, :, 0] * (t[:, 1, :, 1] * t[:, 2, :, 2] - t[:, 1, :, 2] * t[:, 2, :, 1])
+        - t[:, 0, :, 1] * (t[:, 1, :, 0] * t[:, 2, :, 2] - t[:, 1, :, 2] * t[:, 2, :, 0])
+        + t[:, 0, :, 2] * (t[:, 1, :, 0] * t[:, 2, :, 1] - t[:, 1, :, 1] * t[:, 2, :, 0])
+    ).T
 
 
 def _corner_volume6(corners: np.ndarray) -> np.ndarray:
@@ -215,6 +240,13 @@ def shape_gradients(xi: np.ndarray, order: str = "quadratic") -> np.ndarray:
         (zero, 4.0 * z, 4.0 * y),
     ]
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+# the 20 points xi in {0, 1/3, 2/3, 1}^3 of the reference tetrahedron
+_FOLD_LATTICE = np.array(
+    [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+) / 3.0
+_FOLD_GRADIENTS = shape_gradients(_FOLD_LATTICE).transpose(0, 2, 1).reshape(60, 10)
 
 
 def map_points(nodes: np.ndarray, xi: np.ndarray, order: str = "quadratic") -> np.ndarray:

@@ -28,7 +28,8 @@ half-spaces of its corner tetrahedron, each plane pushed out to the farthest
 Bezier control point.  A quadratic element lies inside the convex hull of its control net,
 hence inside that clip, so the clip drops only (sample, element) pairs
 Newton would reject.  The surviving samples go to ``membership_test`` in
-fixed-size lane batches, each lane carrying its own element id.
+fixed-size lane batches, each lane carrying its own element id; the Newton
+reference frames of all elements are built once per render.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locate import NewtonSettings, _element_scales, membership_test
+from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
 from .mesh import Mesh, NodalField, interpolate_values
 from .raycast import (
     TET_FACES,
@@ -170,7 +171,10 @@ def attenuate(projected_mu_integral: float, model: AttenuationModel):
 @dataclass
 class RenderStats:
     """Render counters; ``pairs_tested`` counts (sample, element) pairs sent
-    to Newton, ``pairs_inside`` those accepted."""
+    to Newton, ``pairs_inside`` those accepted.  ``newton_iterations`` counts
+    Newton kernel iterations: a lane of a straight element, solved in closed
+    form, counts 1, and computing the corner-tetrahedron start is not
+    counted."""
 
     rays: int = 0
     samples: int = 0
@@ -472,7 +476,7 @@ class _RenderContext:
     model: AttenuationModel | None
     clip: _ElementClip
     corners: np.ndarray  # (n_elements, 4, 3)
-    scales: tuple[np.ndarray, np.ndarray]  # locate._element_scales per element
+    frames: _ElementFrames  # Newton reference frames of all elements
 
 
 def _render_context(mesh, field, detector, settings, model, tree, brute_force):
@@ -494,7 +498,7 @@ def _render_context(mesh, field, detector, settings, model, tree, brute_force):
         model=model,
         clip=_element_clip(mesh, detector),
         corners=mesh.corner_coords(),
-        scales=_element_scales(mesh.nodes[mesh.elements]),
+        frames=_element_frames(mesh.nodes[mesh.elements]),
     )
 
 
@@ -723,7 +727,7 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
             ch = slice(lo, lo + NEWTON_CHUNK)
             s_ch, e_ch = sidx[ch], lane_e[ch]
             inside, xi, iters, converged = membership_test(
-                ctx.mesh, e_ch, pts[s_ch], settings.newton, settings.geom_tol, ctx.scales
+                ctx.mesh, e_ch, pts[s_ch], settings.newton, settings.geom_tol, ctx.frames
             )
             stats.pairs_tested += s_ch.size
             stats.pairs_inside += int(np.count_nonzero(inside))

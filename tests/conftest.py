@@ -23,6 +23,15 @@ def straight_quadratic_nodes(corners: np.ndarray) -> np.ndarray:
     return np.vstack([corners, mids])
 
 
+def folded_quadratic_nodes() -> np.ndarray:
+    """Reference tetrahedron whose (0, 1) mid-edge node sits at x = 0.05:
+    within half the edge of its midpoint, but the edge then runs backwards
+    at corner 0, so det J < 0 there."""
+    nodes = straight_quadratic_nodes(REFERENCE_TET)
+    nodes[4] = [0.05, 0.0, 0.0]
+    return nodes
+
+
 def single_tet_mesh(corners=None, quadratic=True) -> Mesh:
     corners = REFERENCE_TET if corners is None else np.asarray(corners, float)
     if quadratic:

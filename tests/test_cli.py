@@ -2,6 +2,7 @@ import pytest
 
 from fexray.cli import main
 from fexray.io_text import read_float_grid
+from tests.conftest import folded_quadratic_nodes
 
 
 @pytest.fixture()
@@ -119,6 +120,20 @@ class TestRender:
         cfg = write_config(tmp_path, mesh, bad_field)
         rc = main(["render", "--config", str(cfg)])
         assert rc == 2
+
+    def test_folded_element_rejected(self, tmp_path, capsys):
+        nodes = folded_quadratic_nodes()
+        mesh = tmp_path / "folded.mesh"
+        mesh.write_text(
+            "10 1 10\n"
+            + "".join(f"{i} {x:.17g} {y:.17g} {z:.17g}\n" for i, (x, y, z) in enumerate(nodes))
+            + "0 " + " ".join(str(i) for i in range(10)) + "\n"
+        )
+        field = tmp_path / "folded.field"
+        field.write_text("10\n" + "".join(f"{i} 1.0\n" for i in range(10)))
+        cfg = write_config(tmp_path, mesh, field)
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert "folded" in capsys.readouterr().err
 
     def test_brute_force_matches(self, tmp_path, ball_files):
         mesh, field = ball_files

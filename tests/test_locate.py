@@ -1,23 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fexray.locate import (
     NewtonSettings,
+    _element_frames,
+    _reference_newton,
+    _solve,
     global_to_local,
     in_hull,
     locate_point,
     membership_test,
+    newton_solve,
 )
-from fexray.mesh import interpolate, local_to_global, NodalField
+from fexray.mesh import (
+    EDGE_VERTICES,
+    Mesh,
+    MeshError,
+    NodalField,
+    interpolate,
+    jacobian,
+    local_to_global,
+    map_points,
+)
 from fexray.raycast import Ray, ray_tet_entry
 from tests.conftest import (
     REFERENCE_TET,
     random_simplex_points,
     single_tet_mesh,
+    straight_quadratic_nodes,
     two_tet_mesh,
 )
+from tests.newton_reference import inside_physical
 
 tol = st.floats(1e-12, 1e-4)
 
@@ -45,7 +60,6 @@ class TestNewtonSettings:
     def test_defaults(self):
         s = NewtonSettings()
         assert s.eps_tol == 1e-10 and s.max_iter == 20
-        np.testing.assert_array_equal(s.initial_guess, [0.25, 0.25, 0.25])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -201,3 +215,142 @@ class TestLinearOrder:
         mesh = single_tet_mesh(quadratic=False)
         loc = locate_point(mesh, [0], np.array([0.2, 0.2, 0.2]))
         assert loc is not None and loc.element == 0
+
+
+def _lanes_near_elements(mesh, rng, n):
+    """Per-lane element ids and points near (inside and just outside) them."""
+    ids = rng.integers(0, mesh.n_elements, size=n)
+    xi = random_simplex_points(rng, n) * 1.3 - 0.1
+    pts = np.array([local_to_global(mesh, int(e), x) for e, x in zip(ids, xi)])
+    return ids, pts
+
+
+def _element_zoo(rng, n=24):
+    """Disjoint random elements: straight ones, and curved ones of growing
+    bulge, which validate_mesh accepts."""
+    nodes, elements = [], []
+    while len(elements) < n:
+        corners = rng.uniform(-1.0, 1.0, size=(4, 3)) + [3.0 * len(elements), 0.0, 0.0]
+        disp = rng.uniform(-1.0, 1.0, size=(6, 3)) * [0.0, 0.05, 0.25][len(elements) % 3]
+        cand = straight_quadratic_nodes(corners)
+        cand[4:] += disp * np.linalg.norm(cand[1] - cand[0])
+        try:
+            Mesh(cand, np.arange(10)[None])
+        except MeshError:
+            continue
+        elements.append(np.arange(10) + 10 * len(elements))
+        nodes.append(cand)
+    return Mesh(np.concatenate(nodes), np.array(elements))
+
+
+class TestReferenceFrame:
+    def test_ball64_mixes_straight_and_curved(self, ball_mesh_field):
+        frames = _element_frames(ball_mesh_field[0].nodes[ball_mesh_field[0].elements])
+        assert frames.curved.sum() == 48 and not frames.singular.any()
+
+    def test_per_lane_ids_match_one_lane_calls(self, rng):
+        mesh = _element_zoo(rng)
+        settings = NewtonSettings()
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        ids, pts = _lanes_near_elements(mesh, rng, 300)
+        # straight, warm-started and centroid-started lanes share the batch
+        assert (~frames.curved[ids]).any()
+        assert (frames.curved & frames.warm)[ids].any()
+        assert (~frames.warm[ids]).any()
+        batch = membership_test(mesh, ids, pts, settings, 1e-8, frames)
+        unframed = membership_test(mesh, ids, pts, settings, 1e-8)
+        for k in range(ids.size):
+            single = membership_test(mesh, int(ids[k]), pts[k : k + 1], settings, 1e-8)
+            for b, u, s in zip(batch, unframed, single):
+                assert b[k : k + 1].tobytes() == s.tobytes() == u[k : k + 1].tobytes()
+        assert batch[0].any() and not batch[0].all()
+
+    def test_straight_shortcut_equals_kernel(self, ball_mesh_field, rng):
+        mesh, _ = ball_mesh_field
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        straight = np.flatnonzero(~frames.curved)
+        ids = rng.choice(straight, 200)
+        pts = rng.uniform(-1.2, 1.2, size=(200, 3))
+        xi, converged, iters = _solve(frames, ids, pts, NewtonSettings())
+        lam = np.ascontiguousarray(xi.T)
+        kxi, kconv, kiters = _reference_newton(
+            frames.bulges.take(ids, axis=1), lam, lam, NewtonSettings()
+        )
+        np.testing.assert_array_equal(kxi.T, xi)
+        assert (iters == 1).all() and (kiters == 1).all()
+        assert converged.all() and kconv.all()
+
+    def test_linear_element_takes_shortcut(self):
+        mesh = single_tet_mesh(REFERENCE_TET * 1.3 + [0.1, 0.2, -0.1], quadratic=False)
+        x = local_to_global(mesh, 0, np.array([0.2, 0.3, 0.1]))
+        _, xi, iters, converged = membership_test(mesh, 0, x[None], NewtonSettings(), 1e-8)
+        assert iters[0] == 1 and converged[0]
+        np.testing.assert_allclose(xi[0], [0.2, 0.3, 0.1], atol=1e-14)
+
+    def test_singular_corner_fails_as_singular(self):
+        nodes = straight_quadratic_nodes(REFERENCE_TET)
+        nodes[3] = [0.5, 0.5, 0.0]  # corner 3 in the plane of the others
+        nodes[7:] = [0.5 * (nodes[a] + nodes[3]) for a in range(3)]
+        xi, converged, iters = newton_solve(nodes, "quadratic", np.ones((2, 3)), NewtonSettings())
+        assert not converged.any() and (iters == 1).all()
+
+
+def _valid_element(corners, disp, quadratic):
+    """Element on ``corners`` with mid-edge nodes moved by ``disp`` times just
+    under the half edge length validate_mesh allows.
+
+    validate_mesh rejects elements folded at the cubic lattice; those that
+    fold between its points show det J <= 0 on a finer lattice, and are
+    skipped too: their inverse map is not unique.
+    """
+    if not quadratic:
+        return Mesh(corners, np.arange(4, dtype=np.int64)[None])
+    nodes = list(corners)
+    for m, (a, b) in enumerate(EDGE_VERTICES):
+        edge = np.linalg.norm(corners[b] - corners[a])
+        nodes.append(0.5 * (corners[a] + corners[b]) + 0.499 * edge * disp[m])
+    try:
+        mesh = Mesh(np.array(nodes), np.arange(10, dtype=np.int64)[None])
+    except MeshError:
+        assume(False)
+    fine = np.array(
+        [(i, j, k) for i in range(13) for j in range(13 - i) for k in range(13 - i - j)]
+    ) / 12.0
+    assume((np.linalg.det(jacobian(mesh.nodes, fine)) > 0.0).all())
+    return mesh
+
+
+coord = st.floats(-1.0, 1.0)
+vec3 = st.tuples(coord, coord, coord)
+disp6 = st.lists(vec3, min_size=6, max_size=6).map(
+    lambda v: [np.asarray(x) / max(1.0, float(np.linalg.norm(x))) for x in v]
+)
+
+
+class TestRoundTrip:
+    @given(
+        st.lists(vec3, min_size=4, max_size=4),
+        disp6,
+        st.sampled_from([0.0, 0.05, 0.25, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_and_old_kernel_membership(self, corners, disp, scale, seed):
+        corners = np.asarray(corners, dtype=float)
+        vol6 = np.dot(corners[1] - corners[0], np.cross(corners[2] - corners[0], corners[3] - corners[0]))
+        assume(abs(vol6) > 1e-2)
+        if vol6 < 0.0:
+            corners = corners[[0, 1, 3, 2]]
+        mesh = _valid_element(corners, [scale * d for d in disp], True)
+        xi_true = random_simplex_points(np.random.default_rng(seed), 40) * 1.2 - 0.05
+        pts = map_points(mesh.nodes, xi_true)
+        inside, xi, iters, _ = membership_test(mesh, 0, pts, NewtonSettings(), 1e-8)
+        bary = np.column_stack([1.0 - xi_true.sum(axis=1), xi_true])
+        interior = bary.min(axis=1) > 1e-9
+        found = inside & interior
+        np.testing.assert_allclose(xi[found], xi_true[found], rtol=0, atol=1e-12)
+        clear = np.abs(bary).min(axis=1) > 1e-9
+        np.testing.assert_array_equal(
+            inside[clear], inside_physical(mesh.nodes, "quadratic", pts)[clear]
+        )
+        if scale == 0.0:
+            assert (inside == interior)[clear].all() and (iters == 1).all()

@@ -4,18 +4,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fexray.mesh import (
+    _FOLD_LATTICE,
     REFERENCE_NODES,
     Mesh,
     MeshError,
     NodalField,
+    _lattice_jacobian_dets,
     boundary_faces,
     interpolate,
+    jacobian,
     local_to_global,
     shape_gradients,
     shape_values,
 )
 from tests.conftest import (
     REFERENCE_TET,
+    folded_quadratic_nodes,
     mesh_from_corner_tets,
     random_simplex_points,
     single_tet_mesh,
@@ -249,6 +253,22 @@ class TestMeshValidation:
         nodes[4] = [0.5, 1.2, 0.0]  # way off the (0,1) edge midpoint
         with pytest.raises(MeshError):
             Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    def test_folded_element_rejected(self):
+        nodes = folded_quadratic_nodes()
+        with pytest.raises(MeshError, match="folded"):
+            Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    def test_curved_element_accepted(self):
+        nodes = straight_quadratic_nodes(REFERENCE_TET)
+        nodes[4] = [0.5, -0.2, -0.2]  # bulged outward, not folded
+        Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    def test_lattice_det_matches_jacobian(self, ball_mesh_field):
+        mesh, _ = ball_mesh_field
+        pts = mesh.nodes[mesh.elements]
+        ref = np.array([np.linalg.det(jacobian(p, _FOLD_LATTICE)) for p in pts])
+        np.testing.assert_allclose(_lattice_jacobian_dets(pts), ref, rtol=1e-12)
 
     def test_duplicate_nodes_rejected(self):
         nodes = straight_quadratic_nodes(REFERENCE_TET)
