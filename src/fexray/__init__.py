@@ -1,40 +1,9 @@
 """Virtual X-ray images from quadratic tetrahedral finite-element results."""
 
-from .bench import (
-    BallSpec,
-    CylinderSpec,
-    ball_projection_oracle,
-    cylinder_projection_oracle,
-    generate_ball,
-    generate_cylinder,
-)
-from .locate import Location, NewtonSettings, global_to_local, in_hull, locate_point
-from .mesh import (
-    Mesh,
-    MeshError,
-    NodalField,
-    boundary_faces,
-    interpolate,
-    local_to_global,
-    shape_gradients,
-    shape_values,
-)
-from .raycast import HitInterval, Ray, ray_aabb, ray_obb, ray_tet_entry, ray_triangle, traverse
-from .spatial import (
-    Aabb,
-    Basis,
-    DegenerateGeometryError,
-    Obb,
-    ObbTree,
-    build_obb_tree,
-    convex_hull,
-    covariance,
-    fit_obb,
-    model_aabb,
-    pca_basis,
-    triangle_centroid_area,
-    weighted_center,
-)
+from .bench import BallSpec, CylinderSpec, generate_ball, generate_cylinder, projection_oracle
+from .locate import NewtonSettings
+from .mesh import Mesh, MeshError, NodalField
+from .spatial import ObbTree, build_obb_tree, model_aabb
 from .xray import (
     AttenuationModel,
     Detector,
@@ -43,9 +12,32 @@ from .xray import (
     attenuate,
     error_map,
     image_mass,
-    integrate_ray,
     make_detector,
     render,
 )
+
+__all__ = [
+    "AttenuationModel",
+    "BallSpec",
+    "CylinderSpec",
+    "Detector",
+    "IntegrationSettings",
+    "Mesh",
+    "MeshError",
+    "NewtonSettings",
+    "NodalField",
+    "ObbTree",
+    "ProjectionImage",
+    "attenuate",
+    "build_obb_tree",
+    "error_map",
+    "generate_ball",
+    "generate_cylinder",
+    "image_mass",
+    "make_detector",
+    "model_aabb",
+    "projection_oracle",
+    "render",
+]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Benchmark mesh generators and analytic projection oracles.
+"""Benchmark mesh generators and their analytic projection oracle.
 
 Both generators build structured templates (no external mesher) and curve the
 quadratic elements by projecting boundary corner and mid-edge nodes onto the
@@ -281,31 +281,21 @@ def generate_cylinder(spec: CylinderSpec) -> tuple[Mesh, NodalField]:
     return mesh, field
 
 
-def ball_projection_oracle(pixel_center, direction, spec: BallSpec) -> float:
-    """Analytic projected density of the ball for an orthographic ray."""
-    p = np.asarray(pixel_center, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    d = d / np.linalg.norm(d)
-    perp = p - np.dot(p, d) * d
-    rho = float(np.linalg.norm(perp))
-    if rho >= spec.radius:
-        return 0.0
-    return 2.0 * spec.density * float(np.sqrt(spec.radius**2 - rho**2))
+def projection_oracle(spec: BallSpec | CylinderSpec, nu: int, nv: int, pitch: float):
+    """Analytic projected density on an orthographic detector grid.
 
-
-def cylinder_projection_oracle(pixel_center, spec: CylinderSpec) -> float:
-    """Analytic projected density of the cylinder for an axis-parallel ray."""
-    p = np.asarray(pixel_center, dtype=np.float64)
-    rho = float(np.hypot(p[0], p[1]))
-    if rho > spec.radius:
-        return 0.0
-    return spec.height * float(radial_density(rho))
-
-
-def oracle_grid(detector, per_pixel) -> np.ndarray:
-    """Rasterize a per-pixel-center oracle over a detector grid."""
-    out = np.empty((detector.nv, detector.nu))
-    for j in range(detector.nv):
-        for i in range(detector.nu):
-            out[j, i] = per_pixel(detector.pixel_origin(i, j))
-    return out
+    The grid is centred on the ray through the ball centre, or on the
+    cylinder axis with the rays parallel to it.  Returns (b, density), both
+    (nv, nu): each pixel ray's distance b from that centre line, and the
+    ball's chord length times its density or the cylinder's height times
+    its radial profile.
+    """
+    i = np.arange(nu) - (nu - 1) / 2.0
+    j = np.arange(nv) - (nv - 1) / 2.0
+    du, dv = np.meshgrid(i * pitch, j * pitch)
+    b = np.hypot(du, dv)
+    r = spec.radius
+    if isinstance(spec, BallSpec):
+        ball = 2.0 * spec.density * np.sqrt(np.maximum(r**2 - b**2, 0.0))
+        return b, np.where(b < r, ball, 0.0)
+    return b, np.where(b <= r, spec.height * radial_density(b), 0.0)

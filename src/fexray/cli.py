@@ -42,19 +42,10 @@ def _read_bytes(path: str) -> bytes:
     return p.read_bytes()
 
 
-def _oracle_grid(nu, nv, pitch, oracle, radius, density, height):
-    """Analytic projected density on a grid centered on the model axis."""
-    i = np.arange(nu) - (nu - 1) / 2.0
-    j = np.arange(nv) - (nv - 1) / 2.0
-    du, dv = np.meshgrid(i * pitch, j * pitch)
-    rho = np.hypot(du, dv)
+def _oracle_spec(oracle: str, radius: float, density: float, height: float):
     if oracle == "ball":
-        return np.where(
-            rho < radius,
-            2.0 * density * np.sqrt(np.maximum(radius**2 - rho**2, 0.0)),
-            0.0,
-        )
-    return np.where(rho <= radius, height * bench.radial_density(rho), 0.0)
+        return bench.BallSpec(radius=radius, density=density)
+    return bench.CylinderSpec(radius=radius, height=height)
 
 
 def _cmd_render(args) -> int:
@@ -97,10 +88,8 @@ def _cmd_render(args) -> int:
             io_text.write_graymap(img.density, cfg.pgm_bits, window)
         )
     if cfg.out_error:
-        oracle = _oracle_grid(
-            img.nu, img.nv, img.pitch, cfg.oracle,
-            cfg.oracle_radius, cfg.oracle_density, cfg.oracle_height,
-        )
+        spec = _oracle_spec(cfg.oracle, cfg.oracle_radius, cfg.oracle_density, cfg.oracle_height)
+        _, oracle = bench.projection_oracle(spec, img.nu, img.nv, img.pitch)
         err = xray.error_map(img, oracle)
         grid = io_text.FloatGrid(img.nu, img.nv, img.pitch, err.density)
         Path(cfg.out_error).write_bytes(io_text.write_float_grid(grid))
@@ -139,18 +128,13 @@ def _cmd_generate_cylinder(args) -> int:
 def _cmd_error_map(args) -> int:
     grid = io_text.read_float_grid(_read_bytes(args.grid))
     # assumes the benchmark setup: detector grid centered on the model axis
-    oracle = _oracle_grid(
-        grid.nu, grid.nv, grid.pitch, args.oracle,
-        args.radius, args.density, args.height,
-    )
+    spec = _oracle_spec(args.oracle, args.radius, args.density, args.height)
+    b, oracle = bench.projection_oracle(spec, grid.nu, grid.nv, grid.pitch)
     err = np.abs(grid.values - oracle)
     jmax, imax = np.unravel_index(int(np.argmax(err)), err.shape)
-    i = np.arange(grid.nu) - (grid.nu - 1) / 2.0
-    j = np.arange(grid.nv) - (grid.nv - 1) / 2.0
-    rho = np.hypot(i[imax] * grid.pitch, j[jmax] * grid.pitch)
     print(
         f"max error {err.max():.6g} g/cm^2 at pixel ({imax}, {jmax}), "
-        f"impact parameter {rho:.6g} cm"
+        f"impact parameter {b[jmax, imax]:.6g} cm"
     )
     print(f"mean error {err.mean():.6g} g/cm^2")
     if args.out_grid:

@@ -69,13 +69,6 @@ class NewtonSettings:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass(frozen=True)
-class Location:
-    element: int
-    xi: np.ndarray
-    iterations: int
-
-
 def in_hull(xi: np.ndarray, geom_tol: float = 1e-8) -> np.ndarray:
     """Barycentric in-hull test, broadcasting over leading axes."""
     xi = np.asarray(xi, dtype=np.float64)
@@ -335,45 +328,3 @@ def membership_test(
         inside[idx[res_norm > RESIDUAL_REL * frames.diam[lane]]] = False
     return inside, xi, iters, converged
 
-
-def global_to_local(
-    mesh: Mesh, e: int, x: np.ndarray, settings: NewtonSettings | None = None
-):
-    """Reference coordinates of global point x in element e, or None.
-
-    None means the Newton iteration did not converge (singular Jacobian,
-    divergence or iteration overflow) or the converged point does not
-    reproduce x; a returned xi may still lie outside the reference hull.
-    """
-    settings = settings or NewtonSettings()
-    nodes = mesh.element_nodes(e)
-    x = np.asarray(x, dtype=np.float64)
-    frames = _element_frames(nodes[None])
-    xi, converged, _ = _solve(frames, np.zeros(1, dtype=np.int64), x[None, :], settings)
-    if not converged[0]:
-        return None
-    res = map_points(nodes, xi[0], mesh.order) - x
-    if float(np.linalg.norm(res)) > RESIDUAL_REL * frames.diam[0]:
-        return None
-    return xi[0]
-
-
-def locate_point(
-    mesh: Mesh,
-    candidates,
-    x: np.ndarray,
-    settings: NewtonSettings | None = None,
-    geom_tol: float = 1e-8,
-):
-    """First candidate element containing x, or None.
-
-    ``candidates`` is an ordered iterable of element ids (normally ordered by
-    the linear entry guess).
-    """
-    settings = settings or NewtonSettings()
-    pt = np.asarray(x, dtype=np.float64)[None, :]
-    for e in candidates:
-        inside, xi, iters, _ = membership_test(mesh, int(e), pt, settings, geom_tol)
-        if inside[0]:
-            return Location(int(e), xi[0], int(iters[0]))
-    return None

@@ -23,6 +23,10 @@ import numpy as np
 # local edge endpoints (0-based corners) for the 6 mid-edge nodes
 EDGE_VERTICES = ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3))
 
+# corner triples of the four faces, wound outward for a positively oriented
+# tetrahedron
+TET_FACES = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
+
 # reference coordinates of the 10 nodes of the quadratic tetrahedron
 REFERENCE_NODES = np.array(
     [
@@ -299,13 +303,11 @@ def boundary_faces(mesh: Mesh) -> np.ndarray:
     Returns shape (n_faces, 3) node index triples.  Raises MeshError for a
     non-manifold face shared by more than two elements.
     """
-    # local faces with outward winding for a positively oriented tetrahedron
-    local = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
     seen: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     elems = mesh.elements[:, :4]
     for e in range(mesh.n_elements):
         c = elems[e]
-        for lf in local:
+        for lf in TET_FACES:
             tri = (int(c[lf[0]]), int(c[lf[1]]), int(c[lf[2]]))
             key = tuple(sorted(tri))
             seen.setdefault(key, []).append(tri)

@@ -1,53 +1,19 @@
-"""Ray primitives and intersection kernels: slab, triangle, tetrahedron, tree.
+"""Ray intersection kernels: slab, half-space, triangle and tetrahedron.
 
-The private kernels broadcast over leading axes and are shared by the scalar
-API and the batched renderer, so both execution paths produce bitwise-equal
-results per ray.
+The kernels broadcast over leading axes, so a call on one ray and a call on
+a batch give bitwise-equal results per ray.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
-
 import numpy as np
 
-from .spatial import Aabb, Obb, ObbTree
+from .mesh import TET_FACES
 
 # inclusive hit tolerance for entry ordering; keeps grazing rays on shared faces
 TET_FACE_TOL = 1e-12
 # relative determinant threshold below which a ray counts as parallel
 PARALLEL_TOL = 1e-14
-
-TET_FACES = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
-
-
-class HitInterval(NamedTuple):
-    t_enter: float
-    t_exit: float
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Origin, direction and precomputed reciprocal direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    inv_direction: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        o = np.ascontiguousarray(np.asarray(self.origin, dtype=np.float64))
-        d = np.ascontiguousarray(np.asarray(self.direction, dtype=np.float64))
-        if o.shape != (3,) or d.shape != (3,):
-            raise ValueError("ray origin and direction must be 3-vectors")
-        if not (np.isfinite(o).all() and np.isfinite(d).all()):
-            raise ValueError("ray contains non-finite components")
-        if (d == 0.0).all():
-            raise ValueError("ray direction must be nonzero")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "inv_direction", 1.0 / d)
 
 
 def slab_intervals(o, inv_d, d, pmin, pmax):
@@ -100,27 +66,6 @@ def halfspace_intervals(o, d, normals, offsets):
     return lo.max(axis=-1), hi.min(axis=-1)
 
 
-def ray_aabb(ray: Ray, box: Aabb) -> Optional[HitInterval]:
-    t_enter, t_exit, hit = slab_intervals(
-        ray.origin, ray.inv_direction, ray.direction, box.pmin, box.pmax
-    )
-    if not hit:
-        return None
-    return HitInterval(float(t_enter), float(t_exit))
-
-
-def ray_obb(ray: Ray, obb: Obb) -> Optional[HitInterval]:
-    """Slab test against the basis-transformed ray; t is frame-invariant."""
-    o = obb.basis.to_local(ray.origin)
-    d = obb.basis.rotate(ray.direction)
-    with np.errstate(divide="ignore"):
-        inv_d = 1.0 / d
-    t_enter, t_exit, hit = slab_intervals(o, inv_d, d, obb.box.pmin, obb.box.pmax)
-    if not hit:
-        return None
-    return HitInterval(float(t_enter), float(t_exit))
-
-
 def _cross(ax, ay, az, bx, by, bz):
     return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
 
@@ -164,17 +109,6 @@ def moller_trumbore(o, d, p, q, r, inclusive: bool = False, tol: float = TET_FAC
     return t, u, v, hit
 
 
-def ray_triangle(ray: Ray, tri: np.ndarray, inclusive: bool = False):
-    """Ray/triangle intersection; returns (t, u, v) or None."""
-    tri = np.asarray(tri, dtype=np.float64)
-    t, u, v, hit = moller_trumbore(
-        ray.origin, ray.direction, tri[0], tri[1], tri[2], inclusive=inclusive
-    )
-    if not hit:
-        return None
-    return float(t), float(u), float(v)
-
-
 def tet_entry(o, d, corners):
     """Minimum boundary-inclusive face-hit parameter; broadcasts leading axes.
 
@@ -197,45 +131,3 @@ def tet_entry(o, d, corners):
         any_hit = hit if any_hit is None else (any_hit | hit)
     return t_min, any_hit
 
-
-def ray_tet_entry(ray: Ray, corners: np.ndarray) -> Optional[float]:
-    """Entry parameter of a ray into a (corner) tetrahedron, or None."""
-    corners = np.asarray(corners, dtype=np.float64)
-    t, hit = tet_entry(ray.origin, ray.direction, corners)
-    if not hit:
-        return None
-    return float(t)
-
-
-def traverse(tree: ObbTree, ray: Ray) -> list:
-    """Leaves whose OBB the ray hits, ordered by ascending entry parameter."""
-    hits = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        interval = ray_obb(ray, node.obb)
-        if interval is None:
-            continue
-        if node.is_leaf:
-            hits.append((node, interval))
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    hits.sort(key=lambda pair: pair[1].t_enter)
-    return hits
-
-
-def order_candidates(mesh, ray: Ray, element_ids: np.ndarray) -> np.ndarray:
-    """Order candidate elements by linear-guess entry parameter.
-
-    Elements whose corner tetrahedron the ray hits come first, sorted by
-    entry t; misses follow, sorted by element id, so that no candidate is
-    ever dropped for a sample inside a curved bulge.
-    """
-    element_ids = np.asarray(element_ids, dtype=np.int64)
-    if element_ids.size == 0:
-        return element_ids
-    corners = mesh.nodes[mesh.elements[element_ids, :4]]
-    t, _ = tet_entry(ray.origin, ray.direction, corners)
-    order = np.lexsort((element_ids, t))
-    return element_ids[order]

@@ -109,13 +109,6 @@ class Obb:
         return self.box.volume
 
 
-def triangle_centroid_area(tri: np.ndarray) -> tuple[np.ndarray, float]:
-    """Centroid (vertex mean) and Heron area of one triangle, shape (3, 3)."""
-    tri = np.asarray(tri, dtype=np.float64)
-    c, a = triangles_centroid_area(tri[None])
-    return c[0], float(a[0])
-
-
 def triangles_centroid_area(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroids and Heron areas for triangles of shape (n, 3, 3)."""
     tris = np.asarray(tris, dtype=np.float64)
@@ -202,19 +195,14 @@ def convex_hull(points: np.ndarray) -> HullResult:
     return HullResult(np.sort(hull.vertices.astype(np.int64)), faces.astype(np.int64))
 
 
-def fit_obb(points: np.ndarray, basis: Basis, inflate: bool = True) -> Obb:
-    """Componentwise min/max box of basis-transformed points."""
+def fit_obb(points: np.ndarray, basis: Basis) -> Obb:
+    """Componentwise min/max box of basis-transformed points, inflated by
+    ``BOX_INFLATION`` times its diagonal."""
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         raise DegenerateGeometryError("cannot fit a box to an empty point set")
     local = basis.to_local(points.reshape(-1, 3))
-    pmin = local.min(axis=0)
-    pmax = local.max(axis=0)
-    if inflate:
-        eps = BOX_INFLATION * float(np.linalg.norm(pmax - pmin))
-        pmin = pmin - eps
-        pmax = pmax + eps
-    return Obb(basis, Aabb(pmin, pmax))
+    return Obb(basis, _inflated_box(local))
 
 
 def element_bounding_points(mesh: Mesh) -> np.ndarray:
@@ -232,16 +220,17 @@ def element_bounding_points(mesh: Mesh) -> np.ndarray:
     return np.concatenate([pts, ctrl], axis=1)
 
 
-def model_aabb(mesh: Mesh, inflate: bool = True) -> Aabb:
-    """Axis-aligned box around the whole mesh, curved geometry included."""
-    pts = element_bounding_points(mesh).reshape(-1, 3)
-    pmin = pts.min(axis=0)
-    pmax = pts.max(axis=0)
-    if inflate:
-        eps = BOX_INFLATION * float(np.linalg.norm(pmax - pmin))
-        pmin = pmin - eps
-        pmax = pmax + eps
-    return Aabb(pmin, pmax)
+def model_aabb(mesh: Mesh) -> Aabb:
+    """Axis-aligned box around the whole mesh, curved geometry included,
+    inflated like ``fit_obb``."""
+    return _inflated_box(element_bounding_points(mesh).reshape(-1, 3))
+
+
+def _inflated_box(points: np.ndarray) -> Aabb:
+    pmin = points.min(axis=0)
+    pmax = points.max(axis=0)
+    eps = BOX_INFLATION * float(np.linalg.norm(pmax - pmin))
+    return Aabb(pmin - eps, pmax + eps)
 
 
 @dataclass
@@ -371,27 +360,3 @@ def _expand_over_children(root: ObbNode) -> None:
         pmax = np.maximum(node.obb.box.pmax, local.max(axis=0))
         node.obb = Obb(node.obb.basis, Aabb(pmin, pmax))
 
-
-def tree_depth(tree: ObbTree) -> int:
-    return max(leaf.depth for leaf in tree.leaves)
-
-
-def dump_tree(tree: ObbTree) -> str:
-    """Structured text dump (depth, box corners, leaf element ids)."""
-    lines = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        box = node.obb.box
-        head = (
-            f"depth={node.depth} kind={'leaf' if node.is_leaf else 'internal'} "
-            f"pmin=({box.pmin[0]:.17g},{box.pmin[1]:.17g},{box.pmin[2]:.17g}) "
-            f"pmax=({box.pmax[0]:.17g},{box.pmax[1]:.17g},{box.pmax[2]:.17g})"
-        )
-        if node.is_leaf:
-            head += " elements=[" + ",".join(str(e) for e in node.elements) + "]"
-        lines.append(head)
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return "\n".join(lines) + "\n"

@@ -8,12 +8,6 @@ depth because samples outside every leaf box lie outside every element and
 contribute exactly zero; the global anchoring makes the tree-accelerated,
 brute-force and multi-worker paths produce bitwise-identical images.
 
-Two execution paths share all numeric kernels: ``integrate_ray`` follows the
-per-ray description literally (traverse, order candidates by the linear
-entry guess, first-success point location), while ``render`` batches the
-same arithmetic over all rays of a row block and resolves multiply-claimed
-samples with the same ordering key.  Both produce bitwise-equal images.
-
 ``render`` traverses the tree in detector-frame coordinates: all rays share
 one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
 its origin in any box frame is linear in its pixel offsets (a, b).  Each
@@ -42,15 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
-from .mesh import Mesh, NodalField, interpolate_values
-from .raycast import (
-    TET_FACES,
-    Ray,
-    halfspace_intervals,
-    slab_intervals,
-    tet_entry,
-    traverse,
-)
+from .mesh import TET_FACES, Mesh, NodalField, interpolate_values
+from .raycast import halfspace_intervals, slab_intervals, tet_entry
 from .spatial import Aabb, ObbTree, build_obb_tree, element_bounding_points, model_aabb
 
 FACE_SELECTORS = {
@@ -103,9 +90,6 @@ class Detector:
 
     def pixel_origin(self, i: int, j: int) -> np.ndarray:
         return self.origin + (i * self.pitch) * self.axis_u + (j * self.pitch) * self.axis_v
-
-    def ray(self, i: int, j: int) -> Ray:
-        return Ray(self.pixel_origin(i, j), self.normal)
 
 
 @dataclass(frozen=True)
@@ -305,103 +289,6 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate arange(start, start+count) rows."""
     offsets = np.cumsum(counts) - counts
     return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-
-
-@dataclass
-class RayIntegral:
-    projected_density: float
-    mu_integral: float | None
-    samples: int
-    newton_iterations: int
-    non_converged: int
-
-
-def integrate_ray(
-    ray: Ray,
-    tree: ObbTree,
-    mesh: Mesh,
-    field: NodalField,
-    settings: IntegrationSettings,
-    model: AttenuationModel | None = None,
-) -> RayIntegral:
-    """Projected density along one ray (reference per-ray path).
-
-    Returns the discrete sum over located samples of step * rho; with a
-    table attenuation model the per-sample mu(rho) sum is carried along.
-    """
-    if abs(float(np.linalg.norm(ray.direction)) - 1.0) > 1e-12:
-        raise ValueError("integration expects a unit ray direction")
-    want_mu = model is not None and model.variant == "table"
-    hits = traverse(tree, ray)
-    if not hits:
-        return RayIntegral(0.0, 0.0 if want_mu else None, 0, 0, 0)
-
-    # merge overlapping intervals (clamped to t >= 0); traverse orders by entry
-    merged: list[list[float]] = []
-    for node, interval in hits:
-        a = max(interval.t_enter, 0.0)
-        b = interval.t_exit
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-
-    ts_parts = []
-    for a, b in merged:
-        j_lo, j_hi = _grid_range(np.float64(a), np.float64(b), settings.step)
-        if j_hi >= j_lo:
-            j = np.arange(int(j_lo), int(j_hi) + 1, dtype=np.int64)
-            ts_parts.append((j + 0.5) * settings.step)
-    if not ts_parts:
-        return RayIntegral(0.0, 0.0 if want_mu else None, 0, 0, 0)
-    ts = np.concatenate(ts_parts)
-    points = ray.origin + ts[:, None] * ray.direction
-
-    candidates = np.unique(np.concatenate([node.elements for node, _ in hits]))
-    corners = mesh.nodes[mesh.elements[candidates, :4]]
-    t_guess, _ = tet_entry(ray.origin, ray.direction, corners)
-    order = np.lexsort((candidates, t_guess))
-    candidates = candidates[order]
-
-    n = ts.shape[0]
-    rho = np.zeros(n)
-    located = np.zeros(n, dtype=bool)
-    newton_iters = 0
-    non_conv = 0
-    values = field.values
-    for e in candidates:
-        open_idx = np.flatnonzero(~located)
-        if open_idx.size == 0:
-            break
-        inside, xi, iters, converged = membership_test(
-            mesh, int(e), points[open_idx], settings.newton, settings.geom_tol
-        )
-        newton_iters += int(iters.sum())
-        non_conv += int(np.count_nonzero(~converged))
-        if inside.any():
-            hit_idx = open_idx[inside]
-            rho[hit_idx] = interpolate_values(
-                values[mesh.elements[int(e)]], xi[inside], mesh.order
-            )
-            located[hit_idx] = True
-
-    contrib = settings.step * rho
-    pd = 0.0
-    for k in np.flatnonzero(located):
-        pd += contrib[k]
-    mu_int = None
-    if want_mu:
-        mu_int = 0.0
-        if located.any():
-            mu_s = settings.step * model.mu_of_rho(rho[located])
-            for v in mu_s:
-                mu_int += v
-        mu_int = float(mu_int)
-    return RayIntegral(float(pd), mu_int, n, newton_iters, non_conv)
-
-
-# ---------------------------------------------------------------------------
-# batched renderer
 
 
 @dataclass(frozen=True)
@@ -832,7 +719,7 @@ def render(
             integral = model.kappa * density
         else:
             integral = np.vstack([r[1] for r in results])
-        intensity = model.i_in * np.exp(-integral)
+        intensity = attenuate(integral, model)
 
     return ProjectionImage(density, detector.pitch, intensity, stats)
 

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from fexray.bench import (
     BallSpec,
     CylinderSpec,
-    ball_projection_oracle,
-    cylinder_projection_oracle,
     generate_ball,
     generate_cylinder,
+    projection_oracle,
     radial_density,
 )
 from fexray.mesh import boundary_faces, interpolate, jacobian, local_to_global
@@ -177,52 +176,66 @@ class TestGenerateCylinder:
         assert abs(v_surf - v_elem) < 1e-9 * abs(v_elem)
 
 
+def oracle_at(spec, b):
+    """projection_oracle of the pixel at impact parameter b on a 3 x 1 grid."""
+    impact, density = projection_oracle(spec, 3, 1, b)
+    assert impact[0, 0] == impact[0, 2] == b and impact[0, 1] == 0.0
+    return density[0, 0]
+
+
+grids = st.tuples(st.integers(1, 40), st.integers(1, 40), st.floats(0.01, 0.5))
+
+
+def assert_quarter_turn_symmetric(spec, nu, nv, pitch):
+    """The oracle depends on the impact parameter alone: the grid is
+    symmetric under flips and a quarter turn swaps its axes."""
+    b, density = projection_oracle(spec, nu, nv, pitch)
+    for grid in (b, density):
+        np.testing.assert_array_equal(grid, grid[::-1, :])
+        np.testing.assert_array_equal(grid, grid[:, ::-1])
+    np.testing.assert_array_equal(projection_oracle(spec, nv, nu, pitch)[1], density.T)
+    return b, density
+
+
 class TestBallOracle:
     def test_center_ray(self):
-        spec = BallSpec()
-        v = ball_projection_oracle(np.array([0.0, 0.0, 5.0]), np.array([0, 0, -1.0]), spec)
-        assert abs(v - 2.0) < 1e-15
+        b, density = projection_oracle(BallSpec(), 5, 7, 0.1)
+        assert b[3, 2] == 0.0
+        assert abs(density[3, 2] - 2.0) < 1e-15
 
     def test_tangent(self):
-        spec = BallSpec()
-        v = ball_projection_oracle(np.array([1.0, 0.0, 5.0]), np.array([0, 0, -1.0]), spec)
-        assert v == 0.0
+        assert oracle_at(BallSpec(), 1.0) == 0.0
 
     def test_closed_form_at_rho_06(self):
-        spec = BallSpec()
-        v = ball_projection_oracle(np.array([0.6, 0.0, 5.0]), np.array([0, 0, -1.0]), spec)
-        assert abs(v - 1.6) < 1e-12
+        assert abs(oracle_at(BallSpec(), 0.6) - 1.6) < 1e-12
 
-    @given(rho=st.floats(0, 0.999), azimuth=st.floats(0, 2 * np.pi))
-    def test_rotation_symmetry(self, rho, azimuth):
-        spec = BallSpec()
-        p = np.array([rho * np.cos(azimuth), rho * np.sin(azimuth), 3.0])
-        v = ball_projection_oracle(p, np.array([0.0, 0.0, -1.0]), spec)
-        ref = ball_projection_oracle(np.array([rho, 0.0, 3.0]), np.array([0.0, 0.0, -1.0]), spec)
-        assert abs(v - ref) < 1e-12
+    @given(grids)
+    def test_rotation_symmetry(self, grid):
+        spec = BallSpec(radius=0.8, density=1.5)
+        b, density = assert_quarter_turn_symmetric(spec, *grid)
+        chord = 2.0 * np.sqrt(np.maximum(spec.radius**2 - b**2, 0.0))
+        np.testing.assert_allclose(density, spec.density * chord, rtol=0, atol=1e-12)
 
 
 class TestCylinderOracle:
     def test_peak_value(self):
-        spec = CylinderSpec()
-        v = cylinder_projection_oracle(np.array([0.5, 0.0, 1.0]), spec)
-        assert abs(v - 0.2) < 1e-15
+        assert abs(oracle_at(CylinderSpec(), 0.5) - 0.2) < 1e-15
 
     def test_rim_value(self):
-        spec = CylinderSpec()
-        assert abs(cylinder_projection_oracle(np.array([1.0, 0.0, 1.0]), spec) - 0.1) < 1e-12
+        assert abs(oracle_at(CylinderSpec(), 1.0) - 0.1) < 1e-12
 
     def test_outside(self):
-        spec = CylinderSpec()
-        assert cylinder_projection_oracle(np.array([1.1, 0.0, 1.0]), spec) == 0.0
+        assert oracle_at(CylinderSpec(), 1.1) == 0.0
 
-    @given(rho=st.floats(0, 1), azimuth=st.floats(0, 2 * np.pi))
-    def test_rotation_symmetry(self, rho, azimuth):
+    @given(grids)
+    def test_rotation_symmetry(self, grid):
         spec = CylinderSpec()
-        p = np.array([rho * np.cos(azimuth), rho * np.sin(azimuth), 0.0])
-        v = cylinder_projection_oracle(p, spec)
-        ref = cylinder_projection_oracle(np.array([rho, 0.0, 0.0]), spec)
-        assert abs(v - ref) < 1e-9
+        b, density = assert_quarter_turn_symmetric(spec, *grid)
+        inside = b <= spec.radius
+        np.testing.assert_allclose(
+            density[inside], spec.height * radial_density(b[inside]), rtol=0, atol=1e-12
+        )
+        assert (density[~inside] == 0.0).all()
 
 
 class TestGoldenFiles:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fexray.bench import BallSpec, CylinderSpec, projection_oracle
 from fexray.cli import main
 from fexray.io_text import read_float_grid
 from tests.conftest import folded_quadratic_nodes
@@ -209,3 +211,41 @@ class TestErrorMapConfig:
         assert rc == 0
         out = capsys.readouterr().out
         assert "max error" in out
+
+    @pytest.mark.parametrize(
+        "oracle, option, value",
+        [("ball", "density", 1.5), ("cylinder", "height", 0.12)],
+    )
+    def test_render_and_error_map_write_equal_grids(self, tmp_path, capsys, oracle, option, value):
+        # both commands take the oracle from bench.projection_oracle, with
+        # the same radius and density or height
+        mesh, field = tmp_path / "m.mesh", tmp_path / "m.field"
+        gen = ["--out-mesh", str(mesh), "--out-field", str(field), "--target-elements"]
+        if oracle == "ball":
+            assert main(["generate-ball", *gen, "8"]) == 0
+        else:
+            assert main(["generate-cylinder", *gen, "100"]) == 0
+        density, rendered, mapped = (tmp_path / f"{n}.fgrid" for n in ("d", "e1", "e2"))
+        cfg = write_config(
+            tmp_path, mesh, field, out_density=density, out_error=rendered,
+            oracle=oracle, oracle_radius=0.9, **{f"oracle_{option}": value},
+        )
+        assert main(["render", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        rc = main(
+            ["error-map", "--grid", str(density), "--oracle", oracle, "--radius", "0.9",
+             f"--{option}", str(value), "--out-grid", str(mapped)]
+        )
+        assert rc == 0
+        assert rendered.read_bytes() == mapped.read_bytes()
+        # the reported impact parameter is the oracle's, at the reported pixel
+        grid = read_float_grid(density.read_bytes())
+        spec_type = BallSpec if oracle == "ball" else CylinderSpec
+        b, _ = projection_oracle(
+            spec_type(radius=0.9, **{option: value}), grid.nu, grid.nv, grid.pitch
+        )
+        err = read_float_grid(mapped.read_bytes()).values
+        jmax, imax = np.unravel_index(int(np.argmax(err)), err.shape)
+        out = capsys.readouterr().out
+        assert f"at pixel ({imax}, {jmax}), impact parameter {b[jmax, imax]:.6g} cm" in out
+        assert err.max() > 0.0

@@ -8,9 +8,7 @@ from fexray.locate import (
     _element_frames,
     _reference_newton,
     _solve,
-    global_to_local,
     in_hull,
-    locate_point,
     membership_test,
     newton_solve,
 )
@@ -24,7 +22,7 @@ from fexray.mesh import (
     local_to_global,
     map_points,
 )
-from fexray.raycast import Ray, ray_tet_entry
+from fexray.raycast import tet_entry
 from tests.conftest import (
     REFERENCE_TET,
     random_simplex_points,
@@ -68,45 +66,54 @@ class TestNewtonSettings:
             NewtonSettings(max_iter=0)
 
 
+def located(mesh, e, points, settings=None):
+    """membership_test of points against element e: (inside, xi)."""
+    inside, xi, _, _ = membership_test(mesh, e, points, settings or NewtonSettings(), 1e-8)
+    return inside, xi
+
+
 class TestGlobalToLocal:
     def test_affine_inverse(self, rng):
         corners = REFERENCE_TET * 1.5 + np.array([0.2, -0.3, 0.1])
         mesh = single_tet_mesh(corners)
-        for xi_true in random_simplex_points(rng, 20):
-            x = local_to_global(mesh, 0, xi_true)
-            xi = global_to_local(mesh, 0, x)
-            np.testing.assert_allclose(xi, xi_true, atol=1e-12)
+        xi_true = random_simplex_points(rng, 20)
+        pts = map_points(mesh.nodes, xi_true)
+        xi, converged, _ = newton_solve(mesh.nodes, "quadratic", pts, NewtonSettings())
+        assert converged.all()
+        np.testing.assert_allclose(xi, xi_true, atol=1e-12)
 
     def test_affine_first_update_is_exact(self):
         # one Newton update already satisfies the residual bound
         corners = REFERENCE_TET * 2.0
         mesh = single_tet_mesh(corners)
         x = local_to_global(mesh, 0, np.array([0.3, 0.2, 0.1]))
-        settings = NewtonSettings(max_iter=2)
-        xi = global_to_local(mesh, 0, x, settings)
-        assert xi is not None
-        res = np.linalg.norm(local_to_global(mesh, 0, xi) - x)
+        inside, xi = located(mesh, 0, x[None], NewtonSettings(max_iter=2))
+        assert inside[0]
+        res = np.linalg.norm(local_to_global(mesh, 0, xi[0]) - x)
         assert res <= 1e-8 * 2.0 * np.sqrt(3)
 
     def test_curved_round_trip(self, ball_mesh_field, rng):
         mesh, _ = ball_mesh_field
         for e in rng.integers(0, mesh.n_elements, size=12):
-            for xi_true in random_simplex_points(rng, 8):
-                x = local_to_global(mesh, int(e), xi_true)
-                xi = global_to_local(mesh, int(e), x)
-                assert xi is not None
-                np.testing.assert_allclose(xi, xi_true, atol=1e-9)
+            xi_true = random_simplex_points(rng, 8)
+            inside, xi = located(mesh, int(e), map_points(mesh.element_nodes(int(e)), xi_true))
+            assert inside.all()
+            np.testing.assert_allclose(xi, xi_true, atol=1e-9)
 
     def test_far_point_returns_none_or_outside(self):
         mesh = single_tet_mesh()
-        xi = global_to_local(mesh, 0, np.array([50.0, 50.0, 50.0]))
-        assert xi is None or not in_hull(xi)
+        far = np.full((1, 3), 50.0)
+        xi, converged, _ = newton_solve(mesh.nodes, "quadratic", far, NewtonSettings())
+        assert not converged[0] or not in_hull(xi[0])
+        assert not located(mesh, 0, far)[0][0]
 
     def test_iteration_budget_respected(self, ball_mesh_field):
         mesh, _ = ball_mesh_field
         settings = NewtonSettings(max_iter=3, eps_tol=1e-15)
-        # must return (possibly None) without looping forever
-        global_to_local(mesh, 0, np.array([0.1, 0.1, 0.1]), settings)
+        # must return without looping forever, within the budget
+        x = np.full((1, 3), 0.1)
+        _, _, iters = newton_solve(mesh.element_nodes(0), "quadratic", x, settings)
+        assert iters[0] <= 3
 
 
 class TestMembershipBatch:
@@ -125,29 +132,34 @@ class TestMembershipBatch:
             assert iters_s[0] == iters_b[k]
 
 
+def containing(mesh, x):
+    """Ids and reference coordinates of every element that contains x."""
+    elems = np.arange(mesh.n_elements)
+    inside, xi = located(mesh, elems, np.tile(x, (mesh.n_elements, 1)))
+    return elems[inside], xi[inside]
+
+
 class TestLocatePoint:
     def test_shared_face_first_candidate_wins(self):
+        # a point on the shared face lies in both elements, so the claim
+        # order decides; either side interpolates a conforming field alike
         mesh = two_tet_mesh()
-        x = np.array([0.25, 0.25, 0.0])  # on the shared face
-        loc01 = locate_point(mesh, [0, 1], x)
-        loc10 = locate_point(mesh, [1, 0], x)
-        assert loc01.element == 0 and loc10.element == 1
-        # conforming nodal field interpolates identically from either side
+        x = np.array([0.25, 0.25, 0.0])
+        elems, xi = containing(mesh, x)
+        assert elems.tolist() == [0, 1]
         field = NodalField(np.linspace(0.5, 2.0, mesh.n_nodes) ** 2)
-        v0 = interpolate(field, mesh, loc01.element, loc01.xi)
-        v1 = interpolate(field, mesh, loc10.element, loc10.xi)
+        v0 = interpolate(field, mesh, 0, xi[0])
+        v1 = interpolate(field, mesh, 1, xi[1])
         assert abs(v0 - v1) < 1e-9
 
     def test_outside_all_candidates(self):
         mesh = two_tet_mesh()
-        assert locate_point(mesh, [0, 1], np.array([5.0, 5.0, 5.0])) is None
+        assert containing(mesh, np.array([5.0, 5.0, 5.0]))[0].size == 0
 
     def test_interior_point_order_invariant(self, rng):
         mesh = two_tet_mesh()
         x = local_to_global(mesh, 1, np.array([0.2, 0.3, 0.25]))
-        for order in ([0, 1], [1, 0]):
-            loc = locate_point(mesh, order, x)
-            assert loc is not None and loc.element == 1
+        assert containing(mesh, x)[0].tolist() == [1]
 
     def test_membership_consistency(self, ball_mesh_field, rng):
         # interior image points are always found and reproduce x
@@ -157,26 +169,25 @@ class TestLocatePoint:
             if xi_true.sum() > 0.95:
                 continue
             x = local_to_global(mesh, int(e), xi_true)
-            loc = locate_point(mesh, range(mesh.n_elements), x)
-            assert loc is not None
-            x2 = local_to_global(mesh, loc.element, loc.xi)
-            np.testing.assert_allclose(x2, x, atol=1e-9)
+            elems, xi = containing(mesh, x)
+            assert int(e) in elems
+            for k, xi_k in zip(elems, xi):
+                np.testing.assert_allclose(local_to_global(mesh, int(k), xi_k), x, atol=1e-9)
 
     def test_entry_ordering_by_linear_guess(self, ball_mesh_field):
-        from fexray.raycast import order_candidates
-
+        # the renderer's claim order: corner-tetrahedron entry t, then
+        # element id, so every miss (t = inf) comes after every hit
         mesh, _ = ball_mesh_field
-        ray = Ray(np.array([0.05, 0.02, 2.0]), np.array([0.0, 0.0, -1.0]))
-        ordered = order_candidates(mesh, ray, np.arange(mesh.n_elements))
-        entries = []
-        for e in ordered:
-            t = ray_tet_entry(ray, mesh.nodes[mesh.elements[int(e), :4]])
-            entries.append(np.inf if t is None else t)
-        hit_part = [t for t in entries if np.isfinite(t)]
-        assert hit_part == sorted(hit_part)
-        first_miss = next((k for k, t in enumerate(entries) if np.isinf(t)), None)
-        if first_miss is not None:
-            assert all(np.isinf(t) for t in entries[first_miss:])
+        o, d = np.array([0.05, 0.02, 2.0]), np.array([0.0, 0.0, -1.0])
+        elems = np.arange(mesh.n_elements)
+        t, hit = tet_entry(o, d, mesh.corner_coords())
+        ordered = elems[np.lexsort((elems, t))]
+        entries = t[ordered]
+        assert hit.any() and not hit.all()
+        hit_part = entries[hit[ordered]]
+        assert (np.diff(hit_part) >= 0.0).all()
+        first_miss = int(np.argmax(~hit[ordered]))
+        assert not hit[ordered][first_miss:].any() and np.isinf(entries[first_miss:]).all()
 
 
 class TestConformity:
@@ -206,15 +217,15 @@ class TestConformity:
 class TestLinearOrder:
     def test_global_to_local_linear_mesh(self, rng):
         mesh = single_tet_mesh(REFERENCE_TET * 1.3 + [0.1, 0.2, -0.1], quadratic=False)
-        for xi_true in random_simplex_points(rng, 10):
-            x = local_to_global(mesh, 0, xi_true)
-            xi = global_to_local(mesh, 0, x)
-            np.testing.assert_allclose(xi, xi_true, atol=1e-12)
+        xi_true = random_simplex_points(rng, 10)
+        pts = map_points(mesh.nodes, xi_true, "linear")
+        xi, converged, _ = newton_solve(mesh.nodes, "linear", pts, NewtonSettings())
+        assert converged.all()
+        np.testing.assert_allclose(xi, xi_true, atol=1e-12)
 
     def test_locate_point_linear_mesh(self):
         mesh = single_tet_mesh(quadratic=False)
-        loc = locate_point(mesh, [0], np.array([0.2, 0.2, 0.2]))
-        assert loc is not None and loc.element == 0
+        assert located(mesh, 0, np.array([[0.2, 0.2, 0.2]]))[0][0]
 
 
 def _lanes_near_elements(mesh, rng, n):

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from fexray.raycast import (
-    HitInterval,
-    Ray,
-    ray_aabb,
-    ray_obb,
-    ray_tet_entry,
-    ray_triangle,
-    slab_intervals,
-    traverse,
-)
+from fexray.locate import NewtonSettings, membership_test
+from fexray.raycast import moller_trumbore, slab_intervals, tet_entry
 from fexray.spatial import Aabb, Basis, Obb, build_obb_tree
+from tests.per_ray_reference import Ray, ray_obb, traverse
 from tests.test_spatial import line_of_tets, rotation_matrix
 
 UNIT_BOX = Aabb(np.zeros(3), np.ones(3))
+
+
+def unit_box_slab(o, d):
+    """slab_intervals of the ray o + t d against the unit box."""
+    o, d = np.asarray(o, dtype=float), np.asarray(d, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / d
+    return slab_intervals(o, inv, d, UNIT_BOX.pmin, UNIT_BOX.pmax)
 
 
 def plane_barycentric_oracle(o, d, tri):
@@ -52,43 +53,33 @@ class TestRay:
 
 class TestRayAabb:
     def test_axis_aligned_center_ray(self):
-        r = Ray(np.array([-1.0, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
-        hit = ray_aabb(r, UNIT_BOX)
-        assert hit == HitInterval(1.0, 2.0)
+        t_enter, t_exit, hit = unit_box_slab([-1.0, 0.5, 0.5], [1.0, 0.0, 0.0])
+        assert hit and (t_enter, t_exit) == (1.0, 2.0)
 
     def test_corner_miss(self):
         # passes above the box corner: per-axis intervals do not overlap
-        r = Ray(np.array([0.5, 2.5, 0.5]), np.array([1.0, -1.0, 0.0]))
-        assert ray_aabb(r, UNIT_BOX) is None
+        assert not unit_box_slab([0.5, 2.5, 0.5], [1.0, -1.0, 0.0])[2]
 
     def test_origin_inside(self):
-        r = Ray(np.array([0.5, 0.5, 0.5]), np.array([0.0, 1.0, 0.0]))
-        hit = ray_aabb(r, UNIT_BOX)
-        assert hit is not None
-        assert hit.t_enter < 0.0 < hit.t_exit
+        t_enter, t_exit, hit = unit_box_slab([0.5, 0.5, 0.5], [0.0, 1.0, 0.0])
+        assert hit and t_enter < 0.0 < t_exit
 
     def test_box_behind_ray(self):
-        r = Ray(np.array([5.0, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
-        assert ray_aabb(r, UNIT_BOX) is None
+        assert not unit_box_slab([5.0, 0.5, 0.5], [1.0, 0.0, 0.0])[2]
 
     def test_origin_on_slab_plane_parallel(self):
         # 0 * inf would give NaN without the containment guard
-        r = Ray(np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.0, 0.0]))
-        hit = ray_aabb(r, UNIT_BOX)
-        assert hit is not None
+        assert unit_box_slab([0.0, 0.5, 0.5], [0.0, 1.0, 0.0])[2]
 
     def test_parallel_outside_slab(self):
-        r = Ray(np.array([-0.5, 0.5, 0.5]), np.array([0.0, 1.0, 0.0]))
-        assert ray_aabb(r, UNIT_BOX) is None
+        assert not unit_box_slab([-0.5, 0.5, 0.5], [0.0, 1.0, 0.0])[2]
 
     def test_dense_sampling_oracle(self, rng):
         # no false negatives against a point-in-box sampling oracle
         n = 3000
         o = rng.uniform(-2, 2, (n, 3))
         d = rng.normal(size=(n, 3))
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / d
-        te, tx, hit = slab_intervals(o, inv, d, UNIT_BOX.pmin, UNIT_BOX.pmax)
+        te, tx, hit = unit_box_slab(o, d)
         ts = np.linspace(0.0, 8.0, 400)
         pts = o[:, None, :] + ts[None, :, None] * d[:, None, :]
         inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=2).any(axis=1)
@@ -100,11 +91,11 @@ class TestRayObb:
         obb = Obb(Basis(np.eye(3), np.zeros(3)), UNIT_BOX)
         for _ in range(50):
             r = Ray(rng.uniform(-2, 2, 3), rng.normal(size=3))
-            a = ray_aabb(r, UNIT_BOX)
+            t_enter, t_exit, hit = unit_box_slab(r.origin, r.direction)
             b = ray_obb(r, obb)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a == b
+            assert hit == (b is not None)
+            if hit:
+                assert (t_enter, t_exit) == b
 
     def test_rotation_invariance(self, rng):
         box = Aabb(np.array([-0.5, -0.2, -0.1]), np.array([0.5, 0.2, 0.1]))
@@ -144,24 +135,28 @@ class TestRayObb:
         assert misses > 0  # the oracle exercised both branches
 
 
+def triangle_hit(o, d, tri, inclusive=False):
+    """moller_trumbore on one triangle: (t, u, v) of a hit, or None."""
+    t, u, v, hit = moller_trumbore(o, d, *np.asarray(tri, dtype=float), inclusive=inclusive)
+    return (float(t), float(u), float(v)) if hit else None
+
+
 class TestRayTriangle:
     def test_perpendicular_through_centroid(self):
         tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        r = Ray(np.array([1 / 3, 1 / 3, 1.0]), np.array([0.0, 0.0, -1.0]))
-        t, u, v = ray_triangle(r, tri)
+        t, u, v = triangle_hit(np.array([1 / 3, 1 / 3, 1.0]), np.array([0.0, 0.0, -1.0]), tri)
         assert abs(t - 1.0) < 1e-14
         assert abs(u - 1 / 3) < 1e-14 and abs(v - 1 / 3) < 1e-14
 
     def test_in_plane_ray_parallel(self):
         tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        r = Ray(np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.0, 0.0]))
-        assert ray_triangle(r, tri) is None
+        assert triangle_hit(np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.0, 0.0]), tri) is None
 
     def test_strict_rejects_edge_hit(self):
         tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        r = Ray(np.array([0.5, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-        assert ray_triangle(r, tri) is None  # v == 0 fails the strict u,v > 0
-        assert ray_triangle(r, tri, inclusive=True) is not None
+        o, d = np.array([0.5, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+        assert triangle_hit(o, d, tri) is None  # v == 0 fails the strict u,v > 0
+        assert triangle_hit(o, d, tri, inclusive=True) is not None
 
     def test_plane_barycentric_oracle(self, rng):
         n = 4000
@@ -170,7 +165,7 @@ class TestRayTriangle:
             o = rng.uniform(-1, 1, 3)
             d = rng.normal(size=3)
             tri = rng.normal(size=(3, 3))
-            got = ray_triangle(Ray(o, d), tri)
+            got = triangle_hit(o, d, tri)
             want = plane_barycentric_oracle(o, d, tri)
             # skip numerically marginal cases (within 1e-10 of an acceptance
             # boundary) where the two formulations may legitimately disagree
@@ -194,7 +189,7 @@ class TestRayTriangle:
             o = rng.uniform(-1, 1, 3)
             d = rng.normal(size=3)
             tri = rng.normal(size=(3, 3))
-            got = ray_triangle(Ray(o, d), tri)
+            got = triangle_hit(o, d, tri)
             if got is None:
                 continue
             t, u, v = got
@@ -208,18 +203,16 @@ REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 class TestRayTetEntry:
     def test_enter_exit(self):
-        r = Ray(np.array([-1.0, 0.2, 0.2]), np.array([1.0, 0.0, 0.0]))
-        t = ray_tet_entry(r, REF_TET)
-        assert abs(t - 1.0) < 1e-12
+        t, hit = tet_entry(np.array([-1.0, 0.2, 0.2]), np.array([1.0, 0.0, 0.0]), REF_TET)
+        assert hit and abs(t - 1.0) < 1e-12
 
     def test_origin_inside(self):
-        r = Ray(np.array([0.2, 0.2, 0.2]), np.array([0.0, 0.0, -1.0]))
-        t = ray_tet_entry(r, REF_TET)
-        assert abs(t - 0.2) < 1e-12  # exit face z=0 is the only hit
+        t, hit = tet_entry(np.array([0.2, 0.2, 0.2]), np.array([0.0, 0.0, -1.0]), REF_TET)
+        assert hit and abs(t - 0.2) < 1e-12  # exit face z=0 is the only hit
 
     def test_miss(self):
-        r = Ray(np.array([-1.0, 2.0, 2.0]), np.array([1.0, 0.0, 0.0]))
-        assert ray_tet_entry(r, REF_TET) is None
+        t, hit = tet_entry(np.array([-1.0, 2.0, 2.0]), np.array([1.0, 0.0, 0.0]), REF_TET)
+        assert not hit and t == np.inf
 
     def test_entry_is_min_face_hit(self, rng):
         for _ in range(200):
@@ -227,11 +220,11 @@ class TestRayTetEntry:
             if (o >= 0).all() and o.sum() <= 1:
                 continue  # origin-inside semantics covered separately
             d = rng.normal(size=3)
-            t = ray_tet_entry(Ray(o, d), REF_TET)
+            t, hit = tet_entry(o, d, REF_TET)
             ts = np.linspace(0, 6, 4000)
             pts = o + ts[:, None] * d
             bary_ok = (pts >= -1e-12).all(axis=1) & (pts.sum(axis=1) <= 1 + 1e-12)
-            if t is None:
+            if not hit:
                 assert not bary_ok.any()
             elif bary_ok.any():
                 t_first = ts[np.argmax(bary_ok)]
@@ -257,8 +250,6 @@ class TestTraverse:
         # traverse returns exactly the leaves whose OBB the ray hits
         mesh, _ = ball_mesh_field
         tree = build_obb_tree(mesh, 4)
-        from fexray.raycast import ray_obb
-
         for _ in range(100):
             o = rng.uniform(-2, 2, 3)
             d = rng.normal(size=3)
@@ -278,20 +269,17 @@ class TestTraverse:
 
     def test_superset_of_touched_elements(self, ball_mesh_field, rng):
         # every element the ray actually touches lies in some returned leaf
-        from fexray.locate import locate_point
-
         mesh, _ = ball_mesh_field
         tree = build_obb_tree(mesh, 6)
         o = np.array([0.05, -0.03, 2.0])
         d = np.array([0.0, 0.0, -1.0])
-        r = Ray(o, d)
-        leaf_elems = np.concatenate([n.elements for n, _ in traverse(tree, r)])
-        touched = set()
-        for t in np.linspace(1.0, 3.0, 400):
-            loc = locate_point(mesh, range(mesh.n_elements), o + t * d)
-            if loc is not None:
-                touched.add(loc.element)
-        assert touched <= set(leaf_elems.tolist())
+        leaf_elems = np.concatenate([n.elements for n, _ in traverse(tree, Ray(o, d))])
+        pts = o + np.linspace(1.0, 3.0, 400)[:, None] * d
+        elems = np.repeat(np.arange(mesh.n_elements), pts.shape[0])
+        lanes = np.tile(pts, (mesh.n_elements, 1))
+        inside = membership_test(mesh, elems, lanes, NewtonSettings(), 1e-8)[0]
+        touched = set(elems[inside].tolist())
+        assert touched and touched <= set(leaf_elems.tolist())
 
 
 class TestDeterminism:

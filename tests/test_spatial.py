@@ -4,19 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fexray.spatial import (
+    BOX_INFLATION,
     Aabb,
     Basis,
     DegenerateGeometryError,
     build_obb_tree,
     convex_hull,
     covariance,
-    dump_tree,
     element_bounding_points,
     fit_obb,
     model_aabb,
     pca_basis,
-    tree_depth,
-    triangle_centroid_area,
     triangles_centroid_area,
     weighted_center,
 )
@@ -99,15 +97,15 @@ def icosphere(subdiv=1, radius=1.0):
 
 class TestTriangleCentroidArea:
     def test_unit_right_triangle(self):
-        tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        c, a = triangle_centroid_area(tri)
-        np.testing.assert_allclose(c, [1 / 3, 1 / 3, 0], atol=1e-15)
-        assert abs(a - 0.5) < 1e-15
+        tri = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]])
+        c, a = triangles_centroid_area(tri)
+        np.testing.assert_allclose(c[0], [1 / 3, 1 / 3, 0], atol=1e-15)
+        assert abs(a[0] - 0.5) < 1e-15
 
     def test_collinear_is_zero(self):
-        tri = np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]])
-        _, a = triangle_centroid_area(tri)
-        assert a == 0.0
+        tri = np.array([[[0.0, 0, 0], [1, 1, 1], [2, 2, 2]]])
+        _, a = triangles_centroid_area(tri)
+        assert a[0] == 0.0
 
     def test_cross_product_oracle(self, rng):
         tris = rng.normal(size=(500, 3, 3))
@@ -125,9 +123,9 @@ class TestTriangleCentroidArea:
         # thinner slivers than ~1e-8 lose their area inside the rounded side
         # lengths, so no Heron variant can track the cross product there
         tri = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, sliver, 0]]) * scale
-        _, a = triangle_centroid_area(tri)
+        _, a = triangles_centroid_area(tri[None])
         oracle = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-        assert abs(a - oracle) <= 1e-12 * max(oracle, 1e-300)
+        assert abs(a[0] - oracle) <= 1e-12 * max(oracle, 1e-300)
 
 
 class TestWeightedCenter:
@@ -293,21 +291,25 @@ class TestFitObb:
             [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
         )
         basis = Basis(np.eye(3), np.zeros(3))
-        obb = fit_obb(corners, basis, inflate=False)
-        np.testing.assert_array_equal(obb.box.pmin, [0, 0, 0])
-        np.testing.assert_array_equal(obb.box.pmax, [1, 1, 1])
+        obb = fit_obb(corners, basis)
+        pad = BOX_INFLATION * np.sqrt(3.0)
+        np.testing.assert_allclose(obb.box.pmin, [0, 0, 0], rtol=0, atol=pad)
+        np.testing.assert_allclose(obb.box.pmax, [1, 1, 1], rtol=0, atol=pad)
+        assert (obb.box.pmin < 0.0).all() and (obb.box.pmax > 1.0).all()
 
     def test_rotated_square(self):
         s = 1 / np.sqrt(2)
         rows = np.array([[s, s, 0], [-s, s, 0], [0, 0, 1]])
         square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-        obb = fit_obb(square, Basis(rows, np.zeros(3)), inflate=False)
+        obb = fit_obb(square, Basis(rows, np.zeros(3)))
         ext = np.sort(obb.box.extents)
-        np.testing.assert_allclose(ext, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-12)
+        pad = 2.0 * BOX_INFLATION * 2.0
+        np.testing.assert_allclose(ext, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-12 + pad)
 
     def test_single_point(self):
         p = np.array([[0.3, -0.4, 2.0]])
-        obb = fit_obb(p, Basis(np.eye(3), np.zeros(3)), inflate=False)
+        obb = fit_obb(p, Basis(np.eye(3), np.zeros(3)))
+        # a zero diagonal inflates by nothing
         np.testing.assert_array_equal(obb.box.pmin, obb.box.pmax)
 
     def test_empty_rejected(self):
@@ -337,7 +339,7 @@ class TestObbTree:
     def test_line_mesh_depth_and_leaves(self):
         mesh = line_of_tets(64)
         tree = build_obb_tree(mesh, 1)
-        assert tree_depth(tree) >= 6
+        assert max(leaf.depth for leaf in tree.leaves) >= 6
         assert all(len(leaf.elements) == 1 for leaf in tree.leaves)
 
     def test_partition(self, ball_mesh_field):
@@ -388,22 +390,29 @@ class TestObbTree:
             tets.append((k, k + 1, k + 2, k + 3))
         mesh = mesh_from_corner_tets(verts, tets)
         tree = build_obb_tree(mesh, 100)
-        aabb = model_aabb(mesh, inflate=False)
+        aabb = model_aabb(mesh)
         assert tree.root.obb.volume <= aabb.volume
 
     def test_dump_tree_structure(self, ball_mesh_field):
+        # a depth-first walk reaches exactly tree.leaves, in order, through
+        # children one level deeper than their parent with valid boxes
         mesh, _ = ball_mesh_field
         tree = build_obb_tree(mesh, 10)
-        text = dump_tree(tree)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("depth=0")
-        assert sum(1 for l in lines if "kind=leaf" in l) == len(tree.leaves)
-        # every element id appears in exactly one leaf line
-        ids = []
-        for l in lines:
-            if "elements=[" in l:
-                ids += [int(x) for x in l.split("elements=[")[1].rstrip("]").split(",")]
-        assert sorted(ids) == list(range(mesh.n_elements))
+        assert tree.root.depth == 0
+        reached = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert (node.obb.box.pmin <= node.obb.box.pmax).all()
+            if node.is_leaf:
+                reached.append(node)
+                continue
+            for child in (node.right, node.left):
+                assert child.depth == node.depth + 1
+                stack.append(child)
+        assert [id(n) for n in reached] == [id(n) for n in tree.leaves]
+        ids = np.concatenate([leaf.elements for leaf in reached])
+        assert sorted(ids.tolist()) == list(range(mesh.n_elements))
 
 
 def _collect(node):

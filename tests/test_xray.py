@@ -15,7 +15,7 @@ from fexray import locate, xray
 from fexray.io_text import parse_field, parse_mesh
 from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, Mesh, MeshError, NodalField, map_points
-from fexray.raycast import Ray, ray_aabb, ray_tet_entry, slab_intervals, traverse
+from fexray.raycast import slab_intervals, tet_entry
 from fexray.spatial import (
     Aabb,
     Basis,
@@ -32,11 +32,11 @@ from fexray.xray import (
     default_face,
     error_map,
     image_mass,
-    integrate_ray,
     make_detector,
     render,
 )
 from tests.conftest import single_tet_mesh
+from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
 MU_CANCELLOUS_BONE = 0.716
@@ -157,7 +157,7 @@ class TestIntegrateRay:
             chord = 1.0 - x - y
             assert abs(ri.projected_density - chord) <= 2 * settings.step
             # cross-check the chord against the face-hit parameters
-            t_in = ray_tet_entry(ray, mesh.nodes[mesh.elements[0, :4]])
+            t_in, _ = tet_entry(ray.origin, ray.direction, mesh.corner_coords()[0])
             assert abs((2.0 - t_in) - (1.0 - x - y)) < 1e-12
 
     def test_requires_unit_direction(self):
@@ -213,7 +213,7 @@ class TestRender:
         for j in range(det.nv):
             for i in range(det.nu):
                 ref[j, i] = integrate_ray(
-                    det.ray(i, j), tree, mesh, field, settings
+                    detector_ray(det, i, j), tree, mesh, field, settings
                 ).projected_density
         np.testing.assert_array_equal(ref, img.density)
 
@@ -390,7 +390,7 @@ class TestTableModelRender:
         for j in range(det.nv):
             for i in range(det.nu):
                 mu_ref[j, i] = integrate_ray(
-                    det.ray(i, j), tree, mesh, field, settings, model
+                    detector_ray(det, i, j), tree, mesh, field, settings, model
                 ).mu_integral
         np.testing.assert_array_equal(img.intensity, 2.0 * np.exp(-mu_ref))
 
@@ -453,7 +453,7 @@ class TestObliqueDetector:
         np.testing.assert_array_equal(img.density, brute.density)
         tree = build_obb_tree(mesh, settings.max_leaf_elements)
         for i, j in [(7, 7), (8, 8), (3, 12), (0, 0)]:
-            ref = integrate_ray(det.ray(i, j), tree, mesh, field, settings)
+            ref = integrate_ray(detector_ray(det, i, j), tree, mesh, field, settings)
             assert ref.projected_density == img.density[j, i]
         # the central ray still crosses the full ball diameter
         assert abs(img.density[7:9, 7:9].max() - 2.0) < 0.15
@@ -713,14 +713,17 @@ def _leaf_ranges(ctx):
     all_elems = tuple(range(ctx.mesh.n_elements))
     for j in range(det.nv):
         for i in range(det.nu):
-            ray = det.ray(i, j)
+            ray = detector_ray(det, i, j)
             if ctx.tree is None:
-                hit = ray_aabb(ray, ctx.brute_box)
-                hits = [] if hit is None else [(all_elems, hit)]
+                box = ctx.brute_box
+                te, tx, hit = slab_intervals(
+                    ray.origin, ray.inv_direction, ray.direction, box.pmin, box.pmax
+                )
+                hits = [(all_elems, (te, tx))] if hit else []
             else:
                 hits = [(tuple(node.elements), hit) for node, hit in traverse(ctx.tree, ray)]
-            for elems, hit in hits:
-                lo, hi = xray._grid_range(np.float64(hit.t_enter), np.float64(hit.t_exit), step)
+            for elems, (t_enter, t_exit) in hits:
+                lo, hi = xray._grid_range(np.float64(t_enter), np.float64(t_exit), step)
                 if hi >= lo:
                     per_ray.add((elems, j * det.nu + i, int(lo), int(hi)))
     return batched, per_ray
