@@ -48,6 +48,20 @@ def _oracle_spec(oracle: str, radius: float, density: float, height: float):
     return bench.CylinderSpec(radius=radius, height=height)
 
 
+# error-map options that apply to one oracle only, with their defaults
+_ORACLE_OPTIONS = {"ball": ("density", 1.0), "cylinder": ("height", 0.1)}
+
+
+def _apply_oracle_options(args) -> None:
+    """Reject the other oracle's option; fill in the chosen oracle's default."""
+    for oracle, (option, default) in _ORACLE_OPTIONS.items():
+        if oracle == args.oracle:
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+        elif getattr(args, option) is not None:
+            args.usage_error(f"--{option} does not apply to --oracle {args.oracle}")
+
+
 def _cmd_render(args) -> int:
     cfg = io_text.parse_config(_read_text(args.config))
     if args.workers is not None:
@@ -191,11 +205,11 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True)
     p.add_argument("--oracle", choices=("ball", "cylinder"), required=True)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=0.1)
+    p.add_argument("--density", type=float, default=None, help="ball only (default 1.0)")
+    p.add_argument("--height", type=float, default=None, help="cylinder only (default 0.1)")
     p.add_argument("--out-grid", default="")
     p.add_argument("--out-pgm", default="")
-    p.set_defaults(func=_cmd_error_map)
+    p.set_defaults(func=_cmd_error_map, usage_error=p.error)
 
     p = sub.add_parser("info", help="print mesh/field counts")
     p.add_argument("--mesh", required=True)
@@ -209,6 +223,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "error-map":
+            _apply_oracle_options(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

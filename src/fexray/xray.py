@@ -24,10 +24,20 @@ hence inside that clip, so the clip drops only (sample, element) pairs
 Newton would reject.  The surviving samples go to ``membership_test`` in
 fixed-size lane batches, each lane carrying its own element id; the Newton
 reference frames of all elements are built once per render.
+
+The detector is rendered as contiguous row-major ray ranges (tiles) of
+``TILE_SAMPLES`` samples, counting each ray at the grid points on the
+longest chord of the model box along the rays, so a tile's transient
+arrays are bounded by the budget whatever the detector size.  Tile edges
+depend only on the detector, the model box, the step and the budget, never
+on the worker count, and every ray's samples, claims and sum stay inside
+one tile, so images and counters do not depend on the tiling.  ``workers``
+only sizes an ordered process pool over the tiles.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -262,12 +272,6 @@ def make_detector(
     return Detector(origin, axis_u, axis_v, normal, int(nu), int(nv), float(pitch))
 
 
-def default_face(box: Aabb) -> str:
-    """Emission face on the positive side of the longest box axis."""
-    axis = int(np.argmax(box.extents))
-    return ("+x", "+y", "+z")[axis]
-
-
 def _grid_range(t_enter, t_exit, step: float):
     """Global-grid sample index range [j_lo, j_hi] inside an interval.
 
@@ -351,12 +355,63 @@ def _clip_pairs(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     return kept, np.maximum(lo[kept, 2], h1), np.minimum(hi[kept, 2], h2)
 
 
+@dataclass(frozen=True)
+class _NodeFrame:
+    """An OBB tree node with the detector in its frame.
+
+    In the node's frame a ray's origin is c + a * u + b * v and its
+    direction d, for the ray at detector-frame (a, b).  ``children`` are
+    indices into the node list; a leaf has none and holds ``elements``.
+    """
+
+    box: Aabb
+    c: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    inv_d: np.ndarray
+    elements: np.ndarray | None
+    children: tuple[int, int] | None
+
+
+def _node_frames(mesh: Mesh, tree: ObbTree | None, det: Detector) -> list[_NodeFrame]:
+    """The tree in breadth-first order, root first, with the detector in each
+    node's frame; once per render, so tiles only test their rays.  Without a
+    tree (brute force) the one leaf is the model box, in the world frame,
+    holding every element."""
+    if tree is None:
+        with np.errstate(divide="ignore"):
+            inv_d = 1.0 / det.normal
+        all_elems = np.arange(mesh.n_elements, dtype=np.int64)
+        return [
+            _NodeFrame(model_aabb(mesh), det.origin, det.axis_u, det.axis_v, det.normal,
+                       inv_d, all_elems, None)
+        ]
+    order = [tree.root]
+    for node in order:  # visits the children appended on the way
+        if not node.is_leaf:
+            order += [node.left, node.right]
+    index = {id(node): k for k, node in enumerate(order)}
+    det_axes = np.stack([det.axis_u, det.axis_v, det.normal])
+    frames = []
+    for node in order:
+        basis = node.obb.basis
+        u, v, d = basis.rotate(det_axes)
+        with np.errstate(divide="ignore"):
+            inv_d = 1.0 / d
+        children = None if node.is_leaf else (index[id(node.left)], index[id(node.right)])
+        frames.append(
+            _NodeFrame(node.obb.box, basis.to_local(det.origin), u, v, d, inv_d,
+                       node.elements, children)
+        )
+    return frames
+
+
 @dataclass
 class _RenderContext:
     mesh: Mesh
     values: np.ndarray
-    tree: ObbTree | None
-    brute_box: Aabb | None
+    nodes: list[_NodeFrame]
     detector: Detector
     settings: IntegrationSettings
     want_mu: bool
@@ -367,18 +422,15 @@ class _RenderContext:
 
 
 def _render_context(mesh, field, detector, settings, model, tree, brute_force):
-    """Per-render state shared by all row blocks; builds the tree if none is given."""
+    """Per-render state shared by all tiles; builds the tree if none is given."""
     if brute_force:
         tree = None
-        brute_box = model_aabb(mesh)
     else:
         tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
-        brute_box = None
     return _RenderContext(
         mesh=mesh,
         values=field.values,
-        tree=tree,
-        brute_box=brute_box,
+        nodes=_node_frames(mesh, tree, detector),
         detector=detector,
         settings=settings,
         want_mu=model is not None and model.variant == "table",
@@ -397,13 +449,13 @@ def _lane_origins(c, u, v, a, b):
     return c + a[:, None] * u + b[:, None] * v
 
 
-def _block_rays(ctx: _RenderContext, v_lo: int, v_hi: int):
-    """Ray origins of detector rows [v_lo, v_hi) and their frame coordinates (a, b)."""
+def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
+    """Origins of the rays r_lo <= r < r_hi, ray r at pixel (r % nu, r // nu),
+    and their frame coordinates (a, b)."""
     det = ctx.detector
-    i_idx = np.tile(np.arange(det.nu, dtype=np.int64), v_hi - v_lo)
-    j_idx = np.repeat(np.arange(v_lo, v_hi, dtype=np.int64), det.nu)
-    a = i_idx * det.pitch
-    b = j_idx * det.pitch
+    r = np.arange(r_lo, r_hi, dtype=np.int64)
+    a = (r % det.nu) * det.pitch
+    b = (r // det.nu) * det.pitch
     return _lane_origins(det.origin, det.axis_u, det.axis_v, a, b), a, b
 
 
@@ -430,45 +482,31 @@ def _traverse_block(ctx: _RenderContext, ray_a: np.ndarray, ray_b: np.ndarray):
     """Vectorized tree traversal of the rays at detector-frame (a, b).
 
     Returns leaf records (elements, ray_ids, j_lo, j_hi): the rays with
-    samples inside the leaf box and their grid ranges.  In a node's frame a
-    ray's origin is c + a * U + b * V, with c, U, V the detector origin and
-    axes in that frame, so a node rotates four 3-vectors instead of every
-    ray origin.  Internal nodes test the lanes with ``_slab_hits``.  Leaf
-    nodes build the local origins and call ``slab_intervals`` on them: the
-    leaf-box slab calls define the render's samples, and a tracer may count
-    the samples from those calls alone.
+    samples inside the leaf box and their grid ranges.  A node's frame holds
+    the detector origin and axes (``_node_frames``), so a ray's local origin
+    is linear in (a, b) and no ray origin is rotated.  Internal nodes test
+    the lanes with ``_slab_hits``.  Leaf nodes build the local origins and
+    call ``slab_intervals`` on them: the leaf-box slab calls define the
+    render's samples, and a tracer may count the samples from those calls
+    alone.
     """
-    det = ctx.detector
     step = ctx.settings.step
     records = []
-    if ctx.tree is None:
-        box = ctx.brute_box
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / det.normal
-        origins = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a, ray_b)
-        te, tx, _ = slab_intervals(origins, inv_d, det.normal, box.pmin, box.pmax)
-        all_elems = np.arange(ctx.mesh.n_elements, dtype=np.int64)
-        _add_record(records, all_elems, np.arange(ray_a.size, dtype=np.int64), te, tx, step)
-        return records
-    det_axes = np.stack([det.axis_u, det.axis_v, det.normal])
-    stack = [(ctx.tree.root, np.arange(ray_a.size, dtype=np.int64))]
+    stack = [(0, np.arange(ray_a.size, dtype=np.int64))]
     while stack:
-        node, ids = stack.pop()
-        basis, box = node.obb.basis, node.obb.box
-        c = basis.to_local(det.origin)
-        u, v, d = basis.rotate(det_axes)
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d
+        k, ids = stack.pop()
+        node = ctx.nodes[k]
         a, b = ray_a[ids], ray_b[ids]
-        if node.is_leaf:
-            o_local = _lane_origins(c, u, v, a, b)
-            te, tx, _ = slab_intervals(o_local, inv_d, d, box.pmin, box.pmax)
+        if node.children is None:
+            o_local = _lane_origins(node.c, node.u, node.v, a, b)
+            te, tx, _ = slab_intervals(o_local, node.inv_d, node.d, node.box.pmin, node.box.pmax)
             _add_record(records, node.elements, ids, te, tx, step)
             continue
-        keep = ids[_slab_hits(c, u, v, d, inv_d, box, a, b)]
+        keep = ids[_slab_hits(node.c, node.u, node.v, node.d, node.inv_d, node.box, a, b)]
         if keep.size:
-            stack.append((node.right, keep))
-            stack.append((node.left, keep))
+            left, right = node.children
+            stack.append((right, keep))
+            stack.append((left, keep))
     return records
 
 
@@ -528,9 +566,13 @@ def _merge_records(records):
 
 
 # (ray, element) pairs clipped at once, and (sample, element) lanes per
-# membership_test call; both keep the transient arrays of a block bounded
+# membership_test call; both keep the transient arrays of a tile bounded
 PAIR_CHUNK = 16384
 NEWTON_CHUNK = 32768
+# samples per tile, counting every ray at the grid points on the longest
+# model box chord along the rays; bounds the per-tile arrays that scale
+# with the samples
+TILE_SAMPLES = 1 << 17
 
 
 def _pair_chunks(records, budget: int):
@@ -564,21 +606,20 @@ def _expand_pairs(parts):
     return tuple(np.concatenate(c) for c in zip(*cols))
 
 
-def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
+def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
+    """Projected density (and mu integral) of the rays [r_lo, r_hi), flat."""
     det = ctx.detector
     settings = ctx.settings
     step = settings.step
-    n_rays = (v_hi - v_lo) * det.nu
+    n_rays = r_hi - r_lo
     pd = np.zeros(n_rays)
     mu = np.zeros(n_rays) if ctx.want_mu else None
     stats = RenderStats(rays=n_rays)
 
-    origins, ray_a, ray_b = _block_rays(ctx, v_lo, v_hi)
+    origins, ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
     records = _traverse_block(ctx, ray_a, ray_b)
     if not records:
-        return pd.reshape(v_hi - v_lo, det.nu), (
-            mu.reshape(v_hi - v_lo, det.nu) if mu is not None else None
-        ), stats
+        return pd, mu, stats
 
     # global-grid samples, merged across overlapping leaf intervals
     records, s_ray, s_j = _merge_records(records)
@@ -649,19 +690,31 @@ def _render_block(ctx: _RenderContext, v_lo: int, v_hi: int):
             mu_samples[win_s] = ctx.model.mu_of_rho(cr[first])
             mu = np.bincount(s_ray, weights=step * mu_samples, minlength=n_rays)
 
-    return pd.reshape(v_hi - v_lo, det.nu), (
-        mu.reshape(v_hi - v_lo, det.nu) if mu is not None else None
-    ), stats
+    return pd, mu, stats
 
 
-def _worker_block(args):
-    v_lo, v_hi = args
-    return _render_block(_WORKER_CTX, v_lo, v_hi)
+def _worker_block(tile):
+    return _render_block(_WORKER_CTX, *tile)
 
 
 def _init_worker(ctx):
     global _WORKER_CTX
     _WORKER_CTX = ctx
+
+
+def _depth_points(box: Aabb, direction: np.ndarray, step: float) -> int:
+    """Global grid points on the longest chord of ``box`` along the unit
+    ``direction``: the samples a ray through the model box can hold."""
+    d = np.abs(direction)
+    along = d > 0.0
+    chord = float(np.min(box.extents[along] / d[along]))
+    return math.floor(chord / step) + 1
+
+
+def _ray_tiles(n_rays: int, depth_points: int) -> list[tuple[int, int]]:
+    """Contiguous ray ranges [lo, hi) of at most ``TILE_SAMPLES`` samples."""
+    per_tile = max(1, TILE_SAMPLES // depth_points)
+    return [(lo, min(lo + per_tile, n_rays)) for lo in range(0, n_rays, per_tile)]
 
 
 def render(
@@ -678,7 +731,9 @@ def render(
 
     ``brute_force`` drops the OBB tree: every ray samples the model box
     interval and every element is a candidate (same ordering rule); on any
-    mesh this is bitwise-identical to the accelerated path.  Images are also
+    mesh this is bitwise-identical to the accelerated path.  The rays run
+    in tiles of a fixed sample budget, serially or, for ``workers`` > 1, in
+    an ordered pool of up to ``workers`` processes; images are
     bitwise-identical across worker counts.
     """
     if len(field) != mesh.n_nodes:
@@ -688,7 +743,8 @@ def render(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    if float(np.linalg.norm(model_aabb(mesh).extents)) / settings.step >= 2**31:
+    box = model_aabb(mesh)
+    if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
     if tree is not None and tree.n_elements != mesh.n_elements:
         raise ValueError(
@@ -696,19 +752,28 @@ def render(
         )
     ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force)
 
-    blocks = _split_rows(detector.nv, workers)
-    if workers == 1:
-        results = [_render_block(ctx, lo, hi) for lo, hi in blocks]
-    else:
-        import multiprocessing as mp
-
-        with mp.get_context().Pool(workers, initializer=_init_worker, initargs=(ctx,)) as pool:
-            results = pool.map(_worker_block, blocks)
-
-    density = np.vstack([r[0] for r in results])
+    tiles = _ray_tiles(detector.n_rays, _depth_points(box, detector.normal, settings.step))
+    density = np.empty(detector.n_rays)
+    mu = np.empty(detector.n_rays) if ctx.want_mu else None
     stats = RenderStats()
-    for r in results:
-        stats.merge(r[2])
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = (_render_block(ctx, lo, hi) for lo, hi in tiles)
+        else:
+            import multiprocessing as mp
+
+            pool = stack.enter_context(
+                mp.get_context().Pool(
+                    min(workers, len(tiles)), initializer=_init_worker, initargs=(ctx,)
+                )
+            )
+            results = pool.imap(_worker_block, tiles)
+        for (lo, hi), (tile_pd, tile_mu, tile_stats) in zip(tiles, results):
+            density[lo:hi] = tile_pd
+            if mu is not None:
+                mu[lo:hi] = tile_mu
+            stats.merge(tile_stats)
+    density = density.reshape(detector.nv, detector.nu)
     stats.wall_time = time.perf_counter() - t0
 
     intensity = None
@@ -718,16 +783,10 @@ def render(
         elif model.variant == "linear":
             integral = model.kappa * density
         else:
-            integral = np.vstack([r[1] for r in results])
+            integral = mu.reshape(detector.nv, detector.nu)
         intensity = attenuate(integral, model)
 
     return ProjectionImage(density, detector.pitch, intensity, stats)
-
-
-def _split_rows(nv: int, workers: int) -> list[tuple[int, int]]:
-    n_blocks = min(workers, nv)
-    edges = np.linspace(0, nv, n_blocks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
 def image_mass(img: ProjectionImage) -> float:

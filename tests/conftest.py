@@ -75,6 +75,12 @@ def mesh_from_corner_tets(vertices, tets) -> Mesh:
     return Mesh(np.array(nodes), np.array(elements, dtype=np.int64))
 
 
+def default_face(box) -> str:
+    """Emission face on the positive side of the longest box axis."""
+    axis = int(np.argmax(box.extents))
+    return ("+x", "+y", "+z")[axis]
+
+
 def random_simplex_points(rng, n) -> np.ndarray:
     """Uniform samples from the reference tetrahedron, shape (n, 3)."""
     out = np.empty((n, 3))

@@ -249,3 +249,18 @@ class TestErrorMapConfig:
         out = capsys.readouterr().out
         assert f"at pixel ({imax}, {jmax}), impact parameter {b[jmax, imax]:.6g} cm" in out
         assert err.max() > 0.0
+
+    @pytest.mark.parametrize(
+        "oracle, option", [("cylinder", "density"), ("ball", "height")]
+    )
+    def test_option_of_other_oracle_is_usage_error(self, tmp_path, capsys, oracle, option):
+        # the grid does not exist: a usage error (1) must come before the
+        # file check, which would exit 2
+        rc = main(
+            ["error-map", "--grid", str(tmp_path / "none.fgrid"), "--oracle", oracle,
+             f"--{option}", "2.0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--{option} does not apply to --oracle {oracle}" in err
+        assert "usage: fexray error-map" in err

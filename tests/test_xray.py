@@ -29,13 +29,12 @@ from fexray.xray import (
     IntegrationSettings,
     ProjectionImage,
     attenuate,
-    default_face,
     error_map,
     image_mass,
     make_detector,
     render,
 )
-from tests.conftest import single_tet_mesh
+from tests.conftest import default_face, single_tet_mesh
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
@@ -474,6 +473,13 @@ def counters(stats):
     return out
 
 
+TABLE_MODEL = AttenuationModel(
+    "table",
+    table_rho=np.array([0.0, 0.5, 1.0, 2.0]),
+    table_mu=np.array([0.0, 0.3, 0.716, 2.251]),
+)
+
+
 class TestPairPass:
     @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball64"])
     def test_chunk_size_invariance(self, monkeypatch, name, ball_mesh_field):
@@ -482,15 +488,10 @@ class TestPairPass:
         mesh, field = ball_mesh_field if name == "ball64" else golden_scene(name)
         det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=36.0)
         settings = IntegrationSettings(step=0.05)
-        model = AttenuationModel(
-            "table",
-            table_rho=np.array([0.0, 0.5, 1.0, 2.0]),
-            table_mu=np.array([0.0, 0.3, 0.716, 2.251]),
-        )
 
         def renders():
             return [
-                render(mesh, field, det, settings, model=model, brute_force=brute)
+                render(mesh, field, det, settings, model=TABLE_MODEL, brute_force=brute)
                 for brute in (False, True)
             ]
 
@@ -520,6 +521,68 @@ class TestPairPass:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0], peaks
+
+
+class TestTiles:
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_tile_budget_invariance(self, monkeypatch, name):
+        # each ray's samples, claims and sum stay inside one tile, so no
+        # budget changes a byte or a counter, serially or in the pool
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=36.0)
+        settings = IntegrationSettings(step=0.05)
+        depth = xray._depth_points(model_aabb(mesh), det.normal, settings.step)
+        budgets = {
+            "one ray": 1,
+            "mid-row": (det.nu + 3) * depth,
+            "default": xray.TILE_SAMPLES,
+            "whole detector": det.n_rays * depth,
+        }
+
+        def render_both(workers):
+            return [
+                render(mesh, field, det, settings, model=TABLE_MODEL,
+                       workers=workers, brute_force=brute)
+                for brute in (False, True)
+            ]
+
+        ref = render_both(1)
+        for label, budget in budgets.items():
+            monkeypatch.setattr(xray, "TILE_SAMPLES", budget)
+            tiles = xray._ray_tiles(det.n_rays, depth)
+            if label == "one ray":
+                assert len(tiles) == det.n_rays
+            elif label == "mid-row":
+                assert len(tiles) > 1 and (tiles[0][1] - tiles[0][0]) % det.nu != 0
+            elif label == "whole detector":
+                assert tiles == [(0, det.n_rays)]
+            for workers in (1, 2):
+                for a, b in zip(ref, render_both(workers)):
+                    assert a.density.tobytes() == b.density.tobytes(), (label, workers)
+                    assert a.intensity.tobytes() == b.intensity.tobytes(), (label, workers)
+                    assert counters(a.stats) == counters(b.stats), (label, workers)
+                    assert a.stats.pairs_inside > 0
+
+    def test_memory_bounded_by_tile_budget(self, monkeypatch):
+        # with 16 rays per tile, 16x the rays must not grow the traced peak
+        # with the detector: only the output grids scale with it
+        mesh, field = golden_scene("ball8")
+        box = model_aabb(mesh)
+        settings = IntegrationSettings(step=0.05)
+        span = float(box.extents.max())
+        peaks = []
+        for n in (16, 64):
+            det = make_detector(box, "+z", pitch=span / n, nu=n, nv=n)
+            depth = xray._depth_points(box, det.normal, settings.step)
+            monkeypatch.setattr(xray, "TILE_SAMPLES", 16 * depth)
+            tracemalloc.start()
+            try:
+                img = render(mesh, field, det, settings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert img.stats.pairs_inside > 0
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def _frame_detector(origin, d):
@@ -700,10 +763,11 @@ def _oblique_detector(mesh):
     return Detector(center - 3.0 * half * n - half * (u + v), u, v, n, 17, 13, 2.0 * half / 14)
 
 
-def _leaf_ranges(ctx):
-    """{(elements, ray, j_lo, j_hi)} of the non-empty leaf ranges, batched and per ray."""
+def _leaf_ranges(ctx, tree):
+    """{(elements, ray, j_lo, j_hi)} of the non-empty leaf ranges, batched and
+    per ray; no tree is brute force."""
     det, step = ctx.detector, ctx.settings.step
-    _, a, b = xray._block_rays(ctx, 0, det.nv)
+    _, a, b = xray._block_rays(ctx, 0, det.n_rays)
     batched = {
         (tuple(elems), int(r), int(lo), int(hi))
         for elems, ids, j_lo, j_hi in xray._traverse_block(ctx, a, b)
@@ -714,14 +778,14 @@ def _leaf_ranges(ctx):
     for j in range(det.nv):
         for i in range(det.nu):
             ray = detector_ray(det, i, j)
-            if ctx.tree is None:
-                box = ctx.brute_box
+            if tree is None:
+                box = model_aabb(ctx.mesh)
                 te, tx, hit = slab_intervals(
                     ray.origin, ray.inv_direction, ray.direction, box.pmin, box.pmax
                 )
                 hits = [(all_elems, (te, tx))] if hit else []
             else:
-                hits = [(tuple(node.elements), hit) for node, hit in traverse(ctx.tree, ray)]
+                hits = [(tuple(node.elements), hit) for node, hit in traverse(tree, ray)]
             for elems, (t_enter, t_exit) in hits:
                 lo, hi = xray._grid_range(np.float64(t_enter), np.float64(t_exit), step)
                 if hi >= lo:
@@ -771,9 +835,10 @@ class TestTraversal:
             det = _oblique_detector(mesh)
         else:
             det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
-        settings = IntegrationSettings(step=0.02, max_leaf_elements=leaf_size or 1)
-        ctx = xray._render_context(mesh, field, det, settings, None, None, leaf_size is None)
-        batched, per_ray = _leaf_ranges(ctx)
+        settings = IntegrationSettings(step=0.02)
+        tree = None if leaf_size is None else build_obb_tree(mesh, leaf_size)
+        ctx = xray._render_context(mesh, field, det, settings, None, tree, leaf_size is None)
+        batched, per_ray = _leaf_ranges(ctx, tree)
         assert batched == per_ray
         assert batched
         if leaf_size is not None:
