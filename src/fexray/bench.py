@@ -19,6 +19,9 @@ from .mesh import EDGE_VERTICES, Mesh, NodalField, boundary_faces
 # rings and a slightly larger value biases it away from the axis.
 DISK_SECTORS = 14
 DISK_GRADING = 2.1
+# oracle pixels whose impact parameter is at most the radius minus this many
+# pitches are interior: the rim pixels, cut by the mesh facets, are not
+INTERIOR_PITCHES = 2.0
 
 
 @dataclass(frozen=True)

@@ -92,14 +92,19 @@ def _cmd_render(args) -> int:
         mesh, field, detector, settings, model=model,
         workers=cfg.workers, brute_force=args.brute_force,
     )
+    # graymap window; window_max defaults to the max pixel, which the config
+    # check cannot compare with window_min
+    wmax = float(img.density.max()) if cfg.window_max is None else cfg.window_max
+    if cfg.out_pgm and not cfg.window_min < wmax:
+        raise io_text.ValidationError(
+            f"window_min {cfg.window_min:g} is not below the max pixel {wmax:g}; set window_max"
+        )
     if cfg.out_density:
         grid = io_text.FloatGrid(img.nu, img.nv, img.pitch, img.density)
         Path(cfg.out_density).write_bytes(io_text.write_float_grid(grid))
     if cfg.out_pgm:
-        wmax = cfg.window_max
-        window = None if wmax is None else (cfg.window_min, wmax)
         Path(cfg.out_pgm).write_bytes(
-            io_text.write_graymap(img.density, cfg.pgm_bits, window)
+            io_text.write_graymap(img.density, cfg.pgm_bits, (cfg.window_min, wmax))
         )
     if cfg.out_error:
         spec = _oracle_spec(cfg.oracle, cfg.oracle_radius, cfg.oracle_density, cfg.oracle_height)
@@ -150,6 +155,14 @@ def _cmd_error_map(args) -> int:
         f"max error {err.max():.6g} g/cm^2 at pixel ({imax}, {jmax}), "
         f"impact parameter {b[jmax, imax]:.6g} cm"
     )
+    interior = b <= spec.radius - bench.INTERIOR_PITCHES * grid.pitch
+    if interior.any():
+        jin, iin = np.unravel_index(int(np.argmax(np.where(interior, err, -1.0))), err.shape)
+        print(
+            f"interior max error {err[jin, iin]:.6g} g/cm^2 at pixel ({iin}, {jin}), "
+            f"impact parameter {b[jin, iin]:.6g} cm "
+            f"(b <= radius - {bench.INTERIOR_PITCHES:g} pitches)"
+        )
     print(f"mean error {err.mean():.6g} g/cm^2")
     if args.out_grid:
         Path(args.out_grid).write_bytes(

@@ -97,7 +97,6 @@ class _ElementFrames:
     curved: np.ndarray  # (n,) some bulge is nonzero
     warm: np.ndarray  # (n,) sum_e |M_e| < WARM_BULGE: Newton starts from lam
     singular: np.ndarray  # (n,)
-    nodes: np.ndarray  # (n_nodes, n, 3), for the physical residual check
     diam: np.ndarray  # (n,) node bounding-box diagonal
 
 
@@ -146,7 +145,6 @@ def _element_frames(nodes: np.ndarray) -> _ElementFrames:
         warm=sum(np.sqrt(m[0, j] ** 2 + m[1, j] ** 2 + m[2, j] ** 2) for j in range(6))
         < WARM_BULGE,
         singular=singular,
-        nodes=np.ascontiguousarray(nodes.transpose(1, 0, 2)),
         diam=np.sqrt(ext[:, 0] ** 2 + ext[:, 1] ** 2 + ext[:, 2] ** 2),
     )
 
@@ -318,13 +316,16 @@ def membership_test(
         cols = ids
     if ids.size == 1:
         cols = np.broadcast_to(cols, points.shape[:1])
+        ids = np.broadcast_to(ids, points.shape[:1])
     xi, converged, iters = _solve(frames, cols, points, settings)
     inside = converged & in_hull(xi, geom_tol)
     if inside.any():
         idx = np.flatnonzero(inside)
-        lane = cols[idx]
-        res = map_points(frames.nodes.take(lane, axis=1), xi[idx], mesh.order) - points[idx]
+        # the lanes' element nodes, (n_nodes, k, 3); take on the transposed
+        # connectivity keeps both gathers contiguous
+        nodes = mesh.nodes.take(mesh.elements.T.take(ids[idx], axis=1), axis=0)
+        res = map_points(nodes, xi[idx], mesh.order) - points[idx]
         res_norm = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2 + res[:, 2] ** 2)
-        inside[idx[res_norm > RESIDUAL_REL * frames.diam[lane]]] = False
+        inside[idx[res_norm > RESIDUAL_REL * frames.diam[cols[idx]]]] = False
     return inside, xi, iters, converged
 

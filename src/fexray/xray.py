@@ -11,9 +11,9 @@ brute-force and multi-worker paths produce bitwise-identical images.
 ``render`` traverses the tree in detector-frame coordinates: all rays share
 one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
 its origin in any box frame is linear in its pixel offsets (a, b).  Each
-leaf record's depth interval becomes a grid range; the ranges are merged
-per ray into the sample list, and each record entry keeps the offset that
-maps its grid indices to sample indices.
+leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
+sample is its grid point (ray, j): Newton lanes carry it, and all claims
+on one (ray, j), from overlapping ranges too, are resolved together.
 
 Point location then runs as one pass over (ray, element) pairs, taken from
 the leaf records in chunks of bounded size.  Each pair's ray is clipped
@@ -164,11 +164,12 @@ def attenuate(projected_mu_integral: float, model: AttenuationModel):
 
 @dataclass
 class RenderStats:
-    """Render counters; ``pairs_tested`` counts (sample, element) pairs sent
-    to Newton, ``pairs_inside`` those accepted.  ``newton_iterations`` counts
-    Newton kernel iterations: a lane of a straight element, solved in closed
-    form, counts 1, and computing the corner-tetrahedron start is not
-    counted."""
+    """Render counters; ``samples`` counts the grid points inside the union
+    of the leaf boxes a ray hits, ``pairs_tested`` the (sample, element)
+    pairs sent to Newton, ``pairs_inside`` those accepted.
+    ``newton_iterations`` counts Newton kernel iterations: a lane of a
+    straight element, solved in closed form, counts 1, and computing the
+    corner-tetrahedron start is not counted."""
 
     rays: int = 0
     samples: int = 0
@@ -519,50 +520,21 @@ def _add_record(records, elems, ids, t_enter, t_exit, step: float):
         records.append((elems, ids[full], j_lo[full], j_hi[full]))
 
 
-def _merge_ranges(ray: np.ndarray, j_lo: np.ndarray, j_hi: np.ndarray):
-    """Per-ray union of at least one non-empty grid range [j_lo, j_hi].
+def _count_samples(records) -> int:
+    """Grid points in the per-ray union of the leaf records' ranges.
 
-    Returns (s_ray, s_j, base): the samples in (ray, j) order, and per range
-    the offset that makes base + j the index of sample (ray, j) for every j
-    in the range.  Ranges are sorted by (ray, j_lo) and a range that starts
-    at most one past the running maximum of the ray's earlier ends joins
-    their merged run.  Grid indices are non-negative.
+    With the ranges sorted by (ray, j_lo), each adds the points past the
+    farthest end of the ranges before it.  Ray-major keys ray * span + j
+    sort by (ray, j) and keep the running maximum inside the ray.
     """
-    # ray-major keys: sorting them sorts by (ray, j_lo), and their running
-    # maximum restarts with every ray
-    span = int(j_hi.max()) + 2
-    key = ray * span
-    key += j_lo
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    r = ray[order]
-    reach = r * span
-    reach += j_hi[order]
-    np.maximum.accumulate(reach, out=reach)
-    start = np.empty(order.size, dtype=bool)
-    start[0] = True
-    np.greater(key[1:], reach[:-1] + 1, out=start[1:])
-    del key
-    first = np.flatnonzero(start)
-    last = np.append(first[1:] - 1, order.size - 1)
-    run_lo = j_lo[order[first]]
-    counts = reach[last] - r[last] * span - run_lo + 1
-    run_base = np.cumsum(counts) - counts - run_lo
-    base = np.empty(ray.size, dtype=np.int64)
-    base[order] = np.repeat(run_base, np.diff(np.append(first, order.size)))
-    return np.repeat(r[first], counts), _ragged_arange(run_lo, counts), base
-
-
-def _merge_records(records):
-    """Samples of the leaf records and the records with their sample offsets.
-
-    Returns (records, s_ray, s_j): each record gains a fifth column, base,
-    with base + j the index of its ray's sample j.  The merge temporaries
-    die with this call.
-    """
-    s_ray, s_j, base = _merge_ranges(*(np.concatenate(c) for c in list(zip(*records))[1:]))
-    ends = np.cumsum([rec[1].size for rec in records])
-    return [rec + (b,) for rec, b in zip(records, np.split(base, ends[:-1]))], s_ray, s_j
+    ray, j_lo, j_hi = (np.concatenate(c) for c in list(zip(*records))[1:])
+    span = int(j_hi.max()) + 1
+    lo = ray * span + j_lo
+    order = np.argsort(lo)
+    lo = lo[order]
+    hi = (ray * span + j_hi)[order]
+    reach = np.maximum.accumulate(np.concatenate(([lo[0] - 1], hi[:-1])))
+    return int(np.maximum(hi - np.maximum(reach, lo - 1), 0).sum())
 
 
 # (ray, element) pairs clipped at once, and (sample, element) lanes per
@@ -576,11 +548,11 @@ TILE_SAMPLES = 1 << 17
 
 
 def _pair_chunks(records, budget: int):
-    """Yield (ray, element, j_lo, j_hi, base) arrays, one entry per (ray, element) pair.
+    """Yield (ray, element, j_lo, j_hi) arrays, one entry per (ray, element) pair.
 
     Leaf records are packed whole up to ``budget`` pairs; a larger record is
     split by rays, so only a single ray meeting more than ``budget`` elements
-    makes a larger chunk.  ``j_lo``/``j_hi``/``base`` are the record's.
+    makes a larger chunk.  ``j_lo``/``j_hi`` are the record's.
     """
     parts, size = [], 0
     for elems, ids, *cols in records:
@@ -621,22 +593,19 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     if not records:
         return pd, mu, stats
 
-    # global-grid samples, merged across overlapping leaf intervals
-    records, s_ray, s_j = _merge_records(records)
-    pts = origins[s_ray] + ((s_j + 0.5) * step)[:, None] * det.normal
-    m = s_ray.shape[0]
-    stats.samples = m
-    del s_j
-
+    stats.samples = _count_samples(records)
+    # a sample is its grid point (ray, j); claims are keyed ray * span + j,
+    # which sorts like (ray, j)
+    span = max(int(rec[3].max()) for rec in records) + 1
     d = det.normal
     # candidate samples per (ray, element) pair: those inside the element
     # clip, intersected with the record's own range so each (sample, element)
     # claim arises once
-    claims_s: list[np.ndarray] = []
+    claims_k: list[np.ndarray] = []
     claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    for ray, elem, rec_jlo, rec_jhi, base in _pair_chunks(records, PAIR_CHUNK):
+    for ray, elem, rec_jlo, rec_jhi in _pair_chunks(records, PAIR_CHUNK):
         kept, t_in, t_out = _clip_pairs(ctx.clip, ray_a[ray], ray_b[ray], elem)
         j1, j2 = _grid_range(t_in, t_out, step)
         j1 = np.maximum(j1, rec_jlo[kept])
@@ -648,16 +617,18 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         ray, elem, j1 = ray[kept], elem[kept], j1[keep]
         counts = j2[keep] - j1 + 1
         t_guess, _ = tet_entry(origins[ray], d, ctx.corners[elem])
-        sidx = _ragged_arange(base[kept] + j1, counts)
+        lane_r = np.repeat(ray, counts)
+        lane_j = _ragged_arange(j1, counts)
         lane_e = np.repeat(elem, counts)
         lane_t = np.repeat(t_guess, counts)
-        for lo in range(0, sidx.size, NEWTON_CHUNK):
+        for lo in range(0, lane_j.size, NEWTON_CHUNK):
             ch = slice(lo, lo + NEWTON_CHUNK)
-            s_ch, e_ch = sidx[ch], lane_e[ch]
+            r_ch, j_ch, e_ch = lane_r[ch], lane_j[ch], lane_e[ch]
+            pts = origins[r_ch] + ((j_ch + 0.5) * step)[:, None] * d
             inside, xi, iters, converged = membership_test(
-                ctx.mesh, e_ch, pts[s_ch], settings.newton, settings.geom_tol, ctx.frames
+                ctx.mesh, e_ch, pts, settings.newton, settings.geom_tol, ctx.frames
             )
-            stats.pairs_tested += s_ch.size
+            stats.pairs_tested += e_ch.size
             stats.pairs_inside += int(np.count_nonzero(inside))
             stats.newton_iterations += int(iters.sum())
             stats.non_converged += int(np.count_nonzero(~converged))
@@ -669,26 +640,23 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
                     ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order
                 )
             )
-            claims_s.append(s_ch[inside])
+            claims_k.append(r_ch[inside] * span + j_ch[inside])
             claims_t.append(lane_t[ch][inside])
             claims_e.append(e_in)
 
-    if claims_s:
-        cs = np.concatenate(claims_s)
+    if claims_k:
+        ck = np.concatenate(claims_k)
         ct = np.concatenate(claims_t)
         ce = np.concatenate(claims_e)
         cr = np.concatenate(claims_rho)
         # winner per sample: first candidate in (entry t, element id) order
-        perm = np.lexsort((ce, ct, cs))
-        cs, cr = cs[perm], cr[perm]
-        win_s, first = np.unique(cs, return_index=True)
-        rho_samples = np.zeros(m)
-        rho_samples[win_s] = cr[first]
-        pd = np.bincount(s_ray, weights=step * rho_samples, minlength=n_rays)
+        perm = np.lexsort((ce, ct, ck))
+        ck, cr = ck[perm], cr[perm]
+        win, first = np.unique(ck, return_index=True)
+        win_ray, rho = win // span, cr[first]
+        pd = np.bincount(win_ray, weights=step * rho, minlength=n_rays)
         if ctx.want_mu:
-            mu_samples = np.zeros(m)
-            mu_samples[win_s] = ctx.model.mu_of_rho(cr[first])
-            mu = np.bincount(s_ray, weights=step * mu_samples, minlength=n_rays)
+            mu = np.bincount(win_ray, weights=step * ctx.model.mu_of_rho(rho), minlength=n_rays)
 
     return pd, mu, stats
 

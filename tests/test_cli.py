@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fexray.bench import BallSpec, CylinderSpec, projection_oracle
 from fexray.cli import main
-from fexray.io_text import read_float_grid
+from fexray.io_text import read_float_grid, write_graymap
 from tests.conftest import folded_quadratic_nodes
 
 
@@ -166,6 +168,26 @@ class TestGraymapDeterminism:
             pgms.append((tmp_path / name).read_bytes())
         assert pgms[0] == pgms[1]
 
+    def test_window_min_without_window_max(self, tmp_path, ball_files):
+        # the window is [window_min, max pixel]
+        mesh, field = ball_files
+        grid, pgm = tmp_path / "d.fgrid", tmp_path / "d.pgm"
+        for wmin in (0.0, 1.0):
+            cfg = write_config(
+                tmp_path, mesh, field, out_density=grid, out_pgm=pgm, window_min=wmin
+            )
+            assert main(["render", "--config", str(cfg)]) == 0
+            density = read_float_grid(grid.read_bytes()).values
+            assert pgm.read_bytes() == write_graymap(density, 8, (wmin, density.max()))
+        assert (density < 1.0).any() and (density > 0.0).any()
+
+    def test_window_min_not_below_max_pixel(self, tmp_path, ball_files, capsys):
+        mesh, field = ball_files
+        cfg = write_config(tmp_path, mesh, field, out_pgm=tmp_path / "d.pgm", window_min=5.0)
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert "window_min 5 is not below the max pixel" in capsys.readouterr().err
+        assert not (tmp_path / "d.pgm").exists()
+
 
 class TestErrorMapConfig:
     def test_render_config_error_output(self, tmp_path, ball_files):
@@ -211,6 +233,27 @@ class TestErrorMapConfig:
         assert rc == 0
         out = capsys.readouterr().out
         assert "max error" in out
+
+    def test_interior_error_on_cylinder_recipe(self, tmp_path, capsys):
+        # the README cylinder recipe: the max error is a rim pixel, the
+        # interior error (b <= radius - 2 pitches) stays within the bound
+        mesh, field, grid = (tmp_path / n for n in ("c.mesh", "c.field", "c.fgrid"))
+        assert main(["generate-cylinder", "--out-mesh", str(mesh), "--out-field", str(field)]) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"mesh = {mesh}\nfield = {field}\nface = +z\nrays_per_cm2 = 10000\n"
+            f"step = 0.1\nout_density = {grid}\n"
+        )
+        assert main(["render", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["error-map", "--grid", str(grid), "--oracle", "cylinder"]) == 0
+        out = capsys.readouterr().out
+        pattern = r"^{}max error (\S+) g/cm\^2 at pixel \(\d+, \d+\), impact parameter (\S+) cm"
+        err, b = map(float, re.search(pattern.format(""), out, re.M).groups())
+        assert err > 0.05 and b > 0.99
+        err, b = map(float, re.search(pattern.format("interior "), out, re.M).groups())
+        assert err < 1.5e-4 and b <= 1.0 - 2 * 0.01
+        assert "(b <= radius - 2 pitches)" in out
 
     @pytest.mark.parametrize(
         "oracle, option, value",

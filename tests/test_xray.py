@@ -736,19 +736,8 @@ class TestSampleMerge:
         assert kept == rows
         if not records:
             return
-        merged, s_ray, s_j = xray._merge_records(records)
         keys = np.unique([(r << 32) + j for _, r, lo, hi in rows for j in range(lo, hi + 1)])
-        np.testing.assert_array_equal(s_ray, keys >> 32)
-        np.testing.assert_array_equal(s_j, keys & ((1 << 32) - 1))
-        assert len(merged) == len(records)
-        for rec, (*cols, base) in zip(records, merged):
-            for a, b in zip(rec, cols):
-                np.testing.assert_array_equal(a, b)
-            _, ids, j_lo, j_hi = rec
-            for r, lo, hi, b in zip(ids, j_lo, j_hi, base):
-                idx = b + np.arange(lo, hi + 1)
-                assert (s_ray[idx] == r).all()
-                np.testing.assert_array_equal(s_j[idx], np.arange(lo, hi + 1))
+        assert xray._count_samples(records) == keys.size
 
 
 def _oblique_detector(mesh):
@@ -843,3 +832,42 @@ class TestTraversal:
         assert batched
         if leaf_size is not None:
             assert len({elems for elems, *_ in batched}) > 1
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+class TestTraceContract:
+    """The benchmark's tracer must see every call it counts: its leaf-box
+    sample count and its membership_test counts equal ``RenderStats``."""
+
+    @pytest.fixture()
+    def tracing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracing
+
+        return tracing
+
+    def test_targets_resolve(self, tracing):
+        for module, attr, _, _ in tracing.TARGETS:
+            assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_traced_counts_match_render_stats(self, tracing, name):
+        mesh, field = golden_scene(name)
+        tree = build_obb_tree(mesh, 3)
+        det = make_detector(model_aabb(mesh), "+y", rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        tracer = tracing.Tracer()
+        counter = tracing.LeafSampleCounter(tree, det, settings.step)
+        tracer.slab_observer = counter
+        with tracer.installed():
+            img = xray.render(mesh, field, det, settings, tree=tree)
+        root = next(s.id for s in tracer.spans if s.name == "xray.render")
+        totals = tracing.subtree_totals(tracer.spans, root)
+        stats = img.stats
+        assert counter.take() == stats.samples > 0
+        assert totals.count("locate.membership_test", "lanes") == stats.pairs_tested
+        assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
+        assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
+        assert totals.call_count("raycast.slab_intervals") > 0
