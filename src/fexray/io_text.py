@@ -379,18 +379,3 @@ def parse_config(text: str) -> RenderConfig:
     if problems:
         raise ValidationError("invalid configuration:\n  " + "\n  ".join(problems))
     return cfg
-
-
-def serialize_config(cfg: RenderConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) round-trips."""
-    lines = []
-    for f in fields(RenderConfig):
-        v = getattr(cfg, f.name)
-        if v is None or v == "" or (f.name == "table" and not v):
-            continue
-        if f.name == "table":
-            v = ", ".join(f"{r:.17g}:{m:.17g}" for r, m in v)
-        elif isinstance(v, float):
-            v = f"{v:.17g}"
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ produce bitwise-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,29 +272,6 @@ def interpolate_values(values: np.ndarray, xi: np.ndarray, order: str = "quadrat
     for i in range(1, values.shape[0]):
         out = out + n[..., i] * values[i]
     return out
-
-
-def jacobian(nodes: np.ndarray, xi: np.ndarray, order: str = "quadratic") -> np.ndarray:
-    """Jacobian J_ab = d(map)_a / dxi_b at xi, shape (..., 3, 3)."""
-    dn = shape_gradients(xi, order)
-    jac = dn[..., 0, None, :] * nodes[0][:, None]
-    for i in range(1, nodes.shape[0]):
-        jac = jac + dn[..., i, None, :] * nodes[i][:, None]
-    return jac
-
-
-def local_to_global(mesh: Mesh, e: int, xi: np.ndarray) -> np.ndarray:
-    """Global coordinates of reference point xi inside element e."""
-    return map_points(mesh.element_nodes(e), xi, mesh.order)
-
-
-def interpolate(field: NodalField, mesh: Mesh, e: int, xi: np.ndarray) -> np.ndarray:
-    """Field value at reference point xi inside element e."""
-    if len(field) != mesh.n_nodes:
-        raise ValueError(
-            f"field length {len(field)} does not match mesh node count {mesh.n_nodes}"
-        )
-    return interpolate_values(field.values[mesh.elements[e]], xi, mesh.order)
 
 
 def boundary_faces(mesh: Mesh) -> np.ndarray:

@@ -1,9 +1,17 @@
-"""Surface PCA, convex hulls, oriented bounding boxes and the OBB tree.
+"""Surface PCA, oriented bounding boxes and the OBB tree.
 
-Boxes are fitted to element *bounding points*: the ten element nodes plus one
+Boxes are fitted to element *bounding points*: the element nodes plus one
 quadratic Bezier control point per edge (2*m - (p0+p1)/2 for midnode m).  The
 control net encloses each curved edge, so a box around the bounding points
 also encloses the curved element geometry.
+
+The OBB tree is built one level at a time over a point table that holds each
+corner node once and each edge control point once.  Midnodes are left out:
+m = p0/4 + p1/4 + c/2 is a convex combination of the edge ends and the
+control point c, so neither a hull nor a box needs it.  qhull runs once per
+node on the node's table rows; the hull-surface PCA, the box fit and the
+split test run once per level over all nodes of that level, and a node's
+result depends only on its own elements.
 """
 
 from __future__ import annotations
@@ -62,19 +70,22 @@ class Basis:
 
 
 def _rotate_components(rows, d0, d1, d2):
-    # explicit fixed-order expressions keep scalar and batched calls bitwise equal
+    # explicit fixed-order expressions keep scalar and batched calls bitwise
+    # equal; ``rows`` is one (3, 3) matrix or one per point, (..., 3, 3)
     out = np.stack(
         [
-            rows[0, 0] * d0 + rows[0, 1] * d1 + rows[0, 2] * d2,
-            rows[1, 0] * d0 + rows[1, 1] * d1 + rows[1, 2] * d2,
-            rows[2, 0] * d0 + rows[2, 1] * d1 + rows[2, 2] * d2,
+            rows[..., 0, 0] * d0 + rows[..., 0, 1] * d1 + rows[..., 0, 2] * d2,
+            rows[..., 1, 0] * d0 + rows[..., 1, 1] * d1 + rows[..., 1, 2] * d2,
+            rows[..., 2, 0] * d0 + rows[..., 2, 1] * d1 + rows[..., 2, 2] * d2,
         ],
         axis=-1,
     )
     return out
 
 
-IDENTITY_BASIS_ROWS = np.eye(3)
+def _rotate(rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rotate vectors ``d`` (..., 3) by per-vector rows (..., 3, 3)."""
+    return _rotate_components(rows, d[..., 0], d[..., 1], d[..., 2])
 
 
 @dataclass(frozen=True)
@@ -126,83 +137,80 @@ def triangles_centroid_area(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroids, areas
 
 
+# segment starts of a single segment
+_ONE_SEGMENT = np.zeros(1, dtype=np.int64)
+
+
+def _weighted_centers(centers, weights, starts):
+    """Weighted mean of ``centers`` per segment, and the weight sums.
+
+    Segment i holds the rows from ``starts[i]`` up to the next start; every
+    segment is non-empty.  Each segment is reduced on its own, so its result
+    does not depend on the other segments.
+    """
+    total = np.add.reduceat(weights, starts)
+    mu = np.add.reduceat(weights[:, None] * centers, starts, axis=0) / total[:, None]
+    return mu, total
+
+
+def _covariances(centers, weights, starts, mu):
+    """Per segment, covariance of the sqrt(weight)-scaled, mu-centered
+    centers over n - 1 (over 1 for a segment of one)."""
+    counts = np.diff(starts, append=len(centers))
+    cbar = np.sqrt(weights)[:, None] * (centers - np.repeat(mu, counts, axis=0))
+    cov = np.add.reduceat(cbar[:, :, None] * cbar[:, None, :], starts, axis=0)
+    return cov / np.maximum(counts - 1, 1)[:, None, None]
+
+
 def weighted_center(tris: np.ndarray) -> np.ndarray:
     """Area-weighted mean of triangle centroids."""
     centroids, areas = triangles_centroid_area(tris)
-    total = areas.sum()
-    if total <= 0.0:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu, total = _weighted_centers(centroids, areas, _ONE_SEGMENT)
+    if total[0] <= 0.0:
         raise DegenerateGeometryError("surface has zero total area")
-    return (areas[:, None] * centroids).sum(axis=0) / total
+    return mu[0]
 
 
 def covariance(tris: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Covariance of sqrt(area)-scaled, mu-centered triangle centroids."""
     centroids, areas = triangles_centroid_area(tris)
-    n = centroids.shape[0]
-    if n < 2:
+    if centroids.shape[0] < 2:
         raise DegenerateGeometryError("covariance needs at least two triangles")
-    cbar = np.sqrt(areas)[:, None] * (centroids - np.asarray(mu, dtype=np.float64))
-    cov = cbar.T @ cbar / (n - 1)
-    return 0.5 * (cov + cov.T)
-
-
-def pca_basis(tris: np.ndarray) -> Basis:
-    """Orthonormal basis of covariance eigenvectors, descending eigenvalue.
-
-    Signs are canonicalized (largest component of each row positive) and the
-    last row is flipped if needed to make the basis right-handed.
-    """
-    mu = weighted_center(tris)
-    cov = covariance(tris, mu)
-    return Basis(_eigen_rows(cov), mu)
+    mu = np.asarray(mu, dtype=np.float64)[None]
+    return _covariances(centroids, areas, _ONE_SEGMENT, mu)[0]
 
 
 def _eigen_rows(cov: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(cov)
-    rows = v[:, ::-1].T.copy()  # descending eigenvalue order
-    for i in range(3):
-        k = int(np.argmax(np.abs(rows[i])))
-        if rows[i, k] < 0.0:
-            rows[i] = -rows[i]
-    if np.linalg.det(rows) < 0.0:
-        rows[2] = -rows[2]
+    """Eigenvector rows of each covariance in a (k, 3, 3) stack, descending
+    eigenvalue.
+
+    Signs are canonicalized (largest component of each row positive) and the
+    last row is flipped if needed to make each basis right-handed.
+    """
+    _, v = np.linalg.eigh(cov)
+    rows = np.ascontiguousarray(np.swapaxes(v[..., ::-1], -1, -2))
+    lead = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], axis=-1)
+    rows = np.where(lead < 0.0, -rows, rows)
+    rows[np.linalg.det(rows) < 0.0, 2] *= -1.0
     return rows
 
 
-@dataclass(frozen=True)
-class HullResult:
-    """Triangulated convex hull: vertex ids and outward-oriented faces."""
-
-    vertex_indices: np.ndarray
-    faces: np.ndarray  # (n_faces, 3) indices into the input point array
-
-
-def convex_hull(points: np.ndarray) -> HullResult:
-    """3-d convex hull (qhull); raises DegenerateGeometryError on flat input."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] < 4:
-        raise DegenerateGeometryError("need at least 4 points for a 3-d hull")
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise DegenerateGeometryError(f"degenerate hull: {exc}") from exc
-    faces = hull.simplices.copy()
-    # orient every triangle outward using qhull's outward facet normals
-    tri = points[faces]
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    flip = np.einsum("ij,ij->i", n, hull.equations[:, :3]) < 0.0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
-    return HullResult(np.sort(hull.vertices.astype(np.int64)), faces.astype(np.int64))
+def _fit_boxes(points, starts, rows, origins):
+    """Inflated min/max box of each segment of ``points`` in its frame
+    (``rows[i]``, ``origins[i]``); segments as in ``_weighted_centers``.
+    Boxes grow by ``BOX_INFLATION`` times their diagonal."""
+    owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(points)))
+    local = _rotate(rows[owner], points - origins[owner])
+    pmin = np.minimum.reduceat(local, starts, axis=0)
+    pmax = np.maximum.reduceat(local, starts, axis=0)
+    eps = BOX_INFLATION * np.linalg.norm(pmax - pmin, axis=-1, keepdims=True)
+    return pmin - eps, pmax + eps
 
 
-def fit_obb(points: np.ndarray, basis: Basis) -> Obb:
-    """Componentwise min/max box of basis-transformed points, inflated by
-    ``BOX_INFLATION`` times its diagonal."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        raise DegenerateGeometryError("cannot fit a box to an empty point set")
-    local = basis.to_local(points.reshape(-1, 3))
-    return Obb(basis, _inflated_box(local))
+def _control_points(mid, a, b):
+    """Bezier control point of the quadratic edge from a through mid to b."""
+    return 2.0 * mid - 0.5 * (a + b)
 
 
 def element_bounding_points(mesh: Mesh) -> np.ndarray:
@@ -216,13 +224,36 @@ def element_bounding_points(mesh: Mesh) -> np.ndarray:
         return pts
     ctrl = np.empty((mesh.n_elements, 6, 3))
     for m, (a, b) in enumerate(EDGE_VERTICES):
-        ctrl[:, m] = 2.0 * pts[:, 4 + m] - 0.5 * (pts[:, a] + pts[:, b])
+        ctrl[:, m] = _control_points(pts[:, 4 + m], pts[:, a], pts[:, b])
     return np.concatenate([pts, ctrl], axis=1)
+
+
+def _point_table(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The tree's hull input: each corner node once, keyed by node id, then
+    each edge control point once, keyed by (sorted corner ids, midnode id).
+
+    Returns the table and each element's rows into it, shape (n_elements, 4)
+    or (n_elements, 10).  Elements sharing an edge share its control point
+    with equal bits, because 0.5 * (a + b) is commutative; no float
+    comparison is made.
+    """
+    conn = mesh.elements
+    corner_ids, corner_rows = np.unique(conn[:, :4], return_inverse=True)
+    table = mesh.nodes[corner_ids]
+    corner_rows = corner_rows.reshape(-1, 4)
+    if mesh.order == "linear":
+        return table, corner_rows
+    ends = np.sort(conn[:, EDGE_VERTICES], axis=2)  # (n_elements, 6, 2)
+    keys = np.concatenate([ends, conn[:, 4:, None]], axis=2).reshape(-1, 3)
+    edges, edge_rows = np.unique(keys, axis=0, return_inverse=True)
+    a, b, mid = mesh.nodes[edges.T]
+    rows = np.hstack([corner_rows, len(table) + edge_rows.reshape(-1, 6)])
+    return np.concatenate([table, _control_points(mid, a, b)]), rows
 
 
 def model_aabb(mesh: Mesh) -> Aabb:
     """Axis-aligned box around the whole mesh, curved geometry included,
-    inflated like ``fit_obb``."""
+    inflated like the tree's boxes."""
     return _inflated_box(element_bounding_points(mesh).reshape(-1, 3))
 
 
@@ -254,109 +285,141 @@ class ObbTree:
     n_elements: int
 
 
-def _subset_obb(points: np.ndarray, centroids: np.ndarray) -> tuple[Obb, bool]:
-    """OBB for a subset; returns (obb, hull_degenerate)."""
-    flat = points.reshape(-1, 3)
-    try:
-        hull = convex_hull(flat)
-        tris = flat[hull.faces]
-        basis = pca_basis(tris)
-        return fit_obb(flat, basis), False
-    except DegenerateGeometryError:
-        pass
-    # flat subset: PCA over raw element centroids with unit weights
-    mu = centroids.mean(axis=0)
-    if centroids.shape[0] >= 2:
-        d = centroids - mu
-        cov = d.T @ d / (centroids.shape[0] - 1)
-        rows = _eigen_rows(0.5 * (cov + cov.T))
-    else:
-        rows = IDENTITY_BASIS_ROWS
-    return fit_obb(flat, Basis(rows, mu)), True
+def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes):
+    """PCA boxes of the ``n_nodes`` nodes of one tree level.
+
+    ``elems`` holds the nodes' element ids grouped by node, ``seg`` the node
+    of each.  A node's hull input is its distinct table rows in ascending
+    order, one qhull call per node.  The area-weighted PCA of the hull
+    surface gives the node's basis; a node whose hull is flat falls back to
+    PCA over its element centroids with unit weights (identity axes for a
+    single element) and is flagged ``degenerate``.  The box is fitted to the
+    node's table rows.  Returns (rows, origins, pmin, pmax, degenerate).
+    """
+    n_table = len(table)
+    key = np.sort((seg[:, None] * n_table + elem_rows[elems]).ravel())
+    key = key[np.r_[True, key[1:] != key[:-1]]]  # np.unique, without its hash pass
+    pseg, prow = np.divmod(key, n_table)
+    points = table[prow]
+    pstart = np.searchsorted(pseg, np.arange(n_nodes + 1))
+    faces = [np.empty((0, 3), dtype=np.int64)]
+    owner = [np.empty(0, dtype=np.int64)]
+    degenerate = np.zeros(n_nodes, dtype=bool)
+    for i in range(n_nodes):
+        lo, hi = pstart[i], pstart[i + 1]
+        try:
+            simplices = ConvexHull(points[lo:hi]).simplices
+        except QhullError:
+            degenerate[i] = True
+            continue
+        faces.append(simplices + lo)
+        owner.append(np.full(len(simplices), i))
+    centers, weights = triangles_centroid_area(points[np.concatenate(faces)])
+    owner = np.concatenate(owner)
+    if degenerate.any():
+        flat = degenerate[seg]
+        centers = np.concatenate([centers, centroids[elems[flat]]])
+        weights = np.concatenate([weights, np.ones(np.count_nonzero(flat))])
+        owner = np.concatenate([owner, seg[flat]])
+        order = np.argsort(owner, kind="stable")
+        centers, weights, owner = centers[order], weights[order], owner[order]
+    starts = np.searchsorted(owner, np.arange(n_nodes))
+    origins, _ = _weighted_centers(centers, weights, starts)
+    rows = _eigen_rows(_covariances(centers, weights, starts, origins))
+    rows[np.diff(starts, append=len(owner)) == 1] = np.eye(3)
+    pmin, pmax = _fit_boxes(points, pstart[:-1], rows, origins)
+    return rows, origins, pmin, pmax, degenerate
+
+
+# corner k of a box takes pmax on the axes where _BOX_CORNERS[k] is set
+_BOX_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=bool)
+
+
+def _expand_over_children(rows, origins, pmin, pmax, parents, children):
+    """Grow the boxes of ``parents`` over the box corners of their two
+    ``children`` (shape (k, 2)), in place.
+
+    Child boxes live in their own bases and may poke out of a tightly fitted
+    parent box; nesting the boxes, deepest level first, makes hierarchical
+    pruning agree exactly with a flat scan over the leaves.  Leaf boxes are
+    untouched.
+    """
+    kids = children.ravel()
+    corners = np.where(_BOX_CORNERS, pmax[kids, None], pmin[kids, None])
+    world = _rotate(np.swapaxes(rows[kids], 1, 2)[:, None], corners) + origins[kids, None]
+    world = world.reshape(len(parents), 16, 3)
+    local = _rotate(rows[parents, None], world - origins[parents, None])
+    pmin[parents] = np.minimum(pmin[parents], local.min(axis=1))
+    pmax[parents] = np.maximum(pmax[parents], local.max(axis=1))
 
 
 def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
-    """Top-down binary OBB tree over the mesh elements.
+    """Top-down binary OBB tree over the mesh elements, built level by level.
 
     A node is split with a plane through the basis origin orthogonal to the
     box axis of largest extent; element membership follows the corner
     centroid, with on-plane elements going to the first child.  Falls back
     to the next-longest axis when a split does not separate, and makes a
     leaf when no axis separates or the subset hull is degenerate.
+    ``tree.leaves`` lists the leaves depth first, first child first.
     """
     if max_leaf_elements < 1:
         raise ValueError("max_leaf_elements must be >= 1")
-    bpoints = element_bounding_points(mesh)
+    table, elem_rows = _point_table(mesh)
     centroids = mesh.corner_coords().mean(axis=1)
-    leaves: list[ObbNode] = []
+    elems = np.arange(mesh.n_elements, dtype=np.int64)
+    seg = np.zeros(mesh.n_elements, dtype=np.int64)
+    fits, payloads, splits = [], [], []
+    n_nodes = 1
+    while n_nodes:
+        rows, origins, pmin, pmax, degenerate = _fit_level(
+            table, elem_rows, centroids, elems, seg, n_nodes
+        )
+        estarts = np.searchsorted(seg, np.arange(n_nodes))
+        side = _rotate(rows[seg], centroids[elems] - origins[seg]) > 0.0
+        n_second = np.add.reduceat(side.astype(np.int64), estarts, axis=0)
+        n_elems = np.diff(estarts, append=len(elems))
+        separates = (n_second > 0) & (n_second < n_elems[:, None])
+        by_extent = np.argsort(pmin - pmax, axis=1, kind="stable")
+        usable = np.take_along_axis(separates, by_extent, axis=1)
+        axis = by_extent[np.arange(n_nodes), usable.argmax(axis=1)]
+        split = usable.any(axis=1) & (n_elems > max_leaf_elements) & ~degenerate
+        fits.append((rows, origins, pmin, pmax))
+        payloads.append(np.split(elems, estarts[1:]))
+        splits.append(split)
+        # children keep their parent's element order
+        child = 2 * (np.cumsum(split) - 1)[seg] + side[np.arange(len(seg)), axis[seg]]
+        keep = split[seg]
+        order = np.argsort(child[keep], kind="stable")
+        elems, seg = elems[keep][order], child[keep][order]
+        n_nodes = 2 * int(np.count_nonzero(split))
 
-    root = ObbNode(obb=None, depth=0)  # type: ignore[arg-type]
-    stack: list[tuple[ObbNode, np.ndarray]] = [
-        (root, np.arange(mesh.n_elements, dtype=np.int64))
+    rows, origins, pmin, pmax = (np.concatenate(a) for a in zip(*fits))
+    offsets = np.cumsum([0] + [len(s) for s in splits])
+    children = [
+        offsets[level + 1] + np.arange(2 * np.count_nonzero(split)).reshape(-1, 2)
+        for level, split in enumerate(splits)
     ]
-    while stack:
-        node, elems = stack.pop()
-        obb, degenerate = _subset_obb(bpoints[elems], centroids[elems])
-        node.obb = obb
-        if len(elems) <= max_leaf_elements or degenerate:
-            node.elements = elems
-            leaves.append(node)
-            continue
-        order = np.argsort(-obb.box.extents, kind="stable")
-        split = None
-        for axis in order:
-            row = obb.basis.rows[axis]
-            side = (centroids[elems] - obb.basis.origin) @ row
-            first = elems[side <= 0.0]
-            second = elems[side > 0.0]
-            if len(first) > 0 and len(second) > 0:
-                split = (first, second)
-                break
-        if split is None:
-            node.elements = elems
-            leaves.append(node)
-            continue
-        node.left = ObbNode(obb=None, depth=node.depth + 1)  # type: ignore[arg-type]
-        node.right = ObbNode(obb=None, depth=node.depth + 1)  # type: ignore[arg-type]
-        # push right first so the left child is processed first (stable leaf order)
-        stack.append((node.right, split[1]))
-        stack.append((node.left, split[0]))
+    for level in reversed(range(len(splits) - 1)):
+        parents = offsets[level] + np.flatnonzero(splits[level])
+        _expand_over_children(rows, origins, pmin, pmax, parents, children[level])
 
-    _expand_over_children(root)
-    return ObbTree(root, leaves, max_leaf_elements, mesh.n_elements)
-
-
-def _box_corners_world(obb: Obb) -> np.ndarray:
-    lo, hi = obb.box.pmin, obb.box.pmax
-    corners = np.array(
-        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-    )
-    return obb.basis.to_world(corners)
-
-
-def _expand_over_children(root: ObbNode) -> None:
-    """Grow each internal box over its children's box corners.
-
-    Child boxes live in their own bases and may poke out of a tightly fitted
-    parent box; nesting the boxes makes hierarchical pruning agree exactly
-    with a flat scan over the leaves.  Leaf boxes are untouched.
-    """
-    order = []
-    stack = [root]
+    nodes = [
+        ObbNode(Obb(Basis(rows[k], origins[k]), Aabb(pmin[k], pmax[k])), level)
+        for level in range(len(splits))
+        for k in range(offsets[level], offsets[level + 1])
+    ]
+    for level, split in enumerate(splits):
+        base = offsets[level]
+        for i in np.flatnonzero(~split):
+            nodes[base + i].elements = payloads[level][i]
+        for i, (left, right) in zip(np.flatnonzero(split), children[level]):
+            nodes[base + i].left, nodes[base + i].right = nodes[left], nodes[right]
+    leaves, stack = [], [nodes[0]]
     while stack:
         node = stack.pop()
-        order.append(node)
-        if not node.is_leaf:
-            stack.append(node.left)
-            stack.append(node.right)
-    for node in reversed(order):
         if node.is_leaf:
-            continue
-        corners = np.vstack(
-            [_box_corners_world(node.left.obb), _box_corners_world(node.right.obb)]
-        )
-        local = node.obb.basis.to_local(corners)
-        pmin = np.minimum(node.obb.box.pmin, local.min(axis=0))
-        pmax = np.maximum(node.obb.box.pmax, local.max(axis=0))
-        node.obb = Obb(node.obb.basis, Aabb(pmin, pmax))
-
+            leaves.append(node)
+        else:
+            stack += [node.right, node.left]
+    return ObbTree(nodes[0], leaves, max_leaf_elements, mesh.n_elements)

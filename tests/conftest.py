@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
 
+from fexray.io_text import parse_field, parse_mesh
 from fexray.mesh import Mesh
 
 hypothesis.settings.register_profile(
@@ -73,6 +76,16 @@ def mesh_from_corner_tets(vertices, tets) -> Mesh:
             conn.append(edge_mid[key])
         elements.append(conn)
     return Mesh(np.array(nodes), np.array(elements, dtype=np.int64))
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def golden_scene(name):
+    """Mesh and field of a golden scene (``ball8`` or ``cylinder100``)."""
+    mesh = parse_mesh((GOLDEN / f"{name}.mesh").read_text())
+    field = parse_field((GOLDEN / f"{name}.field").read_text())
+    return mesh, field
 
 
 def default_face(box) -> str:

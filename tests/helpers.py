@@ -1,0 +1,110 @@
+"""Small helpers the tests use that the library itself does not need.
+
+The spatial helpers are one-node calls of the batched kernels that build the
+OBB tree, so their tests exercise the library's formulas.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+
+import numpy as np
+from scipy.spatial import ConvexHull, QhullError
+
+from fexray import spatial
+from fexray.io_text import RenderConfig
+from fexray.mesh import Mesh, NodalField, interpolate_values, map_points, shape_gradients
+from fexray.spatial import Aabb, Basis, DegenerateGeometryError, Obb
+
+# -- mesh ---------------------------------------------------------------------
+
+
+def jacobian(nodes: np.ndarray, xi: np.ndarray, order: str = "quadratic") -> np.ndarray:
+    """Jacobian J_ab = d(map)_a / dxi_b at xi, shape (..., 3, 3)."""
+    dn = shape_gradients(xi, order)
+    jac = dn[..., 0, None, :] * nodes[0][:, None]
+    for i in range(1, nodes.shape[0]):
+        jac = jac + dn[..., i, None, :] * nodes[i][:, None]
+    return jac
+
+
+def local_to_global(mesh: Mesh, e: int, xi: np.ndarray) -> np.ndarray:
+    """Global coordinates of reference point xi inside element e."""
+    return map_points(mesh.element_nodes(e), xi, mesh.order)
+
+
+def interpolate(field: NodalField, mesh: Mesh, e: int, xi: np.ndarray) -> np.ndarray:
+    """Field value at reference point xi inside element e."""
+    if len(field) != mesh.n_nodes:
+        raise ValueError(
+            f"field length {len(field)} does not match mesh node count {mesh.n_nodes}"
+        )
+    return interpolate_values(field.values[mesh.elements[e]], xi, mesh.order)
+
+
+# -- configuration ------------------------------------------------------------
+
+
+def serialize_config(cfg: RenderConfig) -> str:
+    """Canonical text form; parse(serialize(cfg)) round-trips."""
+    lines = []
+    for f in fields(RenderConfig):
+        v = getattr(cfg, f.name)
+        if v is None or v == "" or (f.name == "table" and not v):
+            continue
+        if f.name == "table":
+            v = ", ".join(f"{r:.17g}:{m:.17g}" for r, m in v)
+        elif isinstance(v, float):
+            v = f"{v:.17g}"
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+# -- spatial ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HullResult:
+    """Triangulated convex hull: vertex ids and outward-oriented faces."""
+
+    vertex_indices: np.ndarray
+    faces: np.ndarray  # (n_faces, 3) indices into the input point array
+
+
+def convex_hull(points: np.ndarray) -> HullResult:
+    """3-d convex hull (qhull); raises DegenerateGeometryError on flat input."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[0] < 4:
+        raise DegenerateGeometryError("need at least 4 points for a 3-d hull")
+    try:
+        hull = ConvexHull(points)
+    except QhullError as exc:
+        raise DegenerateGeometryError(f"degenerate hull: {exc}") from exc
+    faces = hull.simplices.copy()
+    # orient every triangle outward using qhull's outward facet normals
+    tri = points[faces]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    flip = np.einsum("ij,ij->i", n, hull.equations[:, :3]) < 0.0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return HullResult(np.sort(hull.vertices.astype(np.int64)), faces.astype(np.int64))
+
+
+def pca_basis(tris: np.ndarray) -> Basis:
+    """Basis of the area-weighted surface covariance's eigenvectors, in
+    descending eigenvalue order, with the tree's sign and handedness rule."""
+    mu = spatial.weighted_center(tris)
+    cov = spatial.covariance(tris, mu)
+    return Basis(spatial._eigen_rows(cov[None])[0], mu)
+
+
+def fit_obb(points: np.ndarray, basis: Basis) -> Obb:
+    """The tree's box fit for one point set: componentwise min/max of the
+    basis-transformed points, inflated by ``BOX_INFLATION`` times its
+    diagonal."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if points.size == 0:
+        raise DegenerateGeometryError("cannot fit a box to an empty point set")
+    pmin, pmax = spatial._fit_boxes(
+        points, spatial._ONE_SEGMENT, basis.rows[None], basis.origin[None]
+    )
+    return Obb(basis, Aabb(pmin[0], pmax[0]))

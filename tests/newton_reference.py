@@ -11,7 +11,8 @@ iteration cap.
 import numpy as np
 
 from fexray.locate import DIVERGENCE_NORM, RESIDUAL_REL, SINGULAR_REL, in_hull
-from fexray.mesh import jacobian, map_points
+from fexray.mesh import map_points
+from tests.helpers import jacobian
 
 
 def _solve3(j, f):

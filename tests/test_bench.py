@@ -11,8 +11,9 @@ from fexray.bench import (
     projection_oracle,
     radial_density,
 )
-from fexray.mesh import boundary_faces, interpolate, jacobian, local_to_global
+from fexray.mesh import boundary_faces
 from tests.conftest import random_simplex_points
+from tests.helpers import interpolate, jacobian, local_to_global
 
 
 def duffy_rule(n):

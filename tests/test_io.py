@@ -12,13 +12,13 @@ from fexray.io_text import (
     parse_field,
     parse_mesh,
     read_float_grid,
-    serialize_config,
     write_field,
     write_float_grid,
     write_graymap,
     write_mesh,
 )
 from tests.conftest import single_tet_mesh
+from tests.helpers import serialize_config
 
 MINIMAL_CONFIG = """
 mesh = ball.mesh

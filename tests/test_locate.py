@@ -17,9 +17,6 @@ from fexray.mesh import (
     Mesh,
     MeshError,
     NodalField,
-    interpolate,
-    jacobian,
-    local_to_global,
     map_points,
 )
 from fexray.raycast import tet_entry
@@ -30,6 +27,7 @@ from tests.conftest import (
     straight_quadratic_nodes,
     two_tet_mesh,
 )
+from tests.helpers import interpolate, jacobian, local_to_global
 from tests.newton_reference import inside_physical
 
 tol = st.floats(1e-12, 1e-4)

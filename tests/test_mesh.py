@@ -11,9 +11,6 @@ from fexray.mesh import (
     NodalField,
     _lattice_jacobian_dets,
     boundary_faces,
-    interpolate,
-    jacobian,
-    local_to_global,
     shape_gradients,
     shape_values,
 )
@@ -26,6 +23,7 @@ from tests.conftest import (
     straight_quadratic_nodes,
     two_tet_mesh,
 )
+from tests.helpers import interpolate, jacobian, local_to_global
 
 coord = st.floats(-0.5, 1.5, allow_nan=False)
 

@@ -1,24 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fexray import spatial
+from fexray.mesh import EDGE_VERTICES, Mesh, _lattice_jacobian_dets
 from fexray.spatial import (
     BOX_INFLATION,
     Aabb,
     Basis,
     DegenerateGeometryError,
     build_obb_tree,
-    convex_hull,
     covariance,
     element_bounding_points,
-    fit_obb,
     model_aabb,
-    pca_basis,
     triangles_centroid_area,
     weighted_center,
 )
-from tests.conftest import mesh_from_corner_tets
+from tests.conftest import golden_scene, mesh_from_corner_tets
+from tests.helpers import convex_hull, fit_obb, pca_basis
 
 
 def cube_surface(center=(0.0, 0.0, 0.0), sides=(1.0, 1.0, 1.0), rotation=None):
@@ -329,6 +331,127 @@ def line_of_tets(n, spacing=1.5):
     return mesh_from_corner_tets(verts, tets)
 
 
+coord = st.floats(-1.0, 1.0)
+vec3 = st.tuples(coord, coord, coord)
+
+
+def _node_elements(node):
+    """The node's element ids in ascending order, the order the build keeps."""
+    return np.sort(np.concatenate(list(_collect(node))))
+
+
+def _tree_nodes(tree):
+    """All nodes, breadth first."""
+    nodes = [tree.root]
+    for node in nodes:
+        if not node.is_leaf:
+            nodes += [node.left, node.right]
+    return nodes
+
+
+def _box_corners_world(obb):
+    lo, hi = obb.box.pmin, obb.box.pmax
+    local = np.array(
+        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    )
+    return obb.basis.to_world(local)
+
+
+def _assert_inside(obb, points):
+    local = obb.basis.to_local(points)
+    assert (local >= obb.box.pmin).all() and (local <= obb.box.pmax).all()
+
+
+def _assert_boxes_contain(mesh, tree):
+    bpts = element_bounding_points(mesh)
+    for node in _tree_nodes(tree):
+        _assert_inside(node.obb, bpts[_node_elements(node)].reshape(-1, 3))
+        if not node.is_leaf:
+            for child in (node.left, node.right):
+                _assert_inside(node.obb, _box_corners_world(child.obb))
+
+
+def _kuhn_row(n_cubes):
+    """Corners of a row of unit cubes, each cut into the six tetrahedra
+    around its main diagonal; neighbouring tets share edges."""
+    verts = [(x, y, z) for x in range(n_cubes + 1) for y in (0, 1) for z in (0, 1)]
+    index = {v: k for k, v in enumerate(verts)}
+    tets = []
+    for cx in range(n_cubes):
+        for perm in itertools.permutations(range(3)):
+            p = [cx, 0, 0]
+            path = [index[tuple(p)]]
+            for ax in perm:
+                p[ax] += 1
+                path.append(index[tuple(p)])
+            a, b, c, d = (np.array(verts[k], float) for k in path)
+            if np.dot(b - a, np.cross(c - a, d - a)) < 0.0:
+                path[2], path[3] = path[3], path[2]
+            tets.append(tuple(path))
+    return [np.array(v, float) for v in verts], tets
+
+
+PATCH = mesh_from_corner_tets(*_kuhn_row(2))
+N_PATCH_MIDNODES = PATCH.n_nodes - 12
+
+
+def _curved_mesh(patch_disp, loose, scale):
+    """PATCH plus ``loose`` tets (corners, six midnode moves) that share no
+    node, with every midnode moved by its displacement (length <= 1) times
+    ``scale`` times just under the half edge length ``validate_mesh``
+    allows; the moves of a folded element's midnodes halve until no element
+    folds.  Nearly flat loose tets are dropped."""
+    nodes, elements = list(PATCH.nodes), list(PATCH.elements)
+    disp = list(patch_disp)
+    for corners, moves in loose:
+        c = np.asarray(corners, dtype=float)
+        vol6 = np.dot(c[1] - c[0], np.cross(c[2] - c[0], c[3] - c[0]))
+        if abs(vol6) < 1e-2:
+            continue
+        if vol6 < 0.0:
+            c = c[[0, 1, 3, 2]]
+        first = len(nodes)
+        nodes += list(c) + [0.5 * (c[a] + c[b]) for a, b in EDGE_VERTICES]
+        elements.append(np.arange(first, first + 10))
+        disp += moves
+    nodes, elements = np.array(nodes), np.array(elements, dtype=np.int64)
+    move = np.zeros_like(nodes)
+    # midnode ids ascend in the order their displacements are listed
+    ends = {
+        conn[4 + m]: (conn[a], conn[b])
+        for conn in elements
+        for m, (a, b) in enumerate(EDGE_VERTICES)
+    }
+    for d, (mid, (a, b)) in zip(disp, sorted(ends.items())):
+        d = np.asarray(d) / max(1.0, float(np.linalg.norm(d)))
+        move[mid] = 0.499 * np.linalg.norm(nodes[b] - nodes[a]) * scale * d
+    while True:
+        folded = (_lattice_jacobian_dets((nodes + move)[elements]) <= 0.0).any(axis=1)
+        if not folded.any():
+            return Mesh(nodes + move, elements)
+        move[elements[folded, 4:]] *= 0.5
+
+
+def _distinct_corners_and_edges(mesh, elems):
+    conn = mesh.elements[elems]
+    corners = np.unique(conn[:, :4]).size
+    if mesh.order == "linear":
+        return corners
+    edges = {
+        (min(e[a], e[b]), max(e[a], e[b]), e[4 + m])
+        for e in conn.tolist()
+        for m, (a, b) in enumerate(EDGE_VERTICES)
+    }
+    return corners + len(edges)
+
+
+def _hull_test_mesh(name):
+    if name == "ball8-linear":
+        mesh = golden_scene("ball8")[0]
+        return Mesh(mesh.nodes, mesh.elements[:, :4])
+    return golden_scene(name)[0]
+
+
 class TestObbTree:
     def test_single_element_is_leaf(self):
         mesh = line_of_tets(1)
@@ -351,29 +474,43 @@ class TestObbTree:
         assert all(len(leaf.elements) <= 10 for leaf in tree.leaves)
 
     def test_containment(self, ball_mesh_field):
-        # every bounding point of every element fits its leaf's inflated OBB
-        mesh, _ = ball_mesh_field
-        tree = build_obb_tree(mesh, 10)
-        bpts = element_bounding_points(mesh)
+        # every box holds all bounding points of its elements, midnodes
+        # included although the hulls leave them out, and every internal box
+        # holds its children's box corners
+        meshes = [ball_mesh_field[0], golden_scene("ball8")[0], golden_scene("cylinder100")[0]]
+        for mesh in meshes:
+            for leaf_size in (1, 3, 10):
+                _assert_boxes_contain(mesh, build_obb_tree(mesh, leaf_size))
 
-        def check(node, elems):
-            pts = bpts[elems].reshape(-1, 3)
-            local = node.obb.basis.to_local(pts)
-            assert (local >= node.obb.box.pmin - 1e-12).all()
-            assert (local <= node.obb.box.pmax + 1e-12).all()
+    @given(
+        st.lists(vec3, min_size=N_PATCH_MIDNODES, max_size=N_PATCH_MIDNODES),
+        st.lists(
+            st.tuples(
+                st.lists(vec3, min_size=4, max_size=4),
+                st.lists(vec3, min_size=6, max_size=6),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from([0.05, 0.25, 1.0]),
+    )
+    def test_containment_random_curved(self, patch_disp, loose, scale):
+        mesh = _curved_mesh(patch_disp, loose, scale)
+        for leaf_size in (1, 3, 10):
+            _assert_boxes_contain(mesh, build_obb_tree(mesh, leaf_size))
 
-        stack = [(tree.root, None)]
-        while stack:
-            node, _ = stack.pop()
-            elems = (
-                node.elements
-                if node.is_leaf
-                else np.concatenate(list(_collect(node)))
-            )
-            check(node, elems)
-            if not node.is_leaf:
-                stack.append((node.left, None))
-                stack.append((node.right, None))
+    def test_flat_hull_falls_back_to_centroid_pca(self):
+        # slivers too flat for qhull: the node becomes a leaf whose axes come
+        # from its element centroids (identity for one element), and its box
+        # still holds every bounding point
+        verts = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-15]]
+        one = mesh_from_corner_tets(verts, [(0, 1, 2, 3)])
+        assert (build_obb_tree(one, 1).root.obb.basis.rows == np.eye(3)).all()
+        shifted = [[x + 2.0, y, z] for x, y, z in verts]
+        two = mesh_from_corner_tets(verts + shifted, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        tree = build_obb_tree(two, 1)
+        assert tree.root.is_leaf and len(tree.root.elements) == 2
+        np.testing.assert_allclose(tree.root.obb.basis.rows[0], [1.0, 0, 0], atol=1e-12)
+        _assert_boxes_contain(two, tree)
 
     def test_obb_tighter_than_aabb_for_elongated_body(self, rng):
         # prosthesis-like body: a slanted elongated block
@@ -421,6 +558,86 @@ def _collect(node):
     else:
         yield from _collect(node.left)
         yield from _collect(node.right)
+
+
+class TestHullInput:
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
+    def test_one_qhull_call_per_node_without_midnodes(self, name, monkeypatch):
+        # each node's hull sees only the distinct corners and edge control
+        # points of its elements, never 16 points per element
+        mesh = _hull_test_mesh(name)
+        sizes = []
+        qhull = spatial.ConvexHull
+
+        def counting_qhull(points, *args, **kwargs):
+            sizes.append(len(points))
+            return qhull(points, *args, **kwargs)
+
+        monkeypatch.setattr(spatial, "ConvexHull", counting_qhull)
+        for leaf_size in (1, 10):
+            sizes.clear()
+            nodes = _tree_nodes(build_obb_tree(mesh, leaf_size))
+            assert len(sizes) == len(nodes)
+            bounds = sorted(_distinct_corners_and_edges(mesh, _node_elements(n)) for n in nodes)
+            assert (np.array(sorted(sizes)) <= np.array(bounds)).all()
+
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
+    def test_point_table_rows_are_bounding_points(self, name):
+        # corners and control points keep the bits of element_bounding_points
+        mesh = _hull_test_mesh(name)
+        table, rows = spatial._point_table(mesh)
+        keep = [0, 1, 2, 3] + ([] if mesh.order == "linear" else list(range(10, 16)))
+        assert table[rows].tobytes() == element_bounding_points(mesh)[:, keep].tobytes()
+        all_elems = np.arange(mesh.n_elements)
+        assert len(table) == _distinct_corners_and_edges(mesh, all_elems)
+
+
+def _bits(node):
+    obb = node.obb
+    arrays = [obb.basis.rows, obb.basis.origin, obb.box.pmin, obb.box.pmax]
+    if node.is_leaf:
+        arrays.append(node.elements)
+    return b"".join(a.tobytes() for a in arrays)
+
+
+class TestTreeDeterminism:
+    def test_rebuild_is_bitwise_identical(self, ball_mesh_field):
+        ball64 = ball_mesh_field[0]
+        first, second = build_obb_tree(ball64, 10), build_obb_tree(ball64, 10)
+        nodes = _tree_nodes(first)
+        assert [_bits(n) for n in nodes] == [_bits(n) for n in _tree_nodes(second)]
+        assert len(list(_collect(first.root.left))) == len(list(_collect(second.root.left)))
+
+    def test_level_fit_does_not_depend_on_batching(self, ball_mesh_field):
+        # a level fitted as one batch, in reverse order, or node by node
+        # gives every node the same bits, and those are the tree's
+        ball64 = ball_mesh_field[0]
+        tree = build_obb_tree(ball64, 3)
+        table, elem_rows = spatial._point_table(ball64)
+        centroids = ball64.corner_coords().mean(axis=1)
+
+        def fit(groups):
+            elems = np.concatenate(groups)
+            seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+            return spatial._fit_level(table, elem_rows, centroids, elems, seg, len(groups))
+
+        nodes = _tree_nodes(tree)
+        for depth in (1, 2, 3):
+            level = [n for n in nodes if n.depth == depth]
+            assert len(level) >= 2
+            groups = [_node_elements(n) for n in level]
+            joint, backwards = fit(groups), fit(groups[::-1])
+            for i, node in enumerate(level):
+                alone = fit([groups[i]])
+                for k in range(5):
+                    bits = alone[k][0].tobytes()
+                    assert joint[k][i].tobytes() == bits
+                    assert backwards[k][len(level) - 1 - i].tobytes() == bits
+                assert node.obb.basis.rows.tobytes() == alone[0][0].tobytes()
+                assert node.obb.basis.origin.tobytes() == alone[1][0].tobytes()
+                if node.is_leaf:
+                    assert node.obb.box.pmin.tobytes() == alone[2][0].tobytes()
+                    assert node.obb.box.pmax.tobytes() == alone[3][0].tobytes()
 
 
 class TestModelAabb:

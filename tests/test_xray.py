@@ -12,7 +12,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fexray import locate, xray
-from fexray.io_text import parse_field, parse_mesh
 from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, Mesh, MeshError, NodalField, map_points
 from fexray.raycast import slab_intervals, tet_entry
@@ -34,7 +33,7 @@ from fexray.xray import (
     make_detector,
     render,
 )
-from tests.conftest import default_face, single_tet_mesh
+from tests.conftest import GOLDEN, default_face, golden_scene, single_tet_mesh
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
@@ -456,15 +455,6 @@ class TestObliqueDetector:
             assert ref.projected_density == img.density[j, i]
         # the central ray still crosses the full ball diameter
         assert abs(img.density[7:9, 7:9].max() - 2.0) < 0.15
-
-
-GOLDEN = Path(__file__).parent / "data" / "golden"
-
-
-def golden_scene(name):
-    mesh = parse_mesh((GOLDEN / f"{name}.mesh").read_text())
-    field = parse_field((GOLDEN / f"{name}.field").read_text())
-    return mesh, field
 
 
 def counters(stats):
