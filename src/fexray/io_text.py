@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .mesh import Mesh, NodalField
+from .xray import ATTENUATION_VARIANTS, FACE_SELECTORS
 
 FGRID_MAGIC = b"FGRD"
 FGRID_VERSION = 1
@@ -237,10 +238,6 @@ def write_graymap(values: np.ndarray, bit_depth: int = 8, window=None) -> bytes:
 # render configuration
 
 
-ATTENUATION_VARIANTS = ("identity", "linear", "table")
-VALID_FACES = ("+x", "-x", "+y", "-y", "+z", "-z")
-
-
 @dataclass
 class RenderConfig:
     mesh: str = ""
@@ -331,8 +328,8 @@ def parse_config(text: str) -> RenderConfig:
         problems.append("mesh: path is required")
     if not cfg.field:
         problems.append("field: path is required")
-    if cfg.face not in VALID_FACES:
-        problems.append(f"face: must be one of {', '.join(VALID_FACES)}")
+    if cfg.face not in FACE_SELECTORS:
+        problems.append(f"face: must be one of {', '.join(FACE_SELECTORS)}")
     explicit = cfg.pitch is not None or cfg.nu is not None or cfg.nv is not None
     if cfg.rays_per_cm2 is None and not explicit:
         problems.append("rays_per_cm2: required unless pitch/nu/nv are given")

@@ -1,4 +1,4 @@
-"""Ray intersection kernels: slab, half-space, triangle and tetrahedron.
+"""Ray intersection kernels: slab, triangle and tetrahedron.
 
 The kernels broadcast over leading axes, so a call on one ray and a call on
 a batch give bitwise-equal results per ray.
@@ -38,32 +38,6 @@ def slab_intervals(o, inv_d, d, pmin, pmax):
     t_exit = np.minimum(np.minimum(hi[..., 0], hi[..., 1]), hi[..., 2])
     hit = (t_enter <= t_exit) & (t_exit >= 0.0)
     return t_enter, t_exit, hit
-
-
-def halfspace_intervals(o, d, normals, offsets):
-    """Ray parameter range inside the half-spaces n . x <= h (Cyrus-Beck).
-
-    o, d: (..., 3); normals: (..., m, 3); offsets: (..., m); leading axes
-    broadcast.  Returns (t_lo, t_hi), empty when t_lo > t_hi.  A plane
-    parallel to the ray (n . d == 0) keeps the whole line or none of it,
-    depending on whether the origin lies inside, like the zero-direction
-    axes of ``slab_intervals``.
-    """
-    o = o[..., None, :]
-    d = d[..., None, :]
-    nd = normals[..., 0] * d[..., 0] + normals[..., 1] * d[..., 1] + normals[..., 2] * d[..., 2]
-    gap = offsets - (
-        normals[..., 0] * o[..., 0] + normals[..., 1] * o[..., 1] + normals[..., 2] * o[..., 2]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel lanes replaced below
-        t = gap / nd
-    lo = np.where(nd < 0.0, t, -np.inf)
-    hi = np.where(nd > 0.0, t, np.inf)
-    outside = (nd == 0.0) & (gap < 0.0)
-    if np.any(outside):
-        lo = np.where(outside, np.inf, lo)
-        hi = np.where(outside, -np.inf, hi)
-    return lo.max(axis=-1), hi.min(axis=-1)
 
 
 def _cross(ax, ay, az, bx, by, bz):

@@ -33,7 +33,9 @@ class DegenerateGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal right-handed basis; rows are the basis vectors."""
+    """Orthonormal right-handed basis; rows are the basis vectors.  The rows
+    are taken as given: ``_eigen_rows`` makes them orthonormal and
+    right-handed."""
 
     rows: np.ndarray
     origin: np.ndarray
@@ -43,11 +45,6 @@ class Basis:
         origin = np.ascontiguousarray(np.asarray(self.origin, dtype=np.float64))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "origin", origin)
-        rtr = rows @ rows.T
-        if np.abs(rtr - np.eye(3)).max() > 1e-10:
-            raise ValueError("basis rows are not orthonormal")
-        if np.linalg.det(rows) < 0.0:
-            raise ValueError("basis is not right-handed")
 
     def to_local(self, points: np.ndarray) -> np.ndarray:
         """Rigidly transform world points into the basis frame."""
@@ -281,7 +278,6 @@ class ObbNode:
 class ObbTree:
     root: ObbNode
     leaves: list[ObbNode]
-    max_leaf_elements: int
     n_elements: int
 
 
@@ -422,4 +418,4 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
             leaves.append(node)
         else:
             stack += [node.right, node.left]
-    return ObbTree(nodes[0], leaves, max_leaf_elements, mesh.n_elements)
+    return ObbTree(nodes[0], leaves, mesh.n_elements)

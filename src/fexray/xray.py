@@ -8,22 +8,27 @@ depth because samples outside every leaf box lie outside every element and
 contribute exactly zero; the global anchoring makes the tree-accelerated,
 brute-force and multi-worker paths produce bitwise-identical images.
 
-``render`` traverses the tree in detector-frame coordinates: all rays share
+``render`` works in detector-frame coordinates (a, b, t): all rays share
 one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
-its origin in any box frame is linear in its pixel offsets (a, b).  Each
-leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
-sample is its grid point (ray, j): Newton lanes carry it, and all claims
-on one (ray, j), from overlapping ranges too, are resolved together.
+its origin in any box frame is linear in its pixel offsets (a, b).  The
+detector origin and axes are rotated into the frames of all tree nodes at
+once, per render; brute force is the tree of one leaf, the model box in
+the identity frame holding every element.  Each leaf record's depth
+interval becomes a grid range [j_lo, j_hi], and a sample is its grid point
+(ray, j): Newton lanes carry it, and all claims on one (ray, j), from
+overlapping ranges too, are resolved together.
 
 Point location then runs as one pass over (ray, element) pairs, taken from
 the leaf records in chunks of bounded size.  Each pair's ray is clipped
 to the element's box (in the detector frame) intersected with the four face
 half-spaces of its corner tetrahedron, each plane pushed out to the farthest
-Bezier control point.  A quadratic element lies inside the convex hull of its control net,
-hence inside that clip, so the clip drops only (sample, element) pairs
-Newton would reject.  The surviving samples go to ``membership_test`` in
-fixed-size lane batches, each lane carrying its own element id; the Newton
-reference frames of all elements are built once per render.
+Bezier control point; as the ray runs along t, a face bounds t through its
+normal's t component alone.  A quadratic element lies inside the convex
+hull of its control net, hence inside that clip, so the clip drops only
+(sample, element) pairs Newton would reject.  The surviving samples go to
+``membership_test`` in fixed-size lane batches, each lane carrying its own
+element id; the Newton reference frames of all elements are built once per
+render.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -47,8 +52,18 @@ import numpy as np
 
 from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
 from .mesh import TET_FACES, Mesh, NodalField, interpolate_values
-from .raycast import halfspace_intervals, slab_intervals, tet_entry
-from .spatial import Aabb, ObbTree, build_obb_tree, element_bounding_points, model_aabb
+from .raycast import slab_intervals, tet_entry
+from .spatial import (
+    Aabb,
+    Basis,
+    Obb,
+    ObbNode,
+    ObbTree,
+    _rotate,
+    build_obb_tree,
+    element_bounding_points,
+    model_aabb,
+)
 
 FACE_SELECTORS = {
     "+x": (0, 1.0),
@@ -58,6 +73,7 @@ FACE_SELECTORS = {
     "+z": (2, 1.0),
     "-z": (2, -1.0),
 }
+ATTENUATION_VARIANTS = ("identity", "linear", "table")
 
 # the per-element clip (box and face planes) is pushed out by this fraction of
 # the element box diagonal; covers the in-hull tolerance shell and the Newton
@@ -135,7 +151,7 @@ class AttenuationModel:
     i_in: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ("identity", "linear", "table"):
+        if self.variant not in ATTENUATION_VARIANTS:
             raise ValueError(f"unknown attenuation variant {self.variant!r}")
         if self.variant == "linear" and not self.kappa >= 0.0:
             raise ValueError("kappa must be non-negative")
@@ -336,24 +352,30 @@ def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
     return _ElementClip(lo - margin, hi + margin, normals, offsets)
 
 
-_FRAME_DIRECTION = np.array([0.0, 0.0, 1.0])
-
-
 def _clip_pairs(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
     """Clip the rays at detector-frame (a, b) to the elements e, pair by pair.
 
     Returns (kept, t_in, t_out): the indices of the pairs whose ray crosses
     the element's box footprint, and their clipped depth range, empty when
-    t_in > t_out.
+    t_in > t_out.  The rays run along t, so face f bounds t by
+    gap / n_t, with gap = offset - n_a * a - n_b * b: from below where
+    n_t < 0, from above where n_t > 0.  A face with n_t == 0 keeps the
+    whole ray or none of it.
     """
     lo, hi = clip.lo[e], clip.hi[e]
     kept = np.flatnonzero(
         (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
     )
     e = e[kept]
-    o = np.stack([a[kept], b[kept], np.zeros(kept.size)], axis=-1)
-    h1, h2 = halfspace_intervals(o, _FRAME_DIRECTION, clip.normals[e], clip.offsets[e])
-    return kept, np.maximum(lo[kept, 2], h1), np.minimum(hi[kept, 2], h2)
+    n = clip.normals[e]
+    n_t = n[..., 2]
+    gap = clip.offsets[e] - (n[..., 0] * a[kept, None] + n[..., 1] * b[kept, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_t == 0 lanes are replaced
+        t = gap / n_t
+    outside = (n_t == 0.0) & (gap < 0.0)
+    t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
+    t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
+    return kept, np.maximum(lo[kept, 2], t_in), np.minimum(hi[kept, 2], t_out)
 
 
 @dataclass(frozen=True)
@@ -375,37 +397,29 @@ class _NodeFrame:
     children: tuple[int, int] | None
 
 
-def _node_frames(mesh: Mesh, tree: ObbTree | None, det: Detector) -> list[_NodeFrame]:
-    """The tree in breadth-first order, root first, with the detector in each
-    node's frame; once per render, so tiles only test their rays.  Without a
-    tree (brute force) the one leaf is the model box, in the world frame,
-    holding every element."""
-    if tree is None:
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / det.normal
-        all_elems = np.arange(mesh.n_elements, dtype=np.int64)
-        return [
-            _NodeFrame(model_aabb(mesh), det.origin, det.axis_u, det.axis_v, det.normal,
-                       inv_d, all_elems, None)
-        ]
-    order = [tree.root]
+def _node_frames(root: ObbNode, det: Detector) -> list[_NodeFrame]:
+    """The tree under ``root`` in breadth-first order, root first, with the
+    detector in each node's frame; once per render, so tiles only test
+    their rays."""
+    order, children = [root], []
     for node in order:  # visits the children appended on the way
-        if not node.is_leaf:
+        if node.is_leaf:
+            children.append(None)
+        else:
+            children.append((len(order), len(order) + 1))
             order += [node.left, node.right]
-    index = {id(node): k for k, node in enumerate(order)}
-    det_axes = np.stack([det.axis_u, det.axis_v, det.normal])
-    frames = []
-    for node in order:
-        basis = node.obb.basis
-        u, v, d = basis.rotate(det_axes)
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d
-        children = None if node.is_leaf else (index[id(node.left)], index[id(node.right)])
-        frames.append(
-            _NodeFrame(node.obb.box, basis.to_local(det.origin), u, v, d, inv_d,
-                       node.elements, children)
-        )
-    return frames
+    rows = np.stack([node.obb.basis.rows for node in order])
+    origins = np.stack([node.obb.basis.origin for node in order])
+    c = _rotate(rows, det.origin - origins)
+    u = _rotate(rows, det.axis_u)
+    v = _rotate(rows, det.axis_v)
+    d = _rotate(rows, det.normal)
+    with np.errstate(divide="ignore"):
+        inv_d = 1.0 / d
+    return [
+        _NodeFrame(node.obb.box, c[k], u[k], v[k], d[k], inv_d[k], node.elements, children[k])
+        for k, node in enumerate(order)
+    ]
 
 
 @dataclass
@@ -422,16 +436,19 @@ class _RenderContext:
     frames: _ElementFrames  # Newton reference frames of all elements
 
 
-def _render_context(mesh, field, detector, settings, model, tree, brute_force):
-    """Per-render state shared by all tiles; builds the tree if none is given."""
+def _render_context(mesh, field, detector, settings, model, tree, brute_force, box):
+    """Per-render state shared by all tiles; builds the tree if none is given.
+    Brute force is the one-leaf tree: the model ``box`` in the identity
+    frame, holding every element."""
     if brute_force:
-        tree = None
+        identity = Obb(Basis(np.eye(3), np.zeros(3)), box)
+        root = ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))
     else:
-        tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
+        root = (tree or build_obb_tree(mesh, settings.max_leaf_elements)).root
     return _RenderContext(
         mesh=mesh,
         values=field.values,
-        nodes=_node_frames(mesh, tree, detector),
+        nodes=_node_frames(root, detector),
         detector=detector,
         settings=settings,
         want_mu=model is not None and model.variant == "table",
@@ -520,15 +537,15 @@ def _add_record(records, elems, ids, t_enter, t_exit, step: float):
         records.append((elems, ids[full], j_lo[full], j_hi[full]))
 
 
-def _count_samples(records) -> int:
-    """Grid points in the per-ray union of the leaf records' ranges.
+def _count_samples(records, span: int) -> int:
+    """Grid points in the per-ray union of the leaf records' ranges, every
+    j_hi below ``span``.
 
     With the ranges sorted by (ray, j_lo), each adds the points past the
     farthest end of the ranges before it.  Ray-major keys ray * span + j
     sort by (ray, j) and keep the running maximum inside the ray.
     """
     ray, j_lo, j_hi = (np.concatenate(c) for c in list(zip(*records))[1:])
-    span = int(j_hi.max()) + 1
     lo = ray * span + j_lo
     order = np.argsort(lo)
     lo = lo[order]
@@ -593,14 +610,15 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     if not records:
         return pd, mu, stats
 
-    stats.samples = _count_samples(records)
     # a sample is its grid point (ray, j); claims are keyed ray * span + j,
     # which sorts like (ray, j)
     span = max(int(rec[3].max()) for rec in records) + 1
+    stats.samples = _count_samples(records, span)
     d = det.normal
     # candidate samples per (ray, element) pair: those inside the element
-    # clip, intersected with the record's own range so each (sample, element)
-    # claim arises once
+    # clip.  Each element sits in one leaf, so a pair arises once per tile;
+    # intersecting with the record's own range keeps every Newton lane
+    # inside the render's samples
     claims_k: list[np.ndarray] = []
     claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
@@ -718,7 +736,7 @@ def render(
         raise ValueError(
             f"tree built over {tree.n_elements} elements, mesh has {mesh.n_elements}"
         )
-    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force)
+    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box)
 
     tiles = _ray_tiles(detector.n_rays, _depth_points(box, detector.normal, settings.step))
     density = np.empty(detector.n_rays)

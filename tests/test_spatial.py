@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fexray import spatial
+from fexray.bench import BallSpec, generate_ball
 from fexray.mesh import EDGE_VERTICES, Mesh, _lattice_jacobian_dets
 from fexray.spatial import (
     BOX_INFLATION,
@@ -497,6 +498,22 @@ class TestObbTree:
         mesh = _curved_mesh(patch_disp, loose, scale)
         for leaf_size in (1, 3, 10):
             _assert_boxes_contain(mesh, build_obb_tree(mesh, leaf_size))
+
+    def test_every_basis_is_orthonormal_and_right_handed(self, cylinder_full):
+        # Basis takes its rows as given; the tree's come from _eigen_rows or
+        # the identity.  Golden trees at several leaf sizes, and the trees of
+        # the two benchmark meshes (ball 512 el, cylinder 2058 el)
+        trees = [
+            build_obb_tree(golden_scene(name)[0], leaf_size)
+            for name in ("ball8", "cylinder100")
+            for leaf_size in (1, 3, 10)
+        ]
+        ball512 = generate_ball(BallSpec(target_elements=512))[0]
+        trees += [build_obb_tree(ball512, 10), build_obb_tree(cylinder_full[0], 10)]
+        for tree in trees:
+            rows = np.stack([node.obb.basis.rows for node in _tree_nodes(tree)])
+            assert np.abs(rows @ np.swapaxes(rows, 1, 2) - np.eye(3)).max() <= 1e-10
+            np.testing.assert_allclose(np.linalg.det(rows), 1.0, atol=1e-10)
 
     def test_flat_hull_falls_back_to_centroid_pca(self):
         # slivers too flat for qhull: the node becomes a leaf whose axes come

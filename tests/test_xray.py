@@ -698,6 +698,62 @@ class TestElementClip:
             assert lo > hi
 
 
+# a face normal's t component: exactly 0 (a face parallel to the rays) or
+# at least 0.2 in size, so a step of 1e-9 in t moves the plane value by
+# far more than its roundoff
+normal_t = st.one_of(st.just(0.0), st.floats(0.2, 1.0), st.floats(-1.0, -0.2))
+clip_face = st.tuples(coord, coord, normal_t, st.floats(-2.0, 2.0))
+
+
+class TestClipPairs:
+    @given(
+        st.lists(clip_face, min_size=3, max_size=3),
+        st.tuples(coord, coord),
+        st.floats(-0.5, 0.5),
+        vec3,
+        vec3,
+        st.floats(-1.5, 1.5),
+        st.floats(-1.5, 1.5),
+    )
+    # a face with n_t == 0 on either side of the ray, and a ray beside the box
+    @example([(0.3, -0.2, 0.5, 1.0)] * 3, (1.0, 0.0), 0.5, (-1, -1, -1), (1, 1, 1), 0.0, 0.0)
+    @example([(0.3, -0.2, 0.5, 1.0)] * 3, (1.0, 0.0), -0.5, (-1, -1, -1), (1, 1, 1), 0.0, 0.0)
+    @example([(0.3, -0.2, 0.5, 1.0)] * 3, (1.0, 0.0), 0.5, (-1, -1, -1), (1, 1, 1), 1.2, 0.0)
+    def test_range_matches_planes_and_box(self, faces, parallel, side, c1, c2, a, b):
+        # face 0 is parallel to the rays, its plane ``side`` past the ray
+        n_a, n_b = parallel
+        faces = [(n_a, n_b, 0.0, n_a * a + n_b * b + side)] + faces
+        normals = np.array([f[:3] for f in faces])
+        offsets = np.array([f[3] for f in faces])
+        lo, hi = np.minimum(c1, c2), np.maximum(c1, c2)
+        clip = xray._ElementClip(lo[None], hi[None], normals[None], offsets[None])
+        kept, t_in, t_out = xray._clip_pairs(
+            clip, np.array([a]), np.array([b]), np.zeros(1, dtype=np.int64)
+        )
+
+        def inside(t):
+            # the clip's own fixed-order plane values; n_t * t is exact zero
+            # on a parallel face
+            p = np.array([a, b, t])
+            if not ((lo <= p).all() and (p <= hi).all()):
+                return False
+            planes = normals[:, 0] * a + normals[:, 1] * b + normals[:, 2] * t
+            return bool((planes <= offsets).all())
+
+        if kept.size == 0:
+            assert not (lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1])
+            return
+        t_in, t_out = float(t_in[0]), float(t_out[0])
+        for t in np.linspace(lo[2] - 1.0, hi[2] + 1.0, 41):
+            if not t_in - 1e-9 <= t <= t_out + 1e-9:
+                assert not inside(t), (t, t_in, t_out)
+        assert not inside(t_in - 1e-9)
+        assert not inside(t_out + 1e-9)
+        if t_out - t_in > 2e-9:
+            for t in (t_in + 1e-9, 0.5 * (t_in + t_out), t_out - 1e-9):
+                assert inside(t), (t, t_in, t_out)
+
+
 # (ray, j_lo, length) rows of one leaf; length <= 0 gives an empty range
 range_rows = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 20), st.integers(-1, 6)), min_size=1, max_size=8
@@ -727,7 +783,8 @@ class TestSampleMerge:
         if not records:
             return
         keys = np.unique([(r << 32) + j for _, r, lo, hi in rows for j in range(lo, hi + 1)])
-        assert xray._count_samples(records) == keys.size
+        span = max(int(j_hi.max()) for *_, j_hi in records) + 1
+        assert xray._count_samples(records, span) == keys.size
 
 
 def _oblique_detector(mesh):
@@ -816,7 +873,9 @@ class TestTraversal:
             det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
         settings = IntegrationSettings(step=0.02)
         tree = None if leaf_size is None else build_obb_tree(mesh, leaf_size)
-        ctx = xray._render_context(mesh, field, det, settings, None, tree, leaf_size is None)
+        ctx = xray._render_context(
+            mesh, field, det, settings, None, tree, leaf_size is None, model_aabb(mesh)
+        )
         batched, per_ray = _leaf_ranges(ctx, tree)
         assert batched == per_ray
         assert batched
@@ -842,11 +901,17 @@ class TestTraceContract:
         for module, attr, _, _ in tracing.TARGETS:
             assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
 
-    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
-    def test_traced_counts_match_render_stats(self, tracing, name):
+    # +z is the benchmark's face; under it the cylinder100 corner faces
+    # parallel to the rays keep or drop whole rays in the clip
+    @pytest.mark.parametrize(
+        "name, face",
+        [("ball8", "+y"), ("cylinder100", "+y"), ("ball8", "+z"), ("cylinder100", "+z")],
+        ids=["ball8", "cylinder100", "ball8-+z", "cylinder100-+z"],
+    )
+    def test_traced_counts_match_render_stats(self, tracing, name, face):
         mesh, field = golden_scene(name)
         tree = build_obb_tree(mesh, 3)
-        det = make_detector(model_aabb(mesh), "+y", rays_per_cm2=400.0)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
         tracer = tracing.Tracer()
         counter = tracing.LeafSampleCounter(tree, det, settings.step)
