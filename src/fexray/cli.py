@@ -82,15 +82,16 @@ def _cmd_render(args) -> int:
         newton=xray.NewtonSettings(eps_tol=cfg.eps_tol, max_iter=cfg.max_iter),
         geom_tol=cfg.geom_tol,
     )
+    # the attenuation keys are validated, but no output holds intensity, so
+    # the render computes projected density only
     if cfg.attenuation == "table":
         rho = np.array([r for r, _ in cfg.table])
         mu = np.array([m for _, m in cfg.table])
-        model = xray.AttenuationModel("table", table_rho=rho, table_mu=mu, i_in=cfg.i_in)
+        xray.AttenuationModel("table", table_rho=rho, table_mu=mu, i_in=cfg.i_in)
     else:
-        model = xray.AttenuationModel(cfg.attenuation, kappa=cfg.kappa, i_in=cfg.i_in)
+        xray.AttenuationModel(cfg.attenuation, kappa=cfg.kappa, i_in=cfg.i_in)
     img = xray.render(
-        mesh, field, detector, settings, model=model,
-        workers=cfg.workers, brute_force=args.brute_force,
+        mesh, field, detector, settings, workers=cfg.workers, brute_force=args.brute_force
     )
     # graymap window; window_max defaults to the max pixel, which the config
     # check cannot compare with window_min

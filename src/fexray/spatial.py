@@ -242,7 +242,13 @@ def _point_table(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
         return table, corner_rows
     ends = np.sort(conn[:, EDGE_VERTICES], axis=2)  # (n_elements, 6, 2)
     keys = np.concatenate([ends, conn[:, 4:, None]], axis=2).reshape(-1, 3)
-    edges, edge_rows = np.unique(keys, axis=0, return_inverse=True)
+    # np.unique(keys, axis=0, return_inverse=True), as one lexsort
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    edges = keys[first]
+    edge_rows = np.empty(len(keys), dtype=np.int64)
+    edge_rows[order] = np.cumsum(first) - 1
     a, b, mid = mesh.nodes[edges.T]
     rows = np.hstack([corner_rows, len(table) + edge_rows.reshape(-1, 6)])
     return np.concatenate([table, _control_points(mid, a, b)]), rows

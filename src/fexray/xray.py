@@ -10,25 +10,33 @@ brute-force and multi-worker paths produce bitwise-identical images.
 
 ``render`` works in detector-frame coordinates (a, b, t): all rays share
 one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
-its origin in any box frame is linear in its pixel offsets (a, b).  The
-detector origin and axes are rotated into the frames of all tree nodes at
-once, per render; brute force is the tree of one leaf, the model box in
-the identity frame holding every element.  Each leaf record's depth
-interval becomes a grid range [j_lo, j_hi], and a sample is its grid point
-(ray, j): Newton lanes carry it, and all claims on one (ray, j), from
-overlapping ranges too, are resolved together.
+its origin in any box frame is linear in its pixel offsets (a, b).  Once per
+render the detector origin and axes are rotated into the frames of all tree
+leaves, and each leaf box is projected onto the detector as a padded pixel
+rectangle that holds every ray that can meet it.  A tile then scans the
+leaves in tree order and slab-tests each leaf box on the tile's rays inside
+its rectangle; no internal node is visited, because the tree's boxes nest
+and a walk down the tree would find the same leaf hits.  Brute force is the
+one-leaf case, the model box in the identity frame holding every element.
+Each leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
+sample is its grid point (ray, j): Newton lanes carry it, and all claims on
+one (ray, j), from overlapping ranges too, are resolved together.
 
-Point location then runs as one pass over (ray, element) pairs, taken from
-the leaf records in chunks of bounded size.  Each pair's ray is clipped
-to the element's box (in the detector frame) intersected with the four face
-half-spaces of its corner tetrahedron, each plane pushed out to the farthest
-Bezier control point; as the ray runs along t, a face bounds t through its
-normal's t component alone.  A quadratic element lies inside the convex
-hull of its control net, hence inside that clip, so the clip drops only
-(sample, element) pairs Newton would reject.  The surviving samples go to
-``membership_test`` in fixed-size lane batches, each lane carrying its own
-element id; the Newton reference frames of all elements are built once per
-render.
+Point location then streams (ray, element) pairs through three bounded
+stages.  First the element boxes (in the detector frame) are tested against
+the rays of a record as one (rays x elements) mask, so only pairs whose ray
+crosses an element's box footprint are built.  Then each pair's ray is
+clipped to the element's box depth range intersected with the four face
+half-spaces of its corner tetrahedron, each plane pushed out to the
+farthest Bezier control point; as the ray runs along t, a face bounds t
+through its normal's t component alone.  A quadratic element lies inside
+the convex hull of its control net, hence inside that clip, so the clip
+drops only (sample, element) pairs Newton would reject.  Last, whole pairs
+fill fixed-size lane batches, each with one entry-guess call and one
+``membership_test`` call, each lane carrying its own element id; the Newton
+reference frames of all elements are built once per render.  Every lane is
+independent of its batch and claims are resolved by (ray, j, entry t,
+element) whatever order the lanes come in, so batch sizes change no image.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -54,6 +62,7 @@ from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_
 from .mesh import TET_FACES, Mesh, NodalField, interpolate_values
 from .raycast import slab_intervals, tet_entry
 from .spatial import (
+    _BOX_CORNERS,
     Aabb,
     Basis,
     Obb,
@@ -352,81 +361,135 @@ def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
     return _ElementClip(lo - margin, hi + margin, normals, offsets)
 
 
-def _clip_pairs(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
-    """Clip the rays at detector-frame (a, b) to the elements e, pair by pair.
+def _box_pairs(clip: _ElementClip, records, ray_a, ray_b, budget: int):
+    """Yield (ray, element, j_lo, j_hi) for the (ray, element) pairs of the
+    leaf records whose ray crosses the element's box footprint in (a, b).
 
-    Returns (kept, t_in, t_out): the indices of the pairs whose ray crosses
-    the element's box footprint, and their clipped depth range, empty when
-    t_in > t_out.  The rays run along t, so face f bounds t by
-    gap / n_t, with gap = offset - n_a * a - n_b * b: from below where
-    n_t < 0, from above where n_t > 0.  A face with n_t == 0 keeps the
-    whole ray or none of it.
+    A record is tested in slices of at most ``budget`` candidates, as one
+    (rays x elements) mask, so only the pairs inside the box are built;
+    ``j_lo``/``j_hi`` are the record's.  A single ray meeting more than
+    ``budget`` elements makes a larger slice.
     """
-    lo, hi = clip.lo[e], clip.hi[e]
-    kept = np.flatnonzero(
-        (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
-    )
-    e = e[kept]
+    for elems, ids, j_lo, j_hi in records:
+        lo, hi = clip.lo[elems], clip.hi[elems]
+        rays_per_slice = max(1, budget // elems.size)
+        for first in range(0, ids.size, rays_per_slice):
+            part = slice(first, first + rays_per_slice)
+            a = ray_a[ids[part], None]
+            b = ray_b[ids[part], None]
+            r, e = np.nonzero((a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1]))
+            if r.size:
+                yield ids[part][r], elems[e], j_lo[part][r], j_hi[part][r]
+
+
+def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
+    """Depth range (t_in, t_out) of the rays at detector-frame (a, b) inside
+    the clips of the elements e, pair by pair; empty when t_in > t_out.
+
+    The rays run along t, so face f bounds t by gap / n_t, with
+    gap = offset - n_a * a - n_b * b: from below where n_t < 0, from above
+    where n_t > 0.  A face with n_t == 0 keeps the whole ray or none of it.
+    The box bounds t by its depth extent; its (a, b) footprint is
+    ``_box_pairs``'s test.
+    """
     n = clip.normals[e]
     n_t = n[..., 2]
-    gap = clip.offsets[e] - (n[..., 0] * a[kept, None] + n[..., 1] * b[kept, None])
+    gap = clip.offsets[e] - (n[..., 0] * a[:, None] + n[..., 1] * b[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):  # n_t == 0 lanes are replaced
         t = gap / n_t
     outside = (n_t == 0.0) & (gap < 0.0)
     t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
     t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
-    return kept, np.maximum(lo[kept, 2], t_in), np.minimum(hi[kept, 2], t_out)
+    return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)
+
+
+def _regroup(parts, rows: int, weight: int | None = None, budget: int = 0):
+    """Re-cut a stream of column tuples into batches of at most ``rows``
+    rows and, when ``weight`` is the index of a column of positive row
+    weights, of at most ``budget`` summed weight.
+
+    Rows keep their order, and a row heavier than the budget is a batch of
+    its own.  Parts are held until they pass a limit, so at most one batch
+    plus one part is held at a time.
+    """
+    held, n_held, w_held = [], 0, 0
+    for cols in parts:
+        held.append(cols)
+        n_held += cols[0].size
+        w_held += 0 if weight is None else int(cols[weight].sum())
+        if n_held <= rows and w_held <= budget:
+            continue
+        cols = tuple(np.concatenate(c) for c in zip(*held))
+        cum = None if weight is None else np.cumsum(cols[weight])
+        first, base = 0, 0
+        while True:
+            end = first + rows
+            if cum is not None:
+                end = min(end, int(np.searchsorted(cum, base + budget, side="right")))
+            if end >= n_held:
+                break
+            end = max(end, first + 1)
+            yield tuple(c[first:end] for c in cols)
+            first, base = end, 0 if cum is None else int(cum[end - 1])
+        held = [tuple(c[first:] for c in cols)]
+        n_held, w_held = n_held - first, w_held - base
+    if n_held:
+        yield tuple(np.concatenate(c) for c in zip(*held))
 
 
 @dataclass(frozen=True)
-class _NodeFrame:
-    """An OBB tree node with the detector in its frame.
+class _LeafFrames:
+    """The leaves with the detector in each leaf's frame.
 
-    In the node's frame a ray's origin is c + a * u + b * v and its
-    direction d, for the ray at detector-frame (a, b).  ``children`` are
-    indices into the node list; a leaf has none and holds ``elements``.
+    In leaf k's frame the ray at detector-frame (a, b) starts at
+    c[k] + a * u[k] + b * v[k] and runs along d[k].  Only the rays at pixels
+    i0 <= i <= i1 of rows k0 <= row <= k1 (``rect[k]``) can meet the box.
     """
 
-    box: Aabb
-    c: np.ndarray
+    leaves: list[ObbNode]
+    c: np.ndarray  # (n_leaves, 3)
     u: np.ndarray
     v: np.ndarray
     d: np.ndarray
     inv_d: np.ndarray
-    elements: np.ndarray | None
-    children: tuple[int, int] | None
+    rect: np.ndarray  # (n_leaves, 4) int64: i0, i1, k0, k1
 
 
-def _node_frames(root: ObbNode, det: Detector) -> list[_NodeFrame]:
-    """The tree under ``root`` in breadth-first order, root first, with the
-    detector in each node's frame; once per render, so tiles only test
-    their rays."""
-    order, children = [root], []
-    for node in order:  # visits the children appended on the way
-        if node.is_leaf:
-            children.append(None)
-        else:
-            children.append((len(order), len(order) + 1))
-            order += [node.left, node.right]
-    rows = np.stack([node.obb.basis.rows for node in order])
-    origins = np.stack([node.obb.basis.origin for node in order])
+def _leaf_frames(leaves: list[ObbNode], det: Detector) -> _LeafFrames:
+    """Rotate the detector into every leaf frame and project each leaf box
+    onto the detector, once per render.
+
+    As u, v and d are orthonormal, a box point p lies on the ray at
+    a = (p - c) . u, b = (p - c) . v; the box corners bound the rays that
+    can meet it.  The pixel rectangle is padded by one pixel, far more than
+    the roundoff of the projection and of the slab test, and clipped to the
+    detector; it is empty (i0 > i1 or k0 > k1) for a box beside it.
+    """
+    rows = np.stack([leaf.obb.basis.rows for leaf in leaves])
+    origins = np.stack([leaf.obb.basis.origin for leaf in leaves])
     c = _rotate(rows, det.origin - origins)
     u = _rotate(rows, det.axis_u)
     v = _rotate(rows, det.axis_v)
     d = _rotate(rows, det.normal)
     with np.errstate(divide="ignore"):
         inv_d = 1.0 / d
-    return [
-        _NodeFrame(node.obb.box, c[k], u[k], v[k], d[k], inv_d[k], node.elements, children[k])
-        for k, node in enumerate(order)
-    ]
+    pmin = np.stack([leaf.obb.box.pmin for leaf in leaves])
+    pmax = np.stack([leaf.obb.box.pmax for leaf in leaves])
+    corners = np.where(_BOX_CORNERS, pmax[:, None], pmin[:, None]) - c[:, None]
+    rect = []
+    for axis, n in ((u, det.nu), (v, det.nv)):
+        pix = (corners * axis[:, None]).sum(axis=-1) / det.pitch
+        lo = np.floor(pix.min(axis=1)) - 1.0
+        hi = np.ceil(pix.max(axis=1)) + 1.0
+        rect += [np.clip(lo, 0, n), np.clip(hi, -1, n - 1)]
+    return _LeafFrames(leaves, c, u, v, d, inv_d, np.stack(rect, axis=1).astype(np.int64))
 
 
 @dataclass
 class _RenderContext:
     mesh: Mesh
     values: np.ndarray
-    nodes: list[_NodeFrame]
+    leaves: _LeafFrames
     detector: Detector
     settings: IntegrationSettings
     want_mu: bool
@@ -438,17 +501,17 @@ class _RenderContext:
 
 def _render_context(mesh, field, detector, settings, model, tree, brute_force, box):
     """Per-render state shared by all tiles; builds the tree if none is given.
-    Brute force is the one-leaf tree: the model ``box`` in the identity
+    Brute force is the one-leaf case: the model ``box`` in the identity
     frame, holding every element."""
     if brute_force:
         identity = Obb(Basis(np.eye(3), np.zeros(3)), box)
-        root = ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))
+        leaves = [ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))]
     else:
-        root = (tree or build_obb_tree(mesh, settings.max_leaf_elements)).root
+        leaves = (tree or build_obb_tree(mesh, settings.max_leaf_elements)).leaves
     return _RenderContext(
         mesh=mesh,
         values=field.values,
-        nodes=_node_frames(root, detector),
+        leaves=_leaf_frames(leaves, detector),
         detector=detector,
         settings=settings,
         want_mu=model is not None and model.variant == "table",
@@ -477,54 +540,32 @@ def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
     return _lane_origins(det.origin, det.axis_u, det.axis_v, a, b), a, b
 
 
-def _slab_hits(c, u, v, d, inv_d, box: Aabb, a, b):
-    """``slab_intervals(...)[2]`` for the origins c + a * u + b * v, one axis
-    at a time on the (a, b) lanes instead of on (n, 3) origins."""
-    hit = t_enter = t_exit = None
-    for k in range(3):
-        o = c[k] + a * u[k] + b * v[k]
-        if d[k] == 0.0:
-            inside = (o >= box.pmin[k]) & (o <= box.pmax[k])
-            hit = inside if hit is None else hit & inside
-            continue
-        t1 = (box.pmin[k] - o) * inv_d[k]
-        t2 = (box.pmax[k] - o) * inv_d[k]
-        lo, hi = (t1, t2) if inv_d[k] > 0.0 else (t2, t1)
-        t_enter = lo if t_enter is None else np.maximum(t_enter, lo)
-        t_exit = hi if t_exit is None else np.minimum(t_exit, hi)
-    slab = (t_enter <= t_exit) & (t_exit >= 0.0)
-    return slab if hit is None else hit & slab
+def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
+    """Leaf records (elements, ray_ids, j_lo, j_hi) of the rays [r_lo, r_hi):
+    the rays with samples inside each leaf box, tile-local ids, and their
+    grid ranges, leaf by leaf in ``tree.leaves`` order.
 
-
-def _traverse_block(ctx: _RenderContext, ray_a: np.ndarray, ray_b: np.ndarray):
-    """Vectorized tree traversal of the rays at detector-frame (a, b).
-
-    Returns leaf records (elements, ray_ids, j_lo, j_hi): the rays with
-    samples inside the leaf box and their grid ranges.  A node's frame holds
-    the detector origin and axes (``_node_frames``), so a ray's local origin
-    is linear in (a, b) and no ray origin is rotated.  Internal nodes test
-    the lanes with ``_slab_hits``.  Leaf nodes build the local origins and
-    call ``slab_intervals`` on them: the leaf-box slab calls define the
-    render's samples, and a tracer may count the samples from those calls
-    alone.
+    A leaf is tested on the tile's rays inside its pixel rectangle
+    (``_leaf_frames``), whose local origins are linear in (a, b), with one
+    ``slab_intervals`` call on the leaf's own box: those calls define the
+    render's samples, and a tracer may count the samples from them alone.
+    The tree's boxes nest (``spatial._expand_over_children``), so this flat
+    scan finds the records a walk down the tree would.
     """
-    step = ctx.settings.step
+    det, lf, step = ctx.detector, ctx.leaves, ctx.settings.step
+    i0, i1, k0, k1 = lf.rect.T
+    row_lo, row_hi = r_lo // det.nu, (r_hi - 1) // det.nu
     records = []
-    stack = [(0, np.arange(ray_a.size, dtype=np.int64))]
-    while stack:
-        k, ids = stack.pop()
-        node = ctx.nodes[k]
-        a, b = ray_a[ids], ray_b[ids]
-        if node.children is None:
-            o_local = _lane_origins(node.c, node.u, node.v, a, b)
-            te, tx, _ = slab_intervals(o_local, node.inv_d, node.d, node.box.pmin, node.box.pmax)
-            _add_record(records, node.elements, ids, te, tx, step)
+    for k in np.flatnonzero((i0 <= i1) & (k0 <= row_hi) & (k1 >= row_lo)):
+        rows = np.arange(max(k0[k], row_lo), min(k1[k], row_hi) + 1)
+        ids = (rows[:, None] * det.nu + np.arange(i0[k], i1[k] + 1)).ravel()
+        ids = ids[(ids >= r_lo) & (ids < r_hi)] - r_lo
+        if not ids.size:
             continue
-        keep = ids[_slab_hits(node.c, node.u, node.v, node.d, node.inv_d, node.box, a, b)]
-        if keep.size:
-            left, right = node.children
-            stack.append((right, keep))
-            stack.append((left, keep))
+        box = lf.leaves[k].obb.box
+        o_local = _lane_origins(lf.c[k], lf.u[k], lf.v[k], ray_a[ids], ray_b[ids])
+        te, tx, _ = slab_intervals(o_local, lf.inv_d[k], lf.d[k], box.pmin, box.pmax)
+        _add_record(records, lf.leaves[k].elements, ids, te, tx, step)
     return records
 
 
@@ -554,45 +595,37 @@ def _count_samples(records, span: int) -> int:
     return int(np.maximum(hi - np.maximum(reach, lo - 1), 0).sum())
 
 
-# (ray, element) pairs clipped at once, and (sample, element) lanes per
-# membership_test call; both keep the transient arrays of a tile bounded
-PAIR_CHUNK = 16384
-NEWTON_CHUNK = 32768
+# (ray, element) pairs box-tested, clipped or given entry guesses at once,
+# and (sample, element) lanes per Newton batch; both keep the transient
+# arrays of a tile bounded
+PAIR_CHUNK = 4096
+NEWTON_CHUNK = 24576
 # samples per tile, counting every ray at the grid points on the longest
 # model box chord along the rays; bounds the per-tile arrays that scale
 # with the samples
 TILE_SAMPLES = 1 << 17
 
 
-def _pair_chunks(records, budget: int):
-    """Yield (ray, element, j_lo, j_hi) arrays, one entry per (ray, element) pair.
+def _clipped_pairs(ctx: _RenderContext, records, ray_a, ray_b):
+    """Yield (ray, element, j1, counts) for the (ray, element) pairs with
+    candidate samples j1 .. j1 + counts - 1: the grid points inside the
+    element clip and inside the record's own range.
 
-    Leaf records are packed whole up to ``budget`` pairs; a larger record is
-    split by rays, so only a single ray meeting more than ``budget`` elements
-    makes a larger chunk.  ``j_lo``/``j_hi`` are the record's.
+    Pairs are built only inside the element boxes and clipped ``PAIR_CHUNK``
+    at a time.  Each element sits in one leaf, so a pair arises once per
+    tile; the record range keeps every Newton lane inside the render's
+    samples.
     """
-    parts, size = [], 0
-    for elems, ids, *cols in records:
-        rays_per_part = max(1, budget // elems.size)
-        for lo in range(0, ids.size, rays_per_part):
-            part = slice(lo, lo + rays_per_part)
-            n = ids[part].size * elems.size
-            if parts and size + n > budget:
-                yield _expand_pairs(parts)
-                parts, size = [], 0
-            parts.append((elems, ids[part], *(col[part] for col in cols)))
-            size += n
-    if parts:
-        yield _expand_pairs(parts)
-
-
-def _expand_pairs(parts):
-    cols = [
-        (np.repeat(ids, elems.size), np.tile(elems, ids.size))
-        + tuple(np.repeat(col, elems.size) for col in ray_cols)
-        for elems, ids, *ray_cols in parts
-    ]
-    return tuple(np.concatenate(c) for c in zip(*cols))
+    step = ctx.settings.step
+    pairs = _box_pairs(ctx.clip, records, ray_a, ray_b, PAIR_CHUNK)
+    for ray, elem, rec_jlo, rec_jhi in _regroup(pairs, PAIR_CHUNK):
+        t_in, t_out = _depth_clip(ctx.clip, ray_a[ray], ray_b[ray], elem)
+        j1, j2 = _grid_range(t_in, t_out, step)
+        j1 = np.maximum(j1, rec_jlo)
+        j2 = np.minimum(j2, rec_jhi)
+        keep = np.flatnonzero(j2 >= j1)
+        if keep.size:
+            yield ray[keep], elem[keep], j1[keep], j2[keep] - j1[keep] + 1
 
 
 def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
@@ -606,7 +639,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     stats = RenderStats(rays=n_rays)
 
     origins, ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
-    records = _traverse_block(ctx, ray_a, ray_b)
+    records = _scan_leaves(ctx, r_lo, r_hi, ray_a, ray_b)
     if not records:
         return pd, mu, stats
 
@@ -615,52 +648,35 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     span = max(int(rec[3].max()) for rec in records) + 1
     stats.samples = _count_samples(records, span)
     d = det.normal
-    # candidate samples per (ray, element) pair: those inside the element
-    # clip.  Each element sits in one leaf, so a pair arises once per tile;
-    # intersecting with the record's own range keeps every Newton lane
-    # inside the render's samples
     claims_k: list[np.ndarray] = []
     claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    for ray, elem, rec_jlo, rec_jhi in _pair_chunks(records, PAIR_CHUNK):
-        kept, t_in, t_out = _clip_pairs(ctx.clip, ray_a[ray], ray_b[ray], elem)
-        j1, j2 = _grid_range(t_in, t_out, step)
-        j1 = np.maximum(j1, rec_jlo[kept])
-        j2 = np.minimum(j2, rec_jhi[kept])
-        keep = j2 >= j1
-        if not keep.any():
-            continue
-        kept = kept[keep]
-        ray, elem, j1 = ray[kept], elem[kept], j1[keep]
-        counts = j2[keep] - j1 + 1
+    # batches of whole pairs, weighted by their lane counts, so a batch's
+    # pairs take one entry-guess call
+    pairs = _clipped_pairs(ctx, records, ray_a, ray_b)
+    for ray, elem, j1, counts in _regroup(pairs, PAIR_CHUNK, weight=3, budget=NEWTON_CHUNK):
         t_guess, _ = tet_entry(origins[ray], d, ctx.corners[elem])
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
         lane_e = np.repeat(elem, counts)
-        lane_t = np.repeat(t_guess, counts)
-        for lo in range(0, lane_j.size, NEWTON_CHUNK):
-            ch = slice(lo, lo + NEWTON_CHUNK)
-            r_ch, j_ch, e_ch = lane_r[ch], lane_j[ch], lane_e[ch]
-            pts = origins[r_ch] + ((j_ch + 0.5) * step)[:, None] * d
-            inside, xi, iters, converged = membership_test(
-                ctx.mesh, e_ch, pts, settings.newton, settings.geom_tol, ctx.frames
-            )
-            stats.pairs_tested += e_ch.size
-            stats.pairs_inside += int(np.count_nonzero(inside))
-            stats.newton_iterations += int(iters.sum())
-            stats.non_converged += int(np.count_nonzero(~converged))
-            if not inside.any():
-                continue
-            e_in = e_ch[inside]
-            claims_rho.append(
-                interpolate_values(
-                    ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order
-                )
-            )
-            claims_k.append(r_ch[inside] * span + j_ch[inside])
-            claims_t.append(lane_t[ch][inside])
-            claims_e.append(e_in)
+        pts = origins[lane_r] + ((lane_j + 0.5) * step)[:, None] * d
+        inside, xi, iters, converged = membership_test(
+            ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames
+        )
+        stats.pairs_tested += lane_e.size
+        stats.pairs_inside += int(np.count_nonzero(inside))
+        stats.newton_iterations += int(iters.sum())
+        stats.non_converged += int(np.count_nonzero(~converged))
+        if not inside.any():
+            continue
+        e_in = lane_e[inside]
+        claims_rho.append(
+            interpolate_values(ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order)
+        )
+        claims_k.append(lane_r[inside] * span + lane_j[inside])
+        claims_t.append(np.repeat(t_guess, counts)[inside])
+        claims_e.append(e_in)
 
     if claims_k:
         ck = np.concatenate(claims_k)

@@ -150,6 +150,33 @@ class TestRender:
         assert main(["render", "--config", str(cfg2), "--brute-force"]) == 0
         assert g1.read_bytes() == g2.read_bytes()
 
+    def test_attenuation_keys_change_no_output(self, tmp_path, ball_files):
+        # every output holds projected density; the keys are only validated
+        mesh, field = ball_files
+        variants = {
+            "identity": {},
+            "linear": {"kappa": 2.0},
+            "table": {"table": "0:0, 1:0.716, 2:2.251"},
+        }
+        outputs = []
+        for variant, keys in variants.items():
+            out = tmp_path / variant
+            out.mkdir()
+            cfg = write_config(
+                out, mesh, field, attenuation=variant, **keys,
+                out_density=out / "d.fgrid", out_pgm=out / "d.pgm",
+                out_error=out / "e.fgrid", oracle="ball",
+            )
+            assert main(["render", "--config", str(cfg)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("d.fgrid", "d.pgm", "e.fgrid")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_non_finite_table_rejected(self, tmp_path, ball_files, capsys):
+        mesh, field = ball_files
+        cfg = write_config(tmp_path, mesh, field, attenuation="table", table="0:0, 1:nan")
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["render"]) == 1
         assert main(["no-such-command"]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fexray import spatial
-from fexray.bench import BallSpec, generate_ball
+from fexray.bench import BallSpec, CylinderSpec, generate_ball, generate_cylinder
 from fexray.mesh import EDGE_VERTICES, Mesh, _lattice_jacobian_dets
 from fexray.spatial import (
     BOX_INFLATION,
@@ -607,6 +607,25 @@ class TestHullInput:
         assert table[rows].tobytes() == element_bounding_points(mesh)[:, keep].tobytes()
         all_elems = np.arange(mesh.n_elements)
         assert len(table) == _distinct_corners_and_edges(mesh, all_elems)
+
+    # the golden scenes and the two benchmark meshes
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball512", "cylinder2058"])
+    def test_point_table_edges_match_unique_rows(self, name):
+        if name == "ball512":
+            mesh = generate_ball(BallSpec(target_elements=512))[0]
+        elif name == "cylinder2058":
+            mesh = generate_cylinder(CylinderSpec())[0]
+            assert mesh.n_elements == 2058
+        else:
+            mesh = golden_scene(name)[0]
+        table, rows = spatial._point_table(mesh)
+        ends = np.sort(mesh.elements[:, EDGE_VERTICES], axis=2)
+        keys = np.concatenate([ends, mesh.elements[:, 4:, None]], axis=2).reshape(-1, 3)
+        edges, edge_rows = np.unique(keys, axis=0, return_inverse=True)
+        n_corners = len(np.unique(mesh.elements[:, :4]))
+        a, b, mid = mesh.nodes[edges.T]
+        assert table[n_corners:].tobytes() == spatial._control_points(mid, a, b).tobytes()
+        assert (rows[:, 4:] == n_corners + edge_rows.reshape(-1, 6)).all()
 
 
 def _bits(node):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from fexray import locate, xray
+from fexray import locate, spatial, xray
 from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, Mesh, MeshError, NodalField, map_points
 from fexray.raycast import slab_intervals, tet_entry
@@ -513,6 +513,95 @@ class TestPairPass:
         assert peaks[1] <= 2 * peaks[0], peaks
 
 
+def _expanded_lanes(ctx):
+    """(element, x, y, z) rows of the Newton lanes of the full (ray, element)
+    expansion of the whole detector's leaf records, lexsorted: every pair of
+    a record is built, then clipped to the element box and face planes."""
+    step, det = ctx.settings.step, ctx.detector
+    origins, ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
+    clip, rows = ctx.clip, []
+    for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b):
+        ray, e = np.repeat(ids, elems.size), np.tile(elems, ids.size)
+        a, b = ray_a[ray], ray_b[ray]
+        lo, hi = clip.lo[e], clip.hi[e]
+        box = (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
+        t_in, t_out = xray._depth_clip(clip, a[box], b[box], e[box])
+        j1, j2 = xray._grid_range(t_in, t_out, step)
+        j1 = np.maximum(j1, np.repeat(j_lo, elems.size)[box])
+        j2 = np.minimum(j2, np.repeat(j_hi, elems.size)[box])
+        for r, el, first, last in zip(ray[box], e[box], j1, j2):
+            j = np.arange(first, last + 1)
+            pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
+            rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
+    return _sorted_rows(np.concatenate(rows))
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestPairStream:
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    @pytest.mark.parametrize("chunks", [(1, 1), (7, 11), None], ids=["1-1", "7-11", "default"])
+    def test_newton_lanes_match_full_expansion(self, monkeypatch, name, chunks):
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=100.0)
+        settings = IntegrationSettings(step=0.02)
+        tree = build_obb_tree(mesh, 3)
+        monkeypatch.setattr(xray, "TILE_SAMPLES", 1 << 40)  # one tile
+        if chunks is not None:
+            monkeypatch.setattr(xray, "PAIR_CHUNK", chunks[0])
+            monkeypatch.setattr(xray, "NEWTON_CHUNK", chunks[1])
+        pairs, lanes = [], []
+
+        def entry(o, d, corners):
+            pairs.append(len(o))
+            return tet_entry(o, d, corners)
+
+        def member(mesh, e, pts, *args):
+            lanes.append(np.column_stack([e.astype(float), pts]))
+            return membership_test(mesh, e, pts, *args)
+
+        monkeypatch.setattr(xray, "tet_entry", entry)
+        monkeypatch.setattr(xray, "membership_test", member)
+        img = render(mesh, field, det, settings, tree=tree)
+        assert img.stats.pairs_inside > 0
+        # one entry guess and one Newton call per batch; a batch holds at
+        # most PAIR_CHUNK pairs and passes the lane budget only as one pair
+        assert len(pairs) == len(lanes)
+        for n_pairs, batch in zip(pairs, lanes):
+            assert n_pairs <= xray.PAIR_CHUNK
+            assert len(batch) <= xray.NEWTON_CHUNK or n_pairs == 1
+        ctx = xray._render_context(mesh, field, det, settings, None, tree, False, model_aabb(mesh))
+        np.testing.assert_array_equal(_sorted_rows(np.concatenate(lanes)), _expanded_lanes(ctx))
+
+    @given(
+        st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6), max_size=8),
+        st.integers(1, 12),
+        st.one_of(st.none(), st.integers(1, 12)),
+    )
+    @example([[5, 5], [9], [1, 1, 1]], 12, 6)
+    @example([[1, 1, 1], [1, 1]], 2, None)
+    def test_regroup_cuts_full_batches(self, parts, rows, budget):
+        # rows are numbered, so order and completeness show in the ids;
+        # budget None is the row limit alone
+        counts = np.cumsum([0] + [len(p) for p in parts])
+        stream = [(np.arange(lo, lo + len(p)), np.array(p)) for lo, p in zip(counts, parts)]
+        if budget is None:
+            batches = list(xray._regroup(iter(stream), rows))
+        else:
+            batches = list(xray._regroup(iter(stream), rows, 1, budget))
+        ids = [int(i) for batch, _ in batches for i in batch]
+        assert ids == list(range(counts[-1]))
+        for k, (batch, weight) in enumerate(batches):
+            assert batch.size <= rows
+            if budget is not None:
+                assert weight.sum() <= budget or batch.size == 1
+            if k + 1 < len(batches):  # full: the next row would pass a limit
+                heavy = budget is not None and weight.sum() + batches[k + 1][1][0] > budget
+                assert batch.size == rows or heavy
+
+
 class TestTiles:
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     def test_tile_budget_invariance(self, monkeypatch, name):
@@ -584,13 +673,23 @@ def _frame_detector(origin, d):
     return Detector(origin, u, np.cross(d, u), d, 1, 1, 1.0)
 
 
+def _clip_ray(clip, a, b):
+    """Depth range (t_in, t_out) of the ray at detector-frame (a, b) in the
+    clip of element 0, through both clip stages of the pair stream; None
+    when the ray misses the element box footprint."""
+    one = np.zeros(1, dtype=np.int64)
+    ray_a, ray_b = np.array([a], dtype=float), np.array([b], dtype=float)
+    pairs = list(xray._box_pairs(clip, [(one, one, one, one)], ray_a, ray_b, 1))
+    if not pairs:
+        return None
+    t_in, t_out = xray._depth_clip(clip, ray_a, ray_b, pairs[0][1])
+    return float(t_in[0]), float(t_out[0])
+
+
 def _assert_clip_conservative(mesh, det, t_max):
     """Every ray point membership_test accepts lies inside the clip."""
     clip = xray._element_clip(mesh, det)
-    kept, t_in, t_out = xray._clip_pairs(
-        clip, np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
-    )
-    lo, hi = (t_in[0], t_out[0]) if kept.size else (np.inf, -np.inf)
+    lo, hi = _clip_ray(clip, 0.0, 0.0) or (np.inf, -np.inf)
 
     def accepted(t):
         pts = det.origin + np.asarray(t)[:, None] * det.normal
@@ -727,9 +826,7 @@ class TestClipPairs:
         offsets = np.array([f[3] for f in faces])
         lo, hi = np.minimum(c1, c2), np.maximum(c1, c2)
         clip = xray._ElementClip(lo[None], hi[None], normals[None], offsets[None])
-        kept, t_in, t_out = xray._clip_pairs(
-            clip, np.array([a]), np.array([b]), np.zeros(1, dtype=np.int64)
-        )
+        clipped = _clip_ray(clip, a, b)
 
         def inside(t):
             # the clip's own fixed-order plane values; n_t * t is exact zero
@@ -740,10 +837,10 @@ class TestClipPairs:
             planes = normals[:, 0] * a + normals[:, 1] * b + normals[:, 2] * t
             return bool((planes <= offsets).all())
 
-        if kept.size == 0:
+        if clipped is None:
             assert not (lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1])
             return
-        t_in, t_out = float(t_in[0]), float(t_out[0])
+        t_in, t_out = clipped
         for t in np.linspace(lo[2] - 1.0, hi[2] + 1.0, 41):
             if not t_in - 1e-9 <= t <= t_out + 1e-9:
                 assert not inside(t), (t, t_in, t_out)
@@ -799,16 +896,26 @@ def _oblique_detector(mesh):
     return Detector(center - 3.0 * half * n - half * (u + v), u, v, n, 17, 13, 2.0 * half / 14)
 
 
-def _leaf_ranges(ctx, tree):
-    """{(elements, ray, j_lo, j_hi)} of the non-empty leaf ranges, batched and
-    per ray; no tree is brute force."""
+def _scan_records(ctx, tile_rays):
+    """{(elements, ray, j_lo, j_hi)} of the flat leaf scan over tiles of
+    ``tile_rays`` rays, ray ids global."""
+    n_rays = ctx.detector.n_rays
+    out = set()
+    for r_lo in range(0, n_rays, tile_rays):
+        r_hi = min(r_lo + tile_rays, n_rays)
+        _, a, b = xray._block_rays(ctx, r_lo, r_hi)
+        for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, r_lo, r_hi, a, b):
+            out |= {
+                (tuple(elems), r_lo + int(r), int(lo), int(hi))
+                for r, lo, hi in zip(ids, j_lo, j_hi)
+            }
+    return out
+
+
+def _per_ray_records(ctx, tree):
+    """The same set from the per-ray reference walk down the tree; no tree
+    is brute force."""
     det, step = ctx.detector, ctx.settings.step
-    _, a, b = xray._block_rays(ctx, 0, det.n_rays)
-    batched = {
-        (tuple(elems), int(r), int(lo), int(hi))
-        for elems, ids, j_lo, j_hi in xray._traverse_block(ctx, a, b)
-        for r, lo, hi in zip(ids, j_lo, j_hi)
-    }
     per_ray = set()
     all_elems = tuple(range(ctx.mesh.n_elements))
     for j in range(det.nv):
@@ -826,7 +933,7 @@ def _leaf_ranges(ctx, tree):
                 lo, hi = xray._grid_range(np.float64(t_enter), np.float64(t_exit), step)
                 if hi >= lo:
                     per_ray.add((elems, j * det.nu + i, int(lo), int(hi)))
-    return batched, per_ray
+    return per_ray
 
 
 def _random_rows(rng):
@@ -836,28 +943,51 @@ def _random_rows(rng):
     return rows
 
 
+def _signed_permutation(rng):
+    rows = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)[:, None]
+    if np.linalg.det(rows) < 0.0:
+        rows[2] = -rows[2]
+    return rows
+
+
 class TestTraversal:
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-    def test_slab_hits_match_slab_intervals(self, seed, aligned, identity):
-        # aligned detector axes in an identity basis give exactly zero
-        # direction components; some lanes sit exactly on a box plane
+    def test_pixel_rectangle_holds_every_slab_hit(self, seed, aligned, axis_basis):
+        # an aligned detector seen from a basis along the world axes gives
+        # exactly zero local direction components; three box planes pass
+        # exactly through pixel rays
         rng = np.random.default_rng(seed)
-        if aligned:
-            frame = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)[:, None]
-        else:
-            frame = _random_rows(rng)
-        basis = Basis(np.eye(3) if identity else _random_rows(rng), rng.normal(size=3))
-        c = basis.to_local(rng.normal(size=3))
-        u, v, d = basis.rotate(frame)
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d
-        a, b = rng.uniform(-2.0, 2.0, (2, 64))
-        o = xray._lane_origins(c, u, v, a, b)
-        lo, hi = np.sort(1.5 * rng.normal(size=(2, 3)), axis=0)
-        lo[0], hi[1], lo[2] = o[0, 0], o[1, 1], o[2, 2]
+        frame = _signed_permutation(rng) if aligned else _random_rows(rng)
+        nu, nv = (int(n) for n in rng.integers(1, 13, 2))
+        pitch = float(rng.uniform(0.05, 0.5))
+        det = Detector(rng.normal(size=3), *frame, nu, nv, pitch)
+        size = pitch * max(nu, nv)
+        center = (
+            det.pixel_origin(nu / 2, nv / 2)
+            + rng.uniform(0.0, 3.0) * det.normal
+            + rng.normal(scale=size / 2, size=3)
+        )
+        basis = Basis(_signed_permutation(rng) if axis_basis else _random_rows(rng), center)
+
+        def leaf_frames(box):
+            leaf = spatial.ObbNode(spatial.Obb(basis, box), 0, np.zeros(1, dtype=np.int64))
+            return xray._leaf_frames([leaf], det)
+
+        lf = leaf_frames(Aabb(-np.ones(3), np.ones(3)))  # the frame, whatever the box
+        r = np.arange(det.n_rays)
+        o = xray._lane_origins(lf.c[0], lf.u[0], lf.v[0], (r % nu) * pitch, (r // nu) * pitch)
+        lo, hi = size * rng.uniform(0.05, 1.0, (2, 3)) * [[-1.0], [1.0]]
+        on_plane = rng.integers(0, det.n_rays, 3)
+        lo[0], hi[1], lo[2] = o[on_plane[0], 0], o[on_plane[1], 1], o[on_plane[2], 2]
         box = Aabb(np.minimum(lo, hi), np.maximum(lo, hi))
-        expected = slab_intervals(o, inv_d, d, box.pmin, box.pmax)[2]
-        np.testing.assert_array_equal(xray._slab_hits(c, u, v, d, inv_d, box, a, b), expected)
+        i0, i1, k0, k1 = leaf_frames(box).rect[0]
+        hit = slab_intervals(o, lf.inv_d[0], lf.d[0], box.pmin, box.pmax)[2]
+        i, k = r[hit] % nu, r[hit] // nu
+        assert ((i0 <= i) & (i <= i1) & (k0 <= k) & (k <= k1)).all()
+        # no wider than the box's shadow plus the padding
+        for axis, first, last in ((lf.u[0], i0, i1), (lf.v[0], k0, k1)):
+            shadow = float(np.abs(axis) @ box.extents) / pitch
+            assert last - first <= shadow + 4
 
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     @pytest.mark.parametrize("face", ["oblique", "+x", "-x", "+y", "-y", "+z", "-z"])
@@ -876,11 +1006,13 @@ class TestTraversal:
         ctx = xray._render_context(
             mesh, field, det, settings, None, tree, leaf_size is None, model_aabb(mesh)
         )
-        batched, per_ray = _leaf_ranges(ctx, tree)
-        assert batched == per_ray
-        assert batched
+        per_ray = _per_ray_records(ctx, tree)
+        # one tile, then tiles that split rows mid-way
+        for tile_rays in (det.n_rays, det.nu + 3):
+            assert _scan_records(ctx, tile_rays) == per_ray, tile_rays
+        assert per_ray
         if leaf_size is not None:
-            assert len({elems for elems, *_ in batched}) > 1
+            assert len({elems for elems, *_ in per_ray}) > 1
 
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
