@@ -7,6 +7,7 @@ or malformed files, inconsistent dimensions), 3 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -114,7 +115,11 @@ def _cmd_render(args) -> int:
         grid = io_text.FloatGrid(img.nu, img.nv, img.pitch, err.density)
         Path(cfg.out_error).write_bytes(io_text.write_float_grid(grid))
     if cfg.out_stats:
-        Path(cfg.out_stats).write_text(img.stats.to_text())
+        if cfg.out_stats.endswith(".json"):
+            text = json.dumps(img.stats.to_dict(), indent=2) + "\n"
+        else:
+            text = img.stats.to_text()
+        Path(cfg.out_stats).write_text(text)
     print(
         f"rendered {img.nu}x{img.nv} pixels, mass {xray.image_mass(img):.6g} g, "
         f"max density {img.density.max():.6g} g/cm^2"

@@ -46,24 +46,11 @@ class Basis:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "origin", origin)
 
-    def to_local(self, points: np.ndarray) -> np.ndarray:
-        """Rigidly transform world points into the basis frame."""
-        p = np.asarray(points, dtype=np.float64)
-        d0 = p[..., 0] - self.origin[0]
-        d1 = p[..., 1] - self.origin[1]
-        d2 = p[..., 2] - self.origin[2]
-        return _rotate_components(self.rows, d0, d1, d2)
-
     def to_world(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of to_local."""
+        """Map basis-frame points to world coordinates."""
         p = np.asarray(points, dtype=np.float64)
         q = _rotate_components(self.rows.T, p[..., 0], p[..., 1], p[..., 2])
         return q + self.origin
-
-    def rotate(self, vectors: np.ndarray) -> np.ndarray:
-        """Rotate world vectors into the basis frame (no translation)."""
-        v = np.asarray(vectors, dtype=np.float64)
-        return _rotate_components(self.rows, v[..., 0], v[..., 1], v[..., 2])
 
 
 def _rotate_components(rows, d0, d1, d2):

@@ -29,9 +29,12 @@ crosses an element's box footprint are built.  Then each pair's ray is
 clipped to the element's box depth range intersected with the four face
 half-spaces of its corner tetrahedron, each plane pushed out to the
 farthest Bezier control point; as the ray runs along t, a face bounds t
-through its normal's t component alone.  A quadratic element lies inside
-the convex hull of its control net, hence inside that clip, so the clip
-drops only (sample, element) pairs Newton would reject.  Last, whole pairs
+through its normal's t component alone.  The planes are stored as face
+rows, one contiguous array per face and normal component, so the clip is
+four passes over the pairs, each folding one face's bound into the depth
+range.  A quadratic element lies inside the convex hull of its control
+net, hence inside that clip, so the clip drops only (sample, element)
+pairs Newton would reject.  Last, whole pairs
 fill fixed-size lane batches, each with one entry-guess call and one
 ``membership_test`` call, each lane carrying its own element id; the Newton
 reference frames of all elements are built once per render.  Every lane is
@@ -212,15 +215,25 @@ class RenderStats:
         self.newton_iterations += other.newton_iterations
         self.non_converged += other.non_converged
 
+    def to_dict(self) -> dict:
+        """The counters and the wall time in seconds, under the names of
+        ``to_text``."""
+        return {
+            "rays": self.rays,
+            "samples": self.samples,
+            "pairs_tested": self.pairs_tested,
+            "pairs_inside": self.pairs_inside,
+            "newton_iterations": self.newton_iterations,
+            "non_converged": self.non_converged,
+            "wall_time_s": self.wall_time,
+        }
+
     def to_text(self) -> str:
-        return (
-            f"rays = {self.rays}\n"
-            f"samples = {self.samples}\n"
-            f"pairs_tested = {self.pairs_tested}\n"
-            f"pairs_inside = {self.pairs_inside}\n"
-            f"newton_iterations = {self.newton_iterations}\n"
-            f"non_converged = {self.non_converged}\n"
-            f"wall_time_s = {self.wall_time:.3f}\n"
+        """One ``name = value`` line per entry of ``to_dict``, the wall time
+        to the millisecond."""
+        return "".join(
+            f"{k} = {v:.3f}\n" if k == "wall_time_s" else f"{k} = {v}\n"
+            for k, v in self.to_dict().items()
         )
 
 
@@ -323,18 +336,35 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ElementClip:
-    """Per-element clip volumes in detector-frame coordinates.
+    """Per-element clip volumes in detector-frame coordinates, as face rows.
 
     A point origin + a * axis_u + b * axis_v + t * normal has frame
     coordinates (a, b, t).  It lies in element e's clip when it is inside
-    the box [lo[e], hi[e]] and ``normals[e, f] . (a, b, t) <= offsets[e, f]``
-    for each face f.
+    the box [lo[e], hi[e]] and, for each face f,
+    ``n_a[f, e] * a + n_b[f, e] * b + n_t[f, e] * t <= offset[f, e]``.
+    Row f of each (4, n_elements) face array holds face f of every element,
+    so a pass over face f takes contiguous values per element; ``t_lo`` and
+    ``t_hi`` are the box's depth bounds.
     """
 
     lo: np.ndarray  # (n_elements, 3)
     hi: np.ndarray
-    normals: np.ndarray  # (n_elements, 4, 3) unit outward normals
-    offsets: np.ndarray  # (n_elements, 4)
+    t_lo: np.ndarray  # (n_elements,)
+    t_hi: np.ndarray
+    n_a: np.ndarray  # (4, n_elements) components of the unit outward normals
+    n_b: np.ndarray
+    n_t: np.ndarray
+    offset: np.ndarray
+
+    @classmethod
+    def from_planes(cls, lo, hi, normals, offsets) -> "_ElementClip":
+        """Clip of boxes [lo, hi], (n, 3) each, and face planes with
+        (n, 4, 3) normals and (n, 4) offsets."""
+        n_a, n_b, n_t = np.ascontiguousarray(np.transpose(normals, (2, 1, 0)))
+        return cls(
+            lo, hi, np.ascontiguousarray(lo[:, 2]), np.ascontiguousarray(hi[:, 2]),
+            n_a, n_b, n_t, np.ascontiguousarray(offsets.T),
+        )
 
 
 def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
@@ -358,7 +388,7 @@ def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
     hi = bpts.max(axis=1)
     margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=1)[:, None]
     offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1) + margin
-    return _ElementClip(lo - margin, hi + margin, normals, offsets)
+    return _ElementClip.from_planes(lo - margin, hi + margin, normals, offsets)
 
 
 def _box_pairs(clip: _ElementClip, records, ray_a, ray_b, budget: int):
@@ -390,17 +420,22 @@ def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     gap = offset - n_a * a - n_b * b: from below where n_t < 0, from above
     where n_t > 0.  A face with n_t == 0 keeps the whole ray or none of it.
     The box bounds t by its depth extent; its (a, b) footprint is
-    ``_box_pairs``'s test.
+    ``_box_pairs``'s test.  Starting from the box's bounds, one pass per
+    face takes the pairs' face-row values and folds that face's bound into
+    (t_in, t_out).  Maximum and minimum are exact and keep the later operand
+    on a tie of +0.0 and -0.0, so the range has the bytes of a reduction over
+    the faces in face order.
     """
-    n = clip.normals[e]
-    n_t = n[..., 2]
-    gap = clip.offsets[e] - (n[..., 0] * a[:, None] + n[..., 1] * b[:, None])
+    t_in, t_out = clip.t_lo[e], clip.t_hi[e]
     with np.errstate(divide="ignore", invalid="ignore"):  # n_t == 0 lanes are replaced
-        t = gap / n_t
-    outside = (n_t == 0.0) & (gap < 0.0)
-    t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
-    t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
-    return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)
+        for f in range(len(TET_FACES)):
+            n_t = clip.n_t[f][e]
+            gap = clip.offset[f][e] - (clip.n_a[f][e] * a + clip.n_b[f][e] * b)
+            t = gap / n_t
+            outside = (n_t == 0.0) & (gap < 0.0)
+            t_in = np.maximum(t_in, np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)))
+            t_out = np.minimum(t_out, np.where(n_t > 0.0, t, np.inf))
+    return t_in, t_out
 
 
 def _regroup(parts, rows: int, weight: int | None = None, budget: int = 0):

@@ -15,6 +15,7 @@ from fexray import spatial
 from fexray.io_text import RenderConfig
 from fexray.mesh import Mesh, NodalField, interpolate_values, map_points, shape_gradients
 from fexray.spatial import Aabb, Basis, DegenerateGeometryError, Obb
+from fexray.xray import _ElementClip
 
 # -- mesh ---------------------------------------------------------------------
 
@@ -89,6 +90,22 @@ def convex_hull(points: np.ndarray) -> HullResult:
     return HullResult(np.sort(hull.vertices.astype(np.int64)), faces.astype(np.int64))
 
 
+def to_local(basis: Basis, points: np.ndarray) -> np.ndarray:
+    """Rigidly transform world points into the basis frame; the inverse of
+    ``Basis.to_world``."""
+    p = np.asarray(points, dtype=np.float64)
+    d0 = p[..., 0] - basis.origin[0]
+    d1 = p[..., 1] - basis.origin[1]
+    d2 = p[..., 2] - basis.origin[2]
+    return spatial._rotate_components(basis.rows, d0, d1, d2)
+
+
+def rotate(basis: Basis, vectors: np.ndarray) -> np.ndarray:
+    """Rotate world vectors into the basis frame (no translation)."""
+    v = np.asarray(vectors, dtype=np.float64)
+    return spatial._rotate_components(basis.rows, v[..., 0], v[..., 1], v[..., 2])
+
+
 def pca_basis(tris: np.ndarray) -> Basis:
     """Basis of the area-weighted surface covariance's eigenvectors, in
     descending eigenvalue order, with the tree's sign and handedness rule."""
@@ -108,3 +125,26 @@ def fit_obb(points: np.ndarray, basis: Basis) -> Obb:
         points, spatial._ONE_SEGMENT, basis.rows[None], basis.origin[None]
     )
     return Obb(basis, Aabb(pmin[0], pmax[0]))
+
+
+# -- render -------------------------------------------------------------------
+
+
+def depth_clip_planes(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
+    """Depth range (t_in, t_out) of the rays at detector-frame (a, b) in the
+    clips of the elements e, computed on the (pairs, 4, 3) gather of the
+    face normals with reductions over the face axis.
+
+    Same rule as ``xray._depth_clip``, which folds one face row at a time;
+    the tests check that both give the same bytes.
+    """
+    normals = np.stack([clip.n_a, clip.n_b, clip.n_t], axis=-1).transpose(1, 0, 2)
+    n = normals[e]
+    n_t = n[..., 2]
+    gap = clip.offset.T[e] - (n[..., 0] * a[:, None] + n[..., 1] * b[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_t == 0 lanes are replaced
+        t = gap / n_t
+    outside = (n_t == 0.0) & (gap < 0.0)
+    t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
+    t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
+    return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)

@@ -19,6 +19,7 @@ from fexray.locate import membership_test
 from fexray.mesh import interpolate_values
 from fexray.raycast import slab_intervals, tet_entry
 from fexray.xray import _grid_range
+from tests.helpers import rotate, to_local
 
 
 class HitInterval(NamedTuple):
@@ -56,8 +57,8 @@ def detector_ray(det, i: int, j: int) -> Ray:
 
 def ray_obb(ray: Ray, obb) -> HitInterval | None:
     """Slab test against the basis-transformed ray; t is frame-invariant."""
-    o = obb.basis.to_local(ray.origin)
-    d = obb.basis.rotate(ray.direction)
+    o = to_local(obb.basis, ray.origin)
+    d = rotate(obb.basis, ray.direction)
     with np.errstate(divide="ignore"):
         inv_d = 1.0 / d
     t_enter, t_exit, hit = slab_intervals(o, inv_d, d, obb.box.pmin, obb.box.pmax)

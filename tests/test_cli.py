@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -281,6 +282,30 @@ class TestErrorMapConfig:
         err, b = map(float, re.search(pattern.format("interior "), out, re.M).groups())
         assert err < 1.5e-4 and b <= 1.0 - 2 * 0.01
         assert "(b <= radius - 2 pitches)" in out
+
+    def test_json_stats_equal_text_stats(self, tmp_path, capsys):
+        # the README cylinder recipe with a .json out_stats path: the file
+        # holds the values of the text form the render prints
+        mesh, field, stats = (tmp_path / n for n in ("c.mesh", "c.field", "stats.json"))
+        assert main(["generate-cylinder", "--out-mesh", str(mesh), "--out-field", str(field)]) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"mesh = {mesh}\nfield = {field}\nface = +z\nrays_per_cm2 = 10000\n"
+            f"step = 0.1\nout_stats = {stats}\n"
+        )
+        capsys.readouterr()
+        assert main(["render", "--config", str(cfg)]) == 0
+        text = dict(
+            line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line
+        )
+        record = json.loads(stats.read_text())
+        assert list(record) == list(text)
+        for key, value in record.items():
+            if key == "wall_time_s":
+                assert isinstance(value, float) and f"{value:.3f}" == text[key]
+            else:
+                assert isinstance(value, int) and value == int(text[key])
+        assert record["pairs_tested"] >= record["pairs_inside"] > 0
 
     @pytest.mark.parametrize(
         "oracle, option, value",

@@ -4,6 +4,7 @@ import pytest
 from fexray.locate import NewtonSettings, membership_test
 from fexray.raycast import moller_trumbore, slab_intervals, tet_entry
 from fexray.spatial import Aabb, Basis, Obb, build_obb_tree
+from tests.helpers import to_local
 from tests.per_ray_reference import Ray, ray_obb, traverse
 from tests.test_spatial import line_of_tets, rotation_matrix
 
@@ -126,7 +127,7 @@ class TestRayObb:
             d = rng.normal(size=3)
             hit = ray_obb(Ray(o, d), obb)
             ts = np.linspace(0, 4, 2000)
-            local = obb.basis.to_local(o + ts[:, None] * d)
+            local = to_local(obb.basis, o + ts[:, None] * d)
             inside = ((local >= box.pmin) & (local <= box.pmax)).all(axis=1).any()
             if inside:
                 assert hit is not None

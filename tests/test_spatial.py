@@ -21,7 +21,7 @@ from fexray.spatial import (
     weighted_center,
 )
 from tests.conftest import golden_scene, mesh_from_corner_tets
-from tests.helpers import convex_hull, fit_obb, pca_basis
+from tests.helpers import convex_hull, fit_obb, pca_basis, to_local
 
 
 def cube_surface(center=(0.0, 0.0, 0.0), sides=(1.0, 1.0, 1.0), rotation=None):
@@ -359,7 +359,7 @@ def _box_corners_world(obb):
 
 
 def _assert_inside(obb, points):
-    local = obb.basis.to_local(points)
+    local = to_local(obb.basis, points)
     assert (local >= obb.box.pmin).all() and (local <= obb.box.pmax).all()
 
 

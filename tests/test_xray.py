@@ -34,6 +34,7 @@ from fexray.xray import (
     render,
 )
 from tests.conftest import GOLDEN, default_face, golden_scene, single_tet_mesh
+from tests.helpers import depth_clip_planes
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
@@ -825,7 +826,7 @@ class TestClipPairs:
         normals = np.array([f[:3] for f in faces])
         offsets = np.array([f[3] for f in faces])
         lo, hi = np.minimum(c1, c2), np.maximum(c1, c2)
-        clip = xray._ElementClip(lo[None], hi[None], normals[None], offsets[None])
+        clip = xray._ElementClip.from_planes(lo[None], hi[None], normals[None], offsets[None])
         clipped = _clip_ray(clip, a, b)
 
         def inside(t):
@@ -849,6 +850,112 @@ class TestClipPairs:
         if t_out - t_in > 2e-9:
             for t in (t_in + 1e-9, 0.5 * (t_in + t_out), t_out - 1e-9):
                 assert inside(t), (t, t_in, t_out)
+
+
+def _box_pair_chunks(ctx):
+    """(a, b, element) of the box pairs of a render, tile by tile and chunk
+    by chunk, as the pair stream hands them to the depth clip."""
+    det = ctx.detector
+    depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
+    for lo, hi in xray._ray_tiles(det.n_rays, depth):
+        _, ray_a, ray_b = xray._block_rays(ctx, lo, hi)
+        records = xray._scan_leaves(ctx, lo, hi, ray_a, ray_b)
+        pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.PAIR_CHUNK)
+        for ray, elem, _, _ in xray._regroup(pairs, xray.PAIR_CHUNK):
+            yield ray_a[ray], ray_b[ray], elem
+
+
+def _assert_clip_bytes(clip, a, b, e):
+    """``_depth_clip`` gives the plane-gather form's bytes; returns the
+    number of pairs with a non-empty range."""
+    got = xray._depth_clip(clip, a, b, e)
+    want = depth_clip_planes(clip, a, b, e)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return int(np.count_nonzero(got[0] <= got[1]))
+
+
+def _assert_render_clip_bytes(ctx):
+    pairs = kept = 0
+    for a, b, e in _box_pair_chunks(ctx):
+        kept += _assert_clip_bytes(ctx.clip, a, b, e)
+        pairs += e.size
+    assert 0 < kept < pairs
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+# a face normal's t component, exactly 0 of either sign among them
+face_t = st.one_of(signed_zero, st.floats(-1.0, 1.0))
+clip_value = st.one_of(signed_zero, st.floats(-2.0, 2.0))
+# (n_a, n_b, n_t, offset, through); ``through`` puts the plane through the
+# first ray, so its gap there is exactly 0
+face_row = st.tuples(coord, coord, face_t, clip_value, st.booleans())
+clip_element = st.tuples(vec3, vec3, st.lists(face_row, min_size=4, max_size=4))
+
+
+class TestDepthClipBytes:
+    """The face-row clip equals the (pairs, 4, 3) plane gather bit for bit."""
+
+    @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_golden_box_pairs(self, name, face):
+        mesh, field = golden_scene(name)
+        box = model_aabb(mesh)
+        det = make_detector(box, face, rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        ctx = xray._render_context(mesh, field, det, settings, None, None, False, box)
+        _assert_render_clip_bytes(ctx)
+
+    @pytest.mark.parametrize("workload", ["ball-fine-mesh", "cylinder-single-sample"])
+    def test_benchmark_box_pairs(self, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import scenes
+
+        scene = scenes.make_scene(scenes.WORKLOADS[workload], 7)
+        model = scenes.set_up(scene)
+        det = scenes.make_detector(scene, model)
+        box = model_aabb(model.mesh)
+        ctx = xray._render_context(
+            model.mesh, model.field, det, scene.settings, None, model.tree, False, box
+        )
+        _assert_render_clip_bytes(ctx)
+
+    @given(
+        st.lists(clip_element, min_size=1, max_size=3),
+        st.lists(st.tuples(clip_value, clip_value), min_size=1, max_size=4),
+    )
+    # at the first ray (0, 0), faces 1 and 2 of each element have gaps -0.0
+    # and +0.0, so the lower bounds of element 0 and the upper bounds of
+    # element 1 tie at +0.0 and -0.0; element 0's flat face 0 keeps that ray
+    # (gap -0.0) and drops the ray at a = 1, beside the box
+    @example(
+        [((-0.5, -0.5, -1.0), (0.5, 0.5, 1.0), [
+            (0.5, 0.0, -0.0, -0.0, False),
+            (0.0, 0.0, -1.0, -0.0, False),
+            (0.0, 0.0, -1.0, 0.0, False),
+            (0.0, 0.0, 1.0, 0.0, True),
+        ]), ((-0.5, -0.5, -1.0), (0.5, 0.5, 1.0), [
+            (0.0, 0.0, -1.0, 0.5, False),
+            (0.0, 0.0, 1.0, -0.0, False),
+            (0.0, 0.0, 1.0, 0.0, False),
+            (0.0, 0.0, -1.0, 0.0, True),
+        ])],
+        [(0.0, 0.0), (1.0, 0.0), (-0.0, 1.5)],
+    )
+    def test_face_rows_match_plane_gather(self, elements, rays):
+        a0, b0 = rays[0]
+        lo = np.array([np.minimum(c1, c2) for c1, c2, _ in elements])
+        hi = np.array([np.maximum(c1, c2) for c1, c2, _ in elements])
+        normals = np.array([[f[:3] for f in faces] for _, _, faces in elements])
+        offsets = np.array(
+            [[f[0] * a0 + f[1] * b0 if f[4] else f[3] for f in faces] for _, _, faces in elements]
+        )
+        clip = xray._ElementClip.from_planes(lo, hi, normals, offsets)
+        a, b = (np.array(c, dtype=float) for c in zip(*rays))
+        ray = np.repeat(np.arange(a.size), len(elements))
+        e = np.tile(np.arange(len(elements)), a.size)
+        with np.errstate(over="ignore"):  # gap / n_t on a tiny n_t
+            _assert_clip_bytes(clip, a[ray], b[ray], e)
 
 
 # (ray, j_lo, length) rows of one leaf; length <= 0 gives an empty range
