@@ -18,7 +18,9 @@ u32 nv, f64 pitch, then nu*nv f64 values in row-major order (row = v index).
 from __future__ import annotations
 
 import io
+import math
 import struct
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,7 +65,9 @@ def parse_mesh(text: str) -> Mesh:
     if n_nodes < 1 or n_elements < 1:
         raise ParseError(f"line {lineno}: counts must be positive")
 
-    nodes = np.empty((n_nodes, 3))
+    # values are appended as read, so a header count no line backs is never
+    # allocated
+    nodes = array("d")
     for i in range(n_nodes):
         try:
             lineno, line = next(lines)
@@ -79,9 +83,9 @@ def parse_mesh(text: str) -> Mesh:
             raise ParseError(f"line {lineno}: malformed node line") from None
         if nid != i:
             raise ParseError(f"line {lineno}: expected node id {i}, got {nid}")
-        nodes[i] = xyz
+        nodes.extend(xyz)
 
-    elements = np.empty((n_elements, npe), dtype=np.int64)
+    elements = array("q")
     for i in range(n_elements):
         try:
             lineno, line = next(lines)
@@ -99,11 +103,14 @@ def parse_mesh(text: str) -> Mesh:
             raise ParseError(f"line {lineno}: expected element id {i}, got {eid}")
         if any(c < 0 or c >= n_nodes for c in conn):
             raise ParseError(f"line {lineno}: node id out of range")
-        elements[i] = conn
+        elements.extend(conn)
 
     for lineno, _ in lines:
         raise ParseError(f"line {lineno}: trailing content after last element")
-    return Mesh(nodes, elements)
+    return Mesh(
+        np.array(nodes, dtype=np.float64).reshape(-1, 3),
+        np.array(elements, dtype=np.int64).reshape(-1, npe),
+    )
 
 
 def write_mesh(mesh: Mesh) -> str:
@@ -129,7 +136,7 @@ def parse_field(text: str) -> NodalField:
         raise ParseError(f"line {lineno}: expected '<n_nodes>' header") from None
     if n < 1:
         raise ParseError(f"line {lineno}: node count must be positive")
-    values = np.empty(n)
+    values = array("d")  # as in parse_mesh, only the lines read are stored
     for i in range(n):
         try:
             lineno, line = next(lines)
@@ -145,10 +152,10 @@ def parse_field(text: str) -> NodalField:
             raise ParseError(f"line {lineno}: malformed value line") from None
         if nid != i:
             raise ParseError(f"line {lineno}: expected node id {i}, got {nid}")
-        values[i] = val
+        values.append(val)
     for lineno, _ in lines:
         raise ParseError(f"line {lineno}: trailing content after last value")
-    return NodalField(values)
+    return NodalField(np.array(values, dtype=np.float64))
 
 
 def write_field(field_: NodalField) -> str:
@@ -171,6 +178,10 @@ class FloatGrid:
     values: np.ndarray  # (nv, nu)
 
     def __post_init__(self):
+        if self.nu < 1 or self.nv < 1:
+            raise ValidationError(f"float grid nu and nv must be >= 1, got {self.nu} x {self.nv}")
+        if not (math.isfinite(self.pitch) and self.pitch > 0.0):
+            raise ValidationError(f"float grid pitch must be finite and positive, got {self.pitch}")
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if values.shape != (self.nv, self.nu):
             raise ValidationError("float grid payload does not match dimensions")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .mesh import TET_FACES
 
-# inclusive hit tolerance for entry ordering; keeps grazing rays on shared faces
+# inclusive hit tolerance of tet_entry; keeps grazing rays on shared faces
 TET_FACE_TOL = 1e-12
 # relative determinant threshold below which a ray counts as parallel
 PARALLEL_TOL = 1e-14

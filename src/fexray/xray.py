@@ -35,11 +35,11 @@ four passes over the pairs, each folding one face's bound into the depth
 range.  A quadratic element lies inside the convex hull of its control
 net, hence inside that clip, so the clip drops only (sample, element)
 pairs Newton would reject.  Last, whole pairs
-fill fixed-size lane batches, each with one entry-guess call and one
-``membership_test`` call, each lane carrying its own element id; the Newton
-reference frames of all elements are built once per render.  Every lane is
-independent of its batch and claims are resolved by (ray, j, entry t,
-element) whatever order the lanes come in, so batch sizes change no image.
+fill fixed-size lane batches, each with one ``membership_test`` call, each
+lane carrying its own element id; the Newton reference frames of all
+elements are built once per render.  Every lane is independent of its batch
+and a sample claimed by several elements goes to the lowest element id,
+whatever order the lanes come in, so batch sizes change no image.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -63,7 +63,9 @@ import numpy as np
 
 from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
 from .mesh import TET_FACES, Mesh, NodalField, interpolate_values
-from .raycast import slab_intervals, tet_entry
+# the renderer does not call tet_entry; the benchmark's span tracer rebinds
+# xray.tet_entry, so the name must resolve here
+from .raycast import slab_intervals, tet_entry  # noqa: F401
 from .spatial import (
     _BOX_CORNERS,
     Aabb,
@@ -197,7 +199,9 @@ class RenderStats:
     pairs sent to Newton, ``pairs_inside`` those accepted.
     ``newton_iterations`` counts Newton kernel iterations: a lane of a
     straight element, solved in closed form, counts 1, and computing the
-    corner-tetrahedron start is not counted."""
+    corner-tetrahedron start is not counted.  ``samples_multi_claimed``
+    counts the samples that two or more elements accepted, as elements
+    sharing a face both can within ``geom_tol``; the lowest id wins."""
 
     rays: int = 0
     samples: int = 0
@@ -205,27 +209,21 @@ class RenderStats:
     pairs_inside: int = 0
     newton_iterations: int = 0
     non_converged: int = 0
+    samples_multi_claimed: int = 0
     wall_time: float = 0.0
 
     def merge(self, other: "RenderStats") -> None:
-        self.rays += other.rays
-        self.samples += other.samples
-        self.pairs_tested += other.pairs_tested
-        self.pairs_inside += other.pairs_inside
-        self.newton_iterations += other.newton_iterations
-        self.non_converged += other.non_converged
+        """Add ``other``'s counters; the wall time is the caller's."""
+        for f in dataclasses.fields(self):
+            if f.name != "wall_time":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> dict:
         """The counters and the wall time in seconds, under the names of
         ``to_text``."""
         return {
-            "rays": self.rays,
-            "samples": self.samples,
-            "pairs_tested": self.pairs_tested,
-            "pairs_inside": self.pairs_inside,
-            "newton_iterations": self.newton_iterations,
-            "non_converged": self.non_converged,
-            "wall_time_s": self.wall_time,
+            "wall_time_s" if f.name == "wall_time" else f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
         }
 
     def to_text(self) -> str:
@@ -530,7 +528,6 @@ class _RenderContext:
     want_mu: bool
     model: AttenuationModel | None
     clip: _ElementClip
-    corners: np.ndarray  # (n_elements, 4, 3)
     frames: _ElementFrames  # Newton reference frames of all elements
 
 
@@ -552,7 +549,6 @@ def _render_context(mesh, field, detector, settings, model, tree, brute_force, b
         want_mu=model is not None and model.variant == "table",
         model=model,
         clip=_element_clip(mesh, detector),
-        corners=mesh.corner_coords(),
         frames=_element_frames(mesh.nodes[mesh.elements]),
     )
 
@@ -630,9 +626,9 @@ def _count_samples(records, span: int) -> int:
     return int(np.maximum(hi - np.maximum(reach, lo - 1), 0).sum())
 
 
-# (ray, element) pairs box-tested, clipped or given entry guesses at once,
-# and (sample, element) lanes per Newton batch; both keep the transient
-# arrays of a tile bounded
+# (ray, element) pairs box-tested, clipped or sent to Newton at once, and
+# (sample, element) lanes per Newton batch; both keep the transient arrays
+# of a tile bounded
 PAIR_CHUNK = 4096
 NEWTON_CHUNK = 24576
 # samples per tile, counting every ray at the grid points on the longest
@@ -665,7 +661,6 @@ def _clipped_pairs(ctx: _RenderContext, records, ray_a, ray_b):
 
 def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     """Projected density (and mu integral) of the rays [r_lo, r_hi), flat."""
-    det = ctx.detector
     settings = ctx.settings
     step = settings.step
     n_rays = r_hi - r_lo
@@ -682,16 +677,13 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # which sorts like (ray, j)
     span = max(int(rec[3].max()) for rec in records) + 1
     stats.samples = _count_samples(records, span)
-    d = det.normal
+    d = ctx.detector.normal
     claims_k: list[np.ndarray] = []
-    claims_t: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    # batches of whole pairs, weighted by their lane counts, so a batch's
-    # pairs take one entry-guess call
+    # batches of whole pairs, weighted by their lane counts
     pairs = _clipped_pairs(ctx, records, ray_a, ray_b)
     for ray, elem, j1, counts in _regroup(pairs, PAIR_CHUNK, weight=3, budget=NEWTON_CHUNK):
-        t_guess, _ = tet_entry(origins[ray], d, ctx.corners[elem])
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
         lane_e = np.repeat(elem, counts)
@@ -710,18 +702,17 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
             interpolate_values(ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order)
         )
         claims_k.append(lane_r[inside] * span + lane_j[inside])
-        claims_t.append(np.repeat(t_guess, counts)[inside])
         claims_e.append(e_in)
 
     if claims_k:
         ck = np.concatenate(claims_k)
-        ct = np.concatenate(claims_t)
         ce = np.concatenate(claims_e)
         cr = np.concatenate(claims_rho)
-        # winner per sample: first candidate in (entry t, element id) order
-        perm = np.lexsort((ce, ct, ck))
+        # winner per sample: the claim of the lowest element id
+        perm = np.lexsort((ce, ck))
         ck, cr = ck[perm], cr[perm]
         win, first = np.unique(ck, return_index=True)
+        stats.samples_multi_claimed = int(np.count_nonzero(np.diff(first, append=ck.size) > 1))
         win_ray, rho = win // span, cr[first]
         pd = np.bincount(win_ray, weights=step * rho, minlength=n_rays)
         if ctx.want_mu:
@@ -767,7 +758,7 @@ def render(
     """Render the full detector grid.
 
     ``brute_force`` drops the OBB tree: every ray samples the model box
-    interval and every element is a candidate (same ordering rule); on any
+    interval and every element is a candidate (same claim rule); on any
     mesh this is bitwise-identical to the accelerated path.  The rays run
     in tiles of a fixed sample budget, serially or, for ``workers`` > 1, in
     an ordered pool of up to ``workers`` processes; images are

@@ -2,9 +2,9 @@
 is checked against, bit for bit.
 
 One ray at a time: traverse the OBB tree, merge the leaf intervals, sample
-the global depth grid inside them, order the candidate elements by the
-corner-tetrahedron entry guess (misses last, ties by element id) and give
-each sample to the first candidate that contains it.  It shares only the
+the global depth grid inside them, take the candidate elements in element
+id order and give each sample to the first candidate that contains it, so a
+sample two elements contain goes to the lower id.  It shares only the
 numeric kernels with the renderer, not its batching, sorting or claim
 resolution.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from fexray.locate import membership_test
 from fexray.mesh import interpolate_values
-from fexray.raycast import slab_intervals, tet_entry
+from fexray.raycast import slab_intervals
 from fexray.xray import _grid_range
 from tests.helpers import rotate, to_local
 
@@ -128,11 +128,8 @@ def integrate_ray(ray: Ray, tree, mesh, field, settings, model=None) -> RayInteg
     ts = np.concatenate(ts_parts)
     points = ray.origin + ts[:, None] * ray.direction
 
+    # sorted ids: the lowest id that contains a sample claims it
     candidates = np.unique(np.concatenate([node.elements for node, _ in hits]))
-    corners = mesh.nodes[mesh.elements[candidates, :4]]
-    t_guess, _ = tet_entry(ray.origin, ray.direction, corners)
-    order = np.lexsort((candidates, t_guess))
-    candidates = candidates[order]
 
     n = ts.shape[0]
     rho = np.zeros(n)

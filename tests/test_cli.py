@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ class TestInfo:
         rc = main(["info", "--mesh", str(tmp_path / "nope.mesh")])
         assert rc == 2
         assert "nope.mesh" in capsys.readouterr().err
+
+    def test_header_count_beyond_lines(self, tmp_path, ball_files, capsys):
+        # a header count that no line backs is a validation error, not an
+        # allocation of the count
+        mesh, _ = ball_files
+        huge_mesh, huge_field = tmp_path / "huge.mesh", tmp_path / "huge.field"
+        huge_mesh.write_text("100000000000 1 4\n0 0 0 0\n")
+        huge_field.write_text("1000000000000\n0 1.0\n")
+        for argv, message in (
+            (["--mesh", str(huge_mesh)], "unexpected end of file: expected node line 1"),
+            (["--mesh", str(mesh), "--field", str(huge_field)],
+             "unexpected end of file: expected value line 1"),
+        ):
+            capsys.readouterr()
+            assert main(["info", *argv]) == 2
+            assert capsys.readouterr().err == f"fexray: {message}\n"
 
 
 class TestRender:
@@ -262,6 +279,19 @@ class TestErrorMapConfig:
         out = capsys.readouterr().out
         assert "max error" in out
 
+    @pytest.mark.parametrize(
+        "nu, nv, pitch, field",
+        [(0, 0, 1.0, "nu and nv"), (2, 2, float("nan"), "pitch"), (2, 2, -0.5, "pitch")],
+        ids=["empty", "nan-pitch", "negative-pitch"],
+    )
+    def test_empty_grid_or_bad_pitch_rejected(self, tmp_path, capsys, nu, nv, pitch, field):
+        grid = tmp_path / "bad.fgrid"
+        grid.write_bytes(b"FGRD" + struct.pack("<IIId", 1, nu, nv, pitch) + bytes(8 * nu * nv))
+        assert main(["error-map", "--grid", str(grid), "--oracle", "ball"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fexray: float grid {field} must")
+
     def test_interior_error_on_cylinder_recipe(self, tmp_path, capsys):
         # the README cylinder recipe: the max error is a rim pixel, the
         # interior error (b <= radius - 2 pitches) stays within the bound
@@ -300,6 +330,7 @@ class TestErrorMapConfig:
         )
         record = json.loads(stats.read_text())
         assert list(record) == list(text)
+        assert "samples_multi_claimed" in record
         for key, value in record.items():
             if key == "wall_time_s":
                 assert isinstance(value, float) and f"{value:.3f}" == text[key]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -63,6 +65,17 @@ class TestMeshRoundTrip:
         with pytest.raises(ParseError, match="unexpected end"):
             parse_mesh("\n".join(lines[:-1]))
 
+    def test_header_count_beyond_lines(self):
+        # a count that no line backs is never allocated: the first missing
+        # or faulty line is reported, as for a small count
+        with pytest.raises(ParseError, match="^unexpected end of file: expected node line 1$"):
+            parse_mesh("100000000000 1 4\n0 0 0 0\n")
+        with pytest.raises(ParseError, match="^line 3: expected node id 1, got 2$"):
+            parse_mesh("100000000000 1 4\n0 0 0 0\n2 0 0 0\n")
+        nodes = "".join(f"{i} {i} 0 0\n" for i in range(4))
+        with pytest.raises(ParseError, match="^unexpected end of file: expected element line 1$"):
+            parse_mesh(f"4 100000000000 4\n{nodes}0 0 1 2 3\n")
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_mesh("1 2\n")
@@ -83,6 +96,12 @@ class TestFieldRoundTrip:
     def test_trailing_content(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_field("1\n0 1.0\n1 2.0\n")
+
+    def test_header_count_beyond_lines(self):
+        with pytest.raises(ParseError, match="^unexpected end of file: expected value line 1$"):
+            parse_field("1000000000000\n0 1.0\n")
+        with pytest.raises(ParseError, match="^line 3: malformed value line$"):
+            parse_field("1000000000000\n0 1.0\n1 abc\n")
 
 
 class TestFloatGrid:
@@ -108,6 +127,16 @@ class TestFloatGrid:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             FloatGrid(3, 2, 1.0, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "nu, nv, pitch, field",
+        [(0, 0, 1.0, "nu and nv"), (2, 2, float("nan"), "pitch"), (2, 2, -0.5, "pitch")],
+        ids=["empty", "nan-pitch", "negative-pitch"],
+    )
+    def test_empty_grid_or_bad_pitch_rejected(self, nu, nv, pitch, field):
+        data = b"FGRD" + struct.pack("<IIId", 1, nu, nv, pitch) + bytes(8 * nu * nv)
+        with pytest.raises(ValidationError, match=f"float grid {field} must"):
+            read_float_grid(data)
 
 
 class TestGraymap:

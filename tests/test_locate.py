@@ -173,8 +173,8 @@ class TestLocatePoint:
                 np.testing.assert_allclose(local_to_global(mesh, int(k), xi_k), x, atol=1e-9)
 
     def test_entry_ordering_by_linear_guess(self, ball_mesh_field):
-        # the renderer's claim order: corner-tetrahedron entry t, then
-        # element id, so every miss (t = inf) comes after every hit
+        # ordered by corner-tetrahedron entry t, then element id, every
+        # miss (t = inf) comes after every hit
         mesh, _ = ball_mesh_field
         o, d = np.array([0.05, 0.02, 2.0]), np.array([0.0, 0.0, -1.0])
         elems = np.arange(mesh.n_elements)

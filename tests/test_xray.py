@@ -33,7 +33,13 @@ from fexray.xray import (
     make_detector,
     render,
 )
-from tests.conftest import GOLDEN, default_face, golden_scene, single_tet_mesh
+from tests.conftest import (
+    GOLDEN,
+    default_face,
+    golden_scene,
+    single_tet_mesh,
+    straight_quadratic_nodes,
+)
 from tests.helpers import depth_clip_planes
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
@@ -343,6 +349,89 @@ class TestRender:
             render(mesh, field, det, IntegrationSettings())
 
 
+def face_sharing_scene(swap: bool):
+    """Two straight-sided quadratic tets of densities 1 and 2 that share the
+    face y = 0 with corners (0, 0, 0), (1, 0, 0), (0, 0, 1), each with its
+    own node ids; ``swap`` reverses the element order."""
+    below = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 1], [0.0, -1, 0]])
+    above = np.array([[0.0, 0, 0], [0.0, 0, 1], [1.0, 0, 0], [0.0, 1, 0]])
+    nodes = np.vstack([straight_quadratic_nodes(below), straight_quadratic_nodes(above)])
+    elements = np.arange(20, dtype=np.int64).reshape(2, 10)
+    mesh = Mesh(nodes, elements[::-1].copy() if swap else elements)
+    return mesh, NodalField(np.repeat([1.0, 2.0], 10))
+
+
+class TestClaimRule:
+    """A sample that two elements accept goes to the lower element id."""
+
+    # rays along -z at x = 0.125, 0.375, 0.625 and y = -0.25, 0, 0.25; the
+    # y = 0 row runs inside the shared face, and with step 1/64 no grid
+    # point falls on a face the ray crosses
+    DET = Detector(
+        np.array([0.125, -0.25, 2.0]), np.array([1.0, 0, 0]), np.array([0.0, 1, 0]),
+        np.array([0.0, 0, -1]), 3, 3, 0.25,
+    )
+    SETTINGS = IntegrationSettings(step=1.0 / 64.0)
+
+    def _renders(self, swap):
+        mesh, field = face_sharing_scene(swap)
+        tree = build_obb_tree(mesh, 1)
+        tree_img = render(mesh, field, self.DET, self.SETTINGS, tree=tree)
+        brute_img = render(mesh, field, self.DET, self.SETTINGS, brute_force=True)
+        ref = np.array([
+            [integrate_ray(detector_ray(self.DET, i, j), tree, mesh, field, self.SETTINGS)
+             .projected_density for i in range(3)]
+            for j in range(3)
+        ])
+        assert tree_img.density.tobytes() == brute_img.density.tobytes() == ref.tobytes()
+        # brute force samples the whole model box, so only the claims match
+        for name in ("pairs_inside", "samples_multi_claimed"):
+            assert getattr(tree_img.stats, name) == getattr(brute_img.stats, name), name
+        return tree_img
+
+    def test_lowest_element_id_wins_shared_face(self):
+        chord = 1.0 - (0.125 + 0.25 * np.arange(3))
+        img, swapped = self._renders(False), self._renders(True)
+        np.testing.assert_allclose(img.density[1], 1.0 * chord, rtol=1e-13)
+        np.testing.assert_allclose(swapped.density[1], 2.0 * chord, rtol=1e-13)
+        # off the shared face one element holds each ray, whatever its id
+        for row in (0, 2):
+            assert img.density[row].tobytes() == swapped.density[row].tobytes()
+        # every sample of the y = 0 row has both claims: 56 + 40 + 24
+        assert img.stats.samples_multi_claimed == swapped.stats.samples_multi_claimed == 120
+
+    def test_multi_claimed_counter_invariant(self, monkeypatch):
+        # ball8's elements share faces that rays along +z graze; the count
+        # is the same whatever the tree, worker count or tile budget
+        mesh, field = golden_scene("ball8")
+        box = model_aabb(mesh)
+        det = make_detector(box, "+z", rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        imgs = [render(mesh, field, det, settings, tree=build_obb_tree(mesh, k)) for k in (1, 3, 10)]
+        imgs.append(render(mesh, field, det, settings, brute_force=True))
+        imgs.append(render(mesh, field, det, settings, workers=2))
+        depth = xray._depth_points(box, det.normal, settings.step)
+        monkeypatch.setattr(xray, "TILE_SAMPLES", (det.nu + 3) * depth)
+        imgs.append(render(mesh, field, det, settings))
+        for img in imgs:
+            assert img.stats.samples_multi_claimed == 6092
+            assert img.density.tobytes() == imgs[0].density.tobytes()
+
+    @pytest.mark.parametrize("workload", ["ball-fine-mesh", "cylinder-single-sample"])
+    def test_benchmark_scenes_have_no_multi_claims(self, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import scenes
+
+        scene = scenes.make_scene(scenes.WORKLOADS[workload], 7)
+        model = scenes.set_up(scene)
+        img = render(
+            model.mesh, model.field, scenes.make_detector(scene, model), scene.settings,
+            tree=model.tree,
+        )
+        assert img.stats.pairs_inside > 0
+        assert img.stats.samples_multi_claimed == 0
+
+
 class TestImageOps:
     def test_image_mass_zero(self):
         img = ProjectionImage(np.zeros((4, 4)), 0.5)
@@ -553,24 +642,20 @@ class TestPairStream:
         if chunks is not None:
             monkeypatch.setattr(xray, "PAIR_CHUNK", chunks[0])
             monkeypatch.setattr(xray, "NEWTON_CHUNK", chunks[1])
-        pairs, lanes = [], []
-
-        def entry(o, d, corners):
-            pairs.append(len(o))
-            return tet_entry(o, d, corners)
+        lanes = []
 
         def member(mesh, e, pts, *args):
             lanes.append(np.column_stack([e.astype(float), pts]))
             return membership_test(mesh, e, pts, *args)
 
-        monkeypatch.setattr(xray, "tet_entry", entry)
         monkeypatch.setattr(xray, "membership_test", member)
         img = render(mesh, field, det, settings, tree=tree)
         assert img.stats.pairs_inside > 0
-        # one entry guess and one Newton call per batch; a batch holds at
-        # most PAIR_CHUNK pairs and passes the lane budget only as one pair
-        assert len(pairs) == len(lanes)
-        for n_pairs, batch in zip(pairs, lanes):
+        # one Newton call per batch; a batch holds at most PAIR_CHUNK pairs
+        # and passes the lane budget only as one pair.  The rays run along
+        # -z, so a lane's (element, x, y) names its (ray, element) pair
+        for batch in lanes:
+            n_pairs = len(np.unique(batch[:, :3], axis=0))
             assert n_pairs <= xray.PAIR_CHUNK
             assert len(batch) <= xray.NEWTON_CHUNK or n_pairs == 1
         ctx = xray._render_context(mesh, field, det, settings, None, tree, False, model_aabb(mesh))
@@ -1129,6 +1214,21 @@ class TestTraceContract:
     """The benchmark's tracer must see every call it counts: its leaf-box
     sample count and its membership_test counts equal ``RenderStats``."""
 
+    # the tracer targets a render is expected not to call: file I/O and
+    # set-up, and the kernels the renderer no longer reaches.  Every other
+    # target must record a span, so a kernel that silently drops out of the
+    # render fails here until it is listed
+    NOT_CALLED_BY_RENDER = {
+        "io_text.parse_mesh",
+        "io_text.parse_field",
+        "io_text.write_float_grid",
+        "io_text.write_graymap",
+        "mesh.validate_mesh",
+        "spatial.build_obb_tree",
+        "raycast.tet_entry",
+        "locate.newton_solve",
+    }
+
     @pytest.fixture()
     def tracing(self, monkeypatch):
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -1165,3 +1265,7 @@ class TestTraceContract:
         assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
         assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
         assert totals.call_count("raycast.slab_intervals") > 0
+        targets = {name for _, _, name, _ in tracing.TARGETS}
+        assert self.NOT_CALLED_BY_RENDER <= targets
+        recorded = {s.name for s in tracer.spans}
+        assert recorded == targets - self.NOT_CALLED_BY_RENDER
