@@ -29,18 +29,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _read_text(path: str) -> str:
+def _input(path: str) -> Path:
+    """An input file's path; a missing file is a validation error."""
     p = Path(path)
     if not p.is_file():
         raise io_text.ValidationError(f"file not found: {path}")
-    return p.read_text()
-
-
-def _read_bytes(path: str) -> bytes:
-    p = Path(path)
-    if not p.is_file():
-        raise io_text.ValidationError(f"file not found: {path}")
-    return p.read_bytes()
+    return p
 
 
 def _oracle_spec(oracle: str, radius: float, density: float, height: float):
@@ -64,11 +58,11 @@ def _apply_oracle_options(args) -> None:
 
 
 def _cmd_render(args) -> int:
-    cfg = io_text.parse_config(_read_text(args.config))
+    cfg = io_text.parse_config(_input(args.config).read_text())
     if args.workers is not None:
         cfg.workers = args.workers
-    mesh = io_text.parse_mesh(_read_text(cfg.mesh))
-    field = io_text.parse_field(_read_text(cfg.field))
+    mesh = io_text.parse_mesh(_input(cfg.mesh).read_text())
+    field = io_text.parse_field(_input(cfg.field).read_text())
     if len(field) != mesh.n_nodes:
         raise io_text.ValidationError(
             f"field has {len(field)} values for {mesh.n_nodes} mesh nodes"
@@ -83,14 +77,8 @@ def _cmd_render(args) -> int:
         newton=xray.NewtonSettings(eps_tol=cfg.eps_tol, max_iter=cfg.max_iter),
         geom_tol=cfg.geom_tol,
     )
-    # the attenuation keys are validated, but no output holds intensity, so
-    # the render computes projected density only
-    if cfg.attenuation == "table":
-        rho = np.array([r for r, _ in cfg.table])
-        mu = np.array([m for _, m in cfg.table])
-        xray.AttenuationModel("table", table_rho=rho, table_mu=mu, i_in=cfg.i_in)
-    else:
-        xray.AttenuationModel(cfg.attenuation, kappa=cfg.kappa, i_in=cfg.i_in)
+    # parse_config has checked the attenuation keys, but no output holds
+    # intensity, so the render computes projected density only
     img = xray.render(
         mesh, field, detector, settings, workers=cfg.workers, brute_force=args.brute_force
     )
@@ -151,7 +139,7 @@ def _cmd_generate_cylinder(args) -> int:
 
 
 def _cmd_error_map(args) -> int:
-    grid = io_text.read_float_grid(_read_bytes(args.grid))
+    grid = io_text.read_float_grid(_input(args.grid).read_bytes())
     # assumes the benchmark setup: detector grid centered on the model axis
     spec = _oracle_spec(args.oracle, args.radius, args.density, args.height)
     b, oracle = bench.projection_oracle(spec, grid.nu, grid.nv, grid.pitch)
@@ -180,12 +168,12 @@ def _cmd_error_map(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    mesh = io_text.parse_mesh(_read_text(args.mesh))
+    mesh = io_text.parse_mesh(_input(args.mesh).read_text())
     print(f"nodes = {mesh.n_nodes}")
     print(f"elements = {mesh.n_elements}")
     print(f"nodes_per_element = {mesh.elements.shape[1]}")
     if args.field:
-        field = io_text.parse_field(_read_text(args.field))
+        field = io_text.parse_field(_input(args.field).read_text())
         print(f"field_values = {len(field)}")
         if len(field) != mesh.n_nodes:
             raise io_text.ValidationError(

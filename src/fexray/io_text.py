@@ -42,9 +42,41 @@ class ValidationError(ValueError):
 
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
+
+
+def _read_rows(lines, n: int, kind: str, width: int, usage: str, conv, n_nodes=None) -> array:
+    """The values of the next ``n`` data lines of a ``kind`` table, flat.
+
+    A line holds its row id 0..n-1 and ``width - 1`` values that ``conv``
+    (float or int) reads; with ``n_nodes`` the values are node ids below it.
+    A line's checks run in the order token count, tokens, row id, node ids,
+    before the next line is read, so the first faulty line is reported.
+    Values are appended as read, so a count no line backs is never
+    allocated.
+    """
+    out = array("d" if conv is float else "q")
+    i = -1
+    for i, (lineno, line) in zip(range(n), lines):
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: expected {usage}")
+        try:
+            rid = int(parts[0])
+            row = list(map(conv, parts[1:]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed {kind} line") from None
+        if rid != i:
+            id_kind = "element" if kind == "element" else "node"
+            raise ParseError(f"line {lineno}: expected {id_kind} id {i}, got {rid}")
+        if n_nodes is not None and (min(row) < 0 or max(row) >= n_nodes):
+            raise ParseError(f"line {lineno}: node id out of range")
+        out.extend(row)
+    if i + 1 < n:
+        raise ParseError(f"unexpected end of file: expected {kind} line {i + 1}")
+    return out
 
 
 def parse_mesh(text: str) -> Mesh:
@@ -64,47 +96,10 @@ def parse_mesh(text: str) -> Mesh:
         raise ParseError(f"line {lineno}: nodes_per_element must be 4 or 10, got {npe}")
     if n_nodes < 1 or n_elements < 1:
         raise ParseError(f"line {lineno}: counts must be positive")
-
-    # values are appended as read, so a header count no line backs is never
-    # allocated
-    nodes = array("d")
-    for i in range(n_nodes):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file: expected node line {i}") from None
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected '<id> <x> <y> <z>'")
-        try:
-            nid = int(parts[0])
-            xyz = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed node line") from None
-        if nid != i:
-            raise ParseError(f"line {lineno}: expected node id {i}, got {nid}")
-        nodes.extend(xyz)
-
-    elements = array("q")
-    for i in range(n_elements):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file: expected element line {i}") from None
-        parts = line.split()
-        if len(parts) != 1 + npe:
-            raise ParseError(f"line {lineno}: expected '<id>' plus {npe} node ids")
-        try:
-            eid = int(parts[0])
-            conn = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed element line") from None
-        if eid != i:
-            raise ParseError(f"line {lineno}: expected element id {i}, got {eid}")
-        if any(c < 0 or c >= n_nodes for c in conn):
-            raise ParseError(f"line {lineno}: node id out of range")
-        elements.extend(conn)
-
+    nodes = _read_rows(lines, n_nodes, "node", 4, "'<id> <x> <y> <z>'", float)
+    elements = _read_rows(
+        lines, n_elements, "element", 1 + npe, f"'<id>' plus {npe} node ids", int, n_nodes
+    )
     for lineno, _ in lines:
         raise ParseError(f"line {lineno}: trailing content after last element")
     return Mesh(
@@ -136,23 +131,7 @@ def parse_field(text: str) -> NodalField:
         raise ParseError(f"line {lineno}: expected '<n_nodes>' header") from None
     if n < 1:
         raise ParseError(f"line {lineno}: node count must be positive")
-    values = array("d")  # as in parse_mesh, only the lines read are stored
-    for i in range(n):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file: expected value line {i}") from None
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected '<id> <value>'")
-        try:
-            nid = int(parts[0])
-            val = float(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed value line") from None
-        if nid != i:
-            raise ParseError(f"line {lineno}: expected node id {i}, got {nid}")
-        values.append(val)
+    values = _read_rows(lines, n, "value", 2, "'<id> <value>'", float)
     for lineno, _ in lines:
         raise ParseError(f"line {lineno}: trailing content after last value")
     return NodalField(np.array(values, dtype=np.float64))
@@ -222,8 +201,8 @@ def read_float_grid(data: bytes) -> FloatGrid:
 def write_graymap(values: np.ndarray, bit_depth: int = 8, window=None) -> bytes:
     """P5 graymap with linear windowing and round-half-to-even quantization.
 
-    ``window`` is (min, max); None uses [0, max value] (all-zero images fall
-    back to [0, 1]).
+    ``window`` is a finite (min, max); None uses [0, max value] (all-zero
+    images fall back to [0, 1]).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -234,8 +213,8 @@ def write_graymap(values: np.ndarray, bit_depth: int = 8, window=None) -> bytes:
         top = float(values.max()) if values.size and values.max() > 0 else 1.0
         window = (0.0, top)
     wmin, wmax = float(window[0]), float(window[1])
-    if not wmin < wmax:
-        raise ValidationError("window min must be below window max")
+    if not -math.inf < wmin < wmax < math.inf:
+        raise ValidationError("window must be finite with min below max")
     maxval = 255 if bit_depth == 8 else 65535
     scaled = (values - wmin) / (wmax - wmin)
     quantized = np.rint(np.clip(scaled, 0.0, 1.0) * maxval)
@@ -281,21 +260,9 @@ class RenderConfig:
     out_stats: str = ""
 
 
-_INT_KEYS = {"nu", "nv", "max_leaf_elements", "max_iter", "workers", "pgm_bits"}
-_FLOAT_KEYS = {
-    "rays_per_cm2",
-    "pitch",
-    "step",
-    "eps_tol",
-    "geom_tol",
-    "kappa",
-    "i_in",
-    "window_min",
-    "window_max",
-    "oracle_radius",
-    "oracle_density",
-    "oracle_height",
-}
+# values are read by the type their field is annotated with
+_INT_KEYS = {f.name for f in fields(RenderConfig) if f.type.startswith("int")}
+_FLOAT_KEYS = {f.name for f in fields(RenderConfig) if f.type.startswith("float")}
 
 
 def parse_config(text: str) -> RenderConfig:
@@ -334,7 +301,12 @@ def parse_config(text: str) -> RenderConfig:
         except ValueError:
             raise ParseError(f"line {lineno}: malformed value for {key!r}") from None
 
-    problems = []
+    # inf passes the range checks below, and nan some of them
+    problems = [
+        f"{key}: non-finite value"
+        for key in sorted(seen & (_FLOAT_KEYS | {"table"}))
+        if not np.isfinite(getattr(cfg, key)).all()
+    ]
     if not cfg.mesh:
         problems.append("mesh: path is required")
     if not cfg.field:

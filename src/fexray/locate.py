@@ -31,6 +31,7 @@ so results do not depend on which other points share the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class NewtonSettings:
     max_iter: int = 20
 
     def __post_init__(self):
-        if not self.eps_tol > 0.0:
-            raise ValueError("eps_tol must be positive")
+        if not 0.0 < self.eps_tol < math.inf:
+            raise ValueError("eps_tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -86,14 +87,12 @@ class _ElementFrames:
     """Reference-frame data of a set of elements, one column per element.
 
     ``corner`` holds n0 in rows 0-2 and A^-1, row-major, in rows 3-11.
-    ``bulges`` row 12 * a + e (e < 6) is component a of M_e; rows
-    12 * a + 6 .. 12 * a + 11 hold the bulge differences the Jacobian uses
-    (see ``_reference_newton``).  Elements whose corner matrix has no finite
-    inverse are ``singular`` and carry zeros.
+    ``bulges`` row 6 * a + e is component a of M_e.  Elements whose corner
+    matrix has no finite inverse are ``singular`` and carry zeros.
     """
 
     corner: np.ndarray  # (12, n)
-    bulges: np.ndarray  # (36, n)
+    bulges: np.ndarray  # (18, n)
     curved: np.ndarray  # (n,) some bulge is nonzero
     warm: np.ndarray  # (n,) sum_e |M_e| < WARM_BULGE: Newton starts from lam
     singular: np.ndarray  # (n,)
@@ -130,17 +129,10 @@ def _element_frames(nodes: np.ndarray) -> _ElementFrames:
     singular = ~(np.isfinite(inv).all(axis=0) & np.isfinite(m).all(axis=(0, 1)))
     inv[:, singular] = 0.0
     m[:, :, singular] = 0.0
-    # Jacobian coefficients, per component: M1 - M2, M4 - M3, M1 - M0,
-    # M5 - M3, M4 - M0, M5 - M2
-    diffs = np.stack(
-        [m[:, 1] - m[:, 2], m[:, 4] - m[:, 3], m[:, 1] - m[:, 0],
-         m[:, 5] - m[:, 3], m[:, 4] - m[:, 0], m[:, 5] - m[:, 2]],
-        axis=1,
-    )
     ext = nodes.max(axis=1) - nodes.min(axis=1)
     return _ElementFrames(
         corner=np.concatenate([n0, inv]),
-        bulges=np.concatenate([m, diffs], axis=1).reshape(36, -1),
+        bulges=m.reshape(18, -1),
         curved=(m != 0.0).any(axis=(0, 1)),
         warm=sum(np.sqrt(m[0, j] ** 2 + m[1, j] ** 2 + m[2, j] ** 2) for j in range(6))
         < WARM_BULGE,
@@ -154,7 +146,7 @@ def _reference_newton(
 ):
     """Newton on g(xi) = xi - lam + sum_e M_e phi_a phi_b from xi = start.
 
-    ``bulges`` is (36, k) per lane as in ``_ElementFrames``; ``lam`` and
+    ``bulges`` is (18, k) per lane as in ``_ElementFrames``; ``lam`` and
     ``start`` are (3, k).
     With p_e = phi_a phi_b over ``EDGE_VERTICES`` and w = 1 - x - y - z the
     Jacobian rows are
@@ -169,8 +161,8 @@ def _reference_newton(
     xi = np.empty((3, k))
     converged = np.zeros(k, dtype=bool)
     iters = np.full(k, settings.max_iter, dtype=np.int64)
-    # running lanes: rows x, y, z, lam (3), step denominator, bulges (36)
-    state = np.empty((43, k))
+    # running lanes: rows x, y, z, lam (3), step denominator, bulges (18)
+    state = np.empty((25, k))
     state[0:3] = start
     state[3:6] = lam
     state[6] = 1.0
@@ -183,7 +175,7 @@ def _reference_newton(
         wx, wy, wz = w - x, w - y, w - z
         f, jac = [], []
         for a in range(3):
-            mm = state[7 + 12 * a : 19 + 12 * a]
+            mm = state[7 + 6 * a : 13 + 6 * a]
             f.append(
                 (state[a] - state[3 + a])
                 + (mm[0] * p[0] + mm[1] * p[1] + mm[2] * p[2]
@@ -191,9 +183,9 @@ def _reference_newton(
             )
             jac.append(
                 (
-                    mm[0] * wx + mm[6] * y + mm[7] * z,
-                    mm[2] * wy + mm[8] * x + mm[9] * z,
-                    mm[3] * wz + mm[10] * x + mm[11] * y,
+                    mm[0] * wx + (mm[1] - mm[2]) * y + (mm[4] - mm[3]) * z,
+                    mm[2] * wy + (mm[1] - mm[0]) * x + (mm[5] - mm[3]) * z,
+                    mm[3] * wz + (mm[4] - mm[0]) * x + (mm[5] - mm[2]) * y,
                 )
             )
             jac[a][a][...] += 1.0  # the identity part of I + sum_e M_e (x) grad p_e

@@ -115,8 +115,8 @@ class Detector:
             object.__setattr__(self, name, v)
         if self.nu < 1 or self.nv < 1:
             raise ValueError("detector needs at least one pixel per axis")
-        if not self.pitch > 0.0:
-            raise ValueError("pixel pitch must be positive")
+        if not 0.0 < self.pitch < math.inf:
+            raise ValueError("pixel pitch must be finite and positive")
         for a, b in ((self.axis_u, self.axis_v), (self.axis_u, self.normal), (self.axis_v, self.normal)):
             if abs(float(np.dot(a, b))) > 1e-12:
                 raise ValueError("detector axes must be mutually orthogonal")
@@ -140,12 +140,12 @@ class IntegrationSettings:
     geom_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be finite and positive")
         if self.max_leaf_elements < 1:
             raise ValueError("max_leaf_elements must be >= 1")
-        if not self.geom_tol >= 0.0:
-            raise ValueError("geom_tol must be non-negative")
+        if not 0.0 <= self.geom_tol < math.inf:
+            raise ValueError("geom_tol must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -273,14 +273,17 @@ def make_detector(
 ) -> Detector:
     """Detector on a box face, grid centered and covering the face fully.
 
-    Either ``rays_per_cm2`` (pixel pitch 1/sqrt of it, pixel counts from the
-    face extents) or an explicit ``pitch``/``nu``/``nv`` grid must be given.
-    Ray direction is the inward face normal.
+    Either ``rays_per_cm2`` (pixel pitch 1/sqrt of it) or ``pitch`` must be
+    given; ``nu`` and ``nv`` are given together or not at all, and by
+    default the pixel counts cover the face extents.  Ray direction is the
+    inward face normal.
     """
     if face not in FACE_SELECTORS:
         raise ValueError(
             f"invalid face {face!r}; expected one of {sorted(FACE_SELECTORS)}"
         )
+    if (nu is None) != (nv is None):
+        raise ValueError("nu and nv must be given together")
     axis, sign = FACE_SELECTORS[face]
     if rays_per_cm2 is not None:
         if not rays_per_cm2 > 0.0:
@@ -290,7 +293,7 @@ def make_detector(
         raise ValueError("either rays_per_cm2 or a positive pitch is required")
     u_ax = (axis + 1) % 3
     v_ax = (axis + 2) % 3
-    if nu is None or nv is None:
+    if nu is None:
         span_u = float(model_box.pmax[u_ax] - model_box.pmin[u_ax])
         span_v = float(model_box.pmax[v_ax] - model_box.pmin[v_ax])
         # guard so that an exact multiple does not gain a pixel from roundoff
@@ -436,34 +439,32 @@ def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     return t_in, t_out
 
 
-def _regroup(parts, rows: int, weight: int | None = None, budget: int = 0):
-    """Re-cut a stream of column tuples into batches of at most ``rows``
-    rows and, when ``weight`` is the index of a column of positive row
-    weights, of at most ``budget`` summed weight.
+def _regroup(parts, budget: int, weight: int | None = None):
+    """Re-cut a stream of column tuples into batches of at most ``budget``
+    summed row weight: column ``weight``'s positive values, or 1 per row
+    without one.
 
     Rows keep their order, and a row heavier than the budget is a batch of
-    its own.  Parts are held until they pass a limit, so at most one batch
-    plus one part is held at a time.
+    its own.  Parts are held until they pass the budget, so at most one
+    batch plus one part is held at a time.
     """
     held, n_held, w_held = [], 0, 0
     for cols in parts:
         held.append(cols)
         n_held += cols[0].size
-        w_held += 0 if weight is None else int(cols[weight].sum())
-        if n_held <= rows and w_held <= budget:
+        w_held += cols[0].size if weight is None else int(cols[weight].sum())
+        if w_held <= budget:
             continue
         cols = tuple(np.concatenate(c) for c in zip(*held))
-        cum = None if weight is None else np.cumsum(cols[weight])
+        cum = np.arange(1, n_held + 1) if weight is None else np.cumsum(cols[weight])
         first, base = 0, 0
         while True:
-            end = first + rows
-            if cum is not None:
-                end = min(end, int(np.searchsorted(cum, base + budget, side="right")))
+            end = int(np.searchsorted(cum, base + budget, side="right"))
             if end >= n_held:
                 break
             end = max(end, first + 1)
             yield tuple(c[first:end] for c in cols)
-            first, base = end, 0 if cum is None else int(cum[end - 1])
+            first, base = end, int(cum[end - 1])
         held = [tuple(c[first:] for c in cols)]
         n_held, w_held = n_held - first, w_held - base
     if n_held:
@@ -562,13 +563,11 @@ def _lane_origins(c, u, v, a, b):
 
 
 def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
-    """Origins of the rays r_lo <= r < r_hi, ray r at pixel (r % nu, r // nu),
-    and their frame coordinates (a, b)."""
+    """Frame coordinates (a, b) of the rays r_lo <= r < r_hi, ray r at
+    pixel (r % nu, r // nu)."""
     det = ctx.detector
     r = np.arange(r_lo, r_hi, dtype=np.int64)
-    a = (r % det.nu) * det.pitch
-    b = (r // det.nu) * det.pitch
-    return _lane_origins(det.origin, det.axis_u, det.axis_v, a, b), a, b
+    return (r % det.nu) * det.pitch, (r // det.nu) * det.pitch
 
 
 def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
@@ -626,11 +625,12 @@ def _count_samples(records, span: int) -> int:
     return int(np.maximum(hi - np.maximum(reach, lo - 1), 0).sum())
 
 
-# (ray, element) pairs box-tested, clipped or sent to Newton at once, and
-# (sample, element) lanes per Newton batch; both keep the transient arrays
-# of a tile bounded
+# (ray, element) pairs box-tested or clipped at once, and (sample, element)
+# lanes per Newton batch; both keep the transient arrays of a tile bounded,
+# and a Newton batch's arrays (the residual check gathers the nodes of each
+# accepted lane) set the render's peak memory
 PAIR_CHUNK = 4096
-NEWTON_CHUNK = 24576
+NEWTON_CHUNK = 8192
 # samples per tile, counting every ray at the grid points on the longest
 # model box chord along the rays; bounds the per-tile arrays that scale
 # with the samples
@@ -668,7 +668,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     mu = np.zeros(n_rays) if ctx.want_mu else None
     stats = RenderStats(rays=n_rays)
 
-    origins, ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
+    ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
     records = _scan_leaves(ctx, r_lo, r_hi, ray_a, ray_b)
     if not records:
         return pd, mu, stats
@@ -677,17 +677,18 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # which sorts like (ray, j)
     span = max(int(rec[3].max()) for rec in records) + 1
     stats.samples = _count_samples(records, span)
-    d = ctx.detector.normal
+    det = ctx.detector
     claims_k: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
     # batches of whole pairs, weighted by their lane counts
     pairs = _clipped_pairs(ctx, records, ray_a, ray_b)
-    for ray, elem, j1, counts in _regroup(pairs, PAIR_CHUNK, weight=3, budget=NEWTON_CHUNK):
+    for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
         lane_e = np.repeat(elem, counts)
-        pts = origins[lane_r] + ((lane_j + 0.5) * step)[:, None] * d
+        origins = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a[lane_r], ray_b[lane_r])
+        pts = origins + ((lane_j + 0.5) * step)[:, None] * det.normal
         inside, xi, iters, converged = membership_test(
             ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames
         )

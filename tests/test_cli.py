@@ -28,14 +28,8 @@ def ball_files(tmp_path):
 
 
 def write_config(tmp_path, mesh, field, **extra):
-    lines = [
-        f"mesh = {mesh}",
-        f"field = {field}",
-        "face = +z",
-        "rays_per_cm2 = 25",
-        "step = 0.05",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    keys = {"mesh": mesh, "field": field, "face": "+z", "rays_per_cm2": 25, "step": 0.05}
+    lines = [f"{k} = {v}" for k, v in {**keys, **extra}.items()]
     cfg = tmp_path / "render.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     return cfg
@@ -194,6 +188,14 @@ class TestRender:
         cfg = write_config(tmp_path, mesh, field, attenuation="table", table="0:0, 1:nan")
         assert main(["render", "--config", str(cfg)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["step", "geom_tol", "eps_tol", "window_max"])
+    def test_non_finite_number_rejected(self, tmp_path, ball_files, capsys, key):
+        mesh, field = ball_files
+        cfg = write_config(tmp_path, mesh, field, out_pgm=tmp_path / "d.pgm", **{key: "inf"})
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert f"{key}: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "d.pgm").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["render"]) == 1

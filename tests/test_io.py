@@ -1,4 +1,7 @@
+import math
+import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -104,6 +107,74 @@ class TestFieldRoundTrip:
             parse_field("1000000000000\n0 1.0\n1 abc\n")
 
 
+# a valid two-element mesh and its field; the faults below replace row 1 of
+# one table, at line 3 (node, value) or line 8 (element)
+MESH_LINES = ["5 2 4", "0 0 0 0", "1 1 0 0", "2 0 1 0", "3 0 0 1", "4 1 1 1", "0 0 1 2 3", "1 1 2 3 4"]
+FIELD_LINES = ["5", "0 1.5", "1 2.5", "2 0.5", "3 1.0", "4 2.0"]
+ROW1_LINE = {"node": 3, "element": 8, "value": 3}
+
+
+def _faulty(table, rows):
+    """Text and parser of the mesh (node, element) or field (value) file
+    whose line k reads rows[k]; a None row ends the file before it."""
+    lines = FIELD_LINES if table == "value" else MESH_LINES
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        line = rows.get(lineno, line)
+        if line is None:
+            break
+        out.append(line)
+    return "\n".join(out) + "\n", parse_field if table == "value" else parse_mesh
+
+
+class TestFirstFaultyLine:
+    @pytest.mark.parametrize(
+        "table, row1, message",
+        [
+            ("node", None, "unexpected end of file: expected node line 1"),
+            ("node", "1 1 0", "line 3: expected '<id> <x> <y> <z>'"),
+            ("node", "1 1 x 0", "line 3: malformed node line"),
+            ("node", "7 1 0 0", "line 3: expected node id 1, got 7"),
+            ("element", None, "unexpected end of file: expected element line 1"),
+            ("element", "1 1 2 3", "line 8: expected '<id>' plus 4 node ids"),
+            ("element", "1 1 2 3.0 4", "line 8: malformed element line"),
+            ("element", "7 1 2 3 4", "line 8: expected element id 1, got 7"),
+            ("element", "1 1 2 3 5", "line 8: node id out of range"),
+            ("element", "1 -1 2 3 4", "line 8: node id out of range"),
+            ("element", "1 1 2 3 99999999999999999999", "line 8: node id out of range"),
+            ("value", None, "unexpected end of file: expected value line 1"),
+            ("value", "1 2.5 3", "line 3: expected '<id> <value>'"),
+            ("value", "1 abc", "line 3: malformed value line"),
+            ("value", "7 2.5", "line 3: expected node id 1, got 7"),
+        ],
+    )
+    def test_each_table_and_fault(self, table, row1, message):
+        text, parse = _faulty(table, {})
+        parse(text)  # the unchanged file is valid
+        text, parse = _faulty(table, {ROW1_LINE[table]: row1})
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "table, rows, message",
+        [
+            # two faults on one line: token count, tokens, id, node ids
+            ("node", {3: "7 1 0"}, "line 3: expected '<id> <x> <y> <z>'"),
+            ("node", {3: "7 x 0 0"}, "line 3: malformed node line"),
+            ("element", {8: "7 1 2 3 5"}, "line 8: expected element id 1, got 7"),
+            # faults on two lines, in one table or in two
+            ("node", {3: "1 1 x 0", 8: "1 1 2 3 5"}, "line 3: malformed node line"),
+            ("element", {7: "5 0 1 2 3", 8: None}, "line 7: expected element id 0, got 5"),
+            ("value", {3: "7 2.5", 4: "2 abc"}, "line 3: expected node id 1, got 7"),
+            ("value", {2: "0 1.5 0", 5: None}, "line 2: expected '<id> <value>'"),
+        ],
+    )
+    def test_earlier_fault_wins(self, table, rows, message):
+        text, parse = _faulty(table, rows)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+
 class TestFloatGrid:
     def test_round_trip_bit_exact(self, rng):
         values = rng.normal(size=(7, 5))
@@ -173,6 +244,11 @@ class TestGraymap:
     def test_invalid_window(self):
         with pytest.raises(ValidationError):
             write_graymap(np.zeros((2, 2)), 8, (1.0, 1.0))
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 2.0), (0.0, math.nan)])
+    def test_non_finite_window(self, window):
+        with pytest.raises(ValidationError, match="finite"):
+            write_graymap(np.ones((2, 2)), 8, window)
 
 
 class TestConfig:
@@ -250,6 +326,30 @@ class TestConfig:
             kappa=kappa,
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+FLOAT_KEYS = [f.name for f in fields(RenderConfig) if f.type.startswith("float")]
+
+
+class TestConfigFinite:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_key(self, key, value):
+        # every float-typed key, those added later too
+        keys = {"mesh": "a", "field": "b", "face": "+z", "rays_per_cm2": "4000", key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ValidationError, match=f"{key}: non-finite value"):
+            parse_config(text)
+
+    def test_float_keys_found(self):
+        assert {"step", "eps_tol", "geom_tol", "window_max", "rays_per_cm2"} <= set(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("table", ["0:0, 1:inf", "0:0, nan:1", "-inf:0, 1:1"])
+    @pytest.mark.parametrize("attenuation", ["table", "identity"])
+    def test_non_finite_table_entry(self, table, attenuation):
+        text = MINIMAL_CONFIG + f"attenuation = {attenuation}\ntable = {table}\n"
+        with pytest.raises(ValidationError, match="table: non-finite value"):
+            parse_config(text)
 
 
 class TestConfigTotality:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -62,6 +64,11 @@ class TestNewtonSettings:
             NewtonSettings(eps_tol=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iter=0)
+
+    @pytest.mark.parametrize("eps_tol", [math.inf, math.nan])
+    def test_non_finite_tolerance(self, eps_tol):
+        with pytest.raises(ValueError, match="eps_tol"):
+            NewtonSettings(eps_tol=eps_tol)
 
 
 def located(mesh, e, points, settings=None):

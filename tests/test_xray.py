@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,17 @@ class TestMakeDetector:
         assert (det.nu, det.nv) == (3, 5)
         np.testing.assert_array_equal(det.normal, [0, 1, 0])
 
+    @pytest.mark.parametrize("counts", [{"nu": 5}, {"nv": 5}])
+    def test_one_pixel_count_rejected(self, counts):
+        box = Aabb(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="nu and nv"):
+            make_detector(box, "+z", pitch=0.1, **counts)
+
+    def test_non_finite_pitch_rejected(self):
+        axes = np.eye(3)
+        with pytest.raises(ValueError, match="pitch"):
+            Detector(np.zeros(3), axes[0], axes[1], axes[2], 1, 1, math.inf)
+
     def test_default_face_longest_axis(self):
         box = Aabb(np.zeros(3), np.array([3.0, 1.0, 2.0]))
         assert default_face(box) == "+x"
@@ -97,6 +109,14 @@ class TestMakeDetector:
                 1,
                 0.1,
             )
+
+
+class TestIntegrationSettings:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["step", "geom_tol"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            IntegrationSettings(**{key: value})
 
 
 class TestAttenuation:
@@ -608,7 +628,8 @@ def _expanded_lanes(ctx):
     expansion of the whole detector's leaf records, lexsorted: every pair of
     a record is built, then clipped to the element box and face planes."""
     step, det = ctx.settings.step, ctx.detector
-    origins, ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
+    ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
+    origins = xray._lane_origins(det.origin, det.axis_u, det.axis_v, ray_a, ray_b)
     clip, rows = ctx.clip, []
     for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b):
         ray, e = np.repeat(ids, elems.size), np.tile(elems, ids.size)
@@ -651,12 +672,11 @@ class TestPairStream:
         monkeypatch.setattr(xray, "membership_test", member)
         img = render(mesh, field, det, settings, tree=tree)
         assert img.stats.pairs_inside > 0
-        # one Newton call per batch; a batch holds at most PAIR_CHUNK pairs
-        # and passes the lane budget only as one pair.  The rays run along
-        # -z, so a lane's (element, x, y) names its (ray, element) pair
+        # one Newton call per batch; a batch passes the lane budget only as
+        # one pair.  The rays run along -z, so a lane's (element, x, y)
+        # names its (ray, element) pair
         for batch in lanes:
             n_pairs = len(np.unique(batch[:, :3], axis=0))
-            assert n_pairs <= xray.PAIR_CHUNK
             assert len(batch) <= xray.NEWTON_CHUNK or n_pairs == 1
         ctx = xray._render_context(mesh, field, det, settings, None, tree, False, model_aabb(mesh))
         np.testing.assert_array_equal(_sorted_rows(np.concatenate(lanes)), _expanded_lanes(ctx))
@@ -664,28 +684,23 @@ class TestPairStream:
     @given(
         st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6), max_size=8),
         st.integers(1, 12),
-        st.one_of(st.none(), st.integers(1, 12)),
+        st.booleans(),
     )
-    @example([[5, 5], [9], [1, 1, 1]], 12, 6)
-    @example([[1, 1, 1], [1, 1]], 2, None)
-    def test_regroup_cuts_full_batches(self, parts, rows, budget):
+    @example([[5, 5], [9], [1, 1, 1]], 6, True)
+    @example([[1, 1, 1], [1, 1]], 2, False)
+    def test_regroup_cuts_full_batches(self, parts, budget, weighted):
         # rows are numbered, so order and completeness show in the ids;
-        # budget None is the row limit alone
+        # without the weight column every row weighs 1
         counts = np.cumsum([0] + [len(p) for p in parts])
         stream = [(np.arange(lo, lo + len(p)), np.array(p)) for lo, p in zip(counts, parts)]
-        if budget is None:
-            batches = list(xray._regroup(iter(stream), rows))
-        else:
-            batches = list(xray._regroup(iter(stream), rows, 1, budget))
+        batches = list(xray._regroup(iter(stream), budget, 1 if weighted else None))
         ids = [int(i) for batch, _ in batches for i in batch]
         assert ids == list(range(counts[-1]))
-        for k, (batch, weight) in enumerate(batches):
-            assert batch.size <= rows
-            if budget is not None:
-                assert weight.sum() <= budget or batch.size == 1
-            if k + 1 < len(batches):  # full: the next row would pass a limit
-                heavy = budget is not None and weight.sum() + batches[k + 1][1][0] > budget
-                assert batch.size == rows or heavy
+        weights = [w if weighted else np.ones_like(w) for _, w in batches]
+        for k, w in enumerate(weights):
+            assert w.sum() <= budget or w.size == 1
+            if k + 1 < len(weights):  # full: the next row would pass the budget
+                assert w.sum() + weights[k + 1][0] > budget
 
 
 class TestTiles:
@@ -943,7 +958,7 @@ def _box_pair_chunks(ctx):
     det = ctx.detector
     depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
-        _, ray_a, ray_b = xray._block_rays(ctx, lo, hi)
+        ray_a, ray_b = xray._block_rays(ctx, lo, hi)
         records = xray._scan_leaves(ctx, lo, hi, ray_a, ray_b)
         pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.PAIR_CHUNK)
         for ray, elem, _, _ in xray._regroup(pairs, xray.PAIR_CHUNK):
@@ -1095,7 +1110,7 @@ def _scan_records(ctx, tile_rays):
     out = set()
     for r_lo in range(0, n_rays, tile_rays):
         r_hi = min(r_lo + tile_rays, n_rays)
-        _, a, b = xray._block_rays(ctx, r_lo, r_hi)
+        a, b = xray._block_rays(ctx, r_lo, r_hi)
         for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, r_lo, r_hi, a, b):
             out |= {
                 (tuple(elems), r_lo + int(r), int(lo), int(hi))
