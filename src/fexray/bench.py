@@ -7,6 +7,7 @@ exact surface, so the curved Newton path is genuinely exercised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ DISK_GRADING = 2.1
 INTERIOR_PITCHES = 2.0
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value:g}")
+
+
 @dataclass(frozen=True)
 class BallSpec:
     radius: float = 1.0
@@ -31,8 +38,7 @@ class BallSpec:
     density: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        _check_positive(radius=self.radius, density=self.density)
         if self.target_elements < 1:
             raise ValueError("target_elements must be >= 1")
 
@@ -44,8 +50,7 @@ class CylinderSpec:
     target_elements: int = 2143
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and self.height > 0.0):
-            raise ValueError("radius and height must be positive")
+        _check_positive(radius=self.radius, height=self.height)
         if self.target_elements < 1:
             raise ValueError("target_elements must be >= 1")
 

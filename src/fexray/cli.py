@@ -37,12 +37,6 @@ def _input(path: str) -> Path:
     return p
 
 
-def _oracle_spec(oracle: str, radius: float, density: float, height: float):
-    if oracle == "ball":
-        return bench.BallSpec(radius=radius, density=density)
-    return bench.CylinderSpec(radius=radius, height=height)
-
-
 # error-map options that apply to one oracle only, with their defaults
 _ORACLE_OPTIONS = {"ball": ("density", 1.0), "cylinder": ("height", 0.1)}
 
@@ -77,8 +71,6 @@ def _cmd_render(args) -> int:
         newton=xray.NewtonSettings(eps_tol=cfg.eps_tol, max_iter=cfg.max_iter),
         geom_tol=cfg.geom_tol,
     )
-    # parse_config has checked the attenuation keys, but no output holds
-    # intensity, so the render computes projected density only
     img = xray.render(
         mesh, field, detector, settings, workers=cfg.workers, brute_force=args.brute_force
     )
@@ -96,12 +88,6 @@ def _cmd_render(args) -> int:
         Path(cfg.out_pgm).write_bytes(
             io_text.write_graymap(img.density, cfg.pgm_bits, (cfg.window_min, wmax))
         )
-    if cfg.out_error:
-        spec = _oracle_spec(cfg.oracle, cfg.oracle_radius, cfg.oracle_density, cfg.oracle_height)
-        _, oracle = bench.projection_oracle(spec, img.nu, img.nv, img.pitch)
-        err = xray.error_map(img, oracle)
-        grid = io_text.FloatGrid(img.nu, img.nv, img.pitch, err.density)
-        Path(cfg.out_error).write_bytes(io_text.write_float_grid(grid))
     if cfg.out_stats:
         if cfg.out_stats.endswith(".json"):
             text = json.dumps(img.stats.to_dict(), indent=2) + "\n"
@@ -141,7 +127,10 @@ def _cmd_generate_cylinder(args) -> int:
 def _cmd_error_map(args) -> int:
     grid = io_text.read_float_grid(_input(args.grid).read_bytes())
     # assumes the benchmark setup: detector grid centered on the model axis
-    spec = _oracle_spec(args.oracle, args.radius, args.density, args.height)
+    if args.oracle == "ball":
+        spec = bench.BallSpec(radius=args.radius, density=args.density)
+    else:
+        spec = bench.CylinderSpec(radius=args.radius, height=args.height)
     b, oracle = bench.projection_oracle(spec, grid.nu, grid.nv, grid.pitch)
     err = np.abs(grid.values - oracle)
     jmax, imax = np.unravel_index(int(np.argmax(err)), err.shape)

@@ -21,12 +21,12 @@ import io
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .mesh import Mesh, NodalField
-from .xray import ATTENUATION_VARIANTS, FACE_SELECTORS
+from .xray import FACE_SELECTORS
 
 FGRID_MAGIC = b"FGRD"
 FGRID_VERSION = 1
@@ -242,21 +242,12 @@ class RenderConfig:
     eps_tol: float = 1e-10
     max_iter: int = 20
     geom_tol: float = 1e-8
-    attenuation: str = "identity"
-    kappa: float = 1.0
-    table: tuple[tuple[float, float], ...] = ()
-    i_in: float = 1.0
     workers: int = 1
     out_density: str = ""
     out_pgm: str = ""
     pgm_bits: int = 8
     window_min: float = 0.0
     window_max: float | None = None
-    out_error: str = ""
-    oracle: str = ""  # ball | cylinder, for the error-map output
-    oracle_radius: float = 1.0
-    oracle_density: float = 1.0
-    oracle_height: float = 0.1
     out_stats: str = ""
 
 
@@ -290,12 +281,6 @@ def parse_config(text: str) -> RenderConfig:
                 setattr(cfg, key, int(raw))
             elif key in _FLOAT_KEYS:
                 setattr(cfg, key, float(raw))
-            elif key == "table":
-                entries = []
-                for item in raw.split(","):
-                    rho_s, _, mu_s = item.partition(":")
-                    entries.append((float(rho_s), float(mu_s)))
-                cfg.table = tuple(entries)
             else:
                 setattr(cfg, key, raw)
         except ValueError:
@@ -304,8 +289,8 @@ def parse_config(text: str) -> RenderConfig:
     # inf passes the range checks below, and nan some of them
     problems = [
         f"{key}: non-finite value"
-        for key in sorted(seen & (_FLOAT_KEYS | {"table"}))
-        if not np.isfinite(getattr(cfg, key)).all()
+        for key in sorted(seen & _FLOAT_KEYS)
+        if not math.isfinite(getattr(cfg, key))
     ]
     if not cfg.mesh:
         problems.append("mesh: path is required")
@@ -333,29 +318,12 @@ def parse_config(text: str) -> RenderConfig:
         problems.append("max_iter: must be >= 1")
     if cfg.geom_tol < 0:
         problems.append("geom_tol: must be non-negative")
-    if cfg.attenuation not in ATTENUATION_VARIANTS:
-        problems.append(f"attenuation: must be one of {', '.join(ATTENUATION_VARIANTS)}")
-    if cfg.attenuation == "linear" and cfg.kappa < 0:
-        problems.append("kappa: must be non-negative")
-    if cfg.attenuation == "table":
-        if len(cfg.table) < 2:
-            problems.append("table: needs at least 2 'rho:mu' entries")
-        elif any(b[0] <= a[0] for a, b in zip(cfg.table, cfg.table[1:])):
-            problems.append("table: densities must increase strictly")
-    if not cfg.i_in > 0:
-        problems.append("i_in: must be positive")
     if cfg.workers < 1:
         problems.append("workers: must be >= 1")
     if cfg.pgm_bits not in (8, 16):
         problems.append("pgm_bits: must be 8 or 16")
     if cfg.window_max is not None and not cfg.window_min < cfg.window_max:
         problems.append("window_min/window_max: min must be below max")
-    if cfg.oracle not in ("", "ball", "cylinder"):
-        problems.append("oracle: must be ball or cylinder")
-    if cfg.out_error and not cfg.oracle:
-        problems.append("out_error: requires an oracle")
-    if not (cfg.oracle_radius > 0 and cfg.oracle_density > 0 and cfg.oracle_height > 0):
-        problems.append("oracle_radius/oracle_density/oracle_height: must be positive")
     if problems:
         raise ValidationError("invalid configuration:\n  " + "\n  ".join(problems))
     return cfg

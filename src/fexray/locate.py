@@ -53,10 +53,6 @@ SINGULAR_REL = 1e-14
 # where the centroid start missed 41, and none of the 1 870 below it.
 WARM_BULGE = 4.0
 
-# Newton lanes iterated together; lanes are independent, so this only sets
-# the size of the per-iteration temporaries (chosen to stay in cache)
-NEWTON_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class NewtonSettings:
@@ -246,13 +242,11 @@ def _solve(frames: _ElementFrames, cols: np.ndarray, points: np.ndarray, setting
     iters = np.ones(cols.size, dtype=np.int64)
     converged = ~frames.singular[cols]
     curved = np.flatnonzero(frames.curved[cols])
-    # blocks of lanes keep the iteration's temporaries cache-sized
-    for lo in range(0, curved.size, NEWTON_BLOCK):
-        c = curved[lo : lo + NEWTON_BLOCK]
-        lam = xi[:, c]
-        start = np.where(frames.warm[cols[c]], lam, 0.25)
-        xi[:, c], converged[c], iters[c] = _reference_newton(
-            frames.bulges.take(cols[c], axis=1), lam, start, settings
+    if curved.size:
+        lam = xi[:, curved]
+        start = np.where(frames.warm[cols[curved]], lam, 0.25)
+        xi[:, curved], converged[curved], iters[curved] = _reference_newton(
+            frames.bulges.take(cols[curved], axis=1), lam, start, settings
         )
     return xi.T, converged, iters
 

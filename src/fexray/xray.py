@@ -167,21 +167,21 @@ class AttenuationModel:
     def __post_init__(self):
         if self.variant not in ATTENUATION_VARIANTS:
             raise ValueError(f"unknown attenuation variant {self.variant!r}")
-        if self.variant == "linear" and not self.kappa >= 0.0:
-            raise ValueError("kappa must be non-negative")
+        if self.variant == "linear" and not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and non-negative")
         if self.variant == "table":
             rho = np.asarray(self.table_rho, dtype=np.float64)
             mu = np.asarray(self.table_mu, dtype=np.float64)
             if rho.ndim != 1 or rho.shape != mu.shape or rho.size < 2:
                 raise ValueError("lookup table needs >= 2 matching entries")
-            if not (np.diff(rho) > 0.0).all():
-                raise ValueError("lookup table densities must increase strictly")
             if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
                 raise ValueError("lookup table contains non-finite values")
+            if not (np.diff(rho) > 0.0).all():
+                raise ValueError("lookup table densities must increase strictly")
             object.__setattr__(self, "table_rho", rho)
             object.__setattr__(self, "table_mu", mu)
-        if not self.i_in > 0.0:
-            raise ValueError("source intensity must be positive")
+        if not 0.0 < self.i_in < math.inf:
+            raise ValueError("source intensity i_in must be finite and positive")
 
     def mu_of_rho(self, rho: np.ndarray) -> np.ndarray:
         return np.interp(rho, self.table_rho, self.table_mu)

@@ -51,11 +51,9 @@ def serialize_config(cfg: RenderConfig) -> str:
     lines = []
     for f in fields(RenderConfig):
         v = getattr(cfg, f.name)
-        if v is None or v == "" or (f.name == "table" and not v):
+        if v is None or v == "":
             continue
-        if f.name == "table":
-            v = ", ".join(f"{r:.17g}:{m:.17g}" for r, m in v)
-        elif isinstance(v, float):
+        if isinstance(v, float):
             v = f"{v:.17g}"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -118,6 +120,19 @@ class TestGenerateBall:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             BallSpec(radius=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize(
+    "spec, key",
+    [(BallSpec, "radius"), (BallSpec, "density"), (CylinderSpec, "radius"), (CylinderSpec, "height")],
+    ids=["ball-radius", "ball-density", "cylinder-radius", "cylinder-height"],
+)
+def test_spec_rejects_non_finite_or_non_positive(spec, key, value):
+    # an infinite radius or height gives an infinite oracle, a nan density a
+    # nan one, and a negative density a field that render rejects
+    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+        spec(**{key: value})
 
 
 class TestGenerateCylinder:

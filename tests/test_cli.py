@@ -7,7 +7,7 @@ import pytest
 
 from fexray.bench import BallSpec, CylinderSpec, projection_oracle
 from fexray.cli import main
-from fexray.io_text import read_float_grid, write_graymap
+from fexray.io_text import FloatGrid, read_float_grid, write_float_grid, write_graymap
 from tests.conftest import folded_quadratic_nodes
 
 
@@ -162,32 +162,18 @@ class TestRender:
         assert main(["render", "--config", str(cfg2), "--brute-force"]) == 0
         assert g1.read_bytes() == g2.read_bytes()
 
-    def test_attenuation_keys_change_no_output(self, tmp_path, ball_files):
-        # every output holds projected density; the keys are only validated
+    @pytest.mark.parametrize("key, value", [("attenuation", "identity"), ("out_error", "e.fgrid")])
+    def test_removed_key_rejected(self, tmp_path, ball_files, capsys, key, value):
+        # render writes projected density only; an attenuation or error-grid
+        # key is an unknown key, not a silently ignored one
         mesh, field = ball_files
-        variants = {
-            "identity": {},
-            "linear": {"kappa": 2.0},
-            "table": {"table": "0:0, 1:0.716, 2:2.251"},
-        }
-        outputs = []
-        for variant, keys in variants.items():
-            out = tmp_path / variant
-            out.mkdir()
-            cfg = write_config(
-                out, mesh, field, attenuation=variant, **keys,
-                out_density=out / "d.fgrid", out_pgm=out / "d.pgm",
-                out_error=out / "e.fgrid", oracle="ball",
-            )
-            assert main(["render", "--config", str(cfg)]) == 0
-            outputs.append([(out / f).read_bytes() for f in ("d.fgrid", "d.pgm", "e.fgrid")])
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_non_finite_table_rejected(self, tmp_path, ball_files, capsys):
-        mesh, field = ball_files
-        cfg = write_config(tmp_path, mesh, field, attenuation="table", table="0:0, 1:nan")
+        outputs = [tmp_path / n for n in ("d.fgrid", "d.pgm", "e.fgrid")]
+        cfg = write_config(
+            tmp_path, mesh, field, out_density=outputs[0], out_pgm=outputs[1], **{key: value}
+        )
         assert main(["render", "--config", str(cfg)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not any(p.exists() for p in outputs)
 
     @pytest.mark.parametrize("key", ["step", "geom_tol", "eps_tol", "window_max"])
     def test_non_finite_number_rejected(self, tmp_path, ball_files, capsys, key):
@@ -238,23 +224,19 @@ class TestGraymapDeterminism:
 
 class TestErrorMapConfig:
     def test_render_config_error_output(self, tmp_path, ball_files):
+        # render writes the density grid, error-map the error grid
         mesh, field = ball_files
-        out_err = tmp_path / "ball_err.fgrid"
-        cfg = write_config(
-            tmp_path, mesh, field,
-            out_error=out_err, oracle="ball",
-        )
+        density, out_err = tmp_path / "ball.fgrid", tmp_path / "ball_err.fgrid"
+        cfg = write_config(tmp_path, mesh, field, out_density=density)
         assert main(["render", "--config", str(cfg)]) == 0
+        rc = main(
+            ["error-map", "--grid", str(density), "--oracle", "ball", "--out-grid", str(out_err)]
+        )
+        assert rc == 0
         err = read_float_grid(out_err.read_bytes())
         assert (err.values >= 0).all()
         # the coarse 8-element ball projects visibly thinner than the sphere
         assert err.values.max() > 0.05
-
-    def test_error_output_requires_oracle(self, tmp_path, ball_files, capsys):
-        mesh, field = ball_files
-        cfg = write_config(tmp_path, mesh, field, out_error=tmp_path / "e.fgrid")
-        assert main(["render", "--config", str(cfg)]) == 2
-        assert "oracle" in capsys.readouterr().err
 
     def test_cylinder_oracle_cli(self, tmp_path, capsys):
         rc = main(
@@ -345,7 +327,7 @@ class TestErrorMapConfig:
         [("ball", "density", 1.5), ("cylinder", "height", 0.12)],
     )
     def test_render_and_error_map_write_equal_grids(self, tmp_path, capsys, oracle, option, value):
-        # both commands take the oracle from bench.projection_oracle, with
+        # the error grid is |density - projection_oracle| for the spec with
         # the same radius and density or height
         mesh, field = tmp_path / "m.mesh", tmp_path / "m.field"
         gen = ["--out-mesh", str(mesh), "--out-field", str(field), "--target-elements"]
@@ -353,11 +335,8 @@ class TestErrorMapConfig:
             assert main(["generate-ball", *gen, "8"]) == 0
         else:
             assert main(["generate-cylinder", *gen, "100"]) == 0
-        density, rendered, mapped = (tmp_path / f"{n}.fgrid" for n in ("d", "e1", "e2"))
-        cfg = write_config(
-            tmp_path, mesh, field, out_density=density, out_error=rendered,
-            oracle=oracle, oracle_radius=0.9, **{f"oracle_{option}": value},
-        )
+        density, mapped = tmp_path / "d.fgrid", tmp_path / "e.fgrid"
+        cfg = write_config(tmp_path, mesh, field, out_density=density)
         assert main(["render", "--config", str(cfg)]) == 0
         capsys.readouterr()
         rc = main(
@@ -365,18 +344,44 @@ class TestErrorMapConfig:
              f"--{option}", str(value), "--out-grid", str(mapped)]
         )
         assert rc == 0
-        assert rendered.read_bytes() == mapped.read_bytes()
-        # the reported impact parameter is the oracle's, at the reported pixel
         grid = read_float_grid(density.read_bytes())
         spec_type = BallSpec if oracle == "ball" else CylinderSpec
-        b, _ = projection_oracle(
+        b, expected = projection_oracle(
             spec_type(radius=0.9, **{option: value}), grid.nu, grid.nv, grid.pitch
         )
-        err = read_float_grid(mapped.read_bytes()).values
+        err = np.abs(grid.values - expected)
+        assert mapped.read_bytes() == write_float_grid(
+            FloatGrid(grid.nu, grid.nv, grid.pitch, err)
+        )
+        # the reported impact parameter is the oracle's, at the reported pixel
         jmax, imax = np.unravel_index(int(np.argmax(err)), err.shape)
         out = capsys.readouterr().out
         assert f"at pixel ({imax}, {jmax}), impact parameter {b[jmax, imax]:.6g} cm" in out
         assert err.max() > 0.0
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("error-map --oracle ball", "radius", "inf"),
+            ("error-map --oracle cylinder", "height", "inf"),
+            ("error-map --oracle ball", "density", "nan"),
+            ("generate-ball", "density", "-1"),
+        ],
+    )
+    def test_non_finite_or_negative_spec_rejected(self, tmp_path, capsys, command, option, value):
+        # the grid and the outputs are valid paths, so only the value can fail
+        grid = tmp_path / "d.fgrid"
+        grid.write_bytes(write_float_grid(FloatGrid(3, 3, 0.5, np.ones((3, 3)))))
+        outputs = [tmp_path / "b.mesh", tmp_path / "b.field"]
+        paths = (
+            ["--grid", str(grid)] if command.startswith("error-map")
+            else ["--out-mesh", str(outputs[0]), "--out-field", str(outputs[1])]
+        )
+        assert main([*command.split(), *paths, f"--{option}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} must be finite and positive" in captured.err
+        assert not any(p.exists() for p in outputs)
 
     @pytest.mark.parametrize(
         "oracle, option", [("cylinder", "density"), ("ball", "height")]

@@ -2,6 +2,7 @@ import math
 import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,7 +260,6 @@ class TestConfig:
         assert cfg.eps_tol == 1e-10
         assert cfg.geom_tol == 1e-8
         assert cfg.max_leaf_elements == 10
-        assert cfg.attenuation == "identity"
 
     def test_zero_step_names_key(self):
         with pytest.raises(ValidationError, match="step"):
@@ -276,28 +276,38 @@ class TestConfig:
         with pytest.raises(ParseError, match="unknown key"):
             parse_config(MINIMAL_CONFIG + "speling = 1\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("attenuation", "identity"),
+            ("kappa", "2.251"),
+            ("table", "0:0, 1:0.716"),
+            ("i_in", "1.0"),
+            ("out_error", "e.fgrid"),
+            ("oracle", "ball"),
+            ("oracle_radius", "1.0"),
+            ("oracle_density", "1.0"),
+            ("oracle_height", "0.1"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, key, value):
+        # render writes projected density only; error grids come from error-map
+        with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+            parse_config(MINIMAL_CONFIG + f"{key} = {value}\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_config(MINIMAL_CONFIG + "face = -z\n")
 
     def test_round_trip(self):
         text = MINIMAL_CONFIG + (
-            "step = 0.005\nattenuation = table\ntable = 0:0, 1:2.251, 2:4.5\n"
-            "out_density = out.fgrid\nworkers = 2\n"
+            "step = 0.005\nwindow_max = 2.5\nout_density = out.fgrid\nworkers = 2\n"
         )
         cfg = parse_config(text)
         canon = serialize_config(cfg)
         cfg2 = parse_config(canon)
         assert cfg == cfg2
         assert serialize_config(cfg2) == canon
-
-    def test_table_validation(self):
-        with pytest.raises(ValidationError, match="table"):
-            parse_config(MINIMAL_CONFIG + "attenuation = table\ntable = 1:0\n")
-        with pytest.raises(ValidationError, match="increase"):
-            parse_config(
-                MINIMAL_CONFIG + "attenuation = table\ntable = 1:0, 0.5:1\n"
-            )
 
     def test_explicit_grid_mode(self):
         text = "mesh = a\nfield = b\nface = -y\npitch = 0.1\nnu = 32\nnv = 16\n"
@@ -312,9 +322,9 @@ class TestConfig:
     @given(
         step=st.floats(1e-4, 1.0),
         leaf=st.integers(1, 64),
-        kappa=st.floats(0, 10),
+        window_min=st.floats(0, 10),
     )
-    def test_round_trip_property(self, step, leaf, kappa):
+    def test_round_trip_property(self, step, leaf, window_min):
         cfg = RenderConfig(
             mesh="m",
             field="f",
@@ -322,8 +332,7 @@ class TestConfig:
             rays_per_cm2=100.0,
             step=step,
             max_leaf_elements=leaf,
-            attenuation="linear",
-            kappa=kappa,
+            window_min=window_min,
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -344,11 +353,23 @@ class TestConfigFinite:
     def test_float_keys_found(self):
         assert {"step", "eps_tol", "geom_tol", "window_max", "rays_per_cm2"} <= set(FLOAT_KEYS)
 
-    @pytest.mark.parametrize("table", ["0:0, 1:inf", "0:0, nan:1", "-inf:0, 1:1"])
-    @pytest.mark.parametrize("attenuation", ["table", "identity"])
-    def test_non_finite_table_entry(self, table, attenuation):
-        text = MINIMAL_CONFIG + f"attenuation = {attenuation}\ntable = {table}\n"
-        with pytest.raises(ValidationError, match="table: non-finite value"):
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+class TestReadmeConfig:
+    def test_documented_keys_are_the_accepted_keys(self):
+        # the ini block under "Render configuration", commented keys included
+        section = README.read_text().split("### Render configuration", 1)[1]
+        block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        keys = [line.lstrip("# ").partition("=")[0].strip() for line in block.splitlines()]
+        assert sorted(keys) == sorted(f.name for f in fields(RenderConfig))
+        parse_config(block)
+
+    def test_heredoc_configs_parse(self):
+        configs = re.findall(r"<<EOF\n(.*?)^EOF$", README.read_text(), re.S | re.M)
+        assert len(configs) == 2
+        for text in configs:
             parse_config(text)
 
 

@@ -155,6 +155,20 @@ class TestAttenuation:
         with pytest.raises(ValueError):
             AttenuationModel("exotic")
 
+    @pytest.mark.parametrize("table", ["0:0, 1:inf", "0:0, nan:1", "-inf:0, 1:1"])
+    def test_non_finite_table_rejected(self, table):
+        rho, mu = np.array([entry.split(":") for entry in table.split(",")], dtype=float).T
+        with pytest.raises(ValueError, match="non-finite"):
+            AttenuationModel("table", table_rho=rho, table_mu=mu)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["kappa", "i_in"])
+    def test_non_finite_rejected(self, key, value):
+        # an infinite kappa times the zero density outside the silhouette
+        # would give NaN pixels, an infinite i_in infinite ones
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            AttenuationModel("linear", **{key: value})
+
 
 def unit_density_tet_scene():
     mesh = single_tet_mesh()  # reference tetrahedron
@@ -598,7 +612,6 @@ class TestPairPass:
         ref = renders()
         monkeypatch.setattr(xray, "PAIR_CHUNK", 7)
         monkeypatch.setattr(xray, "NEWTON_CHUNK", 11)
-        monkeypatch.setattr(locate, "NEWTON_BLOCK", 4)
         for a, b in zip(ref, renders()):
             assert a.density.tobytes() == b.density.tobytes()
             assert a.intensity.tobytes() == b.intensity.tobytes()
