@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bench, io_text, xray
-from .mesh import MeshError
 from .spatial import model_aabb
 
 USAGE_EXIT = 1
@@ -37,18 +37,14 @@ def _input(path: str) -> Path:
     return p
 
 
-# error-map options that apply to one oracle only, with their defaults
-_ORACLE_OPTIONS = {"ball": ("density", 1.0), "cylinder": ("height", 0.1)}
-
-
-def _apply_oracle_options(args) -> None:
-    """Reject the other oracle's option; fill in the chosen oracle's default."""
-    for oracle, (option, default) in _ORACLE_OPTIONS.items():
-        if oracle == args.oracle:
-            if getattr(args, option) is None:
-                setattr(args, option, default)
-        elif getattr(args, option) is not None:
-            args.usage_error(f"--{option} does not apply to --oracle {args.oracle}")
+def _spec(args) -> bench.BallSpec | bench.CylinderSpec:
+    """The chosen spec from the spec options given, its own defaults filling
+    in the rest; an option that is not one of its fields is a usage error."""
+    spec_type = args.specs[args.shape]
+    given = {n: getattr(args, n) for n in args.spec_options if getattr(args, n) is not None}
+    for name in sorted(given.keys() - {f.name for f in fields(spec_type)}):
+        args.usage_error(f"--{name} does not apply to --oracle {args.shape}")
+    return spec_type(**given)
 
 
 def _cmd_render(args) -> int:
@@ -57,10 +53,6 @@ def _cmd_render(args) -> int:
         cfg.workers = args.workers
     mesh = io_text.parse_mesh(_input(cfg.mesh).read_text())
     field = io_text.parse_field(_input(cfg.field).read_text())
-    if len(field) != mesh.n_nodes:
-        raise io_text.ValidationError(
-            f"field has {len(field)} values for {mesh.n_nodes} mesh nodes"
-        )
     box = model_aabb(mesh)
     detector = xray.make_detector(
         box, cfg.face, rays_per_cm2=cfg.rays_per_cm2, pitch=cfg.pitch, nu=cfg.nu, nv=cfg.nv
@@ -102,35 +94,18 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_generate_ball(args) -> int:
-    spec = bench.BallSpec(
-        radius=args.radius, target_elements=args.target_elements, density=args.density
-    )
-    mesh, field = bench.generate_ball(spec)
+def _cmd_generate(args) -> int:
+    mesh, field = getattr(bench, f"generate_{args.shape}")(_spec(args))
     Path(args.out_mesh).write_text(io_text.write_mesh(mesh))
     Path(args.out_field).write_text(io_text.write_field(field))
-    print(f"ball mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements")
-    return 0
-
-
-def _cmd_generate_cylinder(args) -> int:
-    spec = bench.CylinderSpec(
-        radius=args.radius, height=args.height, target_elements=args.target_elements
-    )
-    mesh, field = bench.generate_cylinder(spec)
-    Path(args.out_mesh).write_text(io_text.write_mesh(mesh))
-    Path(args.out_field).write_text(io_text.write_field(field))
-    print(f"cylinder mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements")
+    print(f"{args.shape} mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements")
     return 0
 
 
 def _cmd_error_map(args) -> int:
+    spec = _spec(args)  # a usage error comes before any file is read
     grid = io_text.read_float_grid(_input(args.grid).read_bytes())
     # assumes the benchmark setup: detector grid centered on the model axis
-    if args.oracle == "ball":
-        spec = bench.BallSpec(radius=args.radius, density=args.density)
-    else:
-        spec = bench.CylinderSpec(radius=args.radius, height=args.height)
     b, oracle = bench.projection_oracle(spec, grid.nu, grid.nv, grid.pitch)
     err = np.abs(grid.values - oracle)
     jmax, imax = np.unravel_index(int(np.argmax(err)), err.shape)
@@ -171,6 +146,20 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _add_spec_options(p, specs: dict, skip: str = "") -> None:
+    """An option per spec field, None so that the spec's default holds; the
+    help names that default."""
+    defaults: dict[str, list] = {}
+    for shape, spec_type in specs.items():
+        for f in fields(spec_type):
+            defaults.setdefault(f.name, []).append((shape, f.default))
+    defaults.pop(skip, None)
+    for name, owners in defaults.items():
+        text = "default " + ", ".join(f"{value} ({shape})" for shape, value in owners)
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(owners[0][1]), help=text)
+    p.set_defaults(specs=specs, spec_options=tuple(defaults), usage_error=p.error)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fexray", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,31 +170,21 @@ def build_parser() -> _Parser:
     p.add_argument("--brute-force", action="store_true")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("generate-ball", help="write the ball benchmark mesh/field")
-    p.add_argument("--out-mesh", required=True)
-    p.add_argument("--out-field", required=True)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--target-elements", type=int, default=50)
-    p.set_defaults(func=_cmd_generate_ball)
-
-    p = sub.add_parser("generate-cylinder", help="write the cylinder benchmark mesh/field")
-    p.add_argument("--out-mesh", required=True)
-    p.add_argument("--out-field", required=True)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=0.1)
-    p.add_argument("--target-elements", type=int, default=2143)
-    p.set_defaults(func=_cmd_generate_cylinder)
+    specs = {"ball": bench.BallSpec, "cylinder": bench.CylinderSpec}
+    for shape, spec_type in specs.items():
+        p = sub.add_parser(f"generate-{shape}", help=f"write the {shape} benchmark mesh/field")
+        p.add_argument("--out-mesh", required=True)
+        p.add_argument("--out-field", required=True)
+        _add_spec_options(p, {shape: spec_type})
+        p.set_defaults(func=_cmd_generate, shape=shape)
 
     p = sub.add_parser("error-map", help="compare a rendered grid with an analytic oracle")
     p.add_argument("--grid", required=True)
-    p.add_argument("--oracle", choices=("ball", "cylinder"), required=True)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--density", type=float, default=None, help="ball only (default 1.0)")
-    p.add_argument("--height", type=float, default=None, help="cylinder only (default 0.1)")
+    p.add_argument("--oracle", dest="shape", choices=tuple(specs), required=True)
+    _add_spec_options(p, specs, skip="target_elements")
     p.add_argument("--out-grid", default="")
     p.add_argument("--out-pgm", default="")
-    p.set_defaults(func=_cmd_error_map, usage_error=p.error)
+    p.set_defaults(func=_cmd_error_map)
 
     p = sub.add_parser("info", help="print mesh/field counts")
     p.add_argument("--mesh", required=True)
@@ -216,19 +195,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "error-map":
-            _apply_oracle_options(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (io_text.ParseError, io_text.ValidationError, MeshError, ValueError) as exc:
-        print(f"fexray: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
-    except OSError as exc:
+    except SystemExit as exc:  # usage errors and --help
+        return int(exc.code or 0)
+    except (ValueError, OSError) as exc:
         print(f"fexray: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
     except Exception as exc:  # pragma: no cover

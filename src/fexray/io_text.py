@@ -12,7 +12,8 @@ Field file grammar:
     <node_id> <value>                        (n_nodes lines, ids in order)
 
 Float grid: little-endian binary, magic ``FGRD``, u32 version, u32 nu,
-u32 nv, f64 pitch, then nu*nv f64 values in row-major order (row = v index).
+u32 nv, f64 pitch, then nu*nv finite f64 values in row-major order
+(row = v index).
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ class FloatGrid:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if values.shape != (self.nv, self.nu):
             raise ValidationError("float grid payload does not match dimensions")
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ValidationError(f"float grid has {bad} of {values.size} values non-finite")
         object.__setattr__(self, "values", values)
 
 
@@ -207,6 +211,8 @@ def write_graymap(values: np.ndarray, bit_depth: int = 8, window=None) -> bytes:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("graymap input must be a 2-d grid")
+    if not np.isfinite(values).all():
+        raise ValidationError("graymap input must be finite")
     if bit_depth not in (8, 16):
         raise ValidationError("bit depth must be 8 or 16")
     if window is None:
@@ -301,6 +307,8 @@ def parse_config(text: str) -> RenderConfig:
     explicit = cfg.pitch is not None or cfg.nu is not None or cfg.nv is not None
     if cfg.rays_per_cm2 is None and not explicit:
         problems.append("rays_per_cm2: required unless pitch/nu/nv are given")
+    if cfg.rays_per_cm2 is not None and explicit:
+        problems.append("rays_per_cm2: cannot be combined with pitch/nu/nv")
     if cfg.rays_per_cm2 is not None and not cfg.rays_per_cm2 > 0:
         problems.append("rays_per_cm2: must be positive")
     if explicit:

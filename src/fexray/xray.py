@@ -273,10 +273,10 @@ def make_detector(
 ) -> Detector:
     """Detector on a box face, grid centered and covering the face fully.
 
-    Either ``rays_per_cm2`` (pixel pitch 1/sqrt of it) or ``pitch`` must be
-    given; ``nu`` and ``nv`` are given together or not at all, and by
-    default the pixel counts cover the face extents.  Ray direction is the
-    inward face normal.
+    Either ``rays_per_cm2`` (pixel pitch 1/sqrt of it) or ``pitch``, not
+    both, must be given; ``nu`` and ``nv`` are given together or not at
+    all, and by default the pixel counts cover the face extents.  Ray
+    direction is the inward face normal.
     """
     if face not in FACE_SELECTORS:
         raise ValueError(
@@ -286,6 +286,8 @@ def make_detector(
         raise ValueError("nu and nv must be given together")
     axis, sign = FACE_SELECTORS[face]
     if rays_per_cm2 is not None:
+        if pitch is not None:
+            raise ValueError("rays_per_cm2 and pitch exclude each other")
         if not rays_per_cm2 > 0.0:
             raise ValueError("rays_per_cm2 must be positive")
         pitch = 1.0 / math.sqrt(rays_per_cm2)
@@ -626,10 +628,9 @@ def _count_samples(records, span: int) -> int:
 
 
 # (ray, element) pairs box-tested or clipped at once, and (sample, element)
-# lanes per Newton batch; both keep the transient arrays of a tile bounded,
-# and a Newton batch's arrays (the residual check gathers the nodes of each
-# accepted lane) set the render's peak memory
-PAIR_CHUNK = 4096
+# lanes per Newton batch; the one cap keeps the transient arrays of a tile
+# bounded, and a Newton batch's arrays (the residual check gathers the nodes
+# of each accepted lane) set the render's peak memory
 NEWTON_CHUNK = 8192
 # samples per tile, counting every ray at the grid points on the longest
 # model box chord along the rays; bounds the per-tile arrays that scale
@@ -642,14 +643,14 @@ def _clipped_pairs(ctx: _RenderContext, records, ray_a, ray_b):
     candidate samples j1 .. j1 + counts - 1: the grid points inside the
     element clip and inside the record's own range.
 
-    Pairs are built only inside the element boxes and clipped ``PAIR_CHUNK``
-    at a time.  Each element sits in one leaf, so a pair arises once per
-    tile; the record range keeps every Newton lane inside the render's
-    samples.
+    Pairs are built only inside the element boxes and clipped
+    ``NEWTON_CHUNK`` at a time.  Each element sits in one leaf, so a pair
+    arises once per tile; the record range keeps every Newton lane inside
+    the render's samples.
     """
     step = ctx.settings.step
-    pairs = _box_pairs(ctx.clip, records, ray_a, ray_b, PAIR_CHUNK)
-    for ray, elem, rec_jlo, rec_jhi in _regroup(pairs, PAIR_CHUNK):
+    pairs = _box_pairs(ctx.clip, records, ray_a, ray_b, NEWTON_CHUNK)
+    for ray, elem, rec_jlo, rec_jhi in _regroup(pairs, NEWTON_CHUNK):
         t_in, t_out = _depth_clip(ctx.clip, ray_a[ray], ray_b[ray], elem)
         j1, j2 = _grid_range(t_in, t_out, step)
         j1 = np.maximum(j1, rec_jlo)
@@ -766,7 +767,7 @@ def render(
     bitwise-identical across worker counts.
     """
     if len(field) != mesh.n_nodes:
-        raise ValueError("field length does not match mesh node count")
+        raise ValueError(f"field has {len(field)} values for {mesh.n_nodes} mesh nodes")
     if (field.values < 0.0).any():
         raise ValueError("density field must be non-negative for rendering")
     if workers < 1:

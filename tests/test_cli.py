@@ -1,13 +1,27 @@
 import json
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fexray.bench import BallSpec, CylinderSpec, projection_oracle
+from fexray.bench import (
+    BallSpec,
+    CylinderSpec,
+    generate_ball,
+    generate_cylinder,
+    projection_oracle,
+)
 from fexray.cli import main
-from fexray.io_text import FloatGrid, read_float_grid, write_float_grid, write_graymap
+from fexray.io_text import (
+    FloatGrid,
+    read_float_grid,
+    write_field,
+    write_float_grid,
+    write_graymap,
+    write_mesh,
+)
 from tests.conftest import folded_quadratic_nodes
 
 
@@ -52,6 +66,45 @@ class TestGenerate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "elements" in out
+
+    @pytest.mark.parametrize(
+        "shape, spec, generate",
+        [("ball", BallSpec, generate_ball), ("cylinder", CylinderSpec, generate_cylinder)],
+    )
+    def test_defaults_are_the_spec_defaults(self, tmp_path, capsys, shape, spec, generate):
+        mesh, field = tmp_path / "m.mesh", tmp_path / "m.field"
+        assert main([f"generate-{shape}", "--out-mesh", str(mesh), "--out-field", str(field)]) == 0
+        want_mesh, want_field = generate(spec())
+        assert mesh.read_text() == write_mesh(want_mesh)
+        assert field.read_text() == write_field(want_field)
+        assert capsys.readouterr().out == (
+            f"{shape} mesh: {want_mesh.n_nodes} nodes, {want_mesh.n_elements} elements\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, specs",
+        [
+            ("generate-ball", {"ball": BallSpec}),
+            ("generate-cylinder", {"cylinder": CylinderSpec}),
+            ("error-map", {"ball": BallSpec, "cylinder": CylinderSpec}),
+        ],
+        ids=["generate-ball", "generate-cylinder", "error-map"],
+    )
+    def test_help_shows_spec_defaults(self, capsys, command, specs):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        names = {f.name for spec in specs.values() for f in fields(spec)}
+        if command == "error-map":
+            names.discard("target_elements")  # the oracle has no mesh
+        for name in names:
+            defaults = ", ".join(
+                f"{getattr(spec(), name)} ({shape})"
+                for shape, spec in specs.items()
+                if name in {f.name for f in fields(spec)}
+            )
+            option = f"--{name.replace('_', '-')} {name.upper()}"
+            assert f"{option} default {defaults}" in text
+        assert ("--target-elements" in text) == (command != "error-map")
 
 
 class TestInfo:
@@ -183,6 +236,21 @@ class TestRender:
         assert f"{key}: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "d.pgm").exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [{"pitch": 0.5}, {"nu": 4, "nv": 4}, {"pitch": 0.5, "nu": 4, "nv": 4}],
+        ids=["pitch", "nu-nv", "pitch-nu-nv"],
+    )
+    def test_rays_per_cm2_with_explicit_grid_rejected(self, tmp_path, ball_files, capsys, grid):
+        # the pitch follows from rays_per_cm2; a second pitch or pixel count
+        # would be dropped, so the config is rejected and nothing written
+        mesh, field = ball_files
+        out = tmp_path / "d.fgrid"
+        cfg = write_config(tmp_path, mesh, field, rays_per_cm2=100, out_density=out, **grid)
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert "rays_per_cm2: cannot be combined with pitch/nu/nv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["render"]) == 1
         assert main(["no-such-command"]) == 1
@@ -275,6 +343,20 @@ class TestErrorMapConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"fexray: float grid {field} must")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, bad):
+        values = np.ones((3, 3))
+        values[1, 1] = bad
+        grid = tmp_path / "bad.fgrid"
+        grid.write_bytes(b"FGRD" + struct.pack("<IIId", 1, 3, 3, 0.5) + values.tobytes())
+        outputs = [tmp_path / "e.fgrid", tmp_path / "e.pgm"]
+        argv = ["error-map", "--grid", str(grid), "--oracle", "ball"]
+        assert main([*argv, "--out-grid", str(outputs[0]), "--out-pgm", str(outputs[1])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fexray: float grid has 1 of 9 values non-finite\n"
+        assert not any(p.exists() for p in outputs)
 
     def test_interior_error_on_cylinder_recipe(self, tmp_path, capsys):
         # the README cylinder recipe: the max error is a rim pixel, the

@@ -210,6 +210,16 @@ class TestFloatGrid:
         with pytest.raises(ValidationError, match=f"float grid {field} must"):
             read_float_grid(data)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.ones((2, 3))
+        values[0, 1] = values[1, 2] = bad
+        data = b"FGRD" + struct.pack("<IIId", 1, 3, 2, 0.5) + values.astype("<f8").tobytes()
+        with pytest.raises(ValidationError, match="float grid has 2 of 6 values non-finite"):
+            read_float_grid(data)
+        with pytest.raises(ValidationError, match="non-finite"):
+            FloatGrid(3, 2, 0.5, values)
+
 
 class TestGraymap:
     def test_window_extremes_8bit(self):
@@ -250,6 +260,14 @@ class TestGraymap:
     def test_non_finite_window(self, window):
         with pytest.raises(ValidationError, match="finite"):
             write_graymap(np.ones((2, 2)), 8, window)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("window", [None, (0.0, 1.0)], ids=["max-window", "fixed-window"])
+    def test_non_finite_input_rejected(self, bad, window):
+        values = np.ones((2, 2))
+        values[1, 0] = bad
+        with pytest.raises(ValidationError, match="graymap input must be finite"):
+            write_graymap(values, 8, window)
 
 
 class TestConfig:
@@ -314,6 +332,17 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg.rays_per_cm2 is None
         assert (cfg.nu, cfg.nv, cfg.pitch) == (32, 16, 0.1)
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["pitch = 0.5\n", "nu = 4\nnv = 4\n", "pitch = 0.5\nnu = 4\nnv = 4\n"],
+        ids=["pitch", "nu-nv", "pitch-nu-nv"],
+    )
+    def test_rays_per_cm2_excludes_explicit_grid(self, grid):
+        # the pitch follows from rays_per_cm2, so a second pitch or pixel
+        # count would be dropped
+        with pytest.raises(ValidationError, match="rays_per_cm2: cannot be combined"):
+            parse_config(MINIMAL_CONFIG + grid)
 
     def test_missing_detector_spec(self):
         with pytest.raises(ValidationError, match="rays_per_cm2"):

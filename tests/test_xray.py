@@ -83,6 +83,12 @@ class TestMakeDetector:
         assert (det.nu, det.nv) == (3, 5)
         np.testing.assert_array_equal(det.normal, [0, 1, 0])
 
+    @pytest.mark.parametrize("counts", [{}, {"nu": 4, "nv": 4}], ids=["pitch", "pitch-nu-nv"])
+    def test_rays_per_cm2_and_pitch_rejected(self, counts):
+        box = Aabb(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="rays_per_cm2 and pitch"):
+            make_detector(box, "+z", rays_per_cm2=100.0, pitch=0.5, **counts)
+
     @pytest.mark.parametrize("counts", [{"nu": 5}, {"nv": 5}])
     def test_one_pixel_count_rejected(self, counts):
         box = Aabb(np.zeros(3), np.ones(3))
@@ -225,6 +231,14 @@ class TestIntegrateRay:
 
 
 class TestRender:
+    def test_short_field_names_both_counts(self, ball_mesh_field):
+        mesh, field = ball_mesh_field
+        short = NodalField(field.values[:-3])
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=4.0)
+        message = f"field has {mesh.n_nodes - 3} values for {mesh.n_nodes} mesh nodes"
+        with pytest.raises(ValueError, match=message):
+            render(mesh, short, det, IntegrationSettings(step=0.05))
+
     def test_model_behind_plane(self, ball_mesh_field):
         mesh, field = ball_mesh_field
         det = Detector(
@@ -610,8 +624,7 @@ class TestPairPass:
             ]
 
         ref = renders()
-        monkeypatch.setattr(xray, "PAIR_CHUNK", 7)
-        monkeypatch.setattr(xray, "NEWTON_CHUNK", 11)
+        monkeypatch.setattr(xray, "NEWTON_CHUNK", 7)
         for a, b in zip(ref, renders()):
             assert a.density.tobytes() == b.density.tobytes()
             assert a.intensity.tobytes() == b.intensity.tobytes()
@@ -666,16 +679,15 @@ def _sorted_rows(rows):
 
 class TestPairStream:
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
-    @pytest.mark.parametrize("chunks", [(1, 1), (7, 11), None], ids=["1-1", "7-11", "default"])
-    def test_newton_lanes_match_full_expansion(self, monkeypatch, name, chunks):
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    def test_newton_lanes_match_full_expansion(self, monkeypatch, name, chunk):
         mesh, field = golden_scene(name)
         det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=100.0)
         settings = IntegrationSettings(step=0.02)
         tree = build_obb_tree(mesh, 3)
         monkeypatch.setattr(xray, "TILE_SAMPLES", 1 << 40)  # one tile
-        if chunks is not None:
-            monkeypatch.setattr(xray, "PAIR_CHUNK", chunks[0])
-            monkeypatch.setattr(xray, "NEWTON_CHUNK", chunks[1])
+        if chunk is not None:
+            monkeypatch.setattr(xray, "NEWTON_CHUNK", chunk)
         lanes = []
 
         def member(mesh, e, pts, *args):
@@ -973,8 +985,8 @@ def _box_pair_chunks(ctx):
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
         ray_a, ray_b = xray._block_rays(ctx, lo, hi)
         records = xray._scan_leaves(ctx, lo, hi, ray_a, ray_b)
-        pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.PAIR_CHUNK)
-        for ray, elem, _, _ in xray._regroup(pairs, xray.PAIR_CHUNK):
+        pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.NEWTON_CHUNK)
+        for ray, elem, _, _ in xray._regroup(pairs, xray.NEWTON_CHUNK):
             yield ray_a[ray], ray_b[ray], elem
 
 
