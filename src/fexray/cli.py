@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io_text, xray
+from .mesh import check_field
 from .spatial import model_aabb
 
 USAGE_EXIT = 1
@@ -139,10 +140,7 @@ def _cmd_info(args) -> int:
     if args.field:
         field = io_text.parse_field(_input(args.field).read_text())
         print(f"field_values = {len(field)}")
-        if len(field) != mesh.n_nodes:
-            raise io_text.ValidationError(
-                f"field has {len(field)} values for {mesh.n_nodes} mesh nodes"
-            )
+        check_field(mesh, field)
     return 0
 
 

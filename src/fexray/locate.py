@@ -281,6 +281,8 @@ def membership_test(
     settings: NewtonSettings,
     geom_tol: float,
     frames: _ElementFrames | None = None,
+    values: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """Batched point-in-element test.
 
@@ -290,6 +292,12 @@ def membership_test(
     are built here.  Returns (inside, xi, iterations, converged): ``inside``
     lanes converged, landed in the reference hull and reproduce the query
     point within the residual bound.
+
+    With nodal ``values`` (one per mesh node), ``out`` (one per point)
+    receives their interpolation at the ``inside`` lanes.  The residual
+    check and the interpolation share one evaluation of the shape
+    functions, and each keeps the fixed-order sum of ``map_points`` and
+    ``interpolate_values``, so the values have the bits of those calls.
     """
     points = np.asarray(points, dtype=np.float64)
     ids = np.atleast_1d(np.asarray(e, dtype=np.int64))
@@ -307,11 +315,17 @@ def membership_test(
     inside = converged & in_hull(xi, geom_tol)
     if inside.any():
         idx = np.flatnonzero(inside)
-        # the lanes' element nodes, (n_nodes, k, 3); take on the transposed
-        # connectivity keeps both gathers contiguous
-        nodes = mesh.nodes.take(mesh.elements.T.take(ids[idx], axis=1), axis=0)
-        res = map_points(nodes, xi[idx], mesh.order) - points[idx]
+        # the lanes' element nodes, (n_nodes, k, 3) or with the values
+        # (n_nodes, k, 4); take on the transposed connectivity keeps both
+        # gathers contiguous
+        table = mesh.nodes if values is None else np.column_stack([mesh.nodes, values])
+        nodes = table.take(mesh.elements.T.take(ids[idx], axis=1), axis=0)
+        # with values, column 3 of the map is their interpolation
+        mapped = map_points(nodes, xi[idx], mesh.order)
+        res = mapped[:, :3] - points[idx]
         res_norm = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2 + res[:, 2] ** 2)
         inside[idx[res_norm > RESIDUAL_REL * frames.diam[cols[idx]]]] = False
+        if values is not None:
+            out[idx] = mapped[:, 3]
     return inside, xi, iters, converged
 

@@ -107,6 +107,12 @@ class NodalField:
         return self.values.shape[0]
 
 
+def check_field(mesh: Mesh, field: NodalField) -> None:
+    """Raise ValueError unless ``field`` has one value per mesh node."""
+    if len(field) != mesh.n_nodes:
+        raise ValueError(f"field has {len(field)} values for {mesh.n_nodes} mesh nodes")
+
+
 def validate_mesh(mesh: Mesh) -> None:
     nodes, elements = mesh.nodes, mesh.elements
     if nodes.ndim != 2 or nodes.shape[1] != 3:
@@ -120,8 +126,18 @@ def validate_mesh(mesh: Mesh) -> None:
     if elements.min() < 0 or elements.max() >= nodes.shape[0]:
         raise MeshError("element connectivity references nonexistent nodes")
 
+    # coordinates this large overflow the products below to inf or NaN,
+    # which no comparison rejects; they are rejected as non-finite instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        _validate_geometry(nodes, elements)
+
+
+def _validate_geometry(nodes: np.ndarray, elements: np.ndarray) -> None:
     corners = nodes[elements[:, :4]]
     vol6 = _corner_volume6(corners)
+    if not np.isfinite(vol6).all():
+        bad = int(np.argmin(np.isfinite(vol6)))
+        raise MeshError(f"element {bad}: corner volume overflows")
     if (vol6 <= 0.0).any():
         bad = int(np.argmax(vol6 <= 0.0))
         raise MeshError(f"element {bad} has non-positive corner volume")
@@ -145,6 +161,11 @@ def validate_mesh(mesh: Mesh) -> None:
         if (d2[:, iu[0], iu[1]] < (1e-12) ** 2).any():
             raise MeshError("element contains duplicate node coordinates")
         det = _lattice_jacobian_dets(pts)
+        if not np.isfinite(det).all():
+            bad, at = np.unravel_index(int(np.argmin(np.isfinite(det))), det.shape)
+            raise MeshError(
+                f"element {bad}: det J overflows at reference point {_FOLD_LATTICE[at].tolist()}"
+            )
         if (det <= 0.0).any():
             bad, at = np.unravel_index(int(np.argmax(det <= 0.0)), det.shape)
             raise MeshError(

@@ -241,6 +241,106 @@ def _point_table(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([table, _control_points(mid, a, b)]), rows
 
 
+# Exact maximum of a linear functional over a quadratic tetrahedron.  For a
+# direction n, n . X(phi) over barycentrics phi is the quadratic form
+# phi^T Q phi with Q_ii = n . (corner i) and Q_ab = n . (control point of
+# edge ab).  Its maximum over the simplex is a vertex value or the value at
+# the stationary point of a face S with 2-4 vertices, phi_S ~ adj(Q_SS) 1,
+# where that point has every phi >= 0.  By Cramer's rule entry j of
+# adj(Q_SS) 1 is det(Q_SS with column j replaced by ones).
+
+# _Q_ROWS[i, j]: the value row holding Q_ij (corners 0-3, then the control
+# points in EDGE_VERTICES order); row 10 is a row of ones
+_Q_ROWS = np.zeros((4, 4), dtype=np.int64)
+for _e, (_a, _b) in enumerate(EDGE_VERTICES):
+    _Q_ROWS[_a, _b] = _Q_ROWS[_b, _a] = 4 + _e
+_Q_ROWS[np.diag_indices(4)] = np.arange(4)
+_ONES = 10
+_TRIANGLES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+# per triangle and column j, Q_SS with column j replaced by ones: (3, 3, 12)
+_TRIANGLE_CRAMER = np.array(
+    [
+        [[_ONES if c == j else _Q_ROWS[s[r], s[c]] for c in range(3)] for r in range(3)]
+        for s in _TRIANGLES
+        for j in range(3)
+    ]
+).transpose(1, 2, 0)
+# the 3 x 3 minors of Q without row r and column i, r-major: (3, 3, 16); the
+# interior's entry i is the expansion sum_r (-1)^(r+i) minor_ri along the
+# column of ones
+_INTERIOR_MINORS = np.array(
+    [np.delete(np.delete(_Q_ROWS, r, axis=0), i, axis=1) for r in range(4) for i in range(4)]
+).transpose(1, 2, 0)
+_INTERIOR_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))[:, :, None]
+# Q_SS of the edges, triangles and interior: (k, k, faces)
+_FACE_Q = [
+    np.array([_Q_ROWS[np.ix_(s, s)] for s in faces]).transpose(1, 2, 0)
+    for faces in (EDGE_VERTICES, _TRIANGLES, ((0, 1, 2, 3),))
+]
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _quadratic_max(values: np.ndarray) -> np.ndarray:
+    """Exact maximum over the reference tetrahedron of the quadratic with
+    Bezier values ``values`` (10, ...): n . X at the 4 corners, then at the 6
+    edge control points in ``EDGE_VERTICES`` order.
+
+    Where no control value exceeds every corner value, a corner attains the
+    control-net maximum and that is the answer.  Elsewhere the candidates of
+    the 11 faces are computed relative to the largest corner value and
+    scaled to the largest value difference, and q is
+    evaluated at each candidate phi that has no negative weight: a feasible
+    phi never gives more than the maximum, so a badly conditioned solve (the
+    flat faces of a straight element) only loses a candidate that a smaller
+    face supplies as well.  The result never exceeds the control-net bound.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    shape = values.shape[1:]
+    values = values.reshape(10, -1)
+    corner = values[:4].max(axis=0)
+    net = np.maximum(corner, values[4:].max(axis=0))
+    rows = np.flatnonzero(net > corner)
+    if rows.size:
+        top = corner[rows]
+        q = np.ones((11, rows.size))
+        q[:10] = values[:, rows] - top
+        # scaled to at most 1 in size, so no determinant overflows
+        scale = np.abs(q[:10]).max(axis=0)
+        q[:10] /= scale
+        edge_a, edge_b = np.array(EDGE_VERTICES).T
+        diag, c = q[:4], q[4:10]
+        weights = (
+            np.stack([diag[edge_b] - c, diag[edge_a] - c]),  # (2, 6, R)
+            _det3(q[_TRIANGLE_CRAMER]).reshape(4, 3, -1).transpose(1, 0, 2),
+            (_det3(q[_INTERIOR_MINORS]).reshape(4, 4, -1) * _INTERIOR_SIGNS).sum(axis=0)[:, None],
+        )
+        best = np.zeros(rows.size)  # the largest corner value
+        for v, face_q in zip(weights, _FACE_Q):
+            qs = q[face_q]
+            # v summing to zero gives a non-finite phi, which is infeasible
+            with np.errstate(invalid="ignore", divide="ignore"):
+                phi = v / v.sum(axis=0)
+                value = 0.0
+                for i in range(len(phi)):
+                    row = qs[i][0] * phi[0]
+                    for j in range(1, len(phi)):
+                        row = row + qs[i][j] * phi[j]
+                    value = value + phi[i] * row
+            feasible = (phi >= 0.0).all(axis=0)
+            best = np.maximum(best, np.where(feasible, value, 0.0).max(axis=0))
+        net[rows] = np.minimum(top + scale * best, net[rows])
+    return net.reshape(shape)
+
+
 def model_aabb(mesh: Mesh) -> Aabb:
     """Axis-aligned box around the whole mesh, curved geometry included,
     inflated like the tree's boxes."""

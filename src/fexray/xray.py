@@ -27,14 +27,14 @@ stages.  First the element boxes (in the detector frame) are tested against
 the rays of a record as one (rays x elements) mask, so only pairs whose ray
 crosses an element's box footprint are built.  Then each pair's ray is
 clipped to the element's box depth range intersected with the four face
-half-spaces of its corner tetrahedron, each plane pushed out to the
-farthest Bezier control point; as the ray runs along t, a face bounds t
-through its normal's t component alone.  The planes are stored as face
-rows, one contiguous array per face and normal component, so the clip is
-four passes over the pairs, each folding one face's bound into the depth
-range.  A quadratic element lies inside the convex hull of its control
-net, hence inside that clip, so the clip drops only (sample, element)
-pairs Newton would reject.  Last, whole pairs
+half-spaces of its corner tetrahedron, each plane pushed out to the exact
+maximum of its normal's component over the element, and the box sides
+likewise; as the ray runs along t, a face bounds t through its normal's t
+component alone.  The planes are stored as face rows, one contiguous array
+per face and normal component, so the clip is four passes over the pairs,
+each folding one face's bound into the depth range.  The element lies
+inside that clip, so the clip drops only (sample, element) pairs Newton
+would reject.  Last, whole pairs
 fill fixed-size lane batches, each with one ``membership_test`` call, each
 lane carrying its own element id; the Newton reference frames of all
 elements are built once per render.  Every lane is independent of its batch
@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
-from .mesh import TET_FACES, Mesh, NodalField, interpolate_values
-# the renderer does not call tet_entry; the benchmark's span tracer rebinds
-# xray.tet_entry, so the name must resolve here
+# the renderer calls neither interpolate_values nor tet_entry; the
+# benchmark's span tracer rebinds both names here, so they must resolve
+from .mesh import TET_FACES, Mesh, NodalField, check_field, interpolate_values  # noqa: F401
 from .raycast import slab_intervals, tet_entry  # noqa: F401
 from .spatial import (
     _BOX_CORNERS,
@@ -73,6 +73,7 @@ from .spatial import (
     Obb,
     ObbNode,
     ObbTree,
+    _quadratic_max,
     _rotate,
     build_obb_tree,
     element_bounding_points,
@@ -370,28 +371,50 @@ class _ElementClip:
         )
 
 
-def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
-    """Box and face planes enclosing each element's Bezier control net.
+# corners, then the edge control points of ``element_bounding_points``
+_BEZIER_POINTS = np.r_[0:4, 10:16]
 
-    Each plane keeps its corner-face normal and moves out to the farthest
-    control point; box and planes then grow by the margin.  Built in the
+
+def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
+    """Box and face planes enclosing each element, tight to its geometry.
+
+    Each plane keeps its corner-face normal n and moves out to the exact
+    maximum of n . X over the element, and the box to the maxima along
+    +-u, +-v and +-t (``spatial._quadratic_max``; a linear element's are
+    at its corners); box and planes then grow by the margin.  Built in the
     detector frame, where every ray runs along t at fixed (a, b); for the
     axis-aligned detectors of ``make_detector`` the box is the world box.
     """
     world = element_bounding_points(mesh)
-    normals = np.empty((mesh.n_elements, len(TET_FACES), 3))
-    for f, (i, j, k) in enumerate(TET_FACES):
-        n = np.cross(world[:, j] - world[:, i], world[:, k] - world[:, i])
-        normals[:, f] = n / np.linalg.norm(n, axis=1)[:, None]
-    # the frame may be left-handed, so normals are rotated, not recomputed
+    if mesh.order == "quadratic":
+        world = world[:, _BEZIER_POINTS]
     frame = np.stack([det.axis_u, det.axis_v, det.normal])
-    normals = normals @ frame.T
-    bpts = (world - det.origin) @ frame.T
-    lo = bpts.min(axis=1)
-    hi = bpts.max(axis=1)
-    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=1)[:, None]
-    offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1) + margin
-    return _ElementClip.from_planes(lo - margin, hi + margin, normals, offsets)
+    # frame coordinates (a, b, t) of the points, (3, points, elements)
+    rel = (world - det.origin).transpose(2, 1, 0)
+    x = np.array([r[0] * rel[0] + r[1] * rel[1] + r[2] * rel[2] for r in frame])
+    # corner-face normals, computed in the frame; a left-handed frame
+    # flips the cross product
+    i, j, k = np.array(TET_FACES).T
+    e1, e2 = x[:, j] - x[:, i], x[:, k] - x[:, i]
+    n = np.array([
+        e1[1] * e2[2] - e1[2] * e2[1],
+        e1[2] * e2[0] - e1[0] * e2[2],
+        e1[0] * e2[1] - e1[1] * e2[0],
+    ])
+    n *= np.sign(np.linalg.det(frame)) / np.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+    # n . X at every point for the 4 face normals, +u, +v, +t, -u, -v, -t
+    values = np.concatenate(
+        [n[0][None] * x[0][:, None] + n[1][None] * x[1][:, None] + n[2][None] * x[2][:, None],
+         x.transpose(1, 0, 2), -x.transpose(1, 0, 2)],
+        axis=1,
+    )
+    top = _quadratic_max(values) if mesh.order == "quadratic" else values.max(axis=0)
+    hi, lo = top[4:7], -top[7:10]
+    margin = ELEMENT_BOX_MARGIN * np.sqrt(((hi - lo) ** 2).sum(axis=0))
+    return _ElementClip.from_planes(
+        np.ascontiguousarray((lo - margin).T), np.ascontiguousarray((hi + margin).T),
+        n.transpose(2, 1, 0), (top[:4] + margin).T,
+    )
 
 
 def _box_pairs(clip: _ElementClip, records, ray_a, ray_b, budget: int):
@@ -690,8 +713,9 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         lane_e = np.repeat(elem, counts)
         origins = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a[lane_r], ray_b[lane_r])
         pts = origins + ((lane_j + 0.5) * step)[:, None] * det.normal
-        inside, xi, iters, converged = membership_test(
-            ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames
+        rho = np.empty(lane_e.size)
+        inside, _, iters, converged = membership_test(
+            ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames, ctx.values, rho
         )
         stats.pairs_tested += lane_e.size
         stats.pairs_inside += int(np.count_nonzero(inside))
@@ -699,12 +723,9 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         stats.non_converged += int(np.count_nonzero(~converged))
         if not inside.any():
             continue
-        e_in = lane_e[inside]
-        claims_rho.append(
-            interpolate_values(ctx.values[ctx.mesh.elements[e_in]].T, xi[inside], ctx.mesh.order)
-        )
+        claims_rho.append(rho[inside])
         claims_k.append(lane_r[inside] * span + lane_j[inside])
-        claims_e.append(e_in)
+        claims_e.append(lane_e[inside])
 
     if claims_k:
         ck = np.concatenate(claims_k)
@@ -766,8 +787,7 @@ def render(
     an ordered pool of up to ``workers`` processes; images are
     bitwise-identical across worker counts.
     """
-    if len(field) != mesh.n_nodes:
-        raise ValueError(f"field has {len(field)} values for {mesh.n_nodes} mesh nodes")
+    check_field(mesh, field)
     if (field.values < 0.0).any():
         raise ValueError("density field must be non-negative for rendering")
     if workers < 1:

@@ -13,9 +13,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 from fexray import spatial
 from fexray.io_text import RenderConfig
-from fexray.mesh import Mesh, NodalField, interpolate_values, map_points, shape_gradients
-from fexray.spatial import Aabb, Basis, DegenerateGeometryError, Obb
-from fexray.xray import _ElementClip
+from fexray.mesh import TET_FACES, Mesh, NodalField, interpolate_values, map_points, shape_gradients
+from fexray.spatial import Aabb, Basis, DegenerateGeometryError, Obb, element_bounding_points
+from fexray.xray import ELEMENT_BOX_MARGIN, _ElementClip
 
 # -- mesh ---------------------------------------------------------------------
 
@@ -146,3 +146,28 @@ def depth_clip_planes(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.nd
     t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
     t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
     return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)
+
+
+def control_net_clip(mesh: Mesh, det) -> _ElementClip:
+    """The element clip built on the convex hull of each element's Bezier
+    control net (Farin, *Curves and Surfaces for CAGD*, 2002): each corner
+    face plane and box side moves out to the farthest control point, then
+    by the margin.
+
+    ``xray._element_clip`` moves them only to the exact maximum over the
+    element, so its clip lies inside this one; the tests render with both.
+    """
+    world = element_bounding_points(mesh)
+    normals = np.empty((mesh.n_elements, len(TET_FACES), 3))
+    for f, (i, j, k) in enumerate(TET_FACES):
+        n = np.cross(world[:, j] - world[:, i], world[:, k] - world[:, i])
+        normals[:, f] = n / np.linalg.norm(n, axis=1)[:, None]
+    # the frame may be left-handed, so normals are rotated, not recomputed
+    frame = np.stack([det.axis_u, det.axis_v, det.normal])
+    normals = normals @ frame.T
+    bpts = (world - det.origin) @ frame.T
+    lo = bpts.min(axis=1)
+    hi = bpts.max(axis=1)
+    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=1)[:, None]
+    offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1) + margin
+    return _ElementClip.from_planes(lo - margin, hi + margin, normals, offsets)

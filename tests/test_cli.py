@@ -22,6 +22,7 @@ from fexray.io_text import (
     write_graymap,
     write_mesh,
 )
+from fexray.mesh import NodalField
 from tests.conftest import folded_quadratic_nodes
 
 
@@ -107,7 +108,37 @@ class TestGenerate:
         assert ("--target-elements" in text) == (command != "error-map")
 
 
+class TestOverflow:
+    def test_generate_ball_rejects_overflowing_radius(self, tmp_path, capsys):
+        mesh, field = tmp_path / "big.mesh", tmp_path / "big.field"
+        argv = ["generate-ball", "--out-mesh", str(mesh), "--out-field", str(field)]
+        assert main([*argv, "--radius", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fexray: element ") and err.endswith(": corner volume overflows\n")
+        assert not mesh.exists() and not field.exists()
+
+    def test_info_rejects_overflowing_mesh_file(self, tmp_path, ball_files, capsys):
+        mesh, _ = ball_files
+        lines = mesh.read_text().splitlines()
+        n_nodes = int(lines[0].split()[0])
+        for i in range(1, n_nodes + 1):
+            row = lines[i].split()
+            lines[i] = " ".join([row[0], *(f"{1e300 * float(x):.17g}" for x in row[1:])])
+        big = tmp_path / "big.mesh"
+        big.write_text("\n".join(lines) + "\n")
+        assert main(["info", "--mesh", str(big)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+
 class TestInfo:
+    def test_field_count_mismatch(self, tmp_path, ball_files, capsys):
+        mesh, _ = ball_files
+        short = tmp_path / "short.field"
+        short.write_text(write_field(NodalField(np.ones(3))))
+        n_nodes = int(mesh.read_text().split()[0])
+        assert main(["info", "--mesh", str(mesh), "--field", str(short)]) == 2
+        assert capsys.readouterr().err == f"fexray: field has 3 values for {n_nodes} mesh nodes\n"
+
     def test_counts_match_header(self, ball_files, capsys):
         mesh, field = ball_files
         rc = main(["info", "--mesh", str(mesh), "--field", str(field)])

@@ -19,6 +19,7 @@ from fexray.mesh import (
     Mesh,
     MeshError,
     NodalField,
+    interpolate_values,
     map_points,
 )
 from fexray.raycast import tet_entry
@@ -135,6 +136,23 @@ class TestMembershipBatch:
             assert inside_s[0] == inside_b[k]
             np.testing.assert_array_equal(xi_s[0], xi_b[k])
             assert iters_s[0] == iters_b[k]
+
+    def test_values_interpolated_with_interpolate_values_bits(self, ball_mesh_field, rng):
+        # the density of an accepted lane has the bits of interpolate_values
+        # at its xi, and passing values changes no other result
+        mesh, field = ball_mesh_field
+        settings = NewtonSettings()
+        e = rng.integers(0, mesh.n_elements, size=4000)
+        pts = rng.uniform(-1, 1, size=(e.size, 3))
+        plain = membership_test(mesh, e, pts, settings, 1e-8)
+        out = np.full(e.size, np.nan)
+        with_values = membership_test(mesh, e, pts, settings, 1e-8, None, field.values, out)
+        for a, b in zip(plain, with_values):
+            assert a.tobytes() == b.tobytes()
+        inside, xi = plain[0], plain[1]
+        assert 0 < np.count_nonzero(inside) < e.size
+        ref = interpolate_values(field.values[mesh.elements[e[inside]]].T, xi[inside], mesh.order)
+        assert out[inside].tobytes() == ref.tobytes()
 
 
 def containing(mesh, x):

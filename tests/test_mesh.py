@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from fexray.mesh import (
     NodalField,
     _lattice_jacobian_dets,
     boundary_faces,
+    check_field,
     shape_gradients,
     shape_values,
 )
@@ -273,6 +276,29 @@ class TestMeshValidation:
         nodes[5] = nodes[4]
         with pytest.raises(MeshError):
             Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    @pytest.mark.parametrize(
+        "scale, bulge, message",
+        [
+            # every corner volume overflows
+            (1e300, 0.0, "element 0: corner volume overflows"),
+            # the corner volume is finite, det J at a bulged lattice point is not
+            (5.5e102, 0.45, "element 0: det J overflows at reference point"),
+        ],
+    )
+    def test_overflowing_coordinates_rejected(self, scale, bulge, message):
+        nodes = straight_quadratic_nodes(scale * REFERENCE_TET)
+        nodes[4, 1] -= bulge * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(MeshError, match=message):
+                Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    def test_field_count_rule(self):
+        mesh = single_tet_mesh(REFERENCE_TET)
+        check_field(mesh, NodalField(np.ones(mesh.n_nodes)))
+        with pytest.raises(ValueError, match=f"field has 3 values for {mesh.n_nodes} mesh nodes"):
+            check_field(mesh, NodalField(np.ones(3)))
 
     def test_field_requires_finite(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fexray import locate, spatial, xray
 from fexray.locate import NewtonSettings, membership_test
-from fexray.mesh import EDGE_VERTICES, Mesh, MeshError, NodalField, map_points
+from fexray.mesh import EDGE_VERTICES, TET_FACES, Mesh, MeshError, NodalField, map_points
 from fexray.raycast import slab_intervals, tet_entry
 from fexray.spatial import (
     Aabb,
@@ -41,7 +41,7 @@ from tests.conftest import (
     single_tet_mesh,
     straight_quadratic_nodes,
 )
-from tests.helpers import depth_clip_planes
+from tests.helpers import control_net_clip, depth_clip_planes
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
@@ -813,9 +813,15 @@ def _clip_ray(clip, a, b):
 
 
 def _assert_clip_conservative(mesh, det, t_max):
-    """Every ray point membership_test accepts lies inside the clip."""
+    """Every ray point membership_test accepts lies inside the clip, and the
+    clip lies inside the control-net clip (up to the roundoff of a plane
+    value at the ray's depth)."""
     clip = xray._element_clip(mesh, det)
     lo, hi = _clip_ray(clip, 0.0, 0.0) or (np.inf, -np.inf)
+    net_lo, net_hi = _clip_ray(control_net_clip(mesh, det), 0.0, 0.0) or (np.inf, -np.inf)
+    if lo <= hi:
+        slack = 1e-12 * (t_max + np.linalg.norm(mesh.nodes, axis=1).max())
+        assert net_lo - slack <= lo and hi <= net_hi + slack
 
     def accepted(t):
         pts = det.origin + np.asarray(t)[:, None] * det.normal
@@ -877,17 +883,134 @@ disp6 = st.lists(vec3, min_size=6, max_size=6).map(
 )
 
 
+# a regular corner tetrahedron with every mid-edge node moved outward from
+# the centroid by 0.6 of what validate_mesh allows: its bulges sum to about
+# 15, past WARM_BULGE
+REGULAR_CORNERS = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+OUTWARD_DISP = [
+    0.6 * (m - 0.25) / np.linalg.norm(m - 0.25)
+    for m in (0.5 * (np.array(REGULAR_CORNERS[a]) + REGULAR_CORNERS[b]) for a, b in EDGE_VERTICES)
+]
+# mid-edge displacement scales: at full scale nearly every random element
+# folds, at 0.6 about one in six validates
+BULGE_SCALE = st.sampled_from([0.1, 0.3, 0.6])
+# reference points on a 24-per-edge lattice of the reference tetrahedron
+XI_LATTICE = np.array(
+    [(i, j, k) for i in range(25) for j in range(25 - i) for k in range(25 - i - j)]
+) / 24.0
+
+
+def _bezier_values(mesh, n):
+    """n . X at the corners and edge control points of element 0, (10, k)
+    for directions n (k, 3)."""
+    pts = element_bounding_points(mesh)[0][xray._BEZIER_POINTS]
+    return pts @ n.T
+
+
+class TestQuadraticMax:
+    """``spatial._quadratic_max`` is the maximum of n . X over the element."""
+
+    @given(
+        st.lists(vec3, min_size=4, max_size=4),
+        disp6,
+        st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+        st.lists(vec3, min_size=1, max_size=3),
+    )
+    # a straight element, whose face and interior Bernstein matrices are
+    # singular, and the bulged element past WARM_BULGE
+    @example(REGULAR_CORNERS, OUTWARD_DISP, 0.0, [(0.0, 0.0, 1.0)])
+    @example(REGULAR_CORNERS, OUTWARD_DISP, 1.0, [(1.0, 1.0, 1.0), (0.0, -1.0, 0.0)])
+    def test_between_element_and_control_net(self, corners, disp, scale, directions):
+        corners = _positive_corners(corners)
+        mesh = _curved_element(corners, [scale * d for d in disp], True)
+        faces = [
+            np.cross(corners[j] - corners[i], corners[k] - corners[i])
+            for i, j, k in TET_FACES
+        ]
+        n = np.array([np.asarray(d) for d in directions if np.linalg.norm(d) > 0.1] + faces)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        values = _bezier_values(mesh, n)
+        bound = spatial._quadratic_max(values)
+        assert (bound <= values.max(axis=0)).all()
+        diam = float(np.linalg.norm(np.ptp(mesh.nodes, axis=0)))
+        lattice = map_points(mesh.nodes, XI_LATTICE, mesh.order) @ n.T
+        assert (lattice.max(axis=0) <= bound + 1e-12 * diam).all()
+        # points membership_test accepts, around the lattice maxima and
+        # across the element's box
+        rng = np.random.default_rng(0)
+        top = map_points(mesh.nodes, XI_LATTICE[lattice.argmax(axis=0)], mesh.order)
+        probes = [top[:, None] + np.linspace(-0.05, 0.05, 41)[:, None] * diam * n[:, None]]
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        probes.append(rng.uniform(lo - 0.2 * diam, hi + 0.2 * diam, size=(1, 2000, 3)))
+        pts = np.concatenate([p.reshape(-1, 3) for p in probes])
+        inside = membership_test(mesh, 0, pts, NewtonSettings(), 1e-8)[0]
+        assert inside.any()
+        margin = xray.ELEMENT_BOX_MARGIN * diam
+        assert (pts[inside] @ n.T <= bound + margin).all()
+
+    @pytest.mark.parametrize("edge", range(6))
+    def test_parabolic_edge(self, edge):
+        # q = 2 phi_a phi_b along one edge peaks at its midpoint
+        values = np.zeros((10, 1))
+        values[4 + edge] = 1.0
+        assert spatial._quadratic_max(values)[0] == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "controls, peak",
+        [
+            # 2 (phi_a phi_b + phi_b phi_c + phi_a phi_c) on face (0, 1, 2),
+            # at its centroid
+            ((0, 1, 2), 2.0 / 3.0),
+            # 1 - sum phi_i^2, at the centroid of the tetrahedron
+            (range(6), 0.75),
+        ],
+    )
+    def test_face_and_interior_peaks(self, controls, peak):
+        values = np.zeros((10, 1))
+        values[[4 + c for c in controls]] = 1.0
+        assert spatial._quadratic_max(values)[0] == pytest.approx(peak, rel=1e-14)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1),
+        st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        st.floats(-2.0, 2.0),
+    )
+    def test_peak_anywhere_is_exact(self, weights, entries, peak):
+        # q = peak (1^T phi)^2 - |M^(1/2) P phi|^2 with P phi = phi - phi* (1^T phi)
+        # is at most peak on the simplex and equals it at phi* alone, be phi*
+        # a corner, on an edge or triangle (zero weights) or inside
+        star = np.asarray(weights) / sum(weights)
+        m = np.reshape(entries, (4, 4))
+        p = np.eye(4) - np.outer(star, np.ones(4))
+        q = peak * np.ones((4, 4)) - p.T @ (m.T @ m + 0.1 * np.eye(4)) @ p
+        values = np.array([q[i, i] for i in range(4)] + [q[a, b] for a, b in EDGE_VERTICES])
+        assert spatial._quadratic_max(values[:, None])[0] == pytest.approx(peak, abs=1e-12)
+
+    def test_stationary_point_off_the_simplex_is_skipped(self):
+        # corner 1 holds the maximum 1; edge (0, 1) with control 0.9 peaks at
+        # 1.0125 past corner 1 (phi_0 = -1/8), and edge (2, 3) with control
+        # 1.2 above every corner only reaches 0.6
+        values = np.array([[0.0, 1.0, 0.0, 0.0, 0.9, 0.0, 0.0, 0.0, 0.0, 1.2]]).T
+        assert spatial._quadratic_max(values)[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_corner_maximum_keeps_the_net_bound(self):
+        # a control value at or below the largest corner value leaves it
+        values = np.array([[1.0, 0.0, -1.0, 2.0, 2.0, 1.5, 0.0, 2.0, -3.0, 1.0]]).T
+        assert spatial._quadratic_max(values).tobytes() == np.array([2.0]).tobytes()
+
+
 class TestElementClip:
     @given(
         st.lists(vec3, min_size=4, max_size=4),
         disp6,
+        BULGE_SCALE,
         st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9), st.floats(0.05, 0.9)),
         vec3,
         st.booleans(),
     )
-    def test_clip_keeps_every_accepted_point(self, corners, disp, xi, d, quadratic):
+    def test_clip_keeps_every_accepted_point(self, corners, disp, scale, xi, d, quadratic):
         assume(np.linalg.norm(d) > 0.1)
-        mesh = _curved_element(_positive_corners(corners), disp, quadratic)
+        mesh = _curved_element(_positive_corners(corners), [scale * v for v in disp], quadratic)
         xi = np.asarray(xi) / max(1.0, 1.05 * sum(xi))  # inside the reference tet
         d = np.asarray(d) / np.linalg.norm(d)
         target = map_points(mesh.nodes, xi, mesh.order)
@@ -895,17 +1018,40 @@ class TestElementClip:
         _assert_clip_conservative(mesh, det, 16.0)
 
     @given(
+        st.lists(vec3, min_size=4, max_size=4),
+        disp6,
+        BULGE_SCALE,
+        st.integers(0, 3),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0)),
+        vec3,
+    )
+    # the bulged element past WARM_BULGE, a ray through the middle of face 0
+    @example(REGULAR_CORNERS, OUTWARD_DISP, 1.0, 0, (1.0, 1.0, 1.0), (0.3, -0.2, 1.0))
+    @settings(max_examples=50)  # each example bisects the ray's accepted range
+    def test_clip_keeps_curved_surface_points(self, corners, disp, scale, face, weights, d):
+        # rays through a point of a curved face graze the bulge beyond the
+        # corner face plane, where the clip is tightest
+        assume(np.linalg.norm(d) > 0.1)
+        mesh = _curved_element(_positive_corners(corners), [scale * v for v in disp], True)
+        phi = np.insert(np.asarray(weights) / sum(weights), face, 0.0)
+        d = np.asarray(d) / np.linalg.norm(d)
+        target = map_points(mesh.nodes, phi[1:], mesh.order)
+        det = _frame_detector(target - 8.0 * d, d)
+        _assert_clip_conservative(mesh, det, 16.0)
+
+    @given(
         st.lists(vec3, min_size=3, max_size=3),
         st.floats(0.3, 1.5),
         disp6,
+        BULGE_SCALE,
         st.booleans(),
     )
-    def test_face_parallel_to_ray(self, others, height, disp, quadratic):
+    def test_face_parallel_to_ray(self, others, height, disp, scale, quadratic):
         # corners 0 and 1 share (x, y), so faces (0, 2, 1) and (0, 1, 3)
         # contain the -z ray direction exactly
         c0, c2, c3 = (np.asarray(p) for p in others)
         corners = _positive_corners([c0, c0 + [0.0, 0.0, height], c2, c3])
-        mesh = _curved_element(corners, disp, quadratic)
+        mesh = _curved_element(corners, [scale * v for v in disp], quadratic)
         d = np.array([0.0, 0.0, -1.0])
         bpts = element_bounding_points(mesh)[0]
         for a, b, c in ((0, 2, 1), (0, 1, 3)):
@@ -921,6 +1067,27 @@ class TestElementClip:
             det = _frame_detector(corners[a] + (gap + 1e-3) * n + lift, d)
             lo, hi = _assert_clip_conservative(mesh, det, 8.0)
             assert lo > hi
+
+
+class TestControlNetOracle:
+    """Rendered with the control-net clip swapped in, the golden scenes give
+    the same images and accepted pairs; the exact clip tests no more."""
+
+    @pytest.mark.parametrize("face", ["+y", "+z"])
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_same_image_fewer_lanes(self, monkeypatch, name, face):
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        exact = render(mesh, field, det, settings)
+        monkeypatch.setattr(xray, "_element_clip", control_net_clip)
+        net = render(mesh, field, det, settings)
+        assert exact.density.tobytes() == net.density.tobytes()
+        assert exact.stats.pairs_inside == net.stats.pairs_inside > 0
+        assert exact.stats.samples_multi_claimed == net.stats.samples_multi_claimed
+        assert exact.stats.pairs_tested <= net.stats.pairs_tested
+        if name == "ball8":  # curved elements: the exact clip drops lanes
+            assert exact.stats.pairs_tested < net.stats.pairs_tested
 
 
 # a face normal's t component: exactly 0 (a face parallel to the rays) or
@@ -1267,6 +1434,8 @@ class TestTraceContract:
         "spatial.build_obb_tree",
         "raycast.tet_entry",
         "locate.newton_solve",
+        # membership_test interpolates the density with the residual check
+        "mesh.interpolate_values",
     }
 
     @pytest.fixture()
