@@ -8,10 +8,13 @@ also encloses the curved element geometry.
 The OBB tree is built one level at a time over a point table that holds each
 corner node once and each edge control point once.  Midnodes are left out:
 m = p0/4 + p1/4 + c/2 is a convex combination of the edge ends and the
-control point c, so neither a hull nor a box needs it.  qhull runs once per
-node on the node's table rows; the hull-surface PCA, the box fit and the
-split test run once per level over all nodes of that level, and a node's
-result depends only on its own elements.
+control point c, so neither a hull nor a box needs it.  Each leaf box is
+fitted by the area-weighted PCA of the hull surface of its table rows, one
+qhull call per leaf (Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996);
+a node that is split only needs a split axis and point, and takes them from
+the PCA of its table rows.  The fits, box fits and split tests run once per
+level over all nodes of that level, and a node's result depends only on its
+own elements.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .mesh import EDGE_VERTICES, Mesh
 
 # multiplicative box inflation to absorb roundoff in slab tests at box faces
 BOX_INFLATION = 1e-9
+# a large tree node whose point box is no thicker than this fraction of its
+# diagonal may have a flat hull, which makes it a leaf: qhull decides
+FLAT_EXTENT = 1e-6
 
 
 class DegenerateGeometryError(ValueError):
@@ -374,16 +380,18 @@ class ObbTree:
     n_elements: int
 
 
-def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes):
+def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
     """PCA boxes of the ``n_nodes`` nodes of one tree level.
 
     ``elems`` holds the nodes' element ids grouped by node, ``seg`` the node
-    of each.  A node's hull input is its distinct table rows in ascending
-    order, one qhull call per node.  The area-weighted PCA of the hull
-    surface gives the node's basis; a node whose hull is flat falls back to
-    PCA over its element centroids with unit weights (identity axes for a
-    single element) and is flagged ``degenerate``.  The box is fitted to the
-    node's table rows.  Returns (rows, origins, pmin, pmax, degenerate).
+    of each.  A node's points are its distinct table rows in ascending order.
+    A node marked in ``hull`` takes its basis from the area-weighted PCA of
+    the hull surface of its points, one qhull call per node; if that hull is
+    flat, from the PCA of its element centroids with unit weights (identity
+    axes for a single element), and it is flagged ``degenerate``.  Any other
+    node takes its basis from the PCA of its points with unit weights.  The
+    box is fitted to the node's points.  Returns (rows, origins, pmin, pmax,
+    degenerate).
     """
     n_table = len(table)
     key = np.sort((seg[:, None] * n_table + elem_rows[elems]).ravel())
@@ -394,7 +402,7 @@ def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes):
     faces = [np.empty((0, 3), dtype=np.int64)]
     owner = [np.empty(0, dtype=np.int64)]
     degenerate = np.zeros(n_nodes, dtype=bool)
-    for i in range(n_nodes):
+    for i in np.flatnonzero(hull):
         lo, hi = pstart[i], pstart[i + 1]
         try:
             simplices = ConvexHull(points[lo:hi]).simplices
@@ -404,20 +412,32 @@ def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes):
         faces.append(simplices + lo)
         owner.append(np.full(len(simplices), i))
     centers, weights = triangles_centroid_area(points[np.concatenate(faces)])
-    owner = np.concatenate(owner)
-    if degenerate.any():
-        flat = degenerate[seg]
-        centers = np.concatenate([centers, centroids[elems[flat]]])
-        weights = np.concatenate([weights, np.ones(np.count_nonzero(flat))])
-        owner = np.concatenate([owner, seg[flat]])
-        order = np.argsort(owner, kind="stable")
-        centers, weights, owner = centers[order], weights[order], owner[order]
+    # unit-weight centers: the points of the nodes fitted without a hull, and
+    # the element centroids of the flat hulls; each node has one kind only
+    cloud, flat = ~hull[pseg], degenerate[seg]
+    centers = np.concatenate([centers, points[cloud], centroids[elems[flat]]])
+    weights = np.concatenate([weights, np.ones(np.count_nonzero(cloud) + np.count_nonzero(flat))])
+    owner = np.concatenate(owner + [pseg[cloud], seg[flat]])
+    order = np.argsort(owner, kind="stable")
+    centers, weights, owner = centers[order], weights[order], owner[order]
     starts = np.searchsorted(owner, np.arange(n_nodes))
     origins, _ = _weighted_centers(centers, weights, starts)
     rows = _eigen_rows(_covariances(centers, weights, starts, origins))
     rows[np.diff(starts, append=len(owner)) == 1] = np.eye(3)
     pmin, pmax = _fit_boxes(points, pstart[:-1], rows, origins)
     return rows, origins, pmin, pmax, degenerate
+
+
+def _refit_with_hull(fit, nodes, table, elem_rows, centroids, elems, seg):
+    """Replace the fits of the level's ``nodes`` (a mask) in ``fit``, the
+    arrays ``_fit_level`` returned, by their hull fits, in place."""
+    k = int(np.count_nonzero(nodes))
+    if k:
+        keep = nodes[seg]
+        sub_seg = (np.cumsum(nodes) - 1)[seg[keep]]
+        sub = _fit_level(table, elem_rows, centroids, elems[keep], sub_seg, k, np.ones(k, bool))
+        for full, part in zip(fit, sub):
+            full[nodes] = part
 
 
 # corner k of a box takes pmax on the axes where _BOX_CORNERS[k] is set
@@ -445,12 +465,20 @@ def _expand_over_children(rows, origins, pmin, pmax, parents, children):
 def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
     """Top-down binary OBB tree over the mesh elements, built level by level.
 
-    A node is split with a plane through the basis origin orthogonal to the
-    box axis of largest extent; element membership follows the corner
-    centroid, with on-plane elements going to the first child.  Falls back
-    to the next-longest axis when a split does not separate, and makes a
-    leaf when no axis separates or the subset hull is degenerate.
-    ``tree.leaves`` lists the leaves depth first, first child first.
+    A node of more than ``max_leaf_elements`` elements is split with a plane
+    through its basis origin orthogonal to the box axis of largest extent;
+    element membership follows the corner centroid, with on-plane elements
+    going to the first child.  Falls back to the next-longest axis when a
+    split does not separate, and makes a leaf when no axis separates or the
+    node's hull is flat.
+
+    A split only needs an axis and a point, so a large node is fitted by the
+    PCA of its points, with no hull.  Every leaf is fitted by the PCA of its
+    hull surface, with the bits ``_fit_level`` gives it alone.  A large node
+    whose point box is flat (thinnest side at most ``FLAT_EXTENT`` of the
+    diagonal) may have a flat hull, so it is fitted by its hull before the
+    split test.  ``tree.leaves`` lists the leaves depth first, first child
+    first.
     """
     if max_leaf_elements < 1:
         raise ValueError("max_leaf_elements must be >= 1")
@@ -461,18 +489,24 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
     fits, payloads, splits = [], [], []
     n_nodes = 1
     while n_nodes:
-        rows, origins, pmin, pmax, degenerate = _fit_level(
-            table, elem_rows, centroids, elems, seg, n_nodes
-        )
         estarts = np.searchsorted(seg, np.arange(n_nodes))
+        n_elems = np.diff(estarts, append=len(elems))
+        large = n_elems > max_leaf_elements
+        inputs = (table, elem_rows, centroids, elems, seg)
+        fit = _fit_level(*inputs, n_nodes, ~large)
+        extent = fit[3] - fit[2]
+        flat = large & (extent.min(axis=1) <= FLAT_EXTENT * np.linalg.norm(extent, axis=1))
+        _refit_with_hull(fit, flat, *inputs)
+        rows, origins, pmin, pmax, degenerate = fit
         side = _rotate(rows[seg], centroids[elems] - origins[seg]) > 0.0
         n_second = np.add.reduceat(side.astype(np.int64), estarts, axis=0)
-        n_elems = np.diff(estarts, append=len(elems))
         separates = (n_second > 0) & (n_second < n_elems[:, None])
         by_extent = np.argsort(pmin - pmax, axis=1, kind="stable")
         usable = np.take_along_axis(separates, by_extent, axis=1)
         axis = by_extent[np.arange(n_nodes), usable.argmax(axis=1)]
-        split = usable.any(axis=1) & (n_elems > max_leaf_elements) & ~degenerate
+        split = usable.any(axis=1) & large & ~degenerate
+        # a large node that no axis separates is a leaf: fit it like one
+        _refit_with_hull(fit, large & ~flat & ~split, *inputs)
         fits.append((rows, origins, pmin, pmax))
         payloads.append(np.split(elems, estarts[1:]))
         splits.append(split)

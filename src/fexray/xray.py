@@ -15,9 +15,10 @@ render the detector origin and axes are rotated into the frames of all tree
 leaves, and each leaf box is projected onto the detector as a padded pixel
 rectangle that holds every ray that can meet it.  A tile then scans the
 leaves in tree order and slab-tests each leaf box on the tile's rays inside
-its rectangle; no internal node is visited, because the tree's boxes nest
-and a walk down the tree would find the same leaf hits.  Brute force is the
-one-leaf case, the model box in the identity frame holding every element.
+its rectangle.  No internal node is visited: the leaves partition the
+elements and each leaf box holds its elements, so a sample outside every
+leaf box lies in no element.  Brute force is the one-leaf case, the model
+box in the identity frame holding every element.
 Each leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
 sample is its grid point (ray, j): Newton lanes carry it, and all claims on
 one (ray, j), from overlapping ranges too, are resolved together.
@@ -604,8 +605,8 @@ def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
     (``_leaf_frames``), whose local origins are linear in (a, b), with one
     ``slab_intervals`` call on the leaf's own box: those calls define the
     render's samples, and a tracer may count the samples from them alone.
-    The tree's boxes nest (``spatial._expand_over_children``), so this flat
-    scan finds the records a walk down the tree would.
+    Every element lies in its leaf's box, so the leaves alone find every
+    sample an element can claim; the internal boxes are never read.
     """
     det, lf, step = ctx.detector, ctx.leaves, ctx.settings.step
     i0, i1, k0, k1 = lf.rect.T

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import struct
 from dataclasses import fields
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fexray import io_text
 from fexray.io_text import (
     FloatGrid,
     ParseError,
@@ -23,7 +25,8 @@ from fexray.io_text import (
     write_graymap,
     write_mesh,
 )
-from tests.conftest import single_tet_mesh
+from fexray.mesh import MeshError, NodalField
+from tests.conftest import golden_scene, single_tet_mesh
 from tests.helpers import serialize_config
 
 MINIMAL_CONFIG = """
@@ -174,6 +177,164 @@ class TestFirstFaultyLine:
         text, parse = _faulty(table, rows)
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse(text)
+
+
+def _decorate(text, seed):
+    """``text`` with comment and blank lines between its lines, inline
+    comments, extra whitespace and LF, CRLF or CR line ends, drawn at
+    random from ``seed``."""
+    rnd = random.Random(seed)
+    out = []
+    for line in text.splitlines():
+        if rnd.random() < 0.2:
+            out.append(rnd.choice(["", "   ", "# comment", "\t# 1 2 3"]))
+        line = rnd.choice([" ", "  ", "\t"]).join(line.split())
+        if rnd.random() < 0.2:
+            line = rnd.choice([" ", "\t"]) + line + rnd.choice(["", " # note", "#", "\t# 4 5"])
+        out.append(line)
+    return "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in out)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestReaderRoundTrip:
+    @given(seeds)
+    def test_mesh_bits_survive_decoration(self, seed):
+        mesh = golden_scene("cylinder100")[0]
+        back = parse_mesh(_decorate(write_mesh(mesh), seed))
+        assert back.nodes.tobytes() == mesh.nodes.tobytes()
+        assert back.elements.tobytes() == mesh.elements.tobytes()
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        mesh, field = golden_scene("cylinder100")
+        for block_tokens in (1, 7, 40):
+            monkeypatch.setattr(io_text, "BLOCK_TOKENS", block_tokens)
+            back = parse_mesh(write_mesh(mesh))
+            assert back.nodes.tobytes() == mesh.nodes.tobytes()
+            assert back.elements.tobytes() == mesh.elements.tobytes()
+            assert parse_field(write_field(field)).values.tobytes() == field.values.tobytes()
+
+    @given(st.lists(finite, min_size=1, max_size=50), seeds)
+    def test_field_bits_survive_decoration(self, values, seed):
+        field = NodalField(np.array(values))
+        back = parse_field(_decorate(write_field(field), seed))
+        assert back.values.tobytes() == field.values.tobytes()
+
+
+# a 2 000-row table whose row 1234 is replaced by a faulty line (None ends
+# the file there); comment, blank and CRLF lines sit between the rows
+DEEP_ROWS, DEEP_ROW = 2000, 1234
+
+
+def _deep_table(table, fault):
+    """Text, parser and line number of the faulty row of a 2 000-row value
+    table, or of an element table over 4 nodes."""
+    if table == "value":
+        lines, rows = [f"{DEEP_ROWS}"], [f"{i} {0.5 * i}" for i in range(DEEP_ROWS)]
+    else:
+        lines = [f"4 {DEEP_ROWS} 4", "0 0 0 0", "1 1 0 0", "2 0 1 0", "3 0 0 1"]
+        rows = [f"{i} 0 1 2 3" for i in range(DEEP_ROWS)]
+    lineno = None
+    for i, row in enumerate(rows):
+        if i % 7 == 0:
+            lines.append("# rows from here on")
+        if i % 11 == 0:
+            lines.append("")
+        if i == DEEP_ROW:
+            if fault is None:
+                break
+            row, lineno = fault, len(lines) + 1
+        lines.append(row + (" # inline" if i % 5 == 0 else ""))
+    text = "".join(line + ("\r\n" if k % 3 else "\n") for k, line in enumerate(lines))
+    return text, parse_field if table == "value" else parse_mesh, lineno
+
+
+class TestDeepFault:
+    @pytest.mark.parametrize(
+        "table, fault, message",
+        [
+            ("value", "1234 2.5 3", "expected '<id> <value>'"),
+            ("value", "1234 2.5e", "malformed value line"),
+            ("value", "1243 2.5", "expected node id 1234, got 1243"),
+            ("element", "1234 0 1 2 4", "node id out of range"),
+            ("value", None, "unexpected end of file: expected value line 1234"),
+        ],
+        ids=["token count", "malformed token", "row id", "node id", "end of file"],
+    )
+    # one block per table, and blocks of 3 to 10 rows
+    @pytest.mark.parametrize("block_tokens", [io_text.BLOCK_TOKENS, 33])
+    def test_fault_deep_in_table(self, table, fault, message, block_tokens, monkeypatch):
+        monkeypatch.setattr(io_text, "BLOCK_TOKENS", block_tokens)
+        sound = {"value": f"{DEEP_ROW} {0.5 * DEEP_ROW}", "element": f"{DEEP_ROW} 0 1 2 3"}
+        text, parse, _ = _deep_table(table, sound[table])
+        with pytest.raises(ParseError, match="trailing content"):
+            parse(text + "0 0\n")  # the table itself is sound
+        text, parse, lineno = _deep_table(table, fault)
+        expected = message if lineno is None else f"line {lineno}: {message}"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            parse(text)
+
+
+# tokens Python's int and float each accept or reject
+EDGE_TOKENS = [
+    "1_0", "+3", "\u0663", "nan", "inf", "1e400", "1e0", "1.0", "0x1p3", "99999999999999999999",
+    "-99999999999999999999", "+2", "\u0662", "\uff12", "0_2", "1e-400", "-0", "infinity", "1__0",
+    "_1", "+1", "\u0660\u0661",
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:  # ParseError, MeshError and non-finite fields
+        return type(exc), str(exc)
+
+
+class TestTokenRules:
+    """A token reads as Python's int (ids) or float (values) reads it."""
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_value_token(self, token):
+        got = _outcome(parse_field, f"2\n0 1.5\n1 {token}\n")
+        try:
+            value = float(token)
+        except ValueError:
+            assert got == (ParseError, "line 3: malformed value line")
+            return
+        if not math.isfinite(value):
+            assert got == (ValueError, "field contains non-finite values")
+        else:
+            assert got.values[1:].tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_row_id_token(self, token):
+        got = _outcome(parse_field, f"2\n0 1.5\n{token} 2.5\n")
+        try:
+            rid = int(token)
+        except ValueError:
+            assert got == (ParseError, "line 3: malformed value line")
+            return
+        if rid != 1:
+            assert got == (ParseError, f"line 3: expected node id 1, got {rid}")
+        else:
+            assert got.values.tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_node_id_token(self, token):
+        got = _outcome(parse_mesh, f"4 1 4\n0 0 0 0\n1 1 0 0\n2 0 1 0\n3 0 0 1\n0 0 1 {token} 3\n")
+        try:
+            node = int(token)
+        except ValueError:
+            assert got == (ParseError, "line 6: malformed element line")
+            return
+        if not 0 <= node < 4:
+            assert got == (ParseError, "line 6: node id out of range")
+        elif node != 2:  # a repeated corner
+            assert got[0] is MeshError
+        else:
+            assert got.elements.tolist() == [[0, 1, 2, 3]]
 
 
 class TestFloatGrid:

@@ -577,26 +577,65 @@ def _collect(node):
         yield from _collect(node.right)
 
 
+def _recording_qhull(monkeypatch):
+    """Make ``spatial.ConvexHull`` record the bytes of every input it gets."""
+    calls = []
+    qhull = spatial.ConvexHull
+
+    def recording_qhull(points, *args, **kwargs):
+        calls.append(np.ascontiguousarray(points).tobytes())
+        return qhull(points, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "ConvexHull", recording_qhull)
+    return calls
+
+
+def _leaf_points(mesh, leaf):
+    """A leaf's distinct table rows in ascending order: its corners and edge
+    control points, each once."""
+    table, elem_rows = spatial._point_table(mesh)
+    return table[np.unique(elem_rows[leaf.elements])]
+
+
+def _line_of_thin_tets(n, height):
+    """n disjoint tets along x, ``height`` thick in z: flat to the box test
+    of a large node (``FLAT_EXTENT``), solid to qhull."""
+    verts, tets = [], []
+    for i in range(n):
+        base = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, height]])
+        verts.extend(base + [1.5 * i, 0, 0])
+        tets.append(tuple(range(4 * i, 4 * i + 4)))
+    return mesh_from_corner_tets(verts, tets)
+
+
 class TestHullInput:
     @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
-    def test_one_qhull_call_per_node_without_midnodes(self, name, monkeypatch):
-        # each node's hull sees only the distinct corners and edge control
-        # points of its elements, never 16 points per element
+    def test_one_qhull_call_per_leaf_on_its_points(self, name, monkeypatch):
+        # qhull runs once per leaf, on exactly the leaf's distinct corners
+        # and edge control points (never 16 points per element), and never
+        # for a node that is split
         mesh = _hull_test_mesh(name)
-        sizes = []
-        qhull = spatial.ConvexHull
+        calls = _recording_qhull(monkeypatch)
+        for leaf_size in (1, 3, 10):
+            calls.clear()
+            tree = build_obb_tree(mesh, leaf_size)
+            assert len(tree.leaves) > 1 or leaf_size > 1  # leaf size 1 splits
+            inputs = [_leaf_points(mesh, leaf) for leaf in tree.leaves]
+            assert sorted(calls) == sorted(p.tobytes() for p in inputs)
+            for leaf, points in zip(tree.leaves, inputs):
+                assert len(points) == _distinct_corners_and_edges(mesh, leaf.elements)
 
-        def counting_qhull(points, *args, **kwargs):
-            sizes.append(len(points))
-            return qhull(points, *args, **kwargs)
-
-        monkeypatch.setattr(spatial, "ConvexHull", counting_qhull)
-        for leaf_size in (1, 10):
-            sizes.clear()
-            nodes = _tree_nodes(build_obb_tree(mesh, leaf_size))
-            assert len(sizes) == len(nodes)
-            bounds = sorted(_distinct_corners_and_edges(mesh, _node_elements(n)) for n in nodes)
-            assert (np.array(sorted(sizes)) <= np.array(bounds)).all()
+    def test_flat_candidates_are_split_by_their_hull(self, monkeypatch):
+        # a large node whose point box is at most FLAT_EXTENT thick gets a
+        # qhull call before it is split; a thicker one does not
+        calls = _recording_qhull(monkeypatch)
+        for height, flat in ((1e-7, True), (1e-3, False)):
+            calls.clear()
+            mesh = _line_of_thin_tets(4, height)
+            tree = build_obb_tree(mesh, 1)
+            internal = [n for n in _tree_nodes(tree) if not n.is_leaf]
+            assert len(tree.leaves) == 4 and len(internal) == 3
+            assert len(calls) == 4 + (len(internal) if flat else 0)
 
     @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
     def test_point_table_rows_are_bounding_points(self, name):
@@ -646,34 +685,69 @@ class TestTreeDeterminism:
 
     def test_level_fit_does_not_depend_on_batching(self, ball_mesh_field):
         # a level fitted as one batch, in reverse order, or node by node
-        # gives every node the same bits, and those are the tree's
+        # gives every node the same bits, with either fit or a mix of both
         ball64 = ball_mesh_field[0]
-        tree = build_obb_tree(ball64, 3)
-        table, elem_rows = spatial._point_table(ball64)
-        centroids = ball64.corner_coords().mean(axis=1)
-
-        def fit(groups):
-            elems = np.concatenate(groups)
-            seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-            return spatial._fit_level(table, elem_rows, centroids, elems, seg, len(groups))
-
-        nodes = _tree_nodes(tree)
-        for depth in (1, 2, 3):
-            level = [n for n in nodes if n.depth == depth]
-            assert len(level) >= 2
-            groups = [_node_elements(n) for n in level]
-            joint, backwards = fit(groups), fit(groups[::-1])
-            for i, node in enumerate(level):
-                alone = fit([groups[i]])
+        nodes = _tree_nodes(build_obb_tree(ball64, 3))
+        for depth, kind in itertools.product((1, 2, 3), ("hull", "points", "mixed")):
+            groups = [_node_elements(n) for n in nodes if n.depth == depth]
+            assert len(groups) >= 2
+            hull = {
+                "hull": np.ones(len(groups), bool),
+                "points": np.zeros(len(groups), bool),
+                "mixed": np.arange(len(groups)) % 2 == 0,
+            }[kind]
+            joint = _fit(ball64, groups, hull)
+            backwards = _fit(ball64, groups[::-1], hull[::-1])
+            for i, group in enumerate(groups):
+                alone = _fit(ball64, [group], hull[i : i + 1])
                 for k in range(5):
                     bits = alone[k][0].tobytes()
                     assert joint[k][i].tobytes() == bits
-                    assert backwards[k][len(level) - 1 - i].tobytes() == bits
-                assert node.obb.basis.rows.tobytes() == alone[0][0].tobytes()
-                assert node.obb.basis.origin.tobytes() == alone[1][0].tobytes()
-                if node.is_leaf:
-                    assert node.obb.box.pmin.tobytes() == alone[2][0].tobytes()
-                    assert node.obb.box.pmax.tobytes() == alone[3][0].tobytes()
+                    assert backwards[k][len(groups) - 1 - i].tobytes() == bits
+
+    @pytest.mark.parametrize(
+        "name, leaf_size",
+        [("ball64", 3), ("ball8", 1), ("cylinder100", 1), ("cylinder100", 3), ("cylinder100", 10)],
+    )
+    def test_leaves_are_hull_fits_internal_nodes_point_fits(self, ball_mesh_field, name, leaf_size):
+        # every leaf box has the bits of a hull fit of its elements alone; an
+        # internal node's basis and origin those of a point fit (its box also
+        # grows over its children's)
+        mesh = ball_mesh_field[0] if name == "ball64" else golden_scene(name)[0]
+        for node in _tree_nodes(build_obb_tree(mesh, leaf_size)):
+            rows, origins, pmin, pmax, _ = _fit(mesh, [_node_elements(node)], [node.is_leaf])
+            assert node.obb.basis.rows.tobytes() == rows[0].tobytes()
+            assert node.obb.basis.origin.tobytes() == origins[0].tobytes()
+            if node.is_leaf:
+                assert node.obb.box.pmin.tobytes() == pmin[0].tobytes()
+                assert node.obb.box.pmax.tobytes() == pmax[0].tobytes()
+
+    def test_inseparable_large_node_is_refitted_as_leaf(self, monkeypatch):
+        # three copies of one element have one centroid, so no axis
+        # separates them: the node is a leaf, fitted by its hull
+        corners = [[0.0, 0, 0], [2, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]]
+        mesh = mesh_from_corner_tets(corners, [(0, 1, 2, 3)] * 3)
+        calls = _recording_qhull(monkeypatch)
+        tree = build_obb_tree(mesh, 1)
+        assert tree.root.is_leaf and len(tree.root.elements) == 3 and len(calls) == 1
+        rows, origins, pmin, pmax, degenerate = _fit(mesh, [np.arange(3)], [True])
+        obb = tree.root.obb
+        assert not degenerate[0]
+        assert obb.basis.rows.tobytes() == rows[0].tobytes()
+        assert obb.basis.origin.tobytes() == origins[0].tobytes()
+        assert obb.box.pmin.tobytes() == pmin[0].tobytes()
+        assert obb.box.pmax.tobytes() == pmax[0].tobytes()
+
+
+def _fit(mesh, groups, hull):
+    """``spatial._fit_level`` of one level whose nodes hold ``groups``."""
+    table, elem_rows = spatial._point_table(mesh)
+    centroids = mesh.corner_coords().mean(axis=1)
+    elems = np.concatenate(groups)
+    seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return spatial._fit_level(
+        table, elem_rows, centroids, elems, seg, len(groups), np.asarray(hull, dtype=bool)
+    )
 
 
 class TestModelAabb:

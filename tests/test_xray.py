@@ -6,13 +6,14 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fexray import locate, spatial, xray
+from fexray import io_text, locate, spatial, xray
 from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, TET_FACES, Mesh, MeshError, NodalField, map_points
 from fexray.raycast import slab_intervals, tet_entry
@@ -280,6 +281,20 @@ class TestRender:
         np.testing.assert_array_equal(a.density, b.density)
         # the tree prunes no accepted (sample, element) pair
         assert a.stats.pairs_inside == b.stats.pairs_inside > 0
+
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    @pytest.mark.parametrize("face", ["+y", "+z"])
+    def test_tree_matches_brute_force_on_golden_scenes(self, name, face):
+        # the leaves are hull fits and the internal nodes point fits; either
+        # way the tree prunes no accepted (sample, element) pair
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        brute = render(mesh, field, det, settings, brute_force=True)
+        for leaf_size in (1, 3, 10):
+            img = render(mesh, field, det, settings, tree=build_obb_tree(mesh, leaf_size))
+            assert img.density.tobytes() == brute.density.tobytes()
+            assert img.stats.pairs_inside == brute.stats.pairs_inside > 0
 
     def test_worker_count_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -1444,6 +1459,25 @@ class TestTraceContract:
         import tracing
 
         return tracing
+
+    def test_setup_metrics_walk_the_tree(self, tracing):
+        # the tracer counts the nodes and depth through root/left/right
+        text = {ext: (GOLDEN / f"cylinder100.{ext}").read_text() for ext in ("mesh", "field")}
+        tracer = tracing.Tracer()
+        with tracer.installed(), tracer.span("setup"):
+            mesh = io_text.parse_mesh(text["mesh"])
+            io_text.parse_field(text["field"])
+            tree = spatial.build_obb_tree(mesh, 3)
+        totals = tracing.subtree_totals(tracer.spans, tracer.spans[-1].id)
+        nodes = [tree.root]
+        for node in nodes:
+            if not node.is_leaf:
+                nodes += [node.left, node.right]
+        metrics = tracing.setup_metrics([totals], SimpleNamespace(tree=tree), 0)
+        assert metrics["spatial.tree_nodes"] == len(nodes) > len(tree.leaves)
+        assert metrics["spatial.tree_leaves"] == len(tree.leaves)
+        assert metrics["spatial.tree_depth"] == max(n.depth for n in nodes) > 0
+        assert metrics["spatial.build_obb_tree_s"] > 0.0
 
     def test_targets_resolve(self, tracing):
         for module, attr, _, _ in tracing.TARGETS:
