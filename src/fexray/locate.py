@@ -27,16 +27,28 @@ fails on a singular Jacobian (|det g'| < SINGULAR_REL, i.e. |det J| below
 SINGULAR_REL |det A|), divergence or iteration overflow; a lane whose corner
 matrix has no inverse fails as singular.  Lanes are frozen once they stop,
 so results do not depend on which other points share the batch.
+
+The kernel and the residual check run on a workspace of ``WORK_ROWS``
+lane-length rows (``newton_workspace``): every intermediate is written into
+a row with ``out=``, in the fixed order of the sums above, and stopped lanes
+are compacted one row at a time, so no lane-sized array is allocated per
+iteration and the bits are those of the plain expressions.  The caller that
+makes many calls owns the workspace: the renderer makes one per tile for
+its Newton batches and drops it before the tile's claims are resolved.  A
+call without one, or with more points than it holds, makes its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import EDGE_VERTICES, Mesh, MeshError, map_points
+# the residual check sums the map itself; the benchmark's span tracer
+# rebinds map_points here, so the name must resolve
+from .mesh import EDGE_VERTICES, Mesh, MeshError, map_points  # noqa: F401
 
 # success additionally requires the mapped point to reproduce the query
 RESIDUAL_REL = 1e-8
@@ -56,14 +68,26 @@ WARM_BULGE = 4.0
 
 @dataclass(frozen=True)
 class NewtonSettings:
+    """A lane converges once its step relative to max(|xi_1|, 1), xi_1 the
+    first iterate, drops below ``eps_tol``; ``max_iter`` (an integer >= 1)
+    caps its iterations."""
+
     eps_tol: float = 1e-10
     max_iter: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.eps_tol < math.inf:
             raise ValueError("eps_tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_count("max_iter", self.max_iter)
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1; a float or a bool is
+    not a count, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def in_hull(xi: np.ndarray, geom_tol: float = 1e-8) -> np.ndarray:
@@ -137,13 +161,72 @@ def _element_frames(nodes: np.ndarray) -> _ElementFrames:
     )
 
 
+# Workspace rows.  The running lanes' state: x, y, z, lam (3), the step
+# denominator max(|xi_1|, 1) and the bulges (18), plus one spare row that
+# compaction takes into; then the lane ids (two rows), the lane flags and
+# the per-iteration scratch rows.
+_X, _LAM, _SCALE, _BULGES, _STATE = 0, 3, 6, 7, 25
+_LANE, _FLAGS, _SCRATCH = 26, 28, 29
+WORK_ROWS = 59
+# (diagonal bulge, (bulge, bulge, coordinate) twice) of Jacobian column c:
+# J_ac = [a = c] + M_diag (w - xi_c) + (M_i - M_j) xi_u + (M_k - M_l) xi_v
+_JAC_TERMS = (
+    (0, (1, 2, 1), (4, 3, 2)),
+    (2, (1, 0, 0), (5, 3, 2)),
+    (3, (4, 0, 0), (5, 2, 1)),
+)
+# cofactor (r, c) of J = J_i J_j - J_k J_l, entries row-major
+_COFACTORS = (
+    (4, 8, 5, 7), (2, 7, 1, 8), (1, 5, 2, 4),
+    (5, 6, 3, 8), (0, 8, 2, 6), (2, 3, 0, 5),
+    (3, 7, 4, 6), (1, 6, 0, 7), (0, 4, 1, 3),
+)
+
+
+def newton_workspace(lanes: int) -> np.ndarray:
+    """Scratch rows for ``membership_test`` calls of up to ``lanes`` points.
+
+    A caller that makes many calls owns one and passes it to each; a call
+    without one, or with more points, makes its own.
+    """
+    return np.empty((WORK_ROWS, lanes))
+
+
+def _take(a, indices, out):
+    """Elements ``indices`` of 1-d ``a`` into ``out``.  The indices are
+    valid; mode "clip" spares numpy the copy of ``out`` that "raise" makes."""
+    return a.take(indices, out=out, mode="clip")
+
+
+def _workspace(work: np.ndarray | None, k: int) -> np.ndarray:
+    return work if work is not None and work.shape[1] >= k else newton_workspace(k)
+
+
 def _reference_newton(
-    bulges: np.ndarray, lam: np.ndarray, start: np.ndarray, settings: NewtonSettings
+    bulges: np.ndarray,
+    lam: np.ndarray,
+    start: np.ndarray,
+    settings: NewtonSettings,
+    work: np.ndarray | None = None,
 ):
     """Newton on g(xi) = xi - lam + sum_e M_e phi_a phi_b from xi = start.
 
     ``bulges`` is (18, k) per lane as in ``_ElementFrames``; ``lam`` and
-    ``start`` are (3, k).
+    ``start`` are (3, k); ``work`` is a ``newton_workspace``.
+    Returns (xi (3, k), converged, iterations).
+    """
+    k = lam.shape[1]
+    work = _workspace(work, k)
+    work[_X : _X + 3, :k] = start
+    work[_LAM : _LAM + 3, :k] = lam
+    work[_BULGES:_STATE, :k] = bulges
+    return _newton(work, k, settings)
+
+
+def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
+    """Run Newton on the k lanes whose start, lam and bulges fill the state
+    rows of ``work``.
+
     With p_e = phi_a phi_b over ``EDGE_VERTICES`` and w = 1 - x - y - z the
     Jacobian rows are
 
@@ -151,103 +234,147 @@ def _reference_newton(
         J_a1 = [a = 1] + M2 (w - y) + (M1 - M0) x + (M5 - M3) z
         J_a2 = [a = 2] + M3 (w - z) + (M4 - M0) x + (M5 - M2) y
 
-    Returns (xi (3, k), converged, iterations).
+    Every intermediate is written into a row of ``work`` in the fixed order
+    of these sums, and when lanes stop the running ones are compacted one
+    row at a time, so an iteration allocates no lane-sized array.
     """
-    k = lam.shape[1]
+    mul, add, sub = np.multiply, np.add, np.subtract
     xi = np.empty((3, k))
     converged = np.zeros(k, dtype=bool)
     iters = np.full(k, settings.max_iter, dtype=np.int64)
-    # running lanes: rows x, y, z, lam (3), step denominator, bulges (18)
-    state = np.empty((25, k))
-    state[0:3] = start
-    state[3:6] = lam
-    state[6] = 1.0
-    state[7:] = bulges
-    lane = np.arange(k)
+    state = list(work[:_STATE])
+    spare = work[_STATE]
+    lane, lane_spare = (row.view(np.int64) for row in work[_LANE : _LANE + 2])
+    lane[:k] = np.arange(k)
+    flags = work[_FLAGS].view(np.bool_).reshape(8, -1)
+    scratch = work[_SCRATCH:]
+    n = k
     for it in range(1, settings.max_iter + 1):
-        x, y, z = state[0], state[1], state[2]
-        w = 1.0 - x - y - z
-        p = (w * x, x * y, y * w, w * z, x * z, y * z)
-        wx, wy, wz = w - x, w - y, w - z
-        f, jac = [], []
+        s = [row[:n] for row in state]
+        x = s[_X : _X + 3]
+        lam, m = s[_LAM : _LAM + 3], s[_BULGES:_STATE]
+        t = [row[:n] for row in scratch]
+        w, p, f, jac, co, det, tmp = t[0], t[1:7], t[7:10], t[10:19], t[19:28], t[28], t[29]
+        singular, conv, stop, flag = (row[:n] for row in flags[:4])
+        sub(1.0, x[0], out=w)
+        sub(w, x[1], out=w)
+        sub(w, x[2], out=w)
+        # p_e = phi_a phi_b over EDGE_VERTICES
+        pairs = ((w, x[0]), (x[0], x[1]), (x[1], w), (w, x[2]), (x[0], x[2]), (x[1], x[2]))
+        for pe, (u, v) in zip(p, pairs):
+            mul(u, v, out=pe)
         for a in range(3):
-            mm = state[7 + 6 * a : 13 + 6 * a]
-            f.append(
-                (state[a] - state[3 + a])
-                + (mm[0] * p[0] + mm[1] * p[1] + mm[2] * p[2]
-                   + mm[3] * p[3] + mm[4] * p[4] + mm[5] * p[5])
-            )
-            jac.append(
-                (
-                    mm[0] * wx + (mm[1] - mm[2]) * y + (mm[4] - mm[3]) * z,
-                    mm[2] * wy + (mm[1] - mm[0]) * x + (mm[5] - mm[3]) * z,
-                    mm[3] * wz + (mm[4] - mm[0]) * x + (mm[5] - mm[2]) * y,
-                )
-            )
-            jac[a][a][...] += 1.0  # the identity part of I + sum_e M_e (x) grad p_e
-        (ja, jb, jc), (jd, je, jg), (jh, ji, jk) = jac
-        co00 = je * jk - jg * ji
-        co01 = jc * ji - jb * jk
-        co02 = jb * jg - jc * je
-        co10 = jg * jh - jd * jk
-        co11 = ja * jk - jc * jh
-        co12 = jc * jd - ja * jg
-        co20 = jd * ji - je * jh
-        co21 = jb * jh - ja * ji
-        co22 = ja * je - jb * jd
-        det = ja * co00 + jb * co10 + jc * co20
-        singular = np.abs(det) < SINGULAR_REL
+            mm = m[6 * a : 6 * a + 6]
+            mul(mm[0], p[0], out=f[a])
+            for e in range(1, 6):
+                add(f[a], mul(mm[e], p[e], out=tmp), out=f[a])
+            add(sub(x[a], lam[a], out=tmp), f[a], out=f[a])
+        wx = p[:3]  # p is spent: w - x, w - y, w - z
+        for c in range(3):
+            sub(w, x[c], out=wx[c])
+        for a in range(3):
+            mm = m[6 * a : 6 * a + 6]
+            for c, (diag, (i, j, u), (q, r, v)) in enumerate(_JAC_TERMS):
+                jac_ac = jac[3 * a + c]
+                mul(mm[diag], wx[c], out=jac_ac)
+                add(jac_ac, mul(sub(mm[i], mm[j], out=tmp), x[u], out=tmp), out=jac_ac)
+                add(jac_ac, mul(sub(mm[q], mm[r], out=tmp), x[v], out=tmp), out=jac_ac)
+            add(jac[4 * a], 1.0, out=jac[4 * a])  # I + sum_e M_e (x) grad p_e
+        for cij, (i, j, q, r) in zip(co, _COFACTORS):
+            sub(mul(jac[i], jac[j], out=cij), mul(jac[q], jac[r], out=tmp), out=cij)
+        mul(jac[0], co[0], out=det)
+        add(det, mul(jac[1], co[3], out=tmp), out=det)
+        add(det, mul(jac[2], co[6], out=tmp), out=det)
+        np.less(np.abs(det, out=tmp), SINGULAR_REL, out=singular)
+        d = jac[:3]  # the Jacobian is spent
         with np.errstate(divide="ignore", invalid="ignore"):  # singular lanes are discarded
-            d0 = (co00 * f[0] + co01 * f[1] + co02 * f[2]) / det
-            d1 = (co10 * f[0] + co11 * f[1] + co12 * f[2]) / det
-            d2 = (co20 * f[0] + co21 * f[1] + co22 * f[2]) / det
+            for r in range(3):
+                mul(co[3 * r], f[0], out=d[r])
+                add(d[r], mul(co[3 * r + 1], f[1], out=tmp), out=d[r])
+                add(d[r], mul(co[3 * r + 2], f[2], out=tmp), out=d[r])
+                np.divide(d[r], det, out=d[r])
         if singular.any():
-            d0[singular] = d1[singular] = d2[singular] = 0.0
-        x -= d0
-        y -= d1
-        z -= d2
-        norm = np.sqrt(x**2 + y**2 + z**2)
+            for dr in d:
+                np.copyto(dr, 0.0, where=singular)
+        for c in range(3):
+            sub(x[c], d[c], out=x[c])
+        norm, step = p[3], p[4]
+        for length, v in ((norm, x), (step, d)):
+            mul(v[0], v[0], out=length)
+            add(length, mul(v[1], v[1], out=tmp), out=length)
+            add(length, mul(v[2], v[2], out=tmp), out=length)
+            np.sqrt(length, out=length)
         if it == 1:
-            state[6] = np.maximum(norm, 1.0)
-        step = np.sqrt(d0**2 + d1**2 + d2**2)
-        conv_now = (step / state[6] < settings.eps_tol) & ~singular
-        stop = conv_now | singular | (norm > DIVERGENCE_NORM)
+            np.maximum(norm, 1.0, out=s[_SCALE])
+        np.divide(step, s[_SCALE], out=step)
+        np.less(step, settings.eps_tol, out=conv)
+        np.logical_not(singular, out=flag)
+        np.logical_and(conv, flag, out=conv)
+        np.greater(norm, DIVERGENCE_NORM, out=stop)
+        np.logical_or(stop, singular, out=stop)
+        np.logical_or(stop, conv, out=stop)
         if not stop.any():
             continue
-        done = lane[stop]
-        xi[:, done] = state[:3, stop]
-        iters[done] = it
-        converged[done] = conv_now[stop]
-        keep = np.flatnonzero(~stop)
+        done = np.flatnonzero(stop)
+        ids = lane[:n].take(done)
+        for r in range(3):
+            xi[r, ids] = x[r].take(done)
+        iters[ids] = it
+        converged[ids] = conv.take(done)
+        keep = np.flatnonzero(np.logical_not(stop, out=flag))
         if keep.size == 0:
             return xi, converged, iters
-        lane = lane[keep]
-        state = state.take(keep, axis=1)
-    xi[:, lane] = state[:3]
+        for i, row in enumerate(state):
+            _take(row[:n], keep, out=spare[: keep.size])
+            state[i], spare = spare, row
+        _take(lane[:n], keep, out=lane_spare[: keep.size])
+        lane, lane_spare = lane_spare, lane
+        n = keep.size
+    ids = lane[:n]
+    for r in range(3):
+        xi[r, ids] = state[_X + r][:n]
     return xi, converged, iters
 
 
-def _solve(frames: _ElementFrames, cols: np.ndarray, points: np.ndarray, settings):
+def _solve(
+    frames: _ElementFrames,
+    cols: np.ndarray,
+    points: np.ndarray,
+    settings: NewtonSettings,
+    work: np.ndarray | None = None,
+):
     """Reference coordinates of ``points`` in the frames ``cols`` (one per point).
 
     Returns (xi, converged, iterations) with shapes (k, 3), (k,), (k,).
     """
-    n0, inv = np.split(frames.corner.take(cols, axis=1), [3])
-    dx = points[:, 0] - n0[0]
-    dy = points[:, 1] - n0[1]
-    dz = points[:, 2] - n0[2]
-    xi = np.array(
-        [(inv[3 * r] * dx + inv[3 * r + 1] * dy) + inv[3 * r + 2] * dz for r in range(3)]
-    )
-    iters = np.ones(cols.size, dtype=np.int64)
+    mul, add = np.multiply, np.add
+    k = cols.size
+    work = _workspace(work, k)
+    d = [row[:k] for row in work[_SCRATCH : _SCRATCH + 3]]
+    tmp = work[_SCRATCH + 3, :k]
+    corner = frames.corner
+    for c in range(3):
+        np.subtract(points[:, c], _take(corner[c], cols, out=tmp), out=d[c])
+    # lam = A^-1 (p - n0), rows 3-11 of the corner data
+    xi = np.empty((3, k))
+    for r in range(3):
+        mul(_take(corner[3 + 3 * r], cols, out=tmp), d[0], out=xi[r])
+        add(xi[r], mul(_take(corner[4 + 3 * r], cols, out=tmp), d[1], out=tmp), out=xi[r])
+        add(xi[r], mul(_take(corner[5 + 3 * r], cols, out=tmp), d[2], out=tmp), out=xi[r])
+    iters = np.ones(k, dtype=np.int64)
     converged = ~frames.singular[cols]
     curved = np.flatnonzero(frames.curved[cols])
     if curved.size:
-        lam = xi[:, curved]
-        start = np.where(frames.warm[cols[curved]], lam, 0.25)
-        xi[:, curved], converged[curved], iters[curved] = _reference_newton(
-            frames.bulges.take(cols[curved], axis=1), lam, start, settings
-        )
+        kc = curved.size
+        ccols = cols[curved]
+        warm = frames.warm[ccols]
+        for r in range(3):
+            lam = _take(xi[r], curved, out=work[_LAM + r, :kc])
+            np.copyto(work[_X + r, :kc], 0.25)
+            np.copyto(work[_X + r, :kc], lam, where=warm)
+        for r in range(18):
+            _take(frames.bulges[r], ccols, out=work[_BULGES + r, :kc])
+        xi[:, curved], converged[curved], iters[curved] = _newton(work, kc, settings)
     return xi.T, converged, iters
 
 
@@ -274,6 +401,19 @@ def newton_solve(
     return _solve(frames, cols, points, settings)
 
 
+def _shape_rows(x, y, z, w, order: str, rows):
+    """Shape values N_i at lanes (x, y, z), w = 1 - x - y - z, with the
+    expressions of ``mesh.shape_values``; quadratic ones fill ``rows``."""
+    if order == "linear":
+        return (w, x, y, z)
+    mul = np.multiply
+    for ni, v in zip(rows, (w, x, y, z)):
+        mul(v, np.subtract(mul(v, 2.0, out=ni), 1.0, out=ni), out=ni)
+    for ni, (u, v) in zip(rows[4:], ((x, w), (x, y), (y, w), (z, w), (x, z), (y, z))):
+        mul(mul(u, 4.0, out=ni), v, out=ni)
+    return rows
+
+
 def membership_test(
     mesh: Mesh,
     e,
@@ -283,23 +423,29 @@ def membership_test(
     frames: _ElementFrames | None = None,
     values: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ):
     """Batched point-in-element test.
 
     ``e`` is one element id for all points, or an array with one id per
     point.  ``frames`` is ``_element_frames`` of the whole mesh, for callers
     that test many elements; without it the frames of the tested elements
-    are built here.  Returns (inside, xi, iterations, converged): ``inside``
-    lanes converged, landed in the reference hull and reproduce the query
-    point within the residual bound.
+    are built here.  ``work`` is a ``newton_workspace`` for callers that
+    test many batches.  Returns (inside, xi, iterations, converged):
+    ``inside`` lanes converged, landed in the reference hull and reproduce
+    the query point within the residual bound.
 
     With nodal ``values`` (one per mesh node), ``out`` (one per point)
     receives their interpolation at the ``inside`` lanes.  The residual
     check and the interpolation share one evaluation of the shape
-    functions, and each keeps the fixed-order sum of ``map_points`` and
-    ``interpolate_values``, so the values have the bits of those calls.
+    functions, and sum each coordinate and the values over the lanes'
+    nodes in the fixed order of ``map_points`` and ``interpolate_values``,
+    so the results have the bits of those calls.
     """
+    mul, add = np.multiply, np.add
     points = np.asarray(points, dtype=np.float64)
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
     ids = np.atleast_1d(np.asarray(e, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_elements):
         raise MeshError(f"element id out of range [0, {mesh.n_elements})")
@@ -311,21 +457,44 @@ def membership_test(
     if ids.size == 1:
         cols = np.broadcast_to(cols, points.shape[:1])
         ids = np.broadcast_to(ids, points.shape[:1])
-    xi, converged, iters = _solve(frames, cols, points, settings)
+    work = _workspace(work, ids.size)
+    xi, converged, iters = _solve(frames, cols, points, settings, work)
     inside = converged & in_hull(xi, geom_tol)
     if inside.any():
         idx = np.flatnonzero(inside)
-        # the lanes' element nodes, (n_nodes, k, 3) or with the values
-        # (n_nodes, k, 4); take on the transposed connectivity keeps both
-        # gathers contiguous
-        table = mesh.nodes if values is None else np.column_stack([mesh.nodes, values])
-        nodes = table.take(mesh.elements.T.take(ids[idx], axis=1), axis=0)
-        # with values, column 3 of the map is their interpolation
-        mapped = map_points(nodes, xi[idx], mesh.order)
-        res = mapped[:, :3] - points[idx]
-        res_norm = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2 + res[:, 2] ** 2)
-        inside[idx[res_norm > RESIDUAL_REL * frames.diam[cols[idx]]]] = False
+        t = [row[: idx.size] for row in work]
+        elem, base, flat, node = (row.view(np.int64) for row in t[:4])
+        x, y, z, w, tmp = t[4:9]
+        for r, v in enumerate((x, y, z)):
+            _take(xi[:, r], idx, out=v)
+        np.subtract(np.subtract(np.subtract(1.0, x, out=w), y, out=w), z, out=w)
+        # X(xi) and the values: sum_i N_i times node i's column.  Row-major
+        # tables are read flat: entry (i, c) of row r sits at c + r * width
+        sums = t[19 : 22 if values is None else 23]
+        coords, conn = mesh.nodes.ravel(), mesh.elements.ravel()
+        mul(_take(ids, idx, out=elem), mesh.elements.shape[1], out=base)
+        for i, ni in enumerate(_shape_rows(x, y, z, w, mesh.order, t[9:19])):
+            mul(_take(conn[i:], base, out=node), 3, out=flat)
+            for c, acc in enumerate(sums):
+                if c < 3:
+                    _take(coords[c:], flat, out=tmp)
+                else:
+                    _take(values, node, out=tmp)
+                if i == 0:
+                    mul(ni, tmp, out=acc)
+                else:
+                    add(acc, mul(ni, tmp, out=tmp), out=acc)
+        res = t[23]
+        mul(idx, 3, out=flat)
+        flat_points = points.ravel()
+        for c in range(3):
+            np.subtract(sums[c], _take(flat_points[c:], flat, out=tmp), out=sums[c])
+        mul(sums[0], sums[0], out=res)
+        add(res, mul(sums[1], sums[1], out=tmp), out=res)
+        add(res, mul(sums[2], sums[2], out=tmp), out=res)
+        np.sqrt(res, out=res)
+        _take(frames.diam, _take(cols, idx, out=elem), out=tmp)
+        inside[idx[res > mul(tmp, RESIDUAL_REL, out=tmp)]] = False
         if values is not None:
-            out[idx] = mapped[:, 3]
+            out[idx] = sums[3]
     return inside, xi, iters, converged
-

@@ -62,7 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locate import NewtonSettings, _element_frames, _ElementFrames, membership_test
+from .locate import (
+    NewtonSettings,
+    _check_count,
+    _element_frames,
+    _ElementFrames,
+    membership_test,
+    newton_workspace,
+)
 # the renderer calls neither interpolate_values nor tet_entry; the
 # benchmark's span tracer rebinds both names here, so they must resolve
 from .mesh import TET_FACES, Mesh, NodalField, check_field, interpolate_values  # noqa: F401
@@ -144,8 +151,7 @@ class IntegrationSettings:
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise ValueError("step must be finite and positive")
-        if self.max_leaf_elements < 1:
-            raise ValueError("max_leaf_elements must be >= 1")
+        _check_count("max_leaf_elements", self.max_leaf_elements)
         if not 0.0 <= self.geom_tol < math.inf:
             raise ValueError("geom_tol must be finite and non-negative")
 
@@ -706,7 +712,9 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     claims_k: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    # batches of whole pairs, weighted by their lane counts
+    # batches of whole pairs, weighted by their lane counts, share one
+    # Newton workspace; it is dropped before the claims are resolved
+    work = newton_workspace(NEWTON_CHUNK)
     pairs = _clipped_pairs(ctx, records, ray_a, ray_b)
     for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
         lane_r = np.repeat(ray, counts)
@@ -716,7 +724,8 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         pts = origins + ((lane_j + 0.5) * step)[:, None] * det.normal
         rho = np.empty(lane_e.size)
         inside, _, iters, converged = membership_test(
-            ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames, ctx.values, rho
+            ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames, ctx.values, rho,
+            work,
         )
         stats.pairs_tested += lane_e.size
         stats.pairs_inside += int(np.count_nonzero(inside))
@@ -727,6 +736,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         claims_rho.append(rho[inside])
         claims_k.append(lane_r[inside] * span + lane_j[inside])
         claims_e.append(lane_e[inside])
+    del work
 
     if claims_k:
         ck = np.concatenate(claims_k)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fexray.locate import (
     in_hull,
     membership_test,
     newton_solve,
+    newton_workspace,
 )
 from fexray.mesh import (
     EDGE_VERTICES,
@@ -25,13 +27,14 @@ from fexray.mesh import (
 from fexray.raycast import tet_entry
 from tests.conftest import (
     REFERENCE_TET,
+    golden_scene,
     random_simplex_points,
     single_tet_mesh,
     straight_quadratic_nodes,
     two_tet_mesh,
 )
 from tests.helpers import interpolate, jacobian, local_to_global
-from tests.newton_reference import inside_physical
+from tests.newton_reference import inside_physical, plain_membership, plain_newton
 
 tol = st.floats(1e-12, 1e-4)
 
@@ -70,6 +73,18 @@ class TestNewtonSettings:
     def test_non_finite_tolerance(self, eps_tol):
         with pytest.raises(ValueError, match="eps_tol"):
             NewtonSettings(eps_tol=eps_tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_iteration_cap_must_be_an_integer(self, max_iter):
+        # 2.5 used to fail later inside range(); True rendered one iteration
+        with pytest.raises(ValueError, match="max_iter"):
+            NewtonSettings(max_iter=max_iter)
+
+    def test_numpy_integer_cap_accepted(self, ball_mesh_field):
+        settings = NewtonSettings(max_iter=np.int64(3))
+        mesh, _ = ball_mesh_field
+        _, _, iters, _ = membership_test(mesh, 7, np.full((4, 3), 0.1), settings, 1e-8)
+        assert (iters <= 3).all()
 
 
 def located(mesh, e, points, settings=None):
@@ -388,3 +403,152 @@ class TestRoundTrip:
         )
         if scale == 0.0:
             assert (inside == interior)[clear].all() and (iters == 1).all()
+
+
+def _kernel_inputs(frames, cols, pts):
+    """(bulges, lam, start) of the lanes ``cols`` as ``_solve`` builds them."""
+    n0, inv = frames.corner[:3, cols], frames.corner[3:, cols]
+    d = pts.T - n0
+    lam = np.array(
+        [(inv[3 * r] * d[0] + inv[3 * r + 1] * d[1]) + inv[3 * r + 2] * d[2] for r in range(3)]
+    )
+    return frames.bulges[:, cols], lam, np.where(frames.warm[cols], lam, 0.25)
+
+
+def _assert_matches_plain(bulges, lam, start, settings=NewtonSettings()):
+    """The kernel gives the bytes of ``plain_newton``; returns the
+    iterations."""
+    ours = _reference_newton(bulges, lam, start, settings)
+    oracle = plain_newton(bulges, lam, start, settings)
+    for a, b in zip(ours, oracle):
+        assert a.tobytes() == b.tobytes()
+    return ours[2]
+
+
+class TestPlainKernelOracle:
+    """The workspace kernel against the kernel it replaced, kept verbatim."""
+
+    @given(
+        st.lists(vec3, min_size=4, max_size=4),
+        disp6,
+        st.sampled_from([0.0, 0.05, 0.25, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_elements(self, corners, disp, scale, seed):
+        corners = np.asarray(corners, dtype=float)
+        edges = corners[1:] - corners[0]
+        vol6 = np.dot(edges[0], np.cross(edges[1], edges[2]))
+        assume(abs(vol6) > 1e-2)
+        if vol6 < 0.0:
+            corners = corners[[0, 1, 3, 2]]
+        mesh = _valid_element(corners, [scale * d for d in disp], True)
+        frames = _element_frames(mesh.nodes[None])
+        rng = np.random.default_rng(seed)
+        xi_true = random_simplex_points(rng, 40) * 1.4 - 0.1
+        pts = np.vstack([map_points(mesh.nodes, xi_true), rng.uniform(-1.5, 1.5, (8, 3))])
+        _assert_matches_plain(*_kernel_inputs(frames, np.zeros(48, dtype=np.int64), pts))
+
+    def test_each_element_kind(self, rng):
+        # straight, curved started from lam, and past WARM_BULGE, started
+        # from the centroid
+        found = {}
+        for tries in range(3000):
+            nodes = straight_quadratic_nodes(REFERENCE_TET + rng.uniform(-0.2, 0.2, (4, 3)))
+            nodes[4:] += rng.uniform(-1, 1, (6, 3)) * 0.4 * [0.0, 0.25, 1.0][tries % 3]
+            try:
+                mesh = Mesh(nodes, np.arange(10)[None])
+            except MeshError:
+                continue
+            frames = _element_frames(mesh.nodes[None])
+            found.setdefault((bool(frames.curved[0]), bool(frames.warm[0])), (mesh, frames))
+        assert set(found) == {(False, True), (True, True), (True, False)}
+        for mesh, frames in found.values():
+            xi_true = random_simplex_points(rng, 500) * 1.4 - 0.1
+            pts = map_points(mesh.nodes, xi_true)
+            cols = np.zeros(500, dtype=np.int64)
+            iters = _assert_matches_plain(*_kernel_inputs(frames, cols, pts))
+            assert (iters > 1).any() == bool(frames.curved[0])
+
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_golden_lanes(self, name, rng):
+        mesh, field = golden_scene(name)
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        ids = rng.choice(np.flatnonzero(frames.curved), 3000)
+        xi_true = random_simplex_points(rng, ids.size) * 1.3 - 0.1
+        pts = map_points(mesh.nodes[mesh.elements[ids]].transpose(1, 0, 2), xi_true, mesh.order)
+        assert (_assert_matches_plain(*_kernel_inputs(frames, ids, pts)) >= 3).any()
+        # the whole membership test, straight lanes and the residual check too
+        ids = np.concatenate([ids, rng.integers(0, mesh.n_elements, 3000)])
+        pts = np.vstack([pts, rng.uniform(-1.0, 1.0, (3000, 3)) * mesh.nodes.max(axis=0)])
+        rho = np.full(ids.size, np.nan)
+        ours = membership_test(mesh, ids, pts, NewtonSettings(), 1e-8, frames, field.values, rho)
+        plain = plain_membership(mesh, ids, pts, NewtonSettings(), 1e-8, frames, field.values)
+        for a, b in zip((*ours, rho), plain):
+            assert a.tobytes() == b.tobytes()
+        assert ours[0].any() and not ours[0].all()
+
+    def test_linear_convergence(self):
+        # a double root: the bulge M_0 = (m, 0, 0) folds the x axis at
+        # x* = (1 + m) / 2m, where det J = 0, and lam_x = (1 + m)^2 / 4m puts
+        # the point there.  Newton only halves the error at each step, the
+        # case a stop that extrapolates quadratic convergence must leave alone
+        m = 2.0
+        bulges = np.zeros((18, 1))
+        bulges[0] = m
+        lam = np.array([[(1 + m) ** 2 / (4 * m)], [0.0], [0.0]])
+        for eps_tol in (1e-10, 1e-20):
+            settings = NewtonSettings(eps_tol=eps_tol, max_iter=60)
+            assert _assert_matches_plain(bulges, lam, lam.copy(), settings)[0] > 20
+
+
+class TestNewtonWorkspace:
+    def _lanes(self, mesh, rng, n):
+        ids = rng.integers(0, mesh.n_elements, size=n)
+        return ids, rng.uniform(-1.0, 1.0, size=(n, 3))
+
+    def test_one_workspace_gives_the_bytes_of_fresh_calls(self, ball_mesh_field, rng):
+        mesh, field = ball_mesh_field
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        work = newton_workspace(8192)
+        for max_iter in (1, 2, 20):
+            settings = NewtonSettings(max_iter=max_iter)
+            for n in (8192, 3, 8192):
+                ids, pts = self._lanes(mesh, rng, n)
+                shared_rho, fresh_rho = np.full(n, np.nan), np.full(n, np.nan)
+                args = (mesh, ids, pts, settings, 1e-8, frames, field.values)
+                shared = membership_test(*args, shared_rho, work)
+                fresh = membership_test(*args, fresh_rho)
+                for a, b in zip(shared, fresh):
+                    assert a.tobytes() == b.tobytes()
+                assert shared_rho.tobytes() == fresh_rho.tobytes()
+                # a workspace holding stale lanes changes nothing
+                work[:] = np.nan
+
+    def test_too_small_workspace_is_replaced(self, ball_mesh_field, rng):
+        mesh, _ = ball_mesh_field
+        ids, pts = self._lanes(mesh, rng, 100)
+        work = newton_workspace(10)
+        small = membership_test(mesh, ids, pts, NewtonSettings(), 1e-8, None, None, None, work)
+        fresh = membership_test(mesh, ids, pts, NewtonSettings(), 1e-8)
+        for a, b in zip(small, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    def test_warm_kernel_call_allocates_few_lane_rows(self, ball_mesh_field, rng):
+        mesh, _ = ball_mesh_field
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        ids = rng.choice(np.flatnonzero(frames.curved), 6000)
+        xi_true = random_simplex_points(rng, ids.size) * 1.3 - 0.1
+        pts = map_points(mesh.nodes[mesh.elements[ids]].transpose(1, 0, 2), xi_true)
+        bulges, lam, start = (np.ascontiguousarray(a) for a in _kernel_inputs(frames, ids, pts))
+        settings = NewtonSettings()
+        work = newton_workspace(8192)
+        _reference_newton(bulges, lam, start, settings, work)
+        tracemalloc.start()
+        try:
+            _, _, iters = _reference_newton(bulges, lam, start, settings, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iters.max() >= 3
+        # xi (3 rows), the iterations, the flags and a few index arrays
+        assert peak < 16 * 8 * ids.size

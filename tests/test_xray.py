@@ -125,6 +125,14 @@ class TestIntegrationSettings:
         with pytest.raises(ValueError, match=key):
             IntegrationSettings(**{key: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_leaf_size_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_leaf_elements"):
+            IntegrationSettings(max_leaf_elements=value)
+
+    def test_numpy_integer_leaf_size_accepted(self):
+        assert IntegrationSettings(max_leaf_elements=np.int64(3)).max_leaf_elements == 3
+
 
 class TestAttenuation:
     def test_zero_integral(self):
@@ -1451,6 +1459,8 @@ class TestTraceContract:
         "locate.newton_solve",
         # membership_test interpolates the density with the residual check
         "mesh.interpolate_values",
+        # membership_test sums the map coordinate by coordinate itself
+        "mesh.map_points",
     }
 
     @pytest.fixture()
