@@ -51,48 +51,22 @@ def _data_lines(text: str):
     return filter(itemgetter(1), enumerate(map(str.strip, heads), start=1))
 
 
-def _convert(tokens: list, dtype, width: int) -> np.ndarray:
-    """The leading rows of ``width`` tokens that convert to ``dtype``: all
-    of them, or those before the first row holding a token that Python's
-    ``int``/``float`` rejects or that overflows int64.  numpy converts each
-    string token as those builtins do.  A failed conversion is narrowed
-    down by bisection, so the cost stays linear in the tokens."""
-    try:
-        return np.array(tokens, dtype=dtype).reshape(-1, width)
-    except (ValueError, OverflowError):
-        pass
-    good, bad = 0, len(tokens) // width  # rows [0, good) convert, [0, bad) do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.array(tokens[good * width : mid * width], dtype=dtype)
-        except (ValueError, OverflowError):
-            bad = mid
-        else:
-            good = mid
-    return np.array(tokens[: good * width], dtype=dtype).reshape(-1, width)
-
-
-def _row_fault(row: list, i: int, kind: str, width: int, usage: str, conv) -> str:
-    """The message for the first fault of the faulty row ``i``, in the order
-    token count, tokens, row id, node ids.  Python's ``int`` reads the
-    tokens here, so a node id beyond int64 is out of range, not malformed."""
+def _row_fault(row: list, i: int, kind: str, width: int, usage: str, conv, n_nodes) -> str | None:
+    """The message for the first fault of row ``i`` in the order token count,
+    tokens, row id, node ids, or None.  Python's ``int`` reads the tokens
+    here, so a node id beyond int64 is out of range, not malformed."""
     if len(row) != width:
         return f"expected {usage}"
     try:
         rid = int(row[0])
-        list(map(conv, row[1:]))
+        values = list(map(conv, row[1:]))
     except ValueError:
         return f"malformed {kind} line"
     if rid != i:
         return f"expected {'element' if kind == 'element' else 'node'} id {i}, got {rid}"
-    # the arrays flag a row only for a fault, so a node id is out of range
-    return "node id out of range"
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in ``mask``, or its length if there is none."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
+    if n_nodes is not None and not all(0 <= v < n_nodes for v in values):
+        return "node id out of range"
+    return None
 
 
 # a table is read in blocks of about this many tokens, which exist as Python
@@ -124,25 +98,32 @@ def _read_rows(lines, n: int, kind: str, width: int, usage: str, conv, n_nodes=N
 
 def _read_block(numbered, first: int, kind, width, usage, conv, n_nodes) -> np.ndarray:
     """The values of the table lines ``numbered``, (line number, line)
-    pairs whose row ids start at ``first``.  The lines are joined and all
-    their tokens converted in one pass, then the rules are checked on the
-    arrays; the first faulty line is reported with the message of its first
-    fault."""
+    pairs whose row ids start at ``first``.  Each line's token count is
+    checked, then the joined ids and values are converted in one numpy call
+    each and checked on the arrays.  numpy reads a token as ``int``/``float``
+    do, so a block that fails has a line that ``_row_fault`` rejects: the
+    first is reported.  Counts are checked per line, since a line a token
+    short and a later one a token long leave the joined total sound."""
     texts = list(map(itemgetter(1), numbered))
-    counts = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
-    tokens = " ".join(texts[: _first(counts != width)]).split()
-    ids = _convert(tokens[::width], np.int64, 1)[:, 0]
-    del tokens[::width]
-    values = _convert(tokens, np.float64 if conv is float else np.int64, width - 1)
-    m = min(len(ids), len(values))  # rows before the first count or token fault
-    faulty = ids[:m] != first + np.arange(m)
-    if n_nodes is not None:
-        faulty |= ((values[:m] < 0) | (values[:m] >= n_nodes)).any(axis=1)
-    i = _first(faulty)
-    if i < len(texts):
-        message = _row_fault(texts[i].split(), first + i, kind, width, usage, conv)
-        raise ParseError(f"line {numbered[i][0]}: {message}")
-    return values
+    if all(map(width.__eq__, map(len, map(str.split, texts)))):
+        tokens = " ".join(texts).split()
+        try:
+            ids = np.array(tokens[::width], dtype=np.int64)
+            del tokens[::width]
+            values = np.array(tokens, dtype=np.float64 if conv is float else np.int64)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            values = values.reshape(-1, width - 1)
+            sound = ids == first + np.arange(len(ids))
+            if n_nodes is not None:
+                sound &= ((values >= 0) & (values < n_nodes)).all(axis=1)
+            if sound.all():
+                return values
+    for i, (lineno, text) in enumerate(numbered):
+        message = _row_fault(text.split(), first + i, kind, width, usage, conv, n_nodes)
+        if message is not None:
+            raise ParseError(f"line {lineno}: {message}")
 
 
 def parse_mesh(text: str) -> Mesh:

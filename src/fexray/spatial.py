@@ -11,10 +11,10 @@ m = p0/4 + p1/4 + c/2 is a convex combination of the edge ends and the
 control point c, so neither a hull nor a box needs it.  Each leaf box is
 fitted by the area-weighted PCA of the hull surface of its table rows, one
 qhull call per leaf (Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996);
-a node that is split only needs a split axis and point, and takes them from
-the PCA of its table rows.  The fits, box fits and split tests run once per
-level over all nodes of that level, and a node's result depends only on its
-own elements.
+a node that is split only needs a split axis and point, takes them from the
+PCA of its table rows and keeps no box: rays meet only leaf boxes.  Fits and
+split tests run once per level over all nodes of that level, and a node's
+result depends only on its own elements.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .locate import _check_count
 from .mesh import EDGE_VERTICES, Mesh
 
 # multiplicative box inflation to absorb roundoff in slab tests at box faces
@@ -362,7 +363,9 @@ def _inflated_box(points: np.ndarray) -> Aabb:
 
 @dataclass
 class ObbNode:
-    obb: Obb
+    """A leaf holds its box and element ids, an internal node its children."""
+
+    obb: Obb | None  # None on an internal node
     depth: int
     elements: np.ndarray | None = None  # leaf payload, element ids
     left: "ObbNode | None" = None
@@ -375,6 +378,9 @@ class ObbNode:
 
 @dataclass
 class ObbTree:
+    """The leaves, which rays are tested against; only they have an ``obb``.
+    ``root`` and ``left``/``right``/``depth`` are kept to count nodes and depth."""
+
     root: ObbNode
     leaves: list[ObbNode]
     n_elements: int
@@ -440,28 +446,6 @@ def _refit_with_hull(fit, nodes, table, elem_rows, centroids, elems, seg):
             full[nodes] = part
 
 
-# corner k of a box takes pmax on the axes where _BOX_CORNERS[k] is set
-_BOX_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=bool)
-
-
-def _expand_over_children(rows, origins, pmin, pmax, parents, children):
-    """Grow the boxes of ``parents`` over the box corners of their two
-    ``children`` (shape (k, 2)), in place.
-
-    Child boxes live in their own bases and may poke out of a tightly fitted
-    parent box; nesting the boxes, deepest level first, makes hierarchical
-    pruning agree exactly with a flat scan over the leaves.  Leaf boxes are
-    untouched.
-    """
-    kids = children.ravel()
-    corners = np.where(_BOX_CORNERS, pmax[kids, None], pmin[kids, None])
-    world = _rotate(np.swapaxes(rows[kids], 1, 2)[:, None], corners) + origins[kids, None]
-    world = world.reshape(len(parents), 16, 3)
-    local = _rotate(rows[parents, None], world - origins[parents, None])
-    pmin[parents] = np.minimum(pmin[parents], local.min(axis=1))
-    pmax[parents] = np.maximum(pmax[parents], local.max(axis=1))
-
-
 def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
     """Top-down binary OBB tree over the mesh elements, built level by level.
 
@@ -477,16 +461,15 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
     hull surface, with the bits ``_fit_level`` gives it alone.  A large node
     whose point box is flat (thinnest side at most ``FLAT_EXTENT`` of the
     diagonal) may have a flat hull, so it is fitted by its hull before the
-    split test.  ``tree.leaves`` lists the leaves depth first, first child
-    first.
+    split test.  A split node keeps no box.  ``tree.leaves`` lists the
+    leaves depth first, first child first.
     """
-    if max_leaf_elements < 1:
-        raise ValueError("max_leaf_elements must be >= 1")
+    _check_count("max_leaf_elements", max_leaf_elements)
     table, elem_rows = _point_table(mesh)
     centroids = mesh.corner_coords().mean(axis=1)
     elems = np.arange(mesh.n_elements, dtype=np.int64)
     seg = np.zeros(mesh.n_elements, dtype=np.int64)
-    fits, payloads, splits = [], [], []
+    levels = []
     n_nodes = 1
     while n_nodes:
         estarts = np.searchsorted(seg, np.arange(n_nodes))
@@ -507,9 +490,11 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
         split = usable.any(axis=1) & large & ~degenerate
         # a large node that no axis separates is a leaf: fit it like one
         _refit_with_hull(fit, large & ~flat & ~split, *inputs)
-        fits.append((rows, origins, pmin, pmax))
-        payloads.append(np.split(elems, estarts[1:]))
-        splits.append(split)
+        level = [None] * n_nodes  # a split node is made once its children are
+        for i in np.flatnonzero(~split):
+            obb = Obb(Basis(rows[i], origins[i]), Aabb(pmin[i], pmax[i]))
+            level[i] = ObbNode(obb, len(levels), elems[estarts[i] : estarts[i] + n_elems[i]])
+        levels.append(level)
         # children keep their parent's element order
         child = 2 * (np.cumsum(split) - 1)[seg] + side[np.arange(len(seg)), axis[seg]]
         keep = split[seg]
@@ -517,27 +502,14 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
         elems, seg = elems[keep][order], child[keep][order]
         n_nodes = 2 * int(np.count_nonzero(split))
 
-    rows, origins, pmin, pmax = (np.concatenate(a) for a in zip(*fits))
-    offsets = np.cumsum([0] + [len(s) for s in splits])
-    children = [
-        offsets[level + 1] + np.arange(2 * np.count_nonzero(split)).reshape(-1, 2)
-        for level, split in enumerate(splits)
-    ]
-    for level in reversed(range(len(splits) - 1)):
-        parents = offsets[level] + np.flatnonzero(splits[level])
-        _expand_over_children(rows, origins, pmin, pmax, parents, children[level])
-
-    nodes = [
-        ObbNode(Obb(Basis(rows[k], origins[k]), Aabb(pmin[k], pmax[k])), level)
-        for level in range(len(splits))
-        for k in range(offsets[level], offsets[level + 1])
-    ]
-    for level, split in enumerate(splits):
-        base = offsets[level]
-        for i in np.flatnonzero(~split):
-            nodes[base + i].elements = payloads[level][i]
-        for i, (left, right) in zip(np.flatnonzero(split), children[level]):
-            nodes[base + i].left, nodes[base + i].right = nodes[left], nodes[right]
+    # bottom-up: a level's split nodes take the next level's nodes, two each
+    nodes = []
+    for depth in reversed(range(len(levels))):
+        below = iter(nodes)
+        nodes = [
+            ObbNode(None, depth, left=next(below), right=next(below)) if node is None else node
+            for node in levels[depth]
+        ]
     leaves, stack = [], [nodes[0]]
     while stack:
         node = stack.pop()

@@ -15,7 +15,7 @@ render the detector origin and axes are rotated into the frames of all tree
 leaves, and each leaf box is projected onto the detector as a padded pixel
 rectangle that holds every ray that can meet it.  A tile then scans the
 leaves in tree order and slab-tests each leaf box on the tile's rays inside
-its rectangle.  No internal node is visited: the leaves partition the
+its rectangle.  Internal nodes keep no box: the leaves partition the
 elements and each leaf box holds its elements, so a sample outside every
 leaf box lies in no element.  Brute force is the one-leaf case, the model
 box in the identity frame holding every element.
@@ -75,7 +75,6 @@ from .locate import (
 from .mesh import TET_FACES, Mesh, NodalField, check_field, interpolate_values  # noqa: F401
 from .raycast import slab_intervals, tet_entry  # noqa: F401
 from .spatial import (
-    _BOX_CORNERS,
     Aabb,
     Basis,
     Obb,
@@ -102,6 +101,8 @@ ATTENUATION_VARIANTS = ("identity", "linear", "table")
 # the element box diagonal; covers the in-hull tolerance shell and the Newton
 # residual bound with room to spare
 ELEMENT_BOX_MARGIN = 1e-6
+# corner k of a box takes pmax on the axes where _BOX_CORNERS[k] is set
+_BOX_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class Detector:
             if v.shape != (3,) or not np.isfinite(v).all():
                 raise ValueError(f"detector {name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
-        if self.nu < 1 or self.nv < 1:
-            raise ValueError("detector needs at least one pixel per axis")
+        _check_count("nu", self.nu)
+        _check_count("nv", self.nv)
         if not 0.0 < self.pitch < math.inf:
             raise ValueError("pixel pitch must be finite and positive")
         for a, b in ((self.axis_u, self.axis_v), (self.axis_u, self.normal), (self.axis_v, self.normal)):
@@ -319,7 +320,7 @@ def make_detector(
     axis_v[v_ax] = 1.0
     normal = np.zeros(3)
     normal[axis] = -sign
-    return Detector(origin, axis_u, axis_v, normal, int(nu), int(nv), float(pitch))
+    return Detector(origin, axis_u, axis_v, normal, nu, nv, float(pitch))
 
 
 def _grid_range(t_enter, t_exit, step: float):
@@ -612,7 +613,7 @@ def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
     ``slab_intervals`` call on the leaf's own box: those calls define the
     render's samples, and a tracer may count the samples from them alone.
     Every element lies in its leaf's box, so the leaves alone find every
-    sample an element can claim; the internal boxes are never read.
+    sample an element can claim; internal nodes keep no box.
     """
     det, lf, step = ctx.detector, ctx.leaves, ctx.settings.step
     i0, i1, k0, k1 = lf.rect.T
@@ -801,8 +802,7 @@ def render(
     check_field(mesh, field)
     if (field.values < 0.0).any():
         raise ValueError("density field must be non-negative for rendering")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_count("workers", workers)
     t0 = time.perf_counter()
     box = model_aabb(mesh)
     if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:

@@ -1,7 +1,7 @@
 """Literal per-ray render: the reference the batched ``fexray.xray.render``
 is checked against, bit for bit.
 
-One ray at a time: traverse the OBB tree, merge the leaf intervals, sample
+One ray at a time: slab-test every leaf box, merge the hit intervals, sample
 the global depth grid inside them, take the candidate elements in element
 id order and give each sample to the first candidate that contains it, so a
 sample two elements contain goes to the lower id.  It shares only the
@@ -69,18 +69,8 @@ def ray_obb(ray: Ray, obb) -> HitInterval | None:
 
 def traverse(tree, ray: Ray) -> list:
     """Leaves whose OBB the ray hits, ordered by ascending entry parameter."""
-    hits = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        interval = ray_obb(ray, node.obb)
-        if interval is None:
-            continue
-        if node.is_leaf:
-            hits.append((node, interval))
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
+    hits = [(leaf, ray_obb(ray, leaf.obb)) for leaf in tree.leaves]
+    hits = [(leaf, interval) for leaf, interval in hits if interval is not None]
     hits.sort(key=lambda pair: pair[1].t_enter)
     return hits
 

@@ -178,6 +178,24 @@ class TestFirstFaultyLine:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "text, parse, message",
+        [
+            ("3\n0 1.0\n1\n2 2 0.5\n", parse_field, "line 3: expected '<id> <value>'"),
+            (
+                _faulty("element", {7: "0 0 1 2", 8: "3 1 1 2 3 4"})[0],
+                parse_mesh,
+                "line 7: expected '<id>' plus 4 node ids",
+            ),
+        ],
+        ids=["value", "element"],
+    )
+    def test_compensating_token_counts(self, text, parse, message):
+        # a line a token short and a later one a token long: joined, their
+        # tokens read as sound rows, so counts are checked line by line
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
 
 def _decorate(text, seed):
     """``text`` with comment and blank lines between its lines, inline

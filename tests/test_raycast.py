@@ -247,19 +247,6 @@ class TestTraverse:
         hits = traverse(tree, r)
         assert len(hits) == 1 and hits[0][0] is tree.root
 
-    def test_flat_scan_agreement(self, ball_mesh_field, rng):
-        # traverse returns exactly the leaves whose OBB the ray hits
-        mesh, _ = ball_mesh_field
-        tree = build_obb_tree(mesh, 4)
-        for _ in range(100):
-            o = rng.uniform(-2, 2, 3)
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            r = Ray(o, d)
-            got = {id(node) for node, _ in traverse(tree, r)}
-            want = {id(leaf) for leaf in tree.leaves if ray_obb(r, leaf.obb)}
-            assert got == want
-
     def test_ordered_by_entry(self, ball_mesh_field):
         mesh, _ = ball_mesh_field
         tree = build_obb_tree(mesh, 4)

@@ -350,14 +350,6 @@ def _tree_nodes(tree):
     return nodes
 
 
-def _box_corners_world(obb):
-    lo, hi = obb.box.pmin, obb.box.pmax
-    local = np.array(
-        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-    )
-    return obb.basis.to_world(local)
-
-
 def _assert_inside(obb, points):
     local = to_local(obb.basis, points)
     assert (local >= obb.box.pmin).all() and (local <= obb.box.pmax).all()
@@ -365,11 +357,8 @@ def _assert_inside(obb, points):
 
 def _assert_boxes_contain(mesh, tree):
     bpts = element_bounding_points(mesh)
-    for node in _tree_nodes(tree):
-        _assert_inside(node.obb, bpts[_node_elements(node)].reshape(-1, 3))
-        if not node.is_leaf:
-            for child in (node.left, node.right):
-                _assert_inside(node.obb, _box_corners_world(child.obb))
+    for leaf in tree.leaves:
+        _assert_inside(leaf.obb, bpts[leaf.elements].reshape(-1, 3))
 
 
 def _kuhn_row(n_cubes):
@@ -460,6 +449,11 @@ class TestObbTree:
         assert tree.root.is_leaf
         assert len(tree.leaves) == 1
 
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_leaf_size_is_a_count(self, value):
+        with pytest.raises(ValueError, match="^max_leaf_elements must be"):
+            build_obb_tree(line_of_tets(3), value)
+
     def test_line_mesh_depth_and_leaves(self):
         mesh = line_of_tets(64)
         tree = build_obb_tree(mesh, 1)
@@ -475,9 +469,8 @@ class TestObbTree:
         assert all(len(leaf.elements) <= 10 for leaf in tree.leaves)
 
     def test_containment(self, ball_mesh_field):
-        # every box holds all bounding points of its elements, midnodes
-        # included although the hulls leave them out, and every internal box
-        # holds its children's box corners
+        # every leaf box holds all bounding points of its elements, midnodes
+        # included although the hulls leave them out
         meshes = [ball_mesh_field[0], golden_scene("ball8")[0], golden_scene("cylinder100")[0]]
         for mesh in meshes:
             for leaf_size in (1, 3, 10):
@@ -511,7 +504,7 @@ class TestObbTree:
         ball512 = generate_ball(BallSpec(target_elements=512))[0]
         trees += [build_obb_tree(ball512, 10), build_obb_tree(cylinder_full[0], 10)]
         for tree in trees:
-            rows = np.stack([node.obb.basis.rows for node in _tree_nodes(tree)])
+            rows = np.stack([leaf.obb.basis.rows for leaf in tree.leaves])
             assert np.abs(rows @ np.swapaxes(rows, 1, 2) - np.eye(3)).max() <= 1e-10
             np.testing.assert_allclose(np.linalg.det(rows), 1.0, atol=1e-10)
 
@@ -549,7 +542,7 @@ class TestObbTree:
 
     def test_dump_tree_structure(self, ball_mesh_field):
         # a depth-first walk reaches exactly tree.leaves, in order, through
-        # children one level deeper than their parent with valid boxes
+        # children one level deeper than their parent; leaf boxes are valid
         mesh, _ = ball_mesh_field
         tree = build_obb_tree(mesh, 10)
         assert tree.root.depth == 0
@@ -557,8 +550,8 @@ class TestObbTree:
         stack = [tree.root]
         while stack:
             node = stack.pop()
-            assert (node.obb.box.pmin <= node.obb.box.pmax).all()
             if node.is_leaf:
+                assert (node.obb.box.pmin <= node.obb.box.pmax).all()
                 reached.append(node)
                 continue
             for child in (node.right, node.left):
@@ -567,6 +560,18 @@ class TestObbTree:
         assert [id(n) for n in reached] == [id(n) for n in tree.leaves]
         ids = np.concatenate([leaf.elements for leaf in reached])
         assert sorted(ids.tolist()) == list(range(mesh.n_elements))
+
+    @pytest.mark.parametrize("leaf_size", [1, 3, 10])
+    def test_internal_nodes_keep_only_their_children(self, ball_mesh_field, leaf_size):
+        # rays meet only leaf boxes, so a split node has no box, no elements
+        # and two children one level deeper
+        tree = build_obb_tree(ball_mesh_field[0], leaf_size)
+        internal = [node for node in _tree_nodes(tree) if not node.is_leaf]
+        assert internal
+        for node in internal:
+            assert node.obb is None and node.elements is None
+            assert node.left.depth == node.right.depth == node.depth + 1
+        assert all(leaf.obb is not None for leaf in tree.leaves)
 
 
 def _collect(node):
@@ -667,20 +672,22 @@ class TestHullInput:
         assert (rows[:, 4:] == n_corners + edge_rows.reshape(-1, 6)).all()
 
 
-def _bits(node):
-    obb = node.obb
-    arrays = [obb.basis.rows, obb.basis.origin, obb.box.pmin, obb.box.pmax]
-    if node.is_leaf:
-        arrays.append(node.elements)
+def _bits(leaf):
+    obb = leaf.obb
+    arrays = [obb.basis.rows, obb.basis.origin, obb.box.pmin, obb.box.pmax, leaf.elements]
     return b"".join(a.tobytes() for a in arrays)
+
+
+def _topology(tree):
+    return [(node.depth, node.is_leaf) for node in _tree_nodes(tree)]
 
 
 class TestTreeDeterminism:
     def test_rebuild_is_bitwise_identical(self, ball_mesh_field):
         ball64 = ball_mesh_field[0]
         first, second = build_obb_tree(ball64, 10), build_obb_tree(ball64, 10)
-        nodes = _tree_nodes(first)
-        assert [_bits(n) for n in nodes] == [_bits(n) for n in _tree_nodes(second)]
+        assert [_bits(n) for n in first.leaves] == [_bits(n) for n in second.leaves]
+        assert _topology(first) == _topology(second)
         assert len(list(_collect(first.root.left))) == len(list(_collect(second.root.left)))
 
     def test_level_fit_does_not_depend_on_batching(self, ball_mesh_field):
@@ -709,18 +716,15 @@ class TestTreeDeterminism:
         "name, leaf_size",
         [("ball64", 3), ("ball8", 1), ("cylinder100", 1), ("cylinder100", 3), ("cylinder100", 10)],
     )
-    def test_leaves_are_hull_fits_internal_nodes_point_fits(self, ball_mesh_field, name, leaf_size):
-        # every leaf box has the bits of a hull fit of its elements alone; an
-        # internal node's basis and origin those of a point fit (its box also
-        # grows over its children's)
+    def test_leaves_are_hull_fits(self, ball_mesh_field, name, leaf_size):
+        # every leaf box has the bits of a hull fit of its elements alone
         mesh = ball_mesh_field[0] if name == "ball64" else golden_scene(name)[0]
-        for node in _tree_nodes(build_obb_tree(mesh, leaf_size)):
-            rows, origins, pmin, pmax, _ = _fit(mesh, [_node_elements(node)], [node.is_leaf])
-            assert node.obb.basis.rows.tobytes() == rows[0].tobytes()
-            assert node.obb.basis.origin.tobytes() == origins[0].tobytes()
-            if node.is_leaf:
-                assert node.obb.box.pmin.tobytes() == pmin[0].tobytes()
-                assert node.obb.box.pmax.tobytes() == pmax[0].tobytes()
+        for leaf in build_obb_tree(mesh, leaf_size).leaves:
+            rows, origins, pmin, pmax, _ = _fit(mesh, [_node_elements(leaf)], [True])
+            assert leaf.obb.basis.rows.tobytes() == rows[0].tobytes()
+            assert leaf.obb.basis.origin.tobytes() == origins[0].tobytes()
+            assert leaf.obb.box.pmin.tobytes() == pmin[0].tobytes()
+            assert leaf.obb.box.pmax.tobytes() == pmax[0].tobytes()
 
     def test_inseparable_large_node_is_refitted_as_leaf(self, monkeypatch):
         # three copies of one element have one centroid, so no axis

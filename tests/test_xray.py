@@ -96,6 +96,33 @@ class TestMakeDetector:
         with pytest.raises(ValueError, match="nu and nv"):
             make_detector(box, "+z", pitch=0.1, **counts)
 
+    @pytest.mark.parametrize(
+        "nu, nv, name",
+        [(2.5, 3.9, "nu"), (True, True, "nu"), (2, 3.9, "nv"), (2, np.float64(3.0), "nv")],
+    )
+    def test_pixel_counts_must_be_integers(self, nu, nv, name):
+        # no silent truncation: a float or a bool is not a pixel count
+        box = Aabb(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make_detector(box, "+z", pitch=0.1, nu=nu, nv=nv)
+
+    @pytest.mark.parametrize(
+        "nu, nv, message",
+        [
+            (2.5, 3, "nu must be an integer"),
+            (2, 3.0, "nv must be an integer"),
+            (True, 1, "nu must be an integer"),
+            (0, 1, "nu must be >= 1"),
+            (1, -2, "nv must be >= 1"),
+        ],
+    )
+    def test_detector_pixel_counts_are_counts(self, nu, nv, message):
+        axes = np.eye(3)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Detector(np.zeros(3), axes[0], axes[1], axes[2], nu, nv, 0.1)
+        det = Detector(np.zeros(3), axes[0], axes[1], axes[2], np.int64(2), np.int32(3), 0.1)
+        assert det.n_rays == 6
+
     def test_non_finite_pitch_rejected(self):
         axes = np.eye(3)
         with pytest.raises(ValueError, match="pitch"):
@@ -316,6 +343,14 @@ class TestRender:
         assert a.stats.newton_iterations == b.stats.newton_iterations
         assert a.stats.pairs_tested == b.stats.pairs_tested > 0
         assert a.stats.pairs_inside == b.stats.pairs_inside > 0
+
+    @pytest.mark.parametrize("workers", [2.5, True, np.float64(2.0), 0])
+    def test_worker_count_is_a_count(self, workers):
+        mesh = single_tet_mesh()
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=16.0)
+        field = NodalField(np.ones(mesh.n_nodes))
+        with pytest.raises(ValueError, match="^workers must be"):
+            render(mesh, field, det, IntegrationSettings(), workers=workers)
 
     def test_repeat_run_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
