@@ -428,12 +428,14 @@ def membership_test(
     """Batched point-in-element test.
 
     ``e`` is one element id for all points, or an array with one id per
-    point.  ``frames`` is ``_element_frames`` of the whole mesh, for callers
-    that test many elements; without it the frames of the tested elements
-    are built here.  ``work`` is a ``newton_workspace`` for callers that
-    test many batches.  Returns (inside, xi, iterations, converged):
-    ``inside`` lanes converged, landed in the reference hull and reproduce
-    the query point within the residual bound.
+    point.  ``points`` (k, 3) may have any memory layout, with the same
+    results; the renderer passes column-major points, whose coordinate
+    columns are contiguous.  ``frames`` is ``_element_frames`` of the whole
+    mesh, for callers that test many elements; without it the frames of the
+    tested elements are built here.  ``work`` is a ``newton_workspace`` for
+    callers that test many batches.  Returns (inside, xi, iterations,
+    converged): ``inside`` lanes converged, landed in the reference hull and
+    reproduce the query point within the residual bound.
 
     With nodal ``values`` (one per mesh node), ``out`` (one per point)
     receives their interpolation at the ``inside`` lanes.  The residual
@@ -485,10 +487,8 @@ def membership_test(
                 else:
                     add(acc, mul(ni, tmp, out=tmp), out=acc)
         res = t[23]
-        mul(idx, 3, out=flat)
-        flat_points = points.ravel()
         for c in range(3):
-            np.subtract(sums[c], _take(flat_points[c:], flat, out=tmp), out=sums[c])
+            np.subtract(sums[c], _take(points[:, c], idx, out=tmp), out=sums[c])
         mul(sums[0], sums[0], out=res)
         add(res, mul(sums[1], sums[1], out=tmp), out=res)
         add(res, mul(sums[2], sums[2], out=tmp), out=res)

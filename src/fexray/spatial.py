@@ -355,8 +355,11 @@ def model_aabb(mesh: Mesh) -> Aabb:
 
 
 def _inflated_box(points: np.ndarray) -> Aabb:
-    pmin = points.min(axis=0)
-    pmax = points.max(axis=0)
+    """Box around ``points`` (n, 3), inflated like the tree's boxes.  Each
+    column is reduced on its own: an ``axis=0`` reduction of a row-major
+    table runs an inner loop of length 3."""
+    pmin = np.array([points[:, c].min() for c in range(3)])
+    pmax = np.array([points[:, c].max() for c in range(3)])
     eps = BOX_INFLATION * float(np.linalg.norm(pmax - pmin))
     return Aabb(pmin - eps, pmax + eps)
 

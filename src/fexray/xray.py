@@ -21,12 +21,17 @@ leaf box lies in no element.  Brute force is the one-leaf case, the model
 box in the identity frame holding every element.
 Each leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
 sample is its grid point (ray, j): Newton lanes carry it, and all claims on
-one (ray, j), from overlapping ranges too, are resolved together.
+one (ray, j), from overlapping ranges too, are resolved together.  The
+lane-sized geometry (leaf-local ray origins, Newton sample points) is
+column-major: each coordinate is one contiguous row, filled in the fixed
+order of the row-major expressions, so the bits are theirs.
 
 Point location then streams (ray, element) pairs through three bounded
 stages.  First the element boxes (in the detector frame) are tested against
-the rays of a record as one (rays x elements) mask, so only pairs whose ray
-crosses an element's box footprint are built.  Then each pair's ray is
+the rays of a record as one (elements x rays) mask, so only pairs whose ray
+crosses an element's box footprint are built, and the mask's inner loop
+runs over the many rays, not the few elements of a leaf.  The pairs of a
+record then come element by element.  Then each pair's ray is
 clipped to the element's box depth range intersected with the four face
 half-spaces of its corner tetrahedron, each plane pushed out to the exact
 maximum of its normal's component over the element, and the box sides
@@ -40,7 +45,8 @@ fill fixed-size lane batches, each with one ``membership_test`` call, each
 lane carrying its own element id; the Newton reference frames of all
 elements are built once per render.  Every lane is independent of its batch
 and a sample claimed by several elements goes to the lowest element id,
-whatever order the lanes come in, so batch sizes change no image.
+whatever order the lanes come in, so neither batch sizes nor the pair order
+change an image.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -80,11 +86,11 @@ from .spatial import (
     Obb,
     ObbNode,
     ObbTree,
+    _inflated_box,
     _quadratic_max,
     _rotate,
     build_obb_tree,
     element_bounding_points,
-    model_aabb,
 )
 
 FACE_SELECTORS = {
@@ -379,12 +385,26 @@ class _ElementClip:
         )
 
 
-# corners, then the edge control points of ``element_bounding_points``
+# corners, then the edge control points of ``element_bounding_points``: the
+# control net of a quadratic element
 _BEZIER_POINTS = np.r_[0:4, 10:16]
 
 
-def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
-    """Box and face planes enclosing each element, tight to its geometry.
+def _box_and_clip(mesh: Mesh, det: Detector) -> tuple[Aabb, _ElementClip]:
+    """The model box (``model_aabb``'s bits) and the element clip, from one
+    ``element_bounding_points`` call.  The clip reads the control nets
+    alone, so the midnodes are dropped before its temporaries are made."""
+    points = element_bounding_points(mesh)
+    box = _inflated_box(points.reshape(-1, 3))
+    if mesh.order == "quadratic":
+        points = points[:, _BEZIER_POINTS]
+    return box, _element_clip(mesh, det, points)
+
+
+def _element_clip(mesh: Mesh, det: Detector, nets: np.ndarray) -> _ElementClip:
+    """Box and face planes enclosing each element, tight to its geometry;
+    ``nets`` (n_elements, points, 3) holds each element's control net: its
+    corners, then a quadratic element's edge control points.
 
     Each plane keeps its corner-face normal n and moves out to the exact
     maximum of n . X over the element, and the box to the maxima along
@@ -393,12 +413,9 @@ def _element_clip(mesh: Mesh, det: Detector) -> _ElementClip:
     detector frame, where every ray runs along t at fixed (a, b); for the
     axis-aligned detectors of ``make_detector`` the box is the world box.
     """
-    world = element_bounding_points(mesh)
-    if mesh.order == "quadratic":
-        world = world[:, _BEZIER_POINTS]
     frame = np.stack([det.axis_u, det.axis_v, det.normal])
     # frame coordinates (a, b, t) of the points, (3, points, elements)
-    rel = (world - det.origin).transpose(2, 1, 0)
+    rel = (nets - det.origin).transpose(2, 1, 0)
     x = np.array([r[0] * rel[0] + r[1] * rel[1] + r[2] * rel[2] for r in frame])
     # corner-face normals, computed in the frame; a left-handed frame
     # flips the cross product
@@ -430,20 +447,23 @@ def _box_pairs(clip: _ElementClip, records, ray_a, ray_b, budget: int):
     leaf records whose ray crosses the element's box footprint in (a, b).
 
     A record is tested in slices of at most ``budget`` candidates, as one
-    (rays x elements) mask, so only the pairs inside the box are built;
-    ``j_lo``/``j_hi`` are the record's.  A single ray meeting more than
-    ``budget`` elements makes a larger slice.
+    (elements x rays) mask, so only the pairs inside the box are built and
+    numpy's inner loop runs over the rays; ``j_lo``/``j_hi`` are the
+    record's.  The pairs of a slice come element by element; no later stage
+    depends on the order, as lanes are independent of their batch and claims
+    go to the lowest element id.  A single ray meeting more than ``budget``
+    elements makes a larger slice.
     """
     for elems, ids, j_lo, j_hi in records:
-        lo, hi = clip.lo[elems], clip.hi[elems]
+        lo, hi = clip.lo[elems, :2, None], clip.hi[elems, :2, None]
         rays_per_slice = max(1, budget // elems.size)
         for first in range(0, ids.size, rays_per_slice):
             part = slice(first, first + rays_per_slice)
-            a = ray_a[ids[part], None]
-            b = ray_b[ids[part], None]
-            r, e = np.nonzero((a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1]))
+            rays = ids[part]
+            a, b = ray_a[rays], ray_b[rays]
+            e, r = np.nonzero((a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1]))
             if r.size:
-                yield ids[part][r], elems[e], j_lo[part][r], j_hi[part][r]
+                yield rays[r], elems[e], j_lo[part][r], j_hi[part][r]
 
 
 def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
@@ -565,10 +585,11 @@ class _RenderContext:
     frames: _ElementFrames  # Newton reference frames of all elements
 
 
-def _render_context(mesh, field, detector, settings, model, tree, brute_force, box):
+def _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip):
     """Per-render state shared by all tiles; builds the tree if none is given.
     Brute force is the one-leaf case: the model ``box`` in the identity
-    frame, holding every element."""
+    frame, holding every element.  ``box`` and ``clip`` are
+    ``_box_and_clip``'s."""
     if brute_force:
         identity = Obb(Basis(np.eye(3), np.zeros(3)), box)
         leaves = [ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))]
@@ -582,7 +603,7 @@ def _render_context(mesh, field, detector, settings, model, tree, brute_force, b
         settings=settings,
         want_mu=model is not None and model.variant == "table",
         model=model,
-        clip=_element_clip(mesh, detector),
+        clip=clip,
         frames=_element_frames(mesh.nodes[mesh.elements]),
     )
 
@@ -591,8 +612,18 @@ _WORKER_CTX: _RenderContext | None = None
 
 
 def _lane_origins(c, u, v, a, b):
-    """Origins c + a * u + b * v of the rays at detector-frame (a, b)."""
-    return c + a[:, None] * u + b[:, None] * v
+    """Origins c + a * u + b * v of the rays at detector-frame (a, b), as a
+    column-major (k, 3) view: each component is summed in that order into
+    one contiguous row, so no numpy loop runs over the 3 components.  The
+    bits are those of the row-major broadcast, and ``slab_intervals`` and
+    ``membership_test`` take points of any layout, so the renderer passes
+    the view on as it is."""
+    o = np.empty((3, a.size))
+    tmp = np.empty(a.size)
+    for i in range(3):
+        np.add(c[i], np.multiply(a, u[i], out=o[i]), out=o[i])
+        np.add(o[i], np.multiply(b, v[i], out=tmp), out=o[i])
+    return o.T
 
 
 def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
@@ -721,8 +752,12 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
         lane_e = np.repeat(elem, counts)
-        origins = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a[lane_r], ray_b[lane_r])
-        pts = origins + ((lane_j + 0.5) * step)[:, None] * det.normal
+        # the lane points origin + t * normal, built column by column
+        pts = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a[lane_r], ray_b[lane_r])
+        t = (lane_j + 0.5) * step
+        tn = np.empty_like(t)
+        for c in range(3):
+            np.add(pts[:, c], np.multiply(t, det.normal[c], out=tn), out=pts[:, c])
         rho = np.empty(lane_e.size)
         inside, _, iters, converged = membership_test(
             ctx.mesh, lane_e, pts, settings.newton, settings.geom_tol, ctx.frames, ctx.values, rho,
@@ -804,14 +839,14 @@ def render(
         raise ValueError("density field must be non-negative for rendering")
     _check_count("workers", workers)
     t0 = time.perf_counter()
-    box = model_aabb(mesh)
+    box, clip = _box_and_clip(mesh, detector)
     if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
     if tree is not None and tree.n_elements != mesh.n_elements:
         raise ValueError(
             f"tree built over {tree.n_elements} elements, mesh has {mesh.n_elements}"
         )
-    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box)
+    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip)
 
     tiles = _ray_tiles(detector.n_rays, _depth_points(box, detector.normal, settings.step))
     density = np.empty(detector.n_rays)

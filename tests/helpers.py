@@ -148,7 +148,7 @@ def depth_clip_planes(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.nd
     return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)
 
 
-def control_net_clip(mesh: Mesh, det) -> _ElementClip:
+def control_net_clip(mesh: Mesh, det, nets=None) -> _ElementClip:
     """The element clip built on the convex hull of each element's Bezier
     control net (Farin, *Curves and Surfaces for CAGD*, 2002): each corner
     face plane and box side moves out to the farthest control point, then
@@ -156,6 +156,8 @@ def control_net_clip(mesh: Mesh, det) -> _ElementClip:
 
     ``xray._element_clip`` moves them only to the exact maximum over the
     element, so its clip lies inside this one; the tests render with both.
+    It takes the control ``nets`` that ``_element_clip`` gets, so it can
+    stand in for it, but builds its points from the mesh itself.
     """
     world = element_bounding_points(mesh)
     normals = np.empty((mesh.n_elements, len(TET_FACES), 3))

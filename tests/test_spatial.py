@@ -761,6 +761,22 @@ class TestModelAabb:
         pts = element_bounding_points(mesh).reshape(-1, 3)
         assert (pts >= box.pmin).all() and (pts <= box.pmax).all()
 
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100", "signed_zeros"])
+    def test_bytes_of_the_axis_reduction(self, name):
+        # the box is reduced column by column; min and max are exact, and
+        # the inflation turns a -0.0/+0.0 tie into the same bits
+        if name == "signed_zeros":
+            verts = [[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]]
+            mesh = mesh_from_corner_tets(verts, [(0, 1, 2, 3)])
+        else:
+            mesh, _ = golden_scene(name)
+        pts = element_bounding_points(mesh).reshape(-1, 3)
+        pmin, pmax = pts.min(axis=0), pts.max(axis=0)
+        eps = BOX_INFLATION * float(np.linalg.norm(pmax - pmin))
+        box = model_aabb(mesh)
+        assert box.pmin.tobytes() == (pmin - eps).tobytes()
+        assert box.pmax.tobytes() == (pmax + eps).tobytes()
+
     def test_aabb_validation(self):
         with pytest.raises(ValueError):
             Aabb(np.array([1.0, 0, 0]), np.array([0.0, 1, 1]))

@@ -707,27 +707,43 @@ class TestPairPass:
         assert peaks[1] <= 2 * peaks[0], peaks
 
 
+def _render_context(mesh, field, det, settings, tree=None, brute_force=False):
+    """The render's per-render state, built as ``render`` builds it."""
+    box, clip = xray._box_and_clip(mesh, det)
+    return xray._render_context(mesh, field, det, settings, None, tree, brute_force, box, clip)
+
+
+def _ray_major_box_pairs(clip, records, ray_a, ray_b):
+    """(ray, element, j_lo, j_hi) of the leaf records' pairs whose ray
+    crosses the element's box footprint, from the full ray-major expansion:
+    every pair of a record is built, then masked."""
+    cols = []
+    for elems, ids, j_lo, j_hi in records:
+        ray, e = np.repeat(ids, elems.size), np.tile(elems, ids.size)
+        a, b = ray_a[ray], ray_b[ray]
+        lo, hi = clip.lo[e], clip.hi[e]
+        box = (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
+        cols.append((ray[box], e[box], np.repeat(j_lo, elems.size)[box], np.repeat(j_hi, elems.size)[box]))
+    return tuple(np.concatenate(c) for c in zip(*cols))
+
+
 def _expanded_lanes(ctx):
     """(element, x, y, z) rows of the Newton lanes of the full (ray, element)
     expansion of the whole detector's leaf records, lexsorted: every pair of
     a record is built, then clipped to the element box and face planes."""
     step, det = ctx.settings.step, ctx.detector
     ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
-    origins = xray._lane_origins(det.origin, det.axis_u, det.axis_v, ray_a, ray_b)
-    clip, rows = ctx.clip, []
-    for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b):
-        ray, e = np.repeat(ids, elems.size), np.tile(elems, ids.size)
-        a, b = ray_a[ray], ray_b[ray]
-        lo, hi = clip.lo[e], clip.hi[e]
-        box = (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
-        t_in, t_out = xray._depth_clip(clip, a[box], b[box], e[box])
-        j1, j2 = xray._grid_range(t_in, t_out, step)
-        j1 = np.maximum(j1, np.repeat(j_lo, elems.size)[box])
-        j2 = np.minimum(j2, np.repeat(j_hi, elems.size)[box])
-        for r, el, first, last in zip(ray[box], e[box], j1, j2):
-            j = np.arange(first, last + 1)
-            pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
-            rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
+    origins = det.origin + ray_a[:, None] * det.axis_u + ray_b[:, None] * det.axis_v
+    records = xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b)
+    ray, e, j_lo, j_hi = _ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)
+    t_in, t_out = xray._depth_clip(ctx.clip, ray_a[ray], ray_b[ray], e)
+    j1, j2 = xray._grid_range(t_in, t_out, step)
+    j1, j2 = np.maximum(j1, j_lo), np.minimum(j2, j_hi)
+    rows = []
+    for r, el, first, last in zip(ray, e, j1, j2):
+        j = np.arange(first, last + 1)
+        pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
+        rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
     return _sorted_rows(np.concatenate(rows))
 
 
@@ -761,7 +777,7 @@ class TestPairStream:
         for batch in lanes:
             n_pairs = len(np.unique(batch[:, :3], axis=0))
             assert len(batch) <= xray.NEWTON_CHUNK or n_pairs == 1
-        ctx = xray._render_context(mesh, field, det, settings, None, tree, False, model_aabb(mesh))
+        ctx = _render_context(mesh, field, det, settings, tree)
         np.testing.assert_array_equal(_sorted_rows(np.concatenate(lanes)), _expanded_lanes(ctx))
 
     @given(
@@ -874,7 +890,7 @@ def _assert_clip_conservative(mesh, det, t_max):
     """Every ray point membership_test accepts lies inside the clip, and the
     clip lies inside the control-net clip (up to the roundoff of a plane
     value at the ray's depth)."""
-    clip = xray._element_clip(mesh, det)
+    clip = xray._box_and_clip(mesh, det)[1]
     lo, hi = _clip_ray(clip, 0.0, 0.0) or (np.inf, -np.inf)
     net_lo, net_hi = _clip_ray(control_net_clip(mesh, det), 0.0, 0.0) or (np.inf, -np.inf)
     if lo <= hi:
@@ -1202,14 +1218,20 @@ class TestClipPairs:
                 assert inside(t), (t, t_in, t_out)
 
 
-def _box_pair_chunks(ctx):
-    """(a, b, element) of the box pairs of a render, tile by tile and chunk
-    by chunk, as the pair stream hands them to the depth clip."""
+def _tile_records(ctx):
+    """(records, ray_a, ray_b) of a render's tiles, as ``_render_block``
+    scans them."""
     det = ctx.detector
     depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
         ray_a, ray_b = xray._block_rays(ctx, lo, hi)
-        records = xray._scan_leaves(ctx, lo, hi, ray_a, ray_b)
+        yield xray._scan_leaves(ctx, lo, hi, ray_a, ray_b), ray_a, ray_b
+
+
+def _box_pair_chunks(ctx):
+    """(a, b, element) of the box pairs of a render, tile by tile and chunk
+    by chunk, as the pair stream hands them to the depth clip."""
+    for records, ray_a, ray_b in _tile_records(ctx):
         pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.NEWTON_CHUNK)
         for ray, elem, _, _ in xray._regroup(pairs, xray.NEWTON_CHUNK):
             yield ray_a[ray], ray_b[ray], elem
@@ -1253,22 +1275,12 @@ class TestDepthClipBytes:
         box = model_aabb(mesh)
         det = make_detector(box, face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
-        ctx = xray._render_context(mesh, field, det, settings, None, None, False, box)
+        ctx = _render_context(mesh, field, det, settings)
         _assert_render_clip_bytes(ctx)
 
     @pytest.mark.parametrize("workload", ["ball-fine-mesh", "cylinder-single-sample"])
     def test_benchmark_box_pairs(self, monkeypatch, workload):
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        import scenes
-
-        scene = scenes.make_scene(scenes.WORKLOADS[workload], 7)
-        model = scenes.set_up(scene)
-        det = scenes.make_detector(scene, model)
-        box = model_aabb(model.mesh)
-        ctx = xray._render_context(
-            model.mesh, model.field, det, scene.settings, None, model.tree, False, box
-        )
-        _assert_render_clip_bytes(ctx)
+        _assert_render_clip_bytes(_benchmark_context(monkeypatch, workload))
 
     @given(
         st.lists(clip_element, min_size=1, max_size=3),
@@ -1306,6 +1318,145 @@ class TestDepthClipBytes:
         e = np.tile(np.arange(len(elements)), a.size)
         with np.errstate(over="ignore"):  # gap / n_t on a tiny n_t
             _assert_clip_bytes(clip, a[ray], b[ray], e)
+
+
+def _benchmark_context(monkeypatch, workload):
+    """The render state of a benchmark workload at seed 7."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import scenes
+
+    scene = scenes.make_scene(scenes.WORKLOADS[workload], 7)
+    model = scenes.set_up(scene)
+    det = scenes.make_detector(scene, model)
+    return _render_context(model.mesh, model.field, det, scene.settings, model.tree)
+
+
+class TestBoxPairOrder:
+    """The (elements x rays) footprint mask yields the pairs of a ray-major
+    mask, element by element; as lanes are independent of their batch and
+    claims go to the lowest element id, that order changes no image."""
+
+    @staticmethod
+    def _assert_ray_major_pairs(ctx):
+        n_pairs = 0
+        for records, ray_a, ray_b in _tile_records(ctx):
+            if not records:
+                continue
+            want = _sorted_rows(np.column_stack(_ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)))
+            for budget in (1, 7, xray.NEWTON_CHUNK):
+                parts = [np.column_stack(p) for p in xray._box_pairs(ctx.clip, records, ray_a, ray_b, budget)]
+                got = np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
+                np.testing.assert_array_equal(_sorted_rows(got), want, err_msg=str(budget))
+            n_pairs += len(want)
+        assert n_pairs > 0
+
+    @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_golden_pairs_match_ray_major_mask(self, name, face):
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+        self._assert_ray_major_pairs(_render_context(mesh, field, det, IntegrationSettings(step=0.02)))
+
+    @pytest.mark.parametrize("workload", ["ball-fine-mesh", "cylinder-single-sample"])
+    def test_benchmark_pairs_match_ray_major_mask(self, monkeypatch, workload):
+        self._assert_ray_major_pairs(_benchmark_context(monkeypatch, workload))
+
+    @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_reversed_records_give_the_same_image(self, monkeypatch, name, face):
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.02)
+        ref = render(mesh, field, det, settings, model=TABLE_MODEL)
+        scan = xray._scan_leaves
+
+        def reversed_scan(*args):
+            return [(elems[::-1], ids, j_lo, j_hi) for elems, ids, j_lo, j_hi in scan(*args)]
+
+        monkeypatch.setattr(xray, "_scan_leaves", reversed_scan)
+        rev = render(mesh, field, det, settings, model=TABLE_MODEL)
+        assert ref.density.tobytes() == rev.density.tobytes()
+        assert ref.intensity.tobytes() == rev.intensity.tobytes()
+        assert counters(ref.stats) == counters(rev.stats)
+        assert ref.stats.pairs_inside > 0
+
+
+# a vector component as make_detector's axes have them, or any
+axis_component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+axis_vec = st.tuples(axis_component, axis_component, axis_component)
+lane_offset = st.one_of(signed_zero, st.floats(-1e3, 1e3))
+offset_vec = st.tuples(lane_offset, lane_offset, lane_offset)
+
+
+class TestLaneLayout:
+    """The render's column-major lane arrays give the bytes of row-major
+    ones: every kernel on them is elementwise in a fixed order."""
+
+    @given(offset_vec, axis_vec, axis_vec, st.lists(st.tuples(lane_offset, lane_offset), min_size=1, max_size=12))
+    # a detector of make_detector: axis vectors with +0.0 components, rays
+    # at signed-zero offsets
+    @example((0.0, -0.0, 1.5), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), [(-0.0, 0.0), (0.0, -0.0), (0.5, -0.0)])
+    def test_lane_origins_are_the_broadcast(self, c, u, v, ab):
+        c, u, v = np.array(c), np.array(u), np.array(v)
+        a, b = (np.array(x) for x in zip(*ab))
+        o = xray._lane_origins(c, u, v, a, b)
+        assert o.shape == (a.size, 3)
+        assert o.flags.f_contiguous
+        assert o.tobytes() == (c + a[:, None] * u + b[:, None] * v).tobytes()
+
+    @given(
+        st.lists(offset_vec, min_size=1, max_size=12),
+        axis_vec,
+        st.tuples(offset_vec, offset_vec),
+    )
+    # origins on the box planes, a direction with zero components
+    @example([(0.0, -1.0, 2.0), (-0.0, 1.0, -2.0), (1.0, 0.0, 0.0)], (0.0, -0.0, 1.0), ((-0.0, -1.0, -2.0), (1.0, 1.0, 2.0)))
+    def test_slab_intervals_any_layout(self, origins, d, corners):
+        o, d = np.array(origins), np.array(d)
+        pmin, pmax = np.minimum(*corners), np.maximum(*corners)
+        with np.errstate(divide="ignore", over="ignore"):  # subnormal components
+            inv_d = 1.0 / d
+            rows = slab_intervals(np.ascontiguousarray(o), inv_d, d, pmin, pmax)
+            cols = slab_intervals(np.asfortranarray(o), inv_d, d, pmin, pmax)
+        for x, y in zip(rows, cols):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("face", ["-y", "+z"])
+    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
+    def test_render_lanes_any_layout(self, monkeypatch, name, face):
+        # the slab calls and Newton batches of a render take column-major
+        # lanes and give the bytes of their row-major copies
+        mesh, field = golden_scene(name)
+        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+        slabs, batches = [], []
+
+        def slab(o, *args):
+            slabs.append((o, *args))
+            return slab_intervals(o, *args)
+
+        def member(mesh, e, pts, newton, geom_tol, frames, values, out, work):
+            batches.append((e, pts, newton, geom_tol, frames, values))
+            return membership_test(mesh, e, pts, newton, geom_tol, frames, values, out, work)
+
+        monkeypatch.setattr(xray, "slab_intervals", slab)
+        monkeypatch.setattr(xray, "membership_test", member)
+        render(mesh, field, det, IntegrationSettings(step=0.02))
+        assert slabs and batches
+        for o, *args in slabs:
+            assert o.flags.f_contiguous
+            for x, y in zip(slab_intervals(o, *args), slab_intervals(np.ascontiguousarray(o), *args)):
+                assert x.tobytes() == y.tobytes()
+        inside = 0
+        for e, pts, *args in batches:
+            assert pts.flags.f_contiguous
+            runs = []
+            for p in (pts, np.ascontiguousarray(pts)):
+                rho = np.full(e.size, np.nan)
+                runs.append((*membership_test(mesh, e, p, *args, rho), rho))
+            for x, y in zip(*runs):
+                assert x.tobytes() == y.tobytes()
+            inside += int(np.count_nonzero(runs[0][0]))
+        assert inside > 0
 
 
 # (ray, j_lo, length) rows of one leaf; length <= 0 gives an empty range
@@ -1460,9 +1611,7 @@ class TestTraversal:
             det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
         settings = IntegrationSettings(step=0.02)
         tree = None if leaf_size is None else build_obb_tree(mesh, leaf_size)
-        ctx = xray._render_context(
-            mesh, field, det, settings, None, tree, leaf_size is None, model_aabb(mesh)
-        )
+        ctx = _render_context(mesh, field, det, settings, tree, leaf_size is None)
         per_ray = _per_ray_records(ctx, tree)
         # one tile, then tiles that split rows mid-way
         for tile_rays in (det.n_rays, det.nu + 3):
@@ -1553,6 +1702,8 @@ class TestTraceContract:
         assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
         assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
         assert totals.call_count("raycast.slab_intervals") > 0
+        # the model box and the element clip share one set of points
+        assert totals.call_count("spatial.element_bounding_points") == 1
         targets = {name for _, _, name, _ in tracing.TARGETS}
         assert self.NOT_CALLED_BY_RENDER <= targets
         recorded = {s.name for s in tracer.spans}
