@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .mesh import Mesh, NodalField
-from .xray import FACE_SELECTORS
+from .xray import FACE_SELECTORS, IntegrationSettings
 
 FGRID_MAGIC = b"FGRD"
 FGRID_VERSION = 1
@@ -277,6 +277,9 @@ def write_graymap(values: np.ndarray, bit_depth: int = 8, window=None) -> bytes:
 # render configuration
 
 
+_DEFAULTS = IntegrationSettings()
+
+
 @dataclass
 class RenderConfig:
     mesh: str = ""
@@ -286,11 +289,11 @@ class RenderConfig:
     pitch: float | None = None
     nu: int | None = None
     nv: int | None = None
-    step: float = 0.01
-    max_leaf_elements: int = 10
-    eps_tol: float = 1e-10
-    max_iter: int = 20
-    geom_tol: float = 1e-8
+    step: float = _DEFAULTS.step
+    max_leaf_elements: int = _DEFAULTS.max_leaf_elements
+    eps_tol: float = _DEFAULTS.newton.eps_tol
+    max_iter: int = _DEFAULTS.newton.max_iter
+    geom_tol: float = _DEFAULTS.geom_tol
     workers: int = 1
     out_density: str = ""
     out_pgm: str = ""

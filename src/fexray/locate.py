@@ -31,11 +31,12 @@ so results do not depend on which other points share the batch.
 The kernel and the residual check run on a workspace of ``WORK_ROWS``
 lane-length rows (``newton_workspace``): every intermediate is written into
 a row with ``out=``, in the fixed order of the sums above, and stopped lanes
-are compacted one row at a time, so no lane-sized array is allocated per
-iteration and the bits are those of the plain expressions.  The caller that
-makes many calls owns the workspace: the renderer makes one per tile for
-its Newton batches and drops it before the tile's claims are resolved.  A
-call without one, or with more points than it holds, makes its own.
+are masked out and, once there are enough of them, compacted away one row
+at a time, so no lane-sized array is allocated per iteration and the bits
+are those of the plain expressions.  The caller that makes many calls owns
+the workspace: the renderer makes one per tile for its Newton batches and
+drops it before the tile's claims are resolved.  A call without one, or
+with more points than it holds, makes its own.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ SINGULAR_REL = 1e-14
 # lam start missed 515 interior points of the 716 elements past the bound,
 # where the centroid start missed 41, and none of the 1 870 below it.
 WARM_BULGE = 4.0
+# The kernel drops stopped lanes from its rows once they are 1/COMPACT_SHARE
+# of the rows or more; until then it records them and runs them on, masked,
+# since compacting 25 state rows for a few lanes costs more than carrying them.
+COMPACT_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,9 @@ def _reference_newton(
     return _newton(work, k, settings)
 
 
+# stopped lanes that are not compacted away yet run on, so their arithmetic
+# may overflow or divide by zero; only the live lanes are read
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
     """Run Newton on the k lanes whose start, lam and bulges fill the state
     rows of ``work``.
@@ -235,8 +243,10 @@ def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
         J_a2 = [a = 2] + M3 (w - z) + (M4 - M0) x + (M5 - M2) y
 
     Every intermediate is written into a row of ``work`` in the fixed order
-    of these sums, and when lanes stop the running ones are compacted one
-    row at a time, so an iteration allocates no lane-sized array.
+    of these sums, so an iteration allocates no lane-sized array.  A lane
+    is recorded in the iteration it stops and is then masked out; once the
+    stopped lanes make up 1/``COMPACT_SHARE`` of the rows, the live ones are
+    compacted one row at a time.
     """
     mul, add, sub = np.multiply, np.add, np.subtract
     xi = np.empty((3, k))
@@ -247,15 +257,16 @@ def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
     lane, lane_spare = (row.view(np.int64) for row in work[_LANE : _LANE + 2])
     lane[:k] = np.arange(k)
     flags = work[_FLAGS].view(np.bool_).reshape(8, -1)
+    flags[4, :k] = True
     scratch = work[_SCRATCH:]
-    n = k
+    n = running = k
     for it in range(1, settings.max_iter + 1):
         s = [row[:n] for row in state]
         x = s[_X : _X + 3]
         lam, m = s[_LAM : _LAM + 3], s[_BULGES:_STATE]
         t = [row[:n] for row in scratch]
         w, p, f, jac, co, det, tmp = t[0], t[1:7], t[7:10], t[10:19], t[19:28], t[28], t[29]
-        singular, conv, stop, flag = (row[:n] for row in flags[:4])
+        singular, conv, stop, flag, live = (row[:n] for row in flags[:5])
         sub(1.0, x[0], out=w)
         sub(w, x[1], out=w)
         sub(w, x[2], out=w)
@@ -287,12 +298,11 @@ def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
         add(det, mul(jac[2], co[6], out=tmp), out=det)
         np.less(np.abs(det, out=tmp), SINGULAR_REL, out=singular)
         d = jac[:3]  # the Jacobian is spent
-        with np.errstate(divide="ignore", invalid="ignore"):  # singular lanes are discarded
-            for r in range(3):
-                mul(co[3 * r], f[0], out=d[r])
-                add(d[r], mul(co[3 * r + 1], f[1], out=tmp), out=d[r])
-                add(d[r], mul(co[3 * r + 2], f[2], out=tmp), out=d[r])
-                np.divide(d[r], det, out=d[r])
+        for r in range(3):  # singular lanes are discarded
+            mul(co[3 * r], f[0], out=d[r])
+            add(d[r], mul(co[3 * r + 1], f[1], out=tmp), out=d[r])
+            add(d[r], mul(co[3 * r + 2], f[2], out=tmp), out=d[r])
+            np.divide(d[r], det, out=d[r])
         if singular.any():
             for dr in d:
                 np.copyto(dr, 0.0, where=singular)
@@ -313,6 +323,8 @@ def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
         np.greater(norm, DIVERGENCE_NORM, out=stop)
         np.logical_or(stop, singular, out=stop)
         np.logical_or(stop, conv, out=stop)
+        if running < n:
+            np.logical_and(stop, live, out=stop)
         if not stop.any():
             continue
         done = np.flatnonzero(stop)
@@ -321,18 +333,24 @@ def _newton(work: np.ndarray, k: int, settings: NewtonSettings):
             xi[r, ids] = x[r].take(done)
         iters[ids] = it
         converged[ids] = conv.take(done)
-        keep = np.flatnonzero(np.logical_not(stop, out=flag))
-        if keep.size == 0:
+        running -= done.size
+        if running == 0:
             return xi, converged, iters
+        if COMPACT_SHARE * (n - running) < n:
+            live[done] = False  # too few stopped rows to pay for compacting
+            continue
+        keep = np.flatnonzero(np.logical_and(live, np.logical_not(stop, out=flag), out=flag))
         for i, row in enumerate(state):
-            _take(row[:n], keep, out=spare[: keep.size])
+            _take(row[:n], keep, out=spare[:running])
             state[i], spare = spare, row
-        _take(lane[:n], keep, out=lane_spare[: keep.size])
+        _take(lane[:n], keep, out=lane_spare[:running])
         lane, lane_spare = lane_spare, lane
-        n = keep.size
-    ids = lane[:n]
+        n = running
+        live[:n] = True
+    live = flags[4, :n]
+    ids = lane[:n][live]
     for r in range(3):
-        xi[r, ids] = state[_X + r][:n]
+        xi[r, ids] = state[_X + r][:n][live]
     return xi, converged, iters
 
 

@@ -32,6 +32,12 @@ BOX_INFLATION = 1e-9
 # a large tree node whose point box is no thicker than this fraction of its
 # diagonal may have a flat hull, which makes it a leaf: qhull decides
 FLAT_EXTENT = 1e-6
+# Default leaf size of the OBB tree.  A leaf costs the render one slab call
+# and a pixel rectangle of lanes, and the set-up one qhull fit; a larger leaf
+# tests more element boxes per ray.  Measured over leaf sizes 10-64, 32 gave
+# the lowest set-up plus render time summed over the two benchmark workloads
+# without slowing any other scene measured; the images do not depend on it.
+MAX_LEAF_ELEMENTS = 32
 
 
 class DegenerateGeometryError(ValueError):
@@ -449,7 +455,7 @@ def _refit_with_hull(fit, nodes, table, elem_rows, centroids, elems, seg):
             full[nodes] = part
 
 
-def build_obb_tree(mesh: Mesh, max_leaf_elements: int = 10) -> ObbTree:
+def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> ObbTree:
     """Top-down binary OBB tree over the mesh elements, built level by level.
 
     A node of more than ``max_leaf_elements`` elements is split with a plane

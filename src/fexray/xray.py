@@ -81,6 +81,7 @@ from .locate import (
 from .mesh import TET_FACES, Mesh, NodalField, check_field, interpolate_values  # noqa: F401
 from .raycast import slab_intervals, tet_entry  # noqa: F401
 from .spatial import (
+    MAX_LEAF_ELEMENTS,
     Aabb,
     Basis,
     Obb,
@@ -151,7 +152,7 @@ class Detector:
 @dataclass(frozen=True)
 class IntegrationSettings:
     step: float = 0.01
-    max_leaf_elements: int = 10
+    max_leaf_elements: int = MAX_LEAF_ELEMENTS
     newton: NewtonSettings = dataclasses.field(default_factory=NewtonSettings)
     geom_tol: float = 1e-8
 
@@ -216,7 +217,12 @@ class RenderStats:
     straight element, solved in closed form, counts 1, and computing the
     corner-tetrahedron start is not counted.  ``samples_multi_claimed``
     counts the samples that two or more elements accepted, as elements
-    sharing a face both can within ``geom_tol``; the lowest id wins."""
+    sharing a face both can within ``geom_tol``; the lowest id wins.
+
+    ``samples`` depends on the leaf boxes, so on the tree's leaf size, and
+    so may the counters of the lanes that a leaf's record range cuts off
+    (``pairs_tested``, ``newton_iterations``, ``non_converged``).  The
+    image, ``pairs_inside`` and ``samples_multi_claimed`` do not."""
 
     rays: int = 0
     samples: int = 0

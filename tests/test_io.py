@@ -456,7 +456,7 @@ class TestConfig:
         assert cfg.step == 0.01
         assert cfg.eps_tol == 1e-10
         assert cfg.geom_tol == 1e-8
-        assert cfg.max_leaf_elements == 10
+        assert cfg.max_leaf_elements == 32
 
     def test_zero_step_names_key(self):
         with pytest.raises(ValidationError, match="step"):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from fexray import locate
 from fexray.locate import (
     NewtonSettings,
     _element_frames,
@@ -552,3 +554,39 @@ class TestNewtonWorkspace:
         assert iters.max() >= 3
         # xi (3 rows), the iterations, the flags and a few index arrays
         assert peak < 16 * 8 * ids.size
+
+
+class TestStoppedLanes:
+    """A stopped lane is recorded once and masked until the stopped lanes are
+    worth compacting away; when the kernel compacts changes no byte."""
+
+    # 1: compact only once every lane stopped; 2**40: on every stop
+    @pytest.mark.parametrize("share", [1, locate.COMPACT_SHARE, 2**40])
+    @pytest.mark.parametrize("max_iter", [1, 3, 20])
+    def test_compaction_share_keeps_the_plain_bytes(
+        self, monkeypatch, ball_mesh_field, rng, share, max_iter
+    ):
+        monkeypatch.setattr(locate, "COMPACT_SHARE", share)
+        mesh, _ = ball_mesh_field
+        frames = _element_frames(mesh.nodes[mesh.elements])
+        ids = rng.choice(np.flatnonzero(frames.curved), 3000)
+        xi_true = random_simplex_points(rng, ids.size) * 1.6 - 0.3
+        nodes = mesh.nodes[mesh.elements[ids]].transpose(1, 0, 2)
+        pts = map_points(nodes, xi_true, mesh.order)
+        # far points diverge at once, too few to compact, and run on masked,
+        # so their arithmetic overflows: that must stay silent
+        far = np.arange(ids.size) % 50 == 0
+        pts[far] *= 1e6
+        settings = NewtonSettings(max_iter=max_iter)
+        inputs = _kernel_inputs(frames, ids, pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = _reference_newton(*inputs, settings)
+        for a, b in zip(ours, plain_newton(*inputs, settings)):
+            assert a.tobytes() == b.tobytes()
+        iters = ours[2]
+        assert (iters[far] == 1).all()
+        # lanes stop over several iterations, and a capped run ends with
+        # lanes still running
+        assert iters.max() == max_iter if max_iter < 20 else iters.max() >= 4
+

@@ -18,6 +18,7 @@ from fexray.locate import NewtonSettings, membership_test
 from fexray.mesh import EDGE_VERTICES, TET_FACES, Mesh, MeshError, NodalField, map_points
 from fexray.raycast import slab_intervals, tet_entry
 from fexray.spatial import (
+    MAX_LEAF_ELEMENTS,
     Aabb,
     Basis,
     build_obb_tree,
@@ -44,6 +45,12 @@ from tests.conftest import (
 )
 from tests.helpers import control_net_clip, depth_clip_planes
 from tests.per_ray_reference import Ray, detector_ray, integrate_ray, traverse
+
+# leaf sizes the tree identities hold at: small multi-level trees, the
+# default, and ONE_LEAF, more elements than any test mesh has, a tree whose
+# root is its only leaf
+ONE_LEAF = 1_000_000
+LEAF_SIZES = (1, 3, 10, MAX_LEAF_ELEMENTS, ONE_LEAF)
 
 MU_COMPACT_BONE = 2.251  # cm^-1, tabulated linear attenuation coefficient
 MU_CANCELLOUS_BONE = 0.716
@@ -295,7 +302,8 @@ class TestRender:
         mesh, field = ball_mesh_field
         box = model_aabb(mesh)
         det = make_detector(box, "+z", rays_per_cm2=25.0)
-        settings = IntegrationSettings(step=0.05)
+        # a tree of several leaves, whose hits each ray merges
+        settings = IntegrationSettings(step=0.05, max_leaf_elements=10)
         img = render(mesh, field, det, settings)
         tree = build_obb_tree(mesh, settings.max_leaf_elements)
         ref = np.zeros((det.nv, det.nu))
@@ -310,7 +318,7 @@ class TestRender:
         mesh, field = ball_mesh_field
         box = model_aabb(mesh)
         det = make_detector(box, "-x", rays_per_cm2=25.0)
-        settings = IntegrationSettings(step=0.05)
+        settings = IntegrationSettings(step=0.05, max_leaf_elements=10)
         a = render(mesh, field, det, settings)
         b = render(mesh, field, det, settings, brute_force=True)
         np.testing.assert_array_equal(a.density, b.density)
@@ -326,7 +334,7 @@ class TestRender:
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
         brute = render(mesh, field, det, settings, brute_force=True)
-        for leaf_size in (1, 3, 10):
+        for leaf_size in LEAF_SIZES:
             img = render(mesh, field, det, settings, tree=build_obb_tree(mesh, leaf_size))
             assert img.density.tobytes() == brute.density.tobytes()
             assert img.stats.pairs_inside == brute.stats.pairs_inside > 0
@@ -335,7 +343,7 @@ class TestRender:
         mesh, field = ball_mesh_field
         box = model_aabb(mesh)
         det = make_detector(box, "+y", rays_per_cm2=16.0)
-        settings = IntegrationSettings(step=0.05)
+        settings = IntegrationSettings(step=0.05, max_leaf_elements=10)
         a = render(mesh, field, det, settings, workers=1)
         b = render(mesh, field, det, settings, workers=4)
         np.testing.assert_array_equal(a.density, b.density)
@@ -513,7 +521,7 @@ class TestClaimRule:
         box = model_aabb(mesh)
         det = make_detector(box, "+z", rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
-        imgs = [render(mesh, field, det, settings, tree=build_obb_tree(mesh, k)) for k in (1, 3, 10)]
+        imgs = [render(mesh, field, det, settings, tree=build_obb_tree(mesh, k)) for k in LEAF_SIZES]
         imgs.append(render(mesh, field, det, settings, brute_force=True))
         imgs.append(render(mesh, field, det, settings, workers=2))
         depth = xray._depth_points(box, det.normal, settings.step)
@@ -571,7 +579,7 @@ class TestTableModelRender:
         mesh, field = ball_mesh_field
         box = model_aabb(mesh)
         det = make_detector(box, "+z", rays_per_cm2=16.0)
-        settings = IntegrationSettings(step=0.05)
+        settings = IntegrationSettings(step=0.05, max_leaf_elements=10)
         model = AttenuationModel(
             "table",
             table_rho=np.array([0.0, 0.5, 1.0, 2.0]),
@@ -641,7 +649,7 @@ class TestObliqueDetector:
         u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         v = np.cross(n, u)
         det = Detector(3.0 * -n - 1.6 * u - 1.6 * v, u, v, n, 16, 16, 0.2)
-        settings = IntegrationSettings(step=0.02)
+        settings = IntegrationSettings(step=0.02, max_leaf_elements=10)
         img = render(mesh, field, det, settings)
         brute = render(mesh, field, det, settings, brute_force=True)
         np.testing.assert_array_equal(img.density, brute.density)
@@ -1599,11 +1607,12 @@ class TestTraversal:
 
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     @pytest.mark.parametrize("face", ["oblique", "+x", "-x", "+y", "-y", "+z", "-z"])
-    @pytest.mark.parametrize("leaf_size", [None, 1, 3])
+    @pytest.mark.parametrize("leaf_size", [None, 1, 3, MAX_LEAF_ELEMENTS, ONE_LEAF])
     def test_leaf_records_match_per_ray_traversal(self, name, face, leaf_size):
         # leaf_size None is brute force.  Under the axis-aligned faces, the
         # ball8 root (leaf sizes 1 and 3) and one cylinder100 leaf (leaf
-        # size 1) see the rays with exactly zero local direction components
+        # size 1) see the rays with exactly zero local direction components;
+        # from the default on, ball8 is one leaf
         mesh, field = golden_scene(name)
         if face == "oblique":
             det = _oblique_detector(mesh)
@@ -1617,7 +1626,7 @@ class TestTraversal:
         for tile_rays in (det.n_rays, det.nu + 3):
             assert _scan_records(ctx, tile_rays) == per_ray, tile_rays
         assert per_ray
-        if leaf_size is not None:
+        if tree is not None and len(tree.leaves) > 1:
             assert len({elems for elems, *_ in per_ray}) > 1
 
 
@@ -1686,25 +1695,26 @@ class TestTraceContract:
     )
     def test_traced_counts_match_render_stats(self, tracing, name, face):
         mesh, field = golden_scene(name)
-        tree = build_obb_tree(mesh, 3)
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
-        tracer = tracing.Tracer()
-        counter = tracing.LeafSampleCounter(tree, det, settings.step)
-        tracer.slab_observer = counter
-        with tracer.installed():
-            img = xray.render(mesh, field, det, settings, tree=tree)
-        root = next(s.id for s in tracer.spans if s.name == "xray.render")
-        totals = tracing.subtree_totals(tracer.spans, root)
-        stats = img.stats
-        assert counter.take() == stats.samples > 0
-        assert totals.count("locate.membership_test", "lanes") == stats.pairs_tested
-        assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
-        assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
-        assert totals.call_count("raycast.slab_intervals") > 0
-        # the model box and the element clip share one set of points
-        assert totals.call_count("spatial.element_bounding_points") == 1
-        targets = {name for _, _, name, _ in tracing.TARGETS}
-        assert self.NOT_CALLED_BY_RENDER <= targets
-        recorded = {s.name for s in tracer.spans}
-        assert recorded == targets - self.NOT_CALLED_BY_RENDER
+        for leaf_size in (3, MAX_LEAF_ELEMENTS, ONE_LEAF):
+            tree = build_obb_tree(mesh, leaf_size)
+            tracer = tracing.Tracer()
+            counter = tracing.LeafSampleCounter(tree, det, settings.step)
+            tracer.slab_observer = counter
+            with tracer.installed():
+                img = xray.render(mesh, field, det, settings, tree=tree)
+            root = next(s.id for s in tracer.spans if s.name == "xray.render")
+            totals = tracing.subtree_totals(tracer.spans, root)
+            stats = img.stats
+            assert counter.take() == stats.samples > 0, leaf_size
+            assert totals.count("locate.membership_test", "lanes") == stats.pairs_tested
+            assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
+            assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
+            assert totals.call_count("raycast.slab_intervals") > 0
+            # the model box and the element clip share one set of points
+            assert totals.call_count("spatial.element_bounding_points") == 1
+            targets = {name for _, _, name, _ in tracing.TARGETS}
+            assert self.NOT_CALLED_BY_RENDER <= targets
+            recorded = {s.name for s in tracer.spans}
+            assert recorded == targets - self.NOT_CALLED_BY_RENDER
