@@ -10,11 +10,11 @@ corner node once and each edge control point once.  Midnodes are left out:
 m = p0/4 + p1/4 + c/2 is a convex combination of the edge ends and the
 control point c, so neither a hull nor a box needs it.  Each leaf box is
 fitted by the area-weighted PCA of the hull surface of its table rows, one
-qhull call per leaf (Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996);
-a node that is split only needs a split axis and point, takes them from the
-PCA of its table rows and keeps no box: rays meet only leaf boxes.  Fits and
-split tests run once per level over all nodes of that level, and a node's
-result depends only on its own elements.
+qhull call per leaf (Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996).
+A larger node only needs a split axis and point and takes them from the PCA
+of its table rows; a split node keeps no box, as rays meet only leaf boxes.
+Each level is fitted once, over all its nodes, and a node's result depends
+only on its own elements.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .mesh import EDGE_VERTICES, Mesh
 
 # multiplicative box inflation to absorb roundoff in slab tests at box faces
 BOX_INFLATION = 1e-9
-# a large tree node whose point box is no thicker than this fraction of its
-# diagonal may have a flat hull, which makes it a leaf: qhull decides
-FLAT_EXTENT = 1e-6
 # Default leaf size of the OBB tree.  A leaf costs the render one slab call
 # and a pixel rectangle of lanes, and the set-up one qhull fit; a larger leaf
 # tests more element boxes per ray.  Measured over leaf sizes 10-64, 32 gave
@@ -102,19 +99,11 @@ class Aabb:
     def extents(self) -> np.ndarray:
         return self.pmax - self.pmin
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extents))
-
 
 @dataclass(frozen=True)
 class Obb:
     basis: Basis
     box: Aabb
-
-    @property
-    def volume(self) -> float:
-        return self.box.volume
 
 
 def triangles_centroid_area(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,11 +377,12 @@ class ObbNode:
 @dataclass
 class ObbTree:
     """The leaves, which rays are tested against; only they have an ``obb``.
-    ``root`` and ``left``/``right``/``depth`` are kept to count nodes and depth."""
+    ``root`` and ``left``/``right``/``depth`` are kept to count nodes and depth.
+    ``mesh`` is the mesh the tree was built over."""
 
     root: ObbNode
     leaves: list[ObbNode]
-    n_elements: int
+    mesh: Mesh
 
 
 def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
@@ -401,12 +391,11 @@ def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
     ``elems`` holds the nodes' element ids grouped by node, ``seg`` the node
     of each.  A node's points are its distinct table rows in ascending order.
     A node marked in ``hull`` takes its basis from the area-weighted PCA of
-    the hull surface of its points, one qhull call per node; if that hull is
-    flat, from the PCA of its element centroids with unit weights (identity
-    axes for a single element), and it is flagged ``degenerate``.  Any other
-    node takes its basis from the PCA of its points with unit weights.  The
-    box is fitted to the node's points.  Returns (rows, origins, pmin, pmax,
-    degenerate).
+    the hull surface of its points, one qhull call per node, or from the
+    PCA of its element centroids with unit weights if qhull finds the hull
+    flat (identity axes for a single element).  Any other node takes its
+    basis from the PCA of its points with unit weights.  The box is fitted
+    to the node's points.  Returns (rows, origins, pmin, pmax).
     """
     n_table = len(table)
     key = np.sort((seg[:, None] * n_table + elem_rows[elems]).ravel())
@@ -416,20 +405,20 @@ def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
     pstart = np.searchsorted(pseg, np.arange(n_nodes + 1))
     faces = [np.empty((0, 3), dtype=np.int64)]
     owner = [np.empty(0, dtype=np.int64)]
-    degenerate = np.zeros(n_nodes, dtype=bool)
+    flat_hull = np.zeros(n_nodes, dtype=bool)
     for i in np.flatnonzero(hull):
         lo, hi = pstart[i], pstart[i + 1]
         try:
             simplices = ConvexHull(points[lo:hi]).simplices
         except QhullError:
-            degenerate[i] = True
+            flat_hull[i] = True
             continue
         faces.append(simplices + lo)
         owner.append(np.full(len(simplices), i))
     centers, weights = triangles_centroid_area(points[np.concatenate(faces)])
     # unit-weight centers: the points of the nodes fitted without a hull, and
     # the element centroids of the flat hulls; each node has one kind only
-    cloud, flat = ~hull[pseg], degenerate[seg]
+    cloud, flat = ~hull[pseg], flat_hull[seg]
     centers = np.concatenate([centers, points[cloud], centroids[elems[flat]]])
     weights = np.concatenate([weights, np.ones(np.count_nonzero(cloud) + np.count_nonzero(flat))])
     owner = np.concatenate(owner + [pseg[cloud], seg[flat]])
@@ -440,19 +429,7 @@ def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
     rows = _eigen_rows(_covariances(centers, weights, starts, origins))
     rows[np.diff(starts, append=len(owner)) == 1] = np.eye(3)
     pmin, pmax = _fit_boxes(points, pstart[:-1], rows, origins)
-    return rows, origins, pmin, pmax, degenerate
-
-
-def _refit_with_hull(fit, nodes, table, elem_rows, centroids, elems, seg):
-    """Replace the fits of the level's ``nodes`` (a mask) in ``fit``, the
-    arrays ``_fit_level`` returned, by their hull fits, in place."""
-    k = int(np.count_nonzero(nodes))
-    if k:
-        keep = nodes[seg]
-        sub_seg = (np.cumsum(nodes) - 1)[seg[keep]]
-        sub = _fit_level(table, elem_rows, centroids, elems[keep], sub_seg, k, np.ones(k, bool))
-        for full, part in zip(fit, sub):
-            full[nodes] = part
+    return rows, origins, pmin, pmax
 
 
 def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> ObbTree:
@@ -462,16 +439,15 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> Ob
     through its basis origin orthogonal to the box axis of largest extent;
     element membership follows the corner centroid, with on-plane elements
     going to the first child.  Falls back to the next-longest axis when a
-    split does not separate, and makes a leaf when no axis separates or the
-    node's hull is flat.
+    split does not separate, and makes a leaf when no axis separates.
 
-    A split only needs an axis and a point, so a large node is fitted by the
-    PCA of its points, with no hull.  Every leaf is fitted by the PCA of its
-    hull surface, with the bits ``_fit_level`` gives it alone.  A large node
-    whose point box is flat (thinnest side at most ``FLAT_EXTENT`` of the
-    diagonal) may have a flat hull, so it is fitted by its hull before the
-    split test.  A split node keeps no box.  ``tree.leaves`` lists the
-    leaves depth first, first child first.
+    Each node is fitted once, with the bits ``_fit_level`` gives it alone.  A
+    node of at most ``max_leaf_elements`` elements is fitted by the PCA of
+    its hull surface; a larger one, which only needs a split axis and point,
+    by the PCA of its points.  A large node that no axis separates keeps
+    that point fit, whose box holds all its bounding points.  A split node
+    keeps no box.  ``tree.leaves`` lists the leaves depth first, first child
+    first.
     """
     _check_count("max_leaf_elements", max_leaf_elements)
     table, elem_rows = _point_table(mesh)
@@ -484,21 +460,16 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> Ob
         estarts = np.searchsorted(seg, np.arange(n_nodes))
         n_elems = np.diff(estarts, append=len(elems))
         large = n_elems > max_leaf_elements
-        inputs = (table, elem_rows, centroids, elems, seg)
-        fit = _fit_level(*inputs, n_nodes, ~large)
-        extent = fit[3] - fit[2]
-        flat = large & (extent.min(axis=1) <= FLAT_EXTENT * np.linalg.norm(extent, axis=1))
-        _refit_with_hull(fit, flat, *inputs)
-        rows, origins, pmin, pmax, degenerate = fit
+        rows, origins, pmin, pmax = _fit_level(
+            table, elem_rows, centroids, elems, seg, n_nodes, ~large
+        )
         side = _rotate(rows[seg], centroids[elems] - origins[seg]) > 0.0
         n_second = np.add.reduceat(side.astype(np.int64), estarts, axis=0)
         separates = (n_second > 0) & (n_second < n_elems[:, None])
         by_extent = np.argsort(pmin - pmax, axis=1, kind="stable")
         usable = np.take_along_axis(separates, by_extent, axis=1)
         axis = by_extent[np.arange(n_nodes), usable.argmax(axis=1)]
-        split = usable.any(axis=1) & large & ~degenerate
-        # a large node that no axis separates is a leaf: fit it like one
-        _refit_with_hull(fit, large & ~flat & ~split, *inputs)
+        split = usable.any(axis=1) & large
         level = [None] * n_nodes  # a split node is made once its children are
         for i in np.flatnonzero(~split):
             obb = Obb(Basis(rows[i], origins[i]), Aabb(pmin[i], pmax[i]))
@@ -526,4 +497,4 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> Ob
             leaves.append(node)
         else:
             stack += [node.right, node.left]
-    return ObbTree(nodes[0], leaves, mesh.n_elements)
+    return ObbTree(nodes[0], leaves, mesh)

@@ -309,11 +309,13 @@ def make_detector(
     if rays_per_cm2 is not None:
         if pitch is not None:
             raise ValueError("rays_per_cm2 and pitch exclude each other")
-        if not rays_per_cm2 > 0.0:
-            raise ValueError("rays_per_cm2 must be positive")
+        if not 0.0 < rays_per_cm2 < math.inf:
+            raise ValueError(f"rays_per_cm2 must be positive and finite, got {rays_per_cm2}")
         pitch = 1.0 / math.sqrt(rays_per_cm2)
-    if pitch is None or not pitch > 0.0:
-        raise ValueError("either rays_per_cm2 or a positive pitch is required")
+    elif pitch is None:
+        raise ValueError("either rays_per_cm2 or pitch is required")
+    elif not 0.0 < pitch < math.inf:
+        raise ValueError(f"pitch must be positive and finite, got {pitch}")
     u_ax = (axis + 1) % 3
     v_ax = (axis + 2) % 3
     if nu is None:
@@ -338,14 +340,15 @@ def make_detector(
 def _grid_range(t_enter, t_exit, step: float):
     """Global-grid sample index range [j_lo, j_hi] inside an interval.
 
-    Non-finite intervals (rays that miss a box via a zero-direction axis)
-    yield an empty range.
+    Intervals whose bounds an int64 cannot hold yield an empty range: the
+    non-finite ones of rays that miss a box via a zero-direction axis, and
+    the huge ones of a missed box nearly parallel to the rays.
     """
     a = np.maximum(t_enter, 0.0)
     with np.errstate(invalid="ignore"):
         lo = np.ceil(a / step - 0.5)
         hi = np.floor(t_exit / step - 0.5)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    bad = ~((np.abs(lo) < 2.0**63) & (np.abs(hi) < 2.0**63))
     if np.any(bad):
         lo = np.where(bad, 1.0, lo)
         hi = np.where(bad, 0.0, hi)
@@ -848,10 +851,11 @@ def render(
     box, clip = _box_and_clip(mesh, detector)
     if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
-    if tree is not None and tree.n_elements != mesh.n_elements:
-        raise ValueError(
-            f"tree built over {tree.n_elements} elements, mesh has {mesh.n_elements}"
-        )
+    if tree is not None and tree.mesh is not mesh and not (
+        np.array_equal(tree.mesh.nodes, mesh.nodes)
+        and np.array_equal(tree.mesh.elements, mesh.elements)
+    ):
+        raise ValueError("tree was built over another mesh (nodes or elements differ)")
     ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip)
 
     tiles = _ray_tiles(detector.n_rays, _depth_points(box, detector.normal, settings.step))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from fexray import spatial
 from fexray.bench import BallSpec, CylinderSpec, generate_ball, generate_cylinder
-from fexray.mesh import EDGE_VERTICES, Mesh, _lattice_jacobian_dets
+from fexray.mesh import EDGE_VERTICES, Mesh, NodalField, _lattice_jacobian_dets
 from fexray.spatial import (
     BOX_INFLATION,
+    MAX_LEAF_ELEMENTS,
     Aabb,
     Basis,
     DegenerateGeometryError,
@@ -20,6 +22,7 @@ from fexray.spatial import (
     triangles_centroid_area,
     weighted_center,
 )
+from fexray.xray import IntegrationSettings, make_detector, render
 from tests.conftest import golden_scene, mesh_from_corner_tets
 from tests.helpers import convex_hull, fit_obb, pca_basis, to_local
 
@@ -442,6 +445,13 @@ def _hull_test_mesh(name):
     return golden_scene(name)[0]
 
 
+def _benchmark_mesh(name, cylinder_full):
+    """The mesh of a benchmark workload: ``ball512`` or ``cylinder2058``."""
+    if name == "ball512":
+        return generate_ball(BallSpec(target_elements=512))[0]
+    return cylinder_full[0]
+
+
 class TestObbTree:
     def test_single_element_is_leaf(self):
         mesh = line_of_tets(1)
@@ -509,18 +519,53 @@ class TestObbTree:
             np.testing.assert_allclose(np.linalg.det(rows), 1.0, atol=1e-10)
 
     def test_flat_hull_falls_back_to_centroid_pca(self):
-        # slivers too flat for qhull: the node becomes a leaf whose axes come
-        # from its element centroids (identity for one element), and its box
-        # still holds every bounding point
+        # slivers too flat for qhull: a leaf takes its axes from its element
+        # centroids (identity for one element), and its box still holds
+        # every bounding point
         verts = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-15]]
         one = mesh_from_corner_tets(verts, [(0, 1, 2, 3)])
         assert (build_obb_tree(one, 1).root.obb.basis.rows == np.eye(3)).all()
         shifted = [[x + 2.0, y, z] for x, y, z in verts]
         two = mesh_from_corner_tets(verts + shifted, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        # at leaf size 1 the root is split by its point fit
         tree = build_obb_tree(two, 1)
+        assert not tree.root.is_leaf
+        assert [leaf.elements.tolist() for leaf in tree.leaves] == [[0], [1]]
+        for leaf in tree.leaves:
+            assert (leaf.obb.basis.rows == np.eye(3)).all()
+        _assert_boxes_contain(two, tree)
+        # at leaf size 2 both slivers make one leaf, along their centroids
+        tree = build_obb_tree(two, 2)
         assert tree.root.is_leaf and len(tree.root.elements) == 2
         np.testing.assert_allclose(tree.root.obb.basis.rows[0], [1.0, 0, 0], atol=1e-12)
         _assert_boxes_contain(two, tree)
+
+    def test_sliver_line_is_split_into_small_leaves(self):
+        # 200 slivers 1e-14 thick, too flat for qhull as a whole: every large
+        # node is still split by its point fit, no leaf exceeds the leaf
+        # size, and the images equal brute force
+        mesh = _line_of_thin_tets(200, 1e-14)
+        tree = build_obb_tree(mesh, 10)
+        assert max(len(leaf.elements) for leaf in tree.leaves) <= 10
+        _assert_boxes_contain(mesh, tree)
+        field = NodalField(np.ones(mesh.n_nodes))
+        settings = IntegrationSettings(step=0.01)
+        for face in ("+x", "+y", "+z"):
+            det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                image = render(mesh, field, det, settings, tree=tree)
+            brute = render(mesh, field, det, settings, brute_force=True)
+            assert image.density.tobytes() == brute.density.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, shape", [("ball512", (47, 24, 5)), ("cylinder2058", (185, 93, 7))]
+    )
+    def test_benchmark_tree_shapes(self, cylinder_full, name, shape):
+        # nodes, leaves and depth of the benchmark meshes' default-size trees
+        nodes = _tree_nodes(build_obb_tree(_benchmark_mesh(name, cylinder_full)))
+        leaves = [node for node in nodes if node.is_leaf]
+        assert (len(nodes), len(leaves), max(n.depth for n in nodes)) == shape
 
     def test_obb_tighter_than_aabb_for_elongated_body(self, rng):
         # prosthesis-like body: a slanted elongated block
@@ -538,7 +583,7 @@ class TestObbTree:
         mesh = mesh_from_corner_tets(verts, tets)
         tree = build_obb_tree(mesh, 100)
         aabb = model_aabb(mesh)
-        assert tree.root.obb.volume <= aabb.volume
+        assert np.prod(tree.root.obb.box.extents) <= np.prod(aabb.extents)
 
     def test_dump_tree_structure(self, ball_mesh_field):
         # a depth-first walk reaches exactly tree.leaves, in order, through
@@ -595,16 +640,15 @@ def _recording_qhull(monkeypatch):
     return calls
 
 
-def _leaf_points(mesh, leaf):
-    """A leaf's distinct table rows in ascending order: its corners and edge
-    control points, each once."""
+def _leaf_inputs(mesh, tree):
+    """Each leaf's distinct table rows in ascending order: its corners and
+    edge control points, each once."""
     table, elem_rows = spatial._point_table(mesh)
-    return table[np.unique(elem_rows[leaf.elements])]
+    return [table[np.unique(elem_rows[leaf.elements])] for leaf in tree.leaves]
 
 
 def _line_of_thin_tets(n, height):
-    """n disjoint tets along x, ``height`` thick in z: flat to the box test
-    of a large node (``FLAT_EXTENT``), solid to qhull."""
+    """n disjoint tets along x, ``height`` thick in z."""
     verts, tets = [], []
     for i in range(n):
         base = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, height]])
@@ -614,33 +658,39 @@ def _line_of_thin_tets(n, height):
 
 
 class TestHullInput:
-    @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
-    def test_one_qhull_call_per_leaf_on_its_points(self, name, monkeypatch):
+    # the golden scenes, and the two benchmark meshes at the default leaf size
+    @pytest.mark.parametrize(
+        "name", ["ball8", "cylinder100", "ball8-linear", "ball512", "cylinder2058"]
+    )
+    def test_one_qhull_call_per_leaf_on_its_points(self, name, cylinder_full, monkeypatch):
         # qhull runs once per leaf, on exactly the leaf's distinct corners
         # and edge control points (never 16 points per element), and never
         # for a node that is split
-        mesh = _hull_test_mesh(name)
+        if name in ("ball512", "cylinder2058"):
+            mesh, leaf_sizes = _benchmark_mesh(name, cylinder_full), (MAX_LEAF_ELEMENTS,)
+        else:
+            mesh, leaf_sizes = _hull_test_mesh(name), (1, 3, 10, MAX_LEAF_ELEMENTS)
         calls = _recording_qhull(monkeypatch)
-        for leaf_size in (1, 3, 10):
+        for leaf_size in leaf_sizes:
             calls.clear()
             tree = build_obb_tree(mesh, leaf_size)
             assert len(tree.leaves) > 1 or leaf_size > 1  # leaf size 1 splits
-            inputs = [_leaf_points(mesh, leaf) for leaf in tree.leaves]
+            inputs = _leaf_inputs(mesh, tree)
             assert sorted(calls) == sorted(p.tobytes() for p in inputs)
             for leaf, points in zip(tree.leaves, inputs):
                 assert len(points) == _distinct_corners_and_edges(mesh, leaf.elements)
 
-    def test_flat_candidates_are_split_by_their_hull(self, monkeypatch):
-        # a large node whose point box is at most FLAT_EXTENT thick gets a
-        # qhull call before it is split; a thicker one does not
+    def test_flat_and_thick_lines_fit_each_leaf_once(self, monkeypatch):
+        # however thin the line, qhull runs once per leaf, on its points,
+        # and never for a split node
         calls = _recording_qhull(monkeypatch)
-        for height, flat in ((1e-7, True), (1e-3, False)):
+        for height in (1e-7, 1e-3):
             calls.clear()
             mesh = _line_of_thin_tets(4, height)
             tree = build_obb_tree(mesh, 1)
             internal = [n for n in _tree_nodes(tree) if not n.is_leaf]
             assert len(tree.leaves) == 4 and len(internal) == 3
-            assert len(calls) == 4 + (len(internal) if flat else 0)
+            assert sorted(calls) == sorted(p.tobytes() for p in _leaf_inputs(mesh, tree))
 
     @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
     def test_point_table_rows_are_bounding_points(self, name):
@@ -707,7 +757,7 @@ class TestTreeDeterminism:
             backwards = _fit(ball64, groups[::-1], hull[::-1])
             for i, group in enumerate(groups):
                 alone = _fit(ball64, [group], hull[i : i + 1])
-                for k in range(5):
+                for k in range(4):
                     bits = alone[k][0].tobytes()
                     assert joint[k][i].tobytes() == bits
                     assert backwards[k][len(groups) - 1 - i].tobytes() == bits
@@ -720,23 +770,24 @@ class TestTreeDeterminism:
         # every leaf box has the bits of a hull fit of its elements alone
         mesh = ball_mesh_field[0] if name == "ball64" else golden_scene(name)[0]
         for leaf in build_obb_tree(mesh, leaf_size).leaves:
-            rows, origins, pmin, pmax, _ = _fit(mesh, [_node_elements(leaf)], [True])
+            rows, origins, pmin, pmax = _fit(mesh, [_node_elements(leaf)], [True])
             assert leaf.obb.basis.rows.tobytes() == rows[0].tobytes()
             assert leaf.obb.basis.origin.tobytes() == origins[0].tobytes()
             assert leaf.obb.box.pmin.tobytes() == pmin[0].tobytes()
             assert leaf.obb.box.pmax.tobytes() == pmax[0].tobytes()
 
-    def test_inseparable_large_node_is_refitted_as_leaf(self, monkeypatch):
+    def test_inseparable_large_node_keeps_its_point_fit(self, monkeypatch):
         # three copies of one element have one centroid, so no axis
-        # separates them: the node is a leaf, fitted by its hull
+        # separates them: the node is a leaf and keeps the point fit it got
+        # as a large node, with no qhull call
         corners = [[0.0, 0, 0], [2, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]]
         mesh = mesh_from_corner_tets(corners, [(0, 1, 2, 3)] * 3)
         calls = _recording_qhull(monkeypatch)
         tree = build_obb_tree(mesh, 1)
-        assert tree.root.is_leaf and len(tree.root.elements) == 3 and len(calls) == 1
-        rows, origins, pmin, pmax, degenerate = _fit(mesh, [np.arange(3)], [True])
+        assert tree.root.is_leaf and len(tree.root.elements) == 3 and not calls
+        _assert_boxes_contain(mesh, tree)
+        rows, origins, pmin, pmax = _fit(mesh, [np.arange(3)], [False])
         obb = tree.root.obb
-        assert not degenerate[0]
         assert obb.basis.rows.tobytes() == rows[0].tobytes()
         assert obb.basis.origin.tobytes() == origins[0].tobytes()
         assert obb.box.pmin.tobytes() == pmin[0].tobytes()

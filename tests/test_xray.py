@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -96,6 +97,19 @@ class TestMakeDetector:
         box = Aabb(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="rays_per_cm2 and pitch"):
             make_detector(box, "+z", rays_per_cm2=100.0, pitch=0.5, **counts)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["rays_per_cm2", "pitch"])
+    def test_spacing_must_be_positive_and_finite(self, name, value):
+        # the message names the argument at fault
+        box = Aabb(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            make_detector(box, "+z", **{name: value})
+
+    def test_spacing_required(self):
+        box = Aabb(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="^either rays_per_cm2 or pitch is required"):
+            make_detector(box, "+z")
 
     @pytest.mark.parametrize("counts", [{"nu": 5}, {"nv": 5}])
     def test_one_pixel_count_rejected(self, counts):
@@ -414,8 +428,30 @@ class TestRender:
         mesh, field = ball_mesh_field
         tree = build_obb_tree(golden_scene("ball8")[0], 10)
         det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=4.0)
-        with pytest.raises(ValueError, match="elements"):
+        with pytest.raises(ValueError, match="another mesh"):
             render(mesh, field, det, IntegrationSettings(), tree=tree)
+
+    def test_tree_of_moved_mesh_rejected(self, ball_mesh_field):
+        # a deformed state of the mesh has its element count but other
+        # nodes, and the old leaf boxes would miss parts of its elements
+        mesh, field = ball_mesh_field
+        moved = Mesh(mesh.nodes * 1.3 + [0.2, 0.0, 0.0], mesh.elements)
+        det = make_detector(model_aabb(moved), "+z", rays_per_cm2=4.0)
+        with pytest.raises(ValueError, match="another mesh"):
+            render(moved, field, det, IntegrationSettings(), tree=build_obb_tree(mesh, 10))
+
+    def test_tree_of_equal_mesh_accepted(self):
+        # a mesh parsed twice from one text renders with the other copy's
+        # tree, byte for byte as with its own
+        text = (GOLDEN / "ball8.mesh").read_text()
+        mesh, copy = io_text.parse_mesh(text), io_text.parse_mesh(text)
+        field = golden_scene("ball8")[1]
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=36.0)
+        settings = IntegrationSettings(step=0.05)
+        own = render(mesh, field, det, settings, tree=build_obb_tree(mesh, 3))
+        other = render(mesh, field, det, settings, tree=build_obb_tree(copy, 3))
+        assert own.stats.pairs_inside > 0
+        assert own.density.tobytes() == other.density.tobytes()
 
     def test_spawn_pool_bitwise(self):
         # the worker pool must not depend on fork; a fork during the
@@ -808,6 +844,18 @@ class TestPairStream:
             assert w.sum() <= budget or w.size == 1
             if k + 1 < len(weights):  # full: the next row would pass the budget
                 assert w.sum() + weights[k + 1][0] > budget
+
+
+def test_grid_range_of_huge_bounds_is_empty():
+    # a missed leaf box nearly parallel to the rays gives slab bounds that
+    # no int64 holds; like non-finite ones they make an empty range
+    t_enter = np.array([1e300, np.inf, np.nan, 0.0, 0.0])
+    t_exit = np.array([1.0, np.inf, 1.0, -1e300, 0.05])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = xray._grid_range(t_enter, t_exit, 0.01)
+    assert (hi[:4] < lo[:4]).all()
+    assert (lo[4], hi[4]) == (0, 4)
 
 
 class TestTiles:
