@@ -27,12 +27,14 @@ column-major: each coordinate is one contiguous row, filled in the fixed
 order of the row-major expressions, so the bits are theirs.
 
 Point location then streams (ray, element) pairs through three bounded
-stages.  First the element boxes (in the detector frame) are tested against
-the rays of a record as one (elements x rays) mask, so only pairs whose ray
-crosses an element's box footprint are built, and the mask's inner loop
-runs over the many rays, not the few elements of a leaf.  The pairs of a
-record then come element by element.  Then each pair's ray is
-clipped to the element's box depth range intersected with the four face
+stages.  First each record's pairs are enumerated pixel row by pixel row
+from the element clips (in the detector frame): over the depth window where
+the record's grid points meet an element's box, each face plane admits a
+half-plane in (a, b), and each row of the element box's footprint gets one
+column interval cut by all four, so no (elements x rays) mask is built.
+The rays of those intervals are looked up in the record, and the pairs
+whose ray crosses the element's box footprint go on.  Then each pair's ray
+is clipped to the element's box depth range intersected with the four face
 half-spaces of its corner tetrahedron, each plane pushed out to the exact
 maximum of its normal's component over the element, and the box sides
 likewise; as the ray runs along t, a face bounds t through its normal's t
@@ -451,30 +453,6 @@ def _element_clip(mesh: Mesh, det: Detector, nets: np.ndarray) -> _ElementClip:
     )
 
 
-def _box_pairs(clip: _ElementClip, records, ray_a, ray_b, budget: int):
-    """Yield (ray, element, j_lo, j_hi) for the (ray, element) pairs of the
-    leaf records whose ray crosses the element's box footprint in (a, b).
-
-    A record is tested in slices of at most ``budget`` candidates, as one
-    (elements x rays) mask, so only the pairs inside the box are built and
-    numpy's inner loop runs over the rays; ``j_lo``/``j_hi`` are the
-    record's.  The pairs of a slice come element by element; no later stage
-    depends on the order, as lanes are independent of their batch and claims
-    go to the lowest element id.  A single ray meeting more than ``budget``
-    elements makes a larger slice.
-    """
-    for elems, ids, j_lo, j_hi in records:
-        lo, hi = clip.lo[elems, :2, None], clip.hi[elems, :2, None]
-        rays_per_slice = max(1, budget // elems.size)
-        for first in range(0, ids.size, rays_per_slice):
-            part = slice(first, first + rays_per_slice)
-            rays = ids[part]
-            a, b = ray_a[rays], ray_b[rays]
-            e, r = np.nonzero((a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1]))
-            if r.size:
-                yield rays[r], elems[e], j_lo[part][r], j_hi[part][r]
-
-
 def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
     """Depth range (t_in, t_out) of the rays at detector-frame (a, b) inside
     the clips of the elements e, pair by pair; empty when t_in > t_out.
@@ -483,7 +461,7 @@ def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     gap = offset - n_a * a - n_b * b: from below where n_t < 0, from above
     where n_t > 0.  A face with n_t == 0 keeps the whole ray or none of it.
     The box bounds t by its depth extent; its (a, b) footprint is
-    ``_box_pairs``'s test.  Starting from the box's bounds, one pass per
+    ``_pairs_of_runs``' test.  Starting from the box's bounds, one pass per
     face takes the pairs' face-row values and folds that face's bound into
     (t_in, t_out).  Maximum and minimum are exact and keep the later operand
     on a tie of +0.0 and -0.0, so the range has the bytes of a reduction over
@@ -698,10 +676,11 @@ def _count_samples(records, span: int) -> int:
     return int(np.maximum(hi - np.maximum(reach, lo - 1), 0).sum())
 
 
-# (ray, element) pairs box-tested or clipped at once, and (sample, element)
-# lanes per Newton batch; the one cap keeps the transient arrays of a tile
-# bounded, and a Newton batch's arrays (the residual check gathers the nodes
-# of each accepted lane) set the render's peak memory
+# pixel rows and (ray, element) candidates enumerated, box-tested and
+# clipped at once, and (sample, element) lanes per Newton batch; the one cap
+# keeps the transient arrays of a tile bounded, and a Newton batch's arrays
+# (the residual check gathers the nodes of each accepted lane) set the
+# render's peak memory
 NEWTON_CHUNK = 8192
 # samples per tile, counting every ray at the grid points on the longest
 # model box chord along the rays; bounds the per-tile arrays that scale
@@ -709,26 +688,177 @@ NEWTON_CHUNK = 8192
 TILE_SAMPLES = 1 << 17
 
 
-def _clipped_pairs(ctx: _RenderContext, records, ray_a, ray_b):
+@dataclass(frozen=True)
+class _RecordTable:
+    """A tile's leaf records joined into one lookup table.
+
+    Record k's ray ids ascend (``_scan_leaves`` takes them row by row), so
+    the keys k * n_rays + ray ascend over the table, and one last key past
+    them all ends every search.  ``j_lo``/``j_hi`` are the rays' grid ranges
+    in key order.  ``rec`` and ``elem`` list every record's elements with the
+    record's index; ``j_min``/``j_max`` are each record's lowest and highest
+    grid index.
+    """
+
+    n_rays: int
+    keys: np.ndarray
+    j_lo: np.ndarray
+    j_hi: np.ndarray
+    rec: np.ndarray
+    elem: np.ndarray
+    j_min: np.ndarray
+    j_max: np.ndarray
+
+    @classmethod
+    def of(cls, records, n_rays: int) -> "_RecordTable":
+        elems, ids, j_lo, j_hi = zip(*records)
+        j_max = np.array([j.max() for j in j_hi])
+        # int32 ranges halve the table's memory, unless a detector far from
+        # the model puts grid indices past them
+        j_type = np.int32 if j_max.max() < 2**31 else np.int64
+        return cls(
+            n_rays,
+            np.concatenate([k * n_rays + r for k, r in enumerate(ids)] + [[len(ids) * n_rays]]),
+            np.concatenate(j_lo, dtype=j_type),
+            np.concatenate(j_hi, dtype=j_type),
+            np.repeat(np.arange(len(elems)), [e.size for e in elems]),
+            np.concatenate(elems),
+            np.array([j.min() for j in j_lo]),
+            j_max,
+        )
+
+
+def _split_runs(start, count, budget: int):
+    """Cut the runs start .. start + count - 1 (count >= 1) into runs of at
+    most ``budget``: (index of the cut run, start, count) per piece."""
+    pieces = (count - 1) // budget + 1
+    src = np.repeat(np.arange(count.size), pieces)
+    off = _ragged_arange(np.zeros_like(pieces), pieces) * budget
+    return src, start[src] + off, np.minimum(count[src] - off, budget)
+
+
+def _footprint_runs(ctx: _RenderContext, table: _RecordTable, r_lo: int, budget: int):
+    """Yield (key0, element, count) column runs: the table keys
+    key0 .. key0 + count - 1 are the candidate rays of the element, in the
+    element's record.  Runs hold at most ``budget`` keys and come at most
+    ``budget`` rows at a time.
+
+    Each element's depth window is its box's depth range cut to its record's
+    grid points [t(j_min), t(j_max)], t(j) = (j + 1/2) * step.  A pair can
+    keep a sample only at a t of that window, and face f keeps it only where
+    n_a * a + n_b * b + n_t * t <= offset: so only where
+    n_a * a + n_b * b <= offset - min(n_t * t) over the window.  Each pixel
+    row of the element box's footprint inside the tile gets one column
+    interval, the box's cut by that half-plane of every face
+    (``_row_runs``).  The runs are a superset of the pairs the box test and
+    ``_depth_clip`` keep within the record's ranges, as ``_pairs_of_runs``
+    then applies both.
+    """
+    det, clip, step = ctx.detector, ctx.clip, ctx.settings.step
+    n, nu, pitch = table.n_rays, det.nu, det.pitch
+    e = table.elem
+    t0 = np.maximum(clip.t_lo[e], (table.j_min[table.rec] + 0.5) * step)
+    t1 = np.minimum(clip.t_hi[e], (table.j_max[table.rec] + 0.5) * step)
+    # the clip's plane values, depth bounds and grid indices round within
+    # ~1e-14 of this scale; a slack far above that and far below a pixel
+    # keeps every pair the clip keeps and adds few others
+    slack = 1e-9 * (step + max(np.abs(clip.lo[e]).max(), np.abs(clip.hi[e]).max()))
+    # the box rows inside the tile, the box grown by the slack for the
+    # roundoff of k * pitch
+    row_lo, row_hi = r_lo // nu, (r_lo + n - 1) // nu
+    k_a = np.clip(np.ceil((clip.lo[e, 1] - slack) / pitch), row_lo, row_hi + 1).astype(np.int64)
+    k_b = np.clip(np.floor((clip.hi[e, 1] + slack) / pitch), row_lo - 1, row_hi).astype(np.int64)
+    live = np.flatnonzero((t0 <= t1 + slack) & (k_a <= k_b))
+    e, t0, t1 = e[live], t0[live], t1[live]
+    n_t = clip.n_t[:, e]
+    entries = (e, table.rec[live] * n, clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack)
+    rows = _split_runs(k_a[live], k_b[live] - k_a[live] + 1, budget)
+    for src, k0, n_rows in _regroup([rows], budget, weight=2):
+        yield _row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
+
+
+def _row_runs(
+    ctx: _RenderContext, entries, src, k0, n_rows, r_lo: int, n: int, slack: float, budget: int
+):
+    """The column runs (key0, element, count) of the pixel rows
+    k0 .. k0 + n_rows - 1 of the ``entries`` ``src``: (element, record key
+    base, (4, entries) right-hand sides c0 of the faces' half-planes
+    n_a * a + n_b * b <= c0).
+
+    In a row, a face with n_a > 0 bounds a from above, one with n_a < 0 from
+    below, and one with n_a == 0 keeps the row or drops it whole.  The sign
+    is tested on n_a itself, as c / n_a at n_a == -0.0 has the flipped sign.
+    The box grows by the slack for the roundoff of i * pitch, and the
+    columns are cut to the detector and the tile.
+    """
+    clip, det = ctx.clip, ctx.detector
+    nu, pitch = det.nu, det.pitch
+    ent = np.repeat(src, n_rows)
+    k = _ragged_arange(k0, n_rows)
+    e, base, rhs = entries
+    e = e[ent]
+    b = k * pitch
+    a_lo = clip.lo[e, 0] - slack
+    a_hi = clip.hi[e, 0] + slack
+    empty = np.zeros(e.size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for f in range(len(TET_FACES)):
+            n_a = clip.n_a[f][e]
+            c = rhs[f][ent] - clip.n_b[f][e] * b
+            q = c / n_a
+            np.maximum(a_lo, np.where(n_a < 0.0, q, -np.inf), out=a_lo)
+            np.minimum(a_hi, np.where(n_a > 0.0, q, np.inf), out=a_hi)
+            empty |= (n_a == 0.0) & (c < 0.0)
+    first = r_lo - k * nu  # the column of tile-local ray 0 in row k
+    i_lo = np.maximum(np.ceil(a_lo / pitch), np.maximum(first, 0))
+    i_hi = np.minimum(np.floor(a_hi / pitch), np.minimum(first + n - 1, nu - 1))
+    run = np.flatnonzero((i_lo <= i_hi) & ~empty)
+    i_lo = i_lo[run].astype(np.int64)
+    count = i_hi[run].astype(np.int64) - i_lo + 1
+    src, key0, count = _split_runs(base[ent[run]] + i_lo - first[run], count, budget)
+    return key0, e[run][src], count
+
+
+def _pairs_of_runs(ctx: _RenderContext, table: _RecordTable, ray_a, ray_b, key0, elem, count):
+    """The clipped pairs (ray, element, j1, counts) of a batch of column
+    runs: each key found in the table whose ray crosses the element box's
+    (a, b) footprint is clipped by ``_depth_clip``, and its grid range is
+    cut to the ray's own range in the record."""
+    clip, n = ctx.clip, table.n_rays
+    ray = _ragged_arange(key0, count)
+    pos = np.searchsorted(table.keys, ray)
+    found = table.keys[pos] == ray
+    ray %= n  # the keys' tile-local ray ids
+    e = np.repeat(elem, count)
+    a, b = ray_a[ray], ray_b[ray]
+    keep = np.flatnonzero(
+        found & (a >= clip.lo[e, 0]) & (a <= clip.hi[e, 0]) & (b >= clip.lo[e, 1]) & (b <= clip.hi[e, 1])
+    )
+    ray, e, pos, a, b = ray[keep], e[keep], pos[keep], a[keep], b[keep]
+    t_in, t_out = _depth_clip(clip, a, b, e)
+    j1, j2 = _grid_range(t_in, t_out, ctx.settings.step)
+    j1 = np.maximum(j1, table.j_lo[pos])
+    j2 = np.minimum(j2, table.j_hi[pos])
+    keep = np.flatnonzero(j2 >= j1)
+    return ray[keep], e[keep], j1[keep], j2[keep] - j1[keep] + 1
+
+
+def _clipped_pairs(ctx: _RenderContext, table: _RecordTable, ray_a, ray_b, r_lo: int):
     """Yield (ray, element, j1, counts) for the (ray, element) pairs with
     candidate samples j1 .. j1 + counts - 1: the grid points inside the
     element clip and inside the record's own range.
 
-    Pairs are built only inside the element boxes and clipped
-    ``NEWTON_CHUNK`` at a time.  Each element sits in one leaf, so a pair
-    arises once per tile; the record range keeps every Newton lane inside
-    the render's samples.
+    The pairs are enumerated from each element's clip cross-section
+    (``_footprint_runs``), so no (elements x rays) mask is built, and are
+    box-tested and clipped at most ``NEWTON_CHUNK`` candidates at a time.
+    Each element sits in one leaf, so a pair arises once per tile; the
+    record range keeps every Newton lane inside the render's samples.
     """
-    step = ctx.settings.step
-    pairs = _box_pairs(ctx.clip, records, ray_a, ray_b, NEWTON_CHUNK)
-    for ray, elem, rec_jlo, rec_jhi in _regroup(pairs, NEWTON_CHUNK):
-        t_in, t_out = _depth_clip(ctx.clip, ray_a[ray], ray_b[ray], elem)
-        j1, j2 = _grid_range(t_in, t_out, step)
-        j1 = np.maximum(j1, rec_jlo)
-        j2 = np.minimum(j2, rec_jhi)
-        keep = np.flatnonzero(j2 >= j1)
-        if keep.size:
-            yield ray[keep], elem[keep], j1[keep], j2[keep] - j1[keep] + 1
+    budget = NEWTON_CHUNK
+    for key0, elem, count in _regroup(_footprint_runs(ctx, table, r_lo, budget), budget, weight=2):
+        pairs = _pairs_of_runs(ctx, table, ray_a, ray_b, key0, elem, count)
+        if pairs[0].size:
+            yield pairs
 
 
 def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
@@ -749,6 +879,8 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # which sorts like (ray, j)
     span = max(int(rec[3].max()) for rec in records) + 1
     stats.samples = _count_samples(records, span)
+    table = _RecordTable.of(records, n_rays)
+    del records
     det = ctx.detector
     claims_k: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
@@ -756,7 +888,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # batches of whole pairs, weighted by their lane counts, share one
     # Newton workspace; it is dropped before the claims are resolved
     work = newton_workspace(NEWTON_CHUNK)
-    pairs = _clipped_pairs(ctx, records, ray_a, ray_b)
+    pairs = _clipped_pairs(ctx, table, ray_a, ray_b, r_lo)
     for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
@@ -841,7 +973,9 @@ def render(
     mesh this is bitwise-identical to the accelerated path.  The rays run
     in tiles of a fixed sample budget, serially or, for ``workers`` > 1, in
     an ordered pool of up to ``workers`` processes; images are
-    bitwise-identical across worker counts.
+    bitwise-identical across worker counts.  A ``step`` that puts no depth
+    grid point inside the model box's depth range (from t = 0 on) is
+    rejected, as it would render a blank image.
     """
     check_field(mesh, field)
     if (field.values < 0.0).any():
@@ -851,6 +985,15 @@ def render(
     box, clip = _box_and_clip(mesh, detector)
     if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
+    # the model box's depth range along the rays, from t = 0 on: a step with
+    # no grid point in it would render a blank image
+    depth = (np.where(_BOX_CORNERS, box.pmax, box.pmin) - detector.origin) @ detector.normal
+    j_lo, j_hi = _grid_range(depth.min(), depth.max(), settings.step)
+    if depth.max() >= 0.0 and j_hi < j_lo:
+        raise ValueError(
+            f"step {settings.step:g} puts no depth grid point (j + 1/2) * step inside "
+            f"the model's depth range [{max(depth.min(), 0.0):g}, {depth.max():g}]"
+        )
     if tree is not None and tree.mesh is not mesh and not (
         np.array_equal(tree.mesh.nodes, mesh.nodes)
         and np.array_equal(tree.mesh.elements, mesh.elements)

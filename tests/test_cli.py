@@ -213,6 +213,15 @@ class TestRender:
         assert rc == 2
         assert "step" in capsys.readouterr().err
 
+    def test_step_past_the_model_rejected(self, tmp_path, ball_files, capsys):
+        # no depth grid point (j + 1/2) * 5 lies inside the 2 cm ball
+        mesh, field = ball_files
+        out = tmp_path / "d.fgrid"
+        cfg = write_config(tmp_path, mesh, field, step=5, out_density=out)
+        assert main(["render", "--config", str(cfg)]) == 2
+        assert "step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_field_mesh_mismatch(self, tmp_path, ball_files, capsys):
         mesh, _ = ball_files
         bad_field = tmp_path / "bad.field"

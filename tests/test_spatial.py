@@ -543,15 +543,22 @@ class TestObbTree:
     def test_sliver_line_is_split_into_small_leaves(self):
         # 200 slivers 1e-14 thick, too flat for qhull as a whole: every large
         # node is still split by its point fit, no leaf exceeds the leaf
-        # size, and the images equal brute force
+        # size, and the images equal brute force.  Under +z the line is a
+        # sheet 6e-7 deep: a step of 0.01 puts no grid point in it and is
+        # rejected, so that face is rendered at half the sheet's depth
         mesh = _line_of_thin_tets(200, 1e-14)
         tree = build_obb_tree(mesh, 10)
         assert max(len(leaf.elements) for leaf in tree.leaves) <= 10
         _assert_boxes_contain(mesh, tree)
         field = NodalField(np.ones(mesh.n_nodes))
-        settings = IntegrationSettings(step=0.01)
+        box = model_aabb(mesh)
         for face in ("+x", "+y", "+z"):
-            det = make_detector(model_aabb(mesh), face, rays_per_cm2=100.0)
+            det = make_detector(box, face, rays_per_cm2=100.0)
+            settings = IntegrationSettings(step=0.01)
+            if face == "+z":
+                with pytest.raises(ValueError, match="^step"):
+                    render(mesh, field, det, settings, tree=tree)
+                settings = IntegrationSettings(step=float(box.extents[2]) / 2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 image = render(mesh, field, det, settings, tree=tree)

@@ -296,6 +296,33 @@ class TestRender:
         with pytest.raises(ValueError, match=message):
             render(mesh, short, det, IntegrationSettings(step=0.05))
 
+    @pytest.mark.parametrize("step", [5.0, 4.1])
+    def test_step_with_no_grid_point_in_the_model_rejected(self, step):
+        # the 2 cm ball under +z spans depths 0 .. 2: t_0 = step / 2 is past it
+        mesh, field = golden_scene("ball8")
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=25.0)
+        with pytest.raises(ValueError, match="^step"):
+            render(mesh, field, det, IntegrationSettings(step=step))
+
+    @pytest.mark.parametrize("step", [3.0, 4.0])
+    def test_one_grid_point_in_the_model_renders(self, step):
+        mesh, field = golden_scene("ball8")
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=25.0)
+        img = render(mesh, field, det, IntegrationSettings(step=step))
+        assert img.stats.pairs_inside > 0 and img.density.max() > 0.0
+
+    def test_far_detector_passes_int32_grid_indices(self):
+        # one ray through the 2 cm ball from 2.2e4 cm away: its grid indices,
+        # about 2.2e4 / 1e-5, pass 2**31 and must not wrap
+        mesh, field = golden_scene("ball8")
+        settings = IntegrationSettings(step=1e-5)
+        chords = []
+        for far in (0.0, 2.2e4):
+            det = Detector(np.array([0.0, 0.0, 1.0 + far]), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0],
+                           1, 1, 0.1)
+            chords.append(render(mesh, field, det, settings).density[0, 0])
+        assert chords[0] > 1.99 and abs(chords[1] - chords[0]) <= 2e-5
+
     def test_model_behind_plane(self, ball_mesh_field):
         mesh, field = ball_mesh_field
         det = Detector(
@@ -676,15 +703,20 @@ class TestLinearElements:
         assert abs(fast.density[j, i] - (1.0 - x - y)) <= 2 * settings.step
 
 
+def _tilted_detector():
+    """16 x 16 rays along (1, 1, 1) through the 2 cm ball."""
+    n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    v = np.cross(n, u)
+    return Detector(3.0 * -n - 1.6 * u - 1.6 * v, u, v, n, 16, 16, 0.2)
+
+
 class TestObliqueDetector:
     def test_tilted_frame_pipeline(self, ball_mesh_field):
         # a detector frame with no zero direction components exercises the
         # general slab and entry-ordering paths end to end
         mesh, field = ball_mesh_field
-        n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        v = np.cross(n, u)
-        det = Detector(3.0 * -n - 1.6 * u - 1.6 * v, u, v, n, 16, 16, 0.2)
+        det = _tilted_detector()
         settings = IntegrationSettings(step=0.02, max_leaf_elements=10)
         img = render(mesh, field, det, settings)
         brute = render(mesh, field, det, settings, brute_force=True)
@@ -751,6 +783,59 @@ class TestPairPass:
         assert peaks[1] <= 2 * peaks[0], peaks
 
 
+class TestPairStreamBounds:
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("brute_force", [False, True], ids=["tree", "brute"])
+    def test_enumeration_chunks_within_budget(self, monkeypatch, chunk, brute_force):
+        # ball8 at pitch 0.05: an element's pixel row is up to ~20 rays wide,
+        # wider than a budget of 7, and must be cut; tiles of 2.5 rows
+        mesh, field = golden_scene("ball8")
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=400.0)
+        settings = IntegrationSettings(step=0.05)
+        depth = xray._depth_points(model_aabb(mesh), det.normal, settings.step)
+        monkeypatch.setattr(xray, "TILE_SAMPLES", det.nu * 5 // 2 * depth)
+        if chunk is not None:
+            monkeypatch.setattr(xray, "NEWTON_CHUNK", chunk)
+        runs, tables = [], []
+        pairs_of_runs = xray._pairs_of_runs
+
+        def spy(ctx, table, ray_a, ray_b, key0, elem, count):
+            assert int(count.sum()) <= xray.NEWTON_CHUNK
+            if not tables or table is not tables[-1]:
+                tables.append(table)
+            runs.append(np.column_stack([np.full_like(elem, len(tables)), elem, key0, count]))
+            return pairs_of_runs(ctx, table, ray_a, ray_b, key0, elem, count)
+
+        row_runs = xray._row_runs
+
+        def row_spy(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget):
+            # the rows lie in the tile's rows, at most a budget of them
+            assert r_lo // det.nu <= k0.min() and (k0 + n_rows).max() - 1 <= (r_lo + n - 1) // det.nu
+            assert int(n_rows.sum()) <= budget
+            return row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
+
+        monkeypatch.setattr(xray, "_pairs_of_runs", spy)
+        monkeypatch.setattr(xray, "_row_runs", row_spy)
+        ctx = _render_context(mesh, field, det, settings, brute_force=brute_force)
+        _drain_pair_stream(ctx)
+        # runs of one element in one tile that abut in key order are the
+        # pieces of one row; the widest row must pass the budget of 7
+        tile, elem, key0, count = _sorted_rows(np.concatenate(runs)).T
+        cut = (tile[1:] == tile[:-1]) & (elem[1:] == elem[:-1]) & (key0[:-1] + count[:-1] == key0[1:])
+        widest = np.add.reduceat(count, np.flatnonzero(np.r_[True, ~cut])).max()
+        assert widest > 7
+
+    @pytest.mark.parametrize(
+        "workload, bound", [("ball-fine-mesh", 50_000), ("cylinder-single-sample", 40_000)]
+    )
+    def test_pairs_into_the_depth_clip(self, monkeypatch, workload, bound):
+        # a count, not a time: the clip cross-sections hand the depth clip
+        # 45 477 and 35 198 pairs at seed 7, where an (elements x rays) box
+        # mask handed it 64 927 and 359 343
+        ctx = _benchmark_context(monkeypatch, workload)
+        assert sum(e.size for _, _, e in _clip_inputs(ctx)) <= bound
+
+
 def _render_context(mesh, field, det, settings, tree=None, brute_force=False):
     """The render's per-render state, built as ``render`` builds it."""
     box, clip = xray._box_and_clip(mesh, det)
@@ -771,6 +856,18 @@ def _ray_major_box_pairs(clip, records, ray_a, ray_b):
     return tuple(np.concatenate(c) for c in zip(*cols))
 
 
+def _oracle_pairs(ctx, records, ray_a, ray_b):
+    """Lexsorted (ray, element, j1, count) rows of the clipped pairs of the
+    leaf records, from the full ray-major expansion: the pairs inside the
+    element boxes, clipped by ``_depth_clip`` and cut to the record ranges."""
+    ray, e, j_lo, j_hi = _ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)
+    t_in, t_out = xray._depth_clip(ctx.clip, ray_a[ray], ray_b[ray], e)
+    j1, j2 = xray._grid_range(t_in, t_out, ctx.settings.step)
+    j1, j2 = np.maximum(j1, j_lo), np.minimum(j2, j_hi)
+    keep = j2 >= j1
+    return _sorted_rows(np.column_stack([ray, e, j1, j2 - j1 + 1])[keep])
+
+
 def _expanded_lanes(ctx):
     """(element, x, y, z) rows of the Newton lanes of the full (ray, element)
     expansion of the whole detector's leaf records, lexsorted: every pair of
@@ -779,13 +876,9 @@ def _expanded_lanes(ctx):
     ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
     origins = det.origin + ray_a[:, None] * det.axis_u + ray_b[:, None] * det.axis_v
     records = xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b)
-    ray, e, j_lo, j_hi = _ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)
-    t_in, t_out = xray._depth_clip(ctx.clip, ray_a[ray], ray_b[ray], e)
-    j1, j2 = xray._grid_range(t_in, t_out, step)
-    j1, j2 = np.maximum(j1, j_lo), np.minimum(j2, j_hi)
     rows = []
-    for r, el, first, last in zip(ray, e, j1, j2):
-        j = np.arange(first, last + 1)
+    for r, el, first, count in _oracle_pairs(ctx, records, ray_a, ray_b):
+        j = np.arange(first, first + count)
         pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
         rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
     return _sorted_rows(np.concatenate(rows))
@@ -931,14 +1024,13 @@ def _frame_detector(origin, d):
 
 def _clip_ray(clip, a, b):
     """Depth range (t_in, t_out) of the ray at detector-frame (a, b) in the
-    clip of element 0, through both clip stages of the pair stream; None
-    when the ray misses the element box footprint."""
-    one = np.zeros(1, dtype=np.int64)
-    ray_a, ray_b = np.array([a], dtype=float), np.array([b], dtype=float)
-    pairs = list(xray._box_pairs(clip, [(one, one, one, one)], ray_a, ray_b, 1))
-    if not pairs:
+    clip of element 0, through the pair stream's box test and depth clip;
+    None when the ray misses the element box footprint."""
+    lo, hi = clip.lo[0], clip.hi[0]
+    if not (a >= lo[0] and a <= hi[0] and b >= lo[1] and b <= hi[1]):
         return None
-    t_in, t_out = xray._depth_clip(clip, ray_a, ray_b, pairs[0][1])
+    one = np.zeros(1, dtype=np.int64)
+    t_in, t_out = xray._depth_clip(clip, np.array([a], dtype=float), np.array([b], dtype=float), one)
     return float(t_in[0]), float(t_out[0])
 
 
@@ -1275,22 +1367,38 @@ class TestClipPairs:
 
 
 def _tile_records(ctx):
-    """(records, ray_a, ray_b) of a render's tiles, as ``_render_block``
-    scans them."""
+    """(records, ray_a, ray_b, r_lo) of a render's tiles, as
+    ``_render_block`` scans them."""
     det = ctx.detector
     depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
         ray_a, ray_b = xray._block_rays(ctx, lo, hi)
-        yield xray._scan_leaves(ctx, lo, hi, ray_a, ray_b), ray_a, ray_b
+        yield xray._scan_leaves(ctx, lo, hi, ray_a, ray_b), ray_a, ray_b, lo
 
 
-def _box_pair_chunks(ctx):
-    """(a, b, element) of the box pairs of a render, tile by tile and chunk
-    by chunk, as the pair stream hands them to the depth clip."""
-    for records, ray_a, ray_b in _tile_records(ctx):
-        pairs = xray._box_pairs(ctx.clip, records, ray_a, ray_b, xray.NEWTON_CHUNK)
-        for ray, elem, _, _ in xray._regroup(pairs, xray.NEWTON_CHUNK):
-            yield ray_a[ray], ray_b[ray], elem
+def _drain_pair_stream(ctx):
+    """Run the pair stream over a render's tiles, as ``_render_block`` does."""
+    for records, ray_a, ray_b, r_lo in _tile_records(ctx):
+        if records:
+            table = xray._RecordTable.of(records, ray_a.size)
+            for _ in xray._clipped_pairs(ctx, table, ray_a, ray_b, r_lo):
+                pass
+
+
+def _clip_inputs(ctx):
+    """(a, b, element) of the pairs a render hands to the depth clip, tile by
+    tile and chunk by chunk, as the pair stream hands them over."""
+    seen = []
+    clip = xray._depth_clip
+
+    def spy(clip_, a, b, e):
+        seen.append((a, b, e))
+        return clip(clip_, a, b, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xray, "_depth_clip", spy)
+        _drain_pair_stream(ctx)
+    return seen
 
 
 def _assert_clip_bytes(clip, a, b, e):
@@ -1305,10 +1413,12 @@ def _assert_clip_bytes(clip, a, b, e):
 
 def _assert_render_clip_bytes(ctx):
     pairs = kept = 0
-    for a, b, e in _box_pair_chunks(ctx):
+    for a, b, e in _clip_inputs(ctx):
         kept += _assert_clip_bytes(ctx.clip, a, b, e)
         pairs += e.size
-    assert 0 < kept < pairs
+    # the stream cuts the pairs to the clip cross-sections first, so on some
+    # scenes the clip keeps them all; the Hypothesis case drops pairs
+    assert 0 < kept <= pairs
 
 
 signed_zero = st.sampled_from([0.0, -0.0])
@@ -1387,35 +1497,155 @@ def _benchmark_context(monkeypatch, workload):
     return _render_context(model.mesh, model.field, det, scene.settings, model.tree)
 
 
+@st.composite
+def _pair_scenes(draw):
+    """(ctx, records, ray_a, ray_b, r_lo) of one tile of a detector of at
+    most 5 x 5 rays over up to 4 random element clips: box sides and face
+    planes through pixel centres and depth grid points, signed-zero normal
+    components, and records of any rays and grid ranges."""
+    nu, nv = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pitch = draw(st.sampled_from([0.5, 0.1, 0.3]))
+    step = draw(st.sampled_from([0.25, 0.1, 0.7]))
+    r_lo = draw(st.integers(0, nu * nv - 1))
+    r_hi = draw(st.integers(r_lo + 1, nu * nv))
+    centre_a = st.integers(0, nu - 1).map(lambda i: i * pitch)
+    centre_b = st.integers(0, nv - 1).map(lambda k: k * pitch)
+    grid_t = st.integers(0, 6).map(lambda j: (j + 0.5) * step)
+    sides = [st.one_of(centre_a, st.floats(-0.5, 2.5)), st.one_of(centre_b, st.floats(-0.5, 2.5)),
+             st.one_of(grid_t, st.floats(-0.5, 5.0))]
+    normal = st.one_of(signed_zero, coord)
+    n_el = draw(st.integers(1, 4))
+    boxes, normals, offsets = [], [], []
+    for _ in range(n_el):
+        boxes.append([[draw(side) for side in sides] for _ in range(2)])
+        faces = [(draw(normal), draw(normal), draw(face_t)) for _ in range(4)]
+        normals.append(faces)
+        # a plane through a pixel centre at a grid point, or anywhere
+        offsets.append([
+            n_a * draw(centre_a) + n_b * draw(centre_b) + n_t * draw(grid_t)
+            if draw(st.booleans()) else draw(st.floats(-3.0, 3.0))
+            for n_a, n_b, n_t in faces
+        ])
+    boxes = np.array(boxes)
+    clip = xray._ElementClip.from_planes(
+        boxes.min(axis=1), boxes.max(axis=1), np.array(normals), np.array(offsets)
+    )
+    owner = np.array(draw(st.lists(st.integers(0, 1), min_size=n_el, max_size=n_el)))
+    records = []
+    for k in range(2):
+        elems = np.flatnonzero(owner == k)
+        ids = np.flatnonzero(draw(st.lists(st.booleans(), min_size=r_hi - r_lo, max_size=r_hi - r_lo)))
+        if elems.size and ids.size:
+            j_lo = np.array(draw(st.lists(st.integers(0, 5), min_size=ids.size, max_size=ids.size)))
+            length = np.array(draw(st.lists(st.integers(0, 3), min_size=ids.size, max_size=ids.size)))
+            records.append((elems, ids, j_lo, j_lo + length))
+    assume(records)
+    r = np.arange(r_lo, r_hi)
+    ctx = SimpleNamespace(
+        detector=SimpleNamespace(nu=nu, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step)
+    )
+    return ctx, records, (r % nu) * pitch, (r // nu) * pitch, r_lo
+
+
+def _one_tile_scene(elements, n, pitch, step):
+    """(ctx, records, ray_a, ray_b) of an n x n detector in one tile and one
+    record holding grid points 0 .. 3 of every ray, over element clips
+    given as (box lo, box hi, four (n_a, n_b, n_t, offset) faces)."""
+    lo, hi, faces = zip(*elements)
+    faces = np.array(faces)
+    clip = xray._ElementClip.from_planes(np.array(lo), np.array(hi), faces[..., :3], faces[..., 3])
+    r = np.arange(n * n)
+    records = [(np.arange(len(elements)), r, np.zeros_like(r), np.full_like(r, 3))]
+    ctx = SimpleNamespace(
+        detector=SimpleNamespace(nu=n, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step)
+    )
+    return ctx, records, (r % n) * pitch, (r // n) * pitch
+
+
+def _stage_pairs(ctx, records, ray_a, ray_b, r_lo):
+    """Lexsorted (ray, element, j1, count) rows of the pair stream's clipped
+    pairs of one tile."""
+    table = xray._RecordTable.of(records, ray_a.size)
+    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, table, ray_a, ray_b, r_lo)]
+    return _sorted_rows(np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64))
+
+
 class TestBoxPairOrder:
-    """The (elements x rays) footprint mask yields the pairs of a ray-major
-    mask, element by element; as lanes are independent of their batch and
-    claims go to the lowest element id, that order changes no image."""
+    """The pair stream builds each record's pairs row by row from the
+    element clip cross-sections; its clipped pairs (ray, element, j1, count)
+    are exactly those of the ray-major mask over every (ray, element) pair
+    of a record, clipped and cut to the record ranges, whatever the budget.
+    As lanes are independent of their batch and claims go to the lowest
+    element id, the order they come in changes no image."""
 
     @staticmethod
-    def _assert_ray_major_pairs(ctx):
+    def _assert_ray_major_pairs(ctx, budgets=(None,)):
         n_pairs = 0
-        for records, ray_a, ray_b in _tile_records(ctx):
-            if not records:
-                continue
-            want = _sorted_rows(np.column_stack(_ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)))
-            for budget in (1, 7, xray.NEWTON_CHUNK):
-                parts = [np.column_stack(p) for p in xray._box_pairs(ctx.clip, records, ray_a, ray_b, budget)]
-                got = np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
-                np.testing.assert_array_equal(_sorted_rows(got), want, err_msg=str(budget))
-            n_pairs += len(want)
+        with pytest.MonkeyPatch.context() as mp:
+            for records, ray_a, ray_b, r_lo in _tile_records(ctx):
+                if not records:
+                    continue
+                want = _oracle_pairs(ctx, records, ray_a, ray_b)
+                for budget in budgets:
+                    if budget is not None:
+                        mp.setattr(xray, "NEWTON_CHUNK", budget)
+                    got = _stage_pairs(ctx, records, ray_a, ray_b, r_lo)
+                    np.testing.assert_array_equal(got, want, err_msg=str(budget))
+                n_pairs += len(want)
         assert n_pairs > 0
 
     @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     def test_golden_pairs_match_ray_major_mask(self, name, face):
+        # every leaf size and brute force; the budgets at the default size
         mesh, field = golden_scene(name)
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
-        self._assert_ray_major_pairs(_render_context(mesh, field, det, IntegrationSettings(step=0.02)))
+        settings = IntegrationSettings(step=0.02)
+        for leaf_size in LEAF_SIZES:
+            budgets = (1, 7, None) if leaf_size == MAX_LEAF_ELEMENTS else (None,)
+            ctx = _render_context(mesh, field, det, settings, build_obb_tree(mesh, leaf_size))
+            self._assert_ray_major_pairs(ctx, budgets)
+        self._assert_ray_major_pairs(_render_context(mesh, field, det, settings, brute_force=True))
 
     @pytest.mark.parametrize("workload", ["ball-fine-mesh", "cylinder-single-sample"])
     def test_benchmark_pairs_match_ray_major_mask(self, monkeypatch, workload):
         self._assert_ray_major_pairs(_benchmark_context(monkeypatch, workload))
+
+    @pytest.mark.parametrize("brute_force", [False, True], ids=["tree", "brute"])
+    def test_oblique_pairs_match_ray_major_mask(self, ball_mesh_field, brute_force):
+        mesh, field = ball_mesh_field
+        settings = IntegrationSettings(step=0.02, max_leaf_elements=10)
+        ctx = _render_context(mesh, field, _tilted_detector(), settings, brute_force=brute_force)
+        self._assert_ray_major_pairs(ctx, (1, 7, None))
+
+    @pytest.mark.parametrize("pitch", [0.1, 0.3])
+    def test_sides_and_planes_through_pixel_centres(self, pitch):
+        # fl(3 * 0.1) / 0.1 rounds up past 3 and fl(3 * 0.3) / 0.3 down
+        # below it, yet the ray at pixel (3, 3) lies on element 0's box
+        # sides and on element 1's planes a = b = 3 * pitch: the stream must
+        # not lose its row or column
+        c = 3 * pitch
+        loose = [(0.0, 0.0, 1.0, 10.0), (0.0, 0.0, -1.0, 10.0)]
+        elements = [
+            ([c, c, 0.0], [c, c, 1.0], loose + loose),
+            ([-1.0, -1.0, 0.0], [2.0, 2.0, 1.0],
+             [(-1.0, 0.0, -0.0, -c), (0.0, -1.0, 0.0, -c), (1.0, -0.0, 0.0, c), (-0.0, 1.0, -0.0, c)]),
+        ]
+        ctx, records, ray_a, ray_b = _one_tile_scene(elements, 5, pitch, 0.25)
+        want = _oracle_pairs(ctx, records, ray_a, ray_b)
+        assert want[:, :2].tolist() == [[18, 0], [18, 1]]
+        np.testing.assert_array_equal(_stage_pairs(ctx, records, ray_a, ray_b, 0), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_clips_match_ray_major_mask(self, data):
+        ctx, records, ray_a, ray_b, r_lo = data.draw(_pair_scenes())
+        budget = data.draw(st.sampled_from([1, 3, 8192]))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):  # gap / n_t on a tiny n_t
+            want = _oracle_pairs(ctx, records, ray_a, ray_b)
+            mp.setattr(xray, "NEWTON_CHUNK", budget)
+            got = _stage_pairs(ctx, records, ray_a, ray_b, r_lo)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
