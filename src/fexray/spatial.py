@@ -1,4 +1,5 @@
-"""Surface PCA, oriented bounding boxes and the OBB tree.
+"""Oriented bounding boxes, the OBB tree, and the area-weighted PCA of a
+triangulated surface.
 
 Boxes are fitted to element *bounding points*: the element nodes plus one
 quadratic Bezier control point per edge (2*m - (p0+p1)/2 for midnode m).  The
@@ -8,13 +9,15 @@ also encloses the curved element geometry.
 The OBB tree is built one level at a time over a point table that holds each
 corner node once and each edge control point once.  Midnodes are left out:
 m = p0/4 + p1/4 + c/2 is a convex combination of the edge ends and the
-control point c, so neither a hull nor a box needs it.  Each leaf box is
-fitted by the area-weighted PCA of the hull surface of its table rows, one
-qhull call per leaf (Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996).
-A larger node only needs a split axis and point and takes them from the PCA
-of its table rows; a split node keeps no box, as rays meet only leaf boxes.
-Each level is fitted once, over all its nodes, and a node's result depends
-only on its own elements.
+control point c, so no box needs it.  Every node, leaf or not, takes its
+origin and axes from the unit-weight PCA of its distinct table rows and its
+box from their extent.  The (ray, element) pairs come from the element
+clips, so a leaf's axes only decide which rays its slab test sees: the
+hull-surface PCA of OBBTree (Gottschalk, Lin & Manocha, SIGGRAPH 1996)
+gives the same images, but its one qhull call per leaf more than doubles
+the tree build (2058-element cylinder: 36 ms against 17 ms).  A split node keeps no box, as rays meet
+only leaf boxes.  Each level is fitted once, over all its nodes, and a
+node's result depends only on its own elements.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .locate import _check_count
 from .mesh import EDGE_VERTICES, Mesh
@@ -30,10 +32,10 @@ from .mesh import EDGE_VERTICES, Mesh
 # multiplicative box inflation to absorb roundoff in slab tests at box faces
 BOX_INFLATION = 1e-9
 # Default leaf size of the OBB tree.  A leaf costs the render one slab call
-# and a pixel rectangle of lanes, and the set-up one qhull fit; a larger leaf
-# tests more element boxes per ray.  Measured over leaf sizes 10-64, 32 gave
-# the lowest set-up plus render time summed over the two benchmark workloads
-# without slowing any other scene measured; the images do not depend on it.
+# and a pixel rectangle of lanes; a larger leaf tests more element boxes per
+# ray.  Measured over leaf sizes 10-64, 32 gave the lowest set-up plus render
+# time summed over the two benchmark workloads without slowing any other
+# scene measured; the images do not depend on it.
 MAX_LEAF_ELEMENTS = 32
 
 
@@ -123,39 +125,13 @@ def triangles_centroid_area(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroids, areas
 
 
-# segment starts of a single segment
-_ONE_SEGMENT = np.zeros(1, dtype=np.int64)
-
-
-def _weighted_centers(centers, weights, starts):
-    """Weighted mean of ``centers`` per segment, and the weight sums.
-
-    Segment i holds the rows from ``starts[i]`` up to the next start; every
-    segment is non-empty.  Each segment is reduced on its own, so its result
-    does not depend on the other segments.
-    """
-    total = np.add.reduceat(weights, starts)
-    mu = np.add.reduceat(weights[:, None] * centers, starts, axis=0) / total[:, None]
-    return mu, total
-
-
-def _covariances(centers, weights, starts, mu):
-    """Per segment, covariance of the sqrt(weight)-scaled, mu-centered
-    centers over n - 1 (over 1 for a segment of one)."""
-    counts = np.diff(starts, append=len(centers))
-    cbar = np.sqrt(weights)[:, None] * (centers - np.repeat(mu, counts, axis=0))
-    cov = np.add.reduceat(cbar[:, :, None] * cbar[:, None, :], starts, axis=0)
-    return cov / np.maximum(counts - 1, 1)[:, None, None]
-
-
 def weighted_center(tris: np.ndarray) -> np.ndarray:
     """Area-weighted mean of triangle centroids."""
     centroids, areas = triangles_centroid_area(tris)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mu, total = _weighted_centers(centroids, areas, _ONE_SEGMENT)
-    if total[0] <= 0.0:
+    total = areas.sum()
+    if total <= 0.0:
         raise DegenerateGeometryError("surface has zero total area")
-    return mu[0]
+    return areas @ centroids / total
 
 
 def covariance(tris: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -163,8 +139,8 @@ def covariance(tris: np.ndarray, mu: np.ndarray) -> np.ndarray:
     centroids, areas = triangles_centroid_area(tris)
     if centroids.shape[0] < 2:
         raise DegenerateGeometryError("covariance needs at least two triangles")
-    mu = np.asarray(mu, dtype=np.float64)[None]
-    return _covariances(centroids, areas, _ONE_SEGMENT, mu)[0]
+    cbar = np.sqrt(areas)[:, None] * (centroids - np.asarray(mu, dtype=np.float64))
+    return cbar.T @ cbar / (len(cbar) - 1)
 
 
 def _eigen_rows(cov: np.ndarray) -> np.ndarray:
@@ -184,8 +160,9 @@ def _eigen_rows(cov: np.ndarray) -> np.ndarray:
 
 def _fit_boxes(points, starts, rows, origins):
     """Inflated min/max box of each segment of ``points`` in its frame
-    (``rows[i]``, ``origins[i]``); segments as in ``_weighted_centers``.
-    Boxes grow by ``BOX_INFLATION`` times their diagonal."""
+    (``rows[i]``, ``origins[i]``).  Segment i holds the rows from
+    ``starts[i]`` up to the next start.  Boxes grow by ``BOX_INFLATION``
+    times their diagonal."""
     owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(points)))
     local = _rotate(rows[owner], points - origins[owner])
     pmin = np.minimum.reduceat(local, starts, axis=0)
@@ -215,7 +192,7 @@ def element_bounding_points(mesh: Mesh) -> np.ndarray:
 
 
 def _point_table(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The tree's hull input: each corner node once, keyed by node id, then
+    """The tree's fit input: each corner node once, keyed by node id, then
     each edge control point once, keyed by (sorted corner ids, midnode id).
 
     Returns the table and each element's rows into it, shape (n_elements, 4)
@@ -385,50 +362,28 @@ class ObbTree:
     mesh: Mesh
 
 
-def _fit_level(table, elem_rows, centroids, elems, seg, n_nodes, hull):
+def _fit_level(table, elem_rows, elems, seg, n_nodes):
     """PCA boxes of the ``n_nodes`` nodes of one tree level.
 
     ``elems`` holds the nodes' element ids grouped by node, ``seg`` the node
     of each.  A node's points are its distinct table rows in ascending order.
-    A node marked in ``hull`` takes its basis from the area-weighted PCA of
-    the hull surface of its points, one qhull call per node, or from the
-    PCA of its element centroids with unit weights if qhull finds the hull
-    flat (identity axes for a single element).  Any other node takes its
-    basis from the PCA of its points with unit weights.  The box is fitted
-    to the node's points.  Returns (rows, origins, pmin, pmax).
+    Its origin is their mean and its basis the eigenvectors of their
+    covariance over n - 1, and its box is fitted to them.  Each node is
+    reduced on its own, so its result does not depend on the other nodes.
+    Returns (rows, origins, pmin, pmax).
     """
     n_table = len(table)
     key = np.sort((seg[:, None] * n_table + elem_rows[elems]).ravel())
     key = key[np.r_[True, key[1:] != key[:-1]]]  # np.unique, without its hash pass
     pseg, prow = np.divmod(key, n_table)
     points = table[prow]
-    pstart = np.searchsorted(pseg, np.arange(n_nodes + 1))
-    faces = [np.empty((0, 3), dtype=np.int64)]
-    owner = [np.empty(0, dtype=np.int64)]
-    flat_hull = np.zeros(n_nodes, dtype=bool)
-    for i in np.flatnonzero(hull):
-        lo, hi = pstart[i], pstart[i + 1]
-        try:
-            simplices = ConvexHull(points[lo:hi]).simplices
-        except QhullError:
-            flat_hull[i] = True
-            continue
-        faces.append(simplices + lo)
-        owner.append(np.full(len(simplices), i))
-    centers, weights = triangles_centroid_area(points[np.concatenate(faces)])
-    # unit-weight centers: the points of the nodes fitted without a hull, and
-    # the element centroids of the flat hulls; each node has one kind only
-    cloud, flat = ~hull[pseg], flat_hull[seg]
-    centers = np.concatenate([centers, points[cloud], centroids[elems[flat]]])
-    weights = np.concatenate([weights, np.ones(np.count_nonzero(cloud) + np.count_nonzero(flat))])
-    owner = np.concatenate(owner + [pseg[cloud], seg[flat]])
-    order = np.argsort(owner, kind="stable")
-    centers, weights, owner = centers[order], weights[order], owner[order]
-    starts = np.searchsorted(owner, np.arange(n_nodes))
-    origins, _ = _weighted_centers(centers, weights, starts)
-    rows = _eigen_rows(_covariances(centers, weights, starts, origins))
-    rows[np.diff(starts, append=len(owner)) == 1] = np.eye(3)
-    pmin, pmax = _fit_boxes(points, pstart[:-1], rows, origins)
+    starts = np.searchsorted(pseg, np.arange(n_nodes))
+    counts = np.diff(starts, append=len(points))
+    origins = np.add.reduceat(points, starts, axis=0) / counts[:, None]
+    centered = points - np.repeat(origins, counts, axis=0)
+    cov = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    rows = _eigen_rows(cov / (counts - 1)[:, None, None])
+    pmin, pmax = _fit_boxes(points, starts, rows, origins)
     return rows, origins, pmin, pmax
 
 
@@ -441,13 +396,10 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> Ob
     going to the first child.  Falls back to the next-longest axis when a
     split does not separate, and makes a leaf when no axis separates.
 
-    Each node is fitted once, with the bits ``_fit_level`` gives it alone.  A
-    node of at most ``max_leaf_elements`` elements is fitted by the PCA of
-    its hull surface; a larger one, which only needs a split axis and point,
-    by the PCA of its points.  A large node that no axis separates keeps
-    that point fit, whose box holds all its bounding points.  A split node
-    keeps no box.  ``tree.leaves`` lists the leaves depth first, first child
-    first.
+    Each node is fitted once, by the PCA of its points, with the bits
+    ``_fit_level`` gives it alone; its box holds all its bounding points.  A
+    split node keeps no box.  ``tree.leaves`` lists the leaves depth first,
+    first child first.
     """
     _check_count("max_leaf_elements", max_leaf_elements)
     table, elem_rows = _point_table(mesh)
@@ -459,17 +411,14 @@ def build_obb_tree(mesh: Mesh, max_leaf_elements: int = MAX_LEAF_ELEMENTS) -> Ob
     while n_nodes:
         estarts = np.searchsorted(seg, np.arange(n_nodes))
         n_elems = np.diff(estarts, append=len(elems))
-        large = n_elems > max_leaf_elements
-        rows, origins, pmin, pmax = _fit_level(
-            table, elem_rows, centroids, elems, seg, n_nodes, ~large
-        )
+        rows, origins, pmin, pmax = _fit_level(table, elem_rows, elems, seg, n_nodes)
         side = _rotate(rows[seg], centroids[elems] - origins[seg]) > 0.0
         n_second = np.add.reduceat(side.astype(np.int64), estarts, axis=0)
         separates = (n_second > 0) & (n_second < n_elems[:, None])
         by_extent = np.argsort(pmin - pmax, axis=1, kind="stable")
         usable = np.take_along_axis(separates, by_extent, axis=1)
         axis = by_extent[np.arange(n_nodes), usable.argmax(axis=1)]
-        split = usable.any(axis=1) & large
+        split = usable.any(axis=1) & (n_elems > max_leaf_elements)
         level = [None] * n_nodes  # a split node is made once its children are
         for i in np.flatnonzero(~split):
             obb = Obb(Basis(rows[i], origins[i]), Aabb(pmin[i], pmax[i]))

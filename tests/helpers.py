@@ -120,7 +120,7 @@ def fit_obb(points: np.ndarray, basis: Basis) -> Obb:
     if points.size == 0:
         raise DegenerateGeometryError("cannot fit a box to an empty point set")
     pmin, pmax = spatial._fit_boxes(
-        points, spatial._ONE_SEGMENT, basis.rows[None], basis.origin[None]
+        points, np.zeros(1, dtype=np.int64), basis.rows[None], basis.origin[None]
     )
     return Obb(basis, Aabb(pmin[0], pmax[0]))
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fexray
@@ -51,3 +54,23 @@ def test_readme_library_use_runs_as_written(capsys):
     # near the analytic ball mass, peak at the 2 g/cm^2 central chord
     assert abs(mass - 4.18879) < 0.02 * 4.18879
     assert 1.95 <= peak <= 2.0 + 1e-12
+
+
+def test_library_imports_no_scipy():
+    # numpy is the library's one dependency.  The test helpers load scipy
+    # into this process, so a fresh interpreter imports the library
+    code = (
+        "import sys, fexray, fexray.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(fexray.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

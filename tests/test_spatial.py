@@ -480,7 +480,7 @@ class TestObbTree:
 
     def test_containment(self, ball_mesh_field):
         # every leaf box holds all bounding points of its elements, midnodes
-        # included although the hulls leave them out
+        # included although the point table leaves them out
         meshes = [ball_mesh_field[0], golden_scene("ball8")[0], golden_scene("cylinder100")[0]]
         for mesh in meshes:
             for leaf_size in (1, 3, 10):
@@ -503,9 +503,9 @@ class TestObbTree:
             _assert_boxes_contain(mesh, build_obb_tree(mesh, leaf_size))
 
     def test_every_basis_is_orthonormal_and_right_handed(self, cylinder_full):
-        # Basis takes its rows as given; the tree's come from _eigen_rows or
-        # the identity.  Golden trees at several leaf sizes, and the trees of
-        # the two benchmark meshes (ball 512 el, cylinder 2058 el)
+        # Basis takes its rows as given; the tree's come from _eigen_rows.
+        # Golden trees at several leaf sizes, and the trees of the two
+        # benchmark meshes (ball 512 el, cylinder 2058 el)
         trees = [
             build_obb_tree(golden_scene(name)[0], leaf_size)
             for name in ("ball8", "cylinder100")
@@ -518,30 +518,27 @@ class TestObbTree:
             assert np.abs(rows @ np.swapaxes(rows, 1, 2) - np.eye(3)).max() <= 1e-10
             np.testing.assert_allclose(np.linalg.det(rows), 1.0, atol=1e-10)
 
-    def test_flat_hull_falls_back_to_centroid_pca(self):
-        # slivers too flat for qhull: a leaf takes its axes from its element
-        # centroids (identity for one element), and its box still holds
+    def test_flat_slivers_get_the_point_fit(self):
+        # slivers 1e-15 thick, too flat for a convex hull: a leaf is fitted
+        # like any node, by the PCA of its points, and its box still holds
         # every bounding point
         verts = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-15]]
         one = mesh_from_corner_tets(verts, [(0, 1, 2, 3)])
-        assert (build_obb_tree(one, 1).root.obb.basis.rows == np.eye(3)).all()
+        _assert_leaves_are_point_fits(one, build_obb_tree(one, 1))
         shifted = [[x + 2.0, y, z] for x, y, z in verts]
         two = mesh_from_corner_tets(verts + shifted, [(0, 1, 2, 3), (4, 5, 6, 7)])
         # at leaf size 1 the root is split by its point fit
         tree = build_obb_tree(two, 1)
         assert not tree.root.is_leaf
         assert [leaf.elements.tolist() for leaf in tree.leaves] == [[0], [1]]
-        for leaf in tree.leaves:
-            assert (leaf.obb.basis.rows == np.eye(3)).all()
-        _assert_boxes_contain(two, tree)
-        # at leaf size 2 both slivers make one leaf, along their centroids
+        _assert_leaves_are_point_fits(two, tree)
+        # at leaf size 2 both slivers make one leaf
         tree = build_obb_tree(two, 2)
         assert tree.root.is_leaf and len(tree.root.elements) == 2
-        np.testing.assert_allclose(tree.root.obb.basis.rows[0], [1.0, 0, 0], atol=1e-12)
-        _assert_boxes_contain(two, tree)
+        _assert_leaves_are_point_fits(two, tree)
 
     def test_sliver_line_is_split_into_small_leaves(self):
-        # 200 slivers 1e-14 thick, too flat for qhull as a whole: every large
+        # 200 slivers 1e-14 thick, too flat for a convex hull: every large
         # node is still split by its point fit, no leaf exceeds the leaf
         # size, and the images equal brute force.  Under +z the line is a
         # sheet 6e-7 deep: a step of 0.01 puts no grid point in it and is
@@ -634,24 +631,26 @@ def _collect(node):
         yield from _collect(node.right)
 
 
-def _recording_qhull(monkeypatch):
-    """Make ``spatial.ConvexHull`` record the bytes of every input it gets."""
-    calls = []
-    qhull = spatial.ConvexHull
-
-    def recording_qhull(points, *args, **kwargs):
-        calls.append(np.ascontiguousarray(points).tobytes())
-        return qhull(points, *args, **kwargs)
-
-    monkeypatch.setattr(spatial, "ConvexHull", recording_qhull)
-    return calls
-
-
 def _leaf_inputs(mesh, tree):
     """Each leaf's distinct table rows in ascending order: its corners and
     edge control points, each once."""
     table, elem_rows = spatial._point_table(mesh)
     return [table[np.unique(elem_rows[leaf.elements])] for leaf in tree.leaves]
+
+
+def _assert_fitted_on_inputs(mesh, tree):
+    """Each leaf is fitted on exactly its distinct corners and edge control
+    points: its origin is their mean (a midnode or a repeated point would
+    move it) and its box is their extent in its frame.  A split node keeps
+    no box."""
+    for leaf, points in zip(tree.leaves, _leaf_inputs(mesh, tree)):
+        assert len(points) == _distinct_corners_and_edges(mesh, leaf.elements)
+        origin = leaf.obb.basis.origin
+        np.testing.assert_allclose(origin, points.mean(axis=0), rtol=1e-13, atol=1e-15)
+        box = fit_obb(points, leaf.obb.basis).box
+        assert box.pmin.tobytes() == leaf.obb.box.pmin.tobytes()
+        assert box.pmax.tobytes() == leaf.obb.box.pmax.tobytes()
+    assert all(node.obb is None for node in _tree_nodes(tree) if not node.is_leaf)
 
 
 def _line_of_thin_tets(n, height):
@@ -669,35 +668,29 @@ class TestHullInput:
     @pytest.mark.parametrize(
         "name", ["ball8", "cylinder100", "ball8-linear", "ball512", "cylinder2058"]
     )
-    def test_one_qhull_call_per_leaf_on_its_points(self, name, cylinder_full, monkeypatch):
-        # qhull runs once per leaf, on exactly the leaf's distinct corners
-        # and edge control points (never 16 points per element), and never
-        # for a node that is split
+    def test_one_qhull_call_per_leaf_on_its_points(self, name, cylinder_full):
+        # each leaf is fitted on exactly its distinct corners and edge
+        # control points (never 16 points per element), with no hull; a
+        # split node keeps no box
         if name in ("ball512", "cylinder2058"):
             mesh, leaf_sizes = _benchmark_mesh(name, cylinder_full), (MAX_LEAF_ELEMENTS,)
         else:
             mesh, leaf_sizes = _hull_test_mesh(name), (1, 3, 10, MAX_LEAF_ELEMENTS)
-        calls = _recording_qhull(monkeypatch)
         for leaf_size in leaf_sizes:
-            calls.clear()
             tree = build_obb_tree(mesh, leaf_size)
             assert len(tree.leaves) > 1 or leaf_size > 1  # leaf size 1 splits
-            inputs = _leaf_inputs(mesh, tree)
-            assert sorted(calls) == sorted(p.tobytes() for p in inputs)
-            for leaf, points in zip(tree.leaves, inputs):
-                assert len(points) == _distinct_corners_and_edges(mesh, leaf.elements)
+            _assert_fitted_on_inputs(mesh, tree)
 
-    def test_flat_and_thick_lines_fit_each_leaf_once(self, monkeypatch):
-        # however thin the line, qhull runs once per leaf, on its points,
-        # and never for a split node
-        calls = _recording_qhull(monkeypatch)
+    def test_flat_and_thick_lines_fit_each_leaf_once(self):
+        # however thin the line, each leaf is fitted on its points and a
+        # split node keeps no box
         for height in (1e-7, 1e-3):
-            calls.clear()
             mesh = _line_of_thin_tets(4, height)
             tree = build_obb_tree(mesh, 1)
             internal = [n for n in _tree_nodes(tree) if not n.is_leaf]
             assert len(tree.leaves) == 4 and len(internal) == 3
-            assert sorted(calls) == sorted(p.tobytes() for p in _leaf_inputs(mesh, tree))
+            _assert_fitted_on_inputs(mesh, tree)
+            _assert_leaves_are_point_fits(mesh, tree)
 
     @pytest.mark.parametrize("name", ["ball8", "cylinder100", "ball8-linear"])
     def test_point_table_rows_are_bounding_points(self, name):
@@ -749,67 +742,73 @@ class TestTreeDeterminism:
 
     def test_level_fit_does_not_depend_on_batching(self, ball_mesh_field):
         # a level fitted as one batch, in reverse order, or node by node
-        # gives every node the same bits, with either fit or a mix of both
+        # gives every node the same bits
         ball64 = ball_mesh_field[0]
         nodes = _tree_nodes(build_obb_tree(ball64, 3))
-        for depth, kind in itertools.product((1, 2, 3), ("hull", "points", "mixed")):
+        for depth in (1, 2, 3):
             groups = [_node_elements(n) for n in nodes if n.depth == depth]
             assert len(groups) >= 2
-            hull = {
-                "hull": np.ones(len(groups), bool),
-                "points": np.zeros(len(groups), bool),
-                "mixed": np.arange(len(groups)) % 2 == 0,
-            }[kind]
-            joint = _fit(ball64, groups, hull)
-            backwards = _fit(ball64, groups[::-1], hull[::-1])
+            joint = _fit(ball64, groups)
+            backwards = _fit(ball64, groups[::-1])
             for i, group in enumerate(groups):
-                alone = _fit(ball64, [group], hull[i : i + 1])
+                alone = _fit(ball64, [group])
                 for k in range(4):
                     bits = alone[k][0].tobytes()
                     assert joint[k][i].tobytes() == bits
                     assert backwards[k][len(groups) - 1 - i].tobytes() == bits
 
+    # the golden scenes, and the two benchmark meshes at the default leaf size
     @pytest.mark.parametrize(
         "name, leaf_size",
-        [("ball64", 3), ("ball8", 1), ("cylinder100", 1), ("cylinder100", 3), ("cylinder100", 10)],
+        [
+            ("ball64", 3),
+            ("ball8", 1),
+            ("cylinder100", 1),
+            ("cylinder100", 3),
+            ("cylinder100", 10),
+            ("ball512", MAX_LEAF_ELEMENTS),
+            ("cylinder2058", MAX_LEAF_ELEMENTS),
+        ],
     )
-    def test_leaves_are_hull_fits(self, ball_mesh_field, name, leaf_size):
-        # every leaf box has the bits of a hull fit of its elements alone
-        mesh = ball_mesh_field[0] if name == "ball64" else golden_scene(name)[0]
-        for leaf in build_obb_tree(mesh, leaf_size).leaves:
-            rows, origins, pmin, pmax = _fit(mesh, [_node_elements(leaf)], [True])
-            assert leaf.obb.basis.rows.tobytes() == rows[0].tobytes()
-            assert leaf.obb.basis.origin.tobytes() == origins[0].tobytes()
-            assert leaf.obb.box.pmin.tobytes() == pmin[0].tobytes()
-            assert leaf.obb.box.pmax.tobytes() == pmax[0].tobytes()
+    def test_leaves_are_hull_fits(self, ball_mesh_field, cylinder_full, name, leaf_size):
+        # every leaf box has the bits of the point fit of its elements alone
+        if name == "ball64":
+            mesh = ball_mesh_field[0]
+        elif name in ("ball512", "cylinder2058"):
+            mesh = _benchmark_mesh(name, cylinder_full)
+        else:
+            mesh = golden_scene(name)[0]
+        _assert_leaves_are_point_fits(mesh, build_obb_tree(mesh, leaf_size))
 
-    def test_inseparable_large_node_keeps_its_point_fit(self, monkeypatch):
+    def test_inseparable_large_node_keeps_its_point_fit(self):
         # three copies of one element have one centroid, so no axis
         # separates them: the node is a leaf and keeps the point fit it got
-        # as a large node, with no qhull call
+        # as a large node
         corners = [[0.0, 0, 0], [2, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]]
         mesh = mesh_from_corner_tets(corners, [(0, 1, 2, 3)] * 3)
-        calls = _recording_qhull(monkeypatch)
         tree = build_obb_tree(mesh, 1)
-        assert tree.root.is_leaf and len(tree.root.elements) == 3 and not calls
-        _assert_boxes_contain(mesh, tree)
-        rows, origins, pmin, pmax = _fit(mesh, [np.arange(3)], [False])
-        obb = tree.root.obb
-        assert obb.basis.rows.tobytes() == rows[0].tobytes()
-        assert obb.basis.origin.tobytes() == origins[0].tobytes()
-        assert obb.box.pmin.tobytes() == pmin[0].tobytes()
-        assert obb.box.pmax.tobytes() == pmax[0].tobytes()
+        assert tree.root.is_leaf and len(tree.root.elements) == 3
+        _assert_leaves_are_point_fits(mesh, tree)
 
 
-def _fit(mesh, groups, hull):
+def _fit(mesh, groups):
     """``spatial._fit_level`` of one level whose nodes hold ``groups``."""
     table, elem_rows = spatial._point_table(mesh)
-    centroids = mesh.corner_coords().mean(axis=1)
     elems = np.concatenate(groups)
     seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return spatial._fit_level(
-        table, elem_rows, centroids, elems, seg, len(groups), np.asarray(hull, dtype=bool)
-    )
+    return spatial._fit_level(table, elem_rows, elems, seg, len(groups))
+
+
+def _assert_leaves_are_point_fits(mesh, tree):
+    """Every leaf box holds its bounding points and has the bits of the
+    level fit of its elements alone."""
+    _assert_boxes_contain(mesh, tree)
+    for leaf in tree.leaves:
+        rows, origins, pmin, pmax = _fit(mesh, [_node_elements(leaf)])
+        assert leaf.obb.basis.rows.tobytes() == rows[0].tobytes()
+        assert leaf.obb.basis.origin.tobytes() == origins[0].tobytes()
+        assert leaf.obb.box.pmin.tobytes() == pmin[0].tobytes()
+        assert leaf.obb.box.pmax.tobytes() == pmax[0].tobytes()
 
 
 class TestModelAabb:

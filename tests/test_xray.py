@@ -369,8 +369,8 @@ class TestRender:
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     @pytest.mark.parametrize("face", ["+y", "+z"])
     def test_tree_matches_brute_force_on_golden_scenes(self, name, face):
-        # the leaves are hull fits and the internal nodes point fits; either
-        # way the tree prunes no accepted (sample, element) pair
+        # at every leaf size the tree prunes no accepted (sample, element)
+        # pair
         mesh, field = golden_scene(name)
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
