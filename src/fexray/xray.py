@@ -1,10 +1,9 @@
 """Orthographic detector, ray integration, attenuation and render driver.
 
 Sampling scheme: rays carry a global equidistant grid t_j = (j + 1/2) * step
-anchored at the emission plane; a sample is evaluated iff t_j falls inside
-the union of the leaf box intervals hit by the ray (clamped to t >= 0).
-Restricting to the leaf intervals is result-identical to sampling the whole
-depth because samples outside every leaf box lie outside every element and
+anchored at the emission plane; a sample is a grid point (ray, j) with t_j
+inside the model box's depth range along the rays (clamped to t >= 0), the
+one grid range [J_lo, J_hi] of the render.  Samples outside every element
 contribute exactly zero; the global anchoring makes the tree-accelerated,
 brute-force and multi-worker paths produce bitwise-identical images.
 
@@ -13,42 +12,39 @@ one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
 its origin in any box frame is linear in its pixel offsets (a, b).  Once per
 render the detector origin and axes are rotated into the frames of all tree
 leaves, and each leaf box is projected onto the detector as a padded pixel
-rectangle that holds every ray that can meet it.  A tile then scans the
-leaves in tree order and slab-tests each leaf box on the tile's rays inside
-its rectangle.  Internal nodes keep no box: the leaves partition the
-elements and each leaf box holds its elements, so a sample outside every
-leaf box lies in no element.  Brute force is the one-leaf case, the model
-box in the identity frame holding every element.
-Each leaf record's depth interval becomes a grid range [j_lo, j_hi], and a
-sample is its grid point (ray, j): Newton lanes carry it, and all claims on
-one (ray, j), from overlapping ranges too, are resolved together.  The
+rectangle that holds every ray that can meet it.  A tile's candidate
+elements are those of the leaves whose rectangle meets the tile's rows.
+The tile also slab-tests each of those leaf boxes on its rays, and the grid
+points inside the union of the leaf boxes are the render's ``samples``
+count; the boxes cut no pair.  Internal nodes keep no box: the leaves
+partition the elements.  Brute force is the one-leaf case, the model box in
+the identity frame holding every element.  Newton lanes carry their grid
+point (ray, j), and all claims on one (ray, j) are resolved together.  The
 lane-sized geometry (leaf-local ray origins, Newton sample points) is
 column-major: each coordinate is one contiguous row, filled in the fixed
 order of the row-major expressions, so the bits are theirs.
 
 Point location then streams (ray, element) pairs through three bounded
-stages.  First each record's pairs are enumerated pixel row by pixel row
+stages.  First the candidates' pairs are enumerated pixel row by pixel row
 from the element clips (in the detector frame): over the depth window where
-the record's grid points meet an element's box, each face plane admits a
+the grid points [J_lo, J_hi] meet an element's box, each face plane admits a
 half-plane in (a, b), and each row of the element box's footprint gets one
 column interval cut by all four, so no (elements x rays) mask is built.
-The rays of those intervals are looked up in the record, and the pairs
-whose ray crosses the element's box footprint go on.  Then each pair's ray
-is clipped to the element's box depth range intersected with the four face
-half-spaces of its corner tetrahedron, each plane pushed out to the exact
-maximum of its normal's component over the element, and the box sides
-likewise; as the ray runs along t, a face bounds t through its normal's t
-component alone.  The planes are stored as face rows, one contiguous array
-per face and normal component, so the clip is four passes over the pairs,
-each folding one face's bound into the depth range.  The element lies
-inside that clip, so the clip drops only (sample, element) pairs Newton
-would reject.  Last, whole pairs
-fill fixed-size lane batches, each with one ``membership_test`` call, each
-lane carrying its own element id; the Newton reference frames of all
-elements are built once per render.  Every lane is independent of its batch
-and a sample claimed by several elements goes to the lowest element id,
-whatever order the lanes come in, so neither batch sizes nor the pair order
-change an image.
+The pairs whose ray crosses the element's box footprint go on.  Then each
+pair's ray is clipped to the element's box depth range intersected with the
+four face half-spaces of its corner tetrahedron, each plane pushed out to
+the exact maximum of its normal's component over the element, and the box
+sides likewise; as the ray runs along t, a face bounds t through its
+normal's t component alone.  The planes are stored as face rows, one
+contiguous array per face and normal component, so the clip is four passes
+over the pairs, each folding one face's bound into the depth range.  The
+element lies inside that clip, so the clip drops only (sample, element)
+pairs Newton would reject.  Last, whole pairs fill fixed-size lane batches,
+each with one ``membership_test`` call, each lane carrying its own element
+id; the Newton reference frames of all elements are built once per render.
+Every lane is independent of its batch and a sample claimed by several
+elements goes to the lowest element id, whatever order the lanes come in,
+so neither batch sizes nor the pair order change an image.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -221,10 +217,8 @@ class RenderStats:
     counts the samples that two or more elements accepted, as elements
     sharing a face both can within ``geom_tol``; the lowest id wins.
 
-    ``samples`` depends on the leaf boxes, so on the tree's leaf size, and
-    so may the counters of the lanes that a leaf's record range cuts off
-    (``pairs_tested``, ``newton_iterations``, ``non_converged``).  The
-    image, ``pairs_inside`` and ``samples_multi_claimed`` do not."""
+    Only ``samples`` depends on the leaf boxes, so on the tree's leaf size;
+    every other counter and the image equal brute force's."""
 
     rays: int = 0
     samples: int = 0
@@ -570,13 +564,14 @@ class _RenderContext:
     model: AttenuationModel | None
     clip: _ElementClip
     frames: _ElementFrames  # Newton reference frames of all elements
+    grid: tuple  # the model box's grid range (J_lo, J_hi)
 
 
-def _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip):
+def _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip, grid):
     """Per-render state shared by all tiles; builds the tree if none is given.
     Brute force is the one-leaf case: the model ``box`` in the identity
     frame, holding every element.  ``box`` and ``clip`` are
-    ``_box_and_clip``'s."""
+    ``_box_and_clip``'s, ``grid`` the grid range of ``box``'s depth range."""
     if brute_force:
         identity = Obb(Basis(np.eye(3), np.zeros(3)), box)
         leaves = [ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))]
@@ -592,6 +587,7 @@ def _render_context(mesh, field, detector, settings, model, tree, brute_force, b
         model=model,
         clip=clip,
         frames=_element_frames(mesh.nodes[mesh.elements]),
+        grid=grid,
     )
 
 
@@ -619,6 +615,17 @@ def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
     det = ctx.detector
     r = np.arange(r_lo, r_hi, dtype=np.int64)
     return (r % det.nu) * det.pitch, (r // det.nu) * det.pitch
+
+
+def _tile_elements(ctx: _RenderContext, r_lo: int, r_hi: int) -> np.ndarray:
+    """The candidate elements of the rays [r_lo, r_hi), leaf by leaf: those
+    of the leaves whose pixel rectangle meets the tile's rows, so of every
+    leaf ``_scan_leaves`` slab-tests.  A rectangle's padding holds its
+    elements' clip footprints, so no other element has a pair in the tile."""
+    det, lf = ctx.detector, ctx.leaves
+    i0, i1, k0, k1 = lf.rect.T
+    hit = (i0 <= i1) & (k0 <= (r_hi - 1) // det.nu) & (k1 >= r_lo // det.nu)
+    return np.concatenate([lf.leaves[k].elements for k in np.flatnonzero(hit)] + [np.empty(0, np.int64)])
 
 
 def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
@@ -688,46 +695,6 @@ NEWTON_CHUNK = 8192
 TILE_SAMPLES = 1 << 17
 
 
-@dataclass(frozen=True)
-class _RecordTable:
-    """A tile's leaf records joined into one lookup table.
-
-    Record k's ray ids ascend (``_scan_leaves`` takes them row by row), so
-    the keys k * n_rays + ray ascend over the table, and one last key past
-    them all ends every search.  ``j_lo``/``j_hi`` are the rays' grid ranges
-    in key order.  ``rec`` and ``elem`` list every record's elements with the
-    record's index; ``j_min``/``j_max`` are each record's lowest and highest
-    grid index.
-    """
-
-    n_rays: int
-    keys: np.ndarray
-    j_lo: np.ndarray
-    j_hi: np.ndarray
-    rec: np.ndarray
-    elem: np.ndarray
-    j_min: np.ndarray
-    j_max: np.ndarray
-
-    @classmethod
-    def of(cls, records, n_rays: int) -> "_RecordTable":
-        elems, ids, j_lo, j_hi = zip(*records)
-        j_max = np.array([j.max() for j in j_hi])
-        # int32 ranges halve the table's memory, unless a detector far from
-        # the model puts grid indices past them
-        j_type = np.int32 if j_max.max() < 2**31 else np.int64
-        return cls(
-            n_rays,
-            np.concatenate([k * n_rays + r for k, r in enumerate(ids)] + [[len(ids) * n_rays]]),
-            np.concatenate(j_lo, dtype=j_type),
-            np.concatenate(j_hi, dtype=j_type),
-            np.repeat(np.arange(len(elems)), [e.size for e in elems]),
-            np.concatenate(elems),
-            np.array([j.min() for j in j_lo]),
-            j_max,
-        )
-
-
 def _split_runs(start, count, budget: int):
     """Cut the runs start .. start + count - 1 (count >= 1) into runs of at
     most ``budget``: (index of the cut run, start, count) per piece."""
@@ -737,28 +704,28 @@ def _split_runs(start, count, budget: int):
     return src, start[src] + off, np.minimum(count[src] - off, budget)
 
 
-def _footprint_runs(ctx: _RenderContext, table: _RecordTable, r_lo: int, budget: int):
-    """Yield (key0, element, count) column runs: the table keys
-    key0 .. key0 + count - 1 are the candidate rays of the element, in the
-    element's record.  Runs hold at most ``budget`` keys and come at most
-    ``budget`` rows at a time.
+def _footprint_runs(ctx: _RenderContext, e, r_lo: int, n: int, budget: int):
+    """Yield (ray0, element, count) column runs of the candidate elements
+    ``e``: the tile-local rays ray0 .. ray0 + count - 1 of the tile's
+    ``n`` rays are the element's candidate rays.  Runs hold at most
+    ``budget`` rays and come at most ``budget`` rows at a time.
 
-    Each element's depth window is its box's depth range cut to its record's
-    grid points [t(j_min), t(j_max)], t(j) = (j + 1/2) * step.  A pair can
+    Each element's depth window is its box's depth range cut to the model's
+    grid points [t(J_lo), t(J_hi)], t(j) = (j + 1/2) * step.  A pair can
     keep a sample only at a t of that window, and face f keeps it only where
     n_a * a + n_b * b + n_t * t <= offset: so only where
     n_a * a + n_b * b <= offset - min(n_t * t) over the window.  Each pixel
     row of the element box's footprint inside the tile gets one column
     interval, the box's cut by that half-plane of every face
     (``_row_runs``).  The runs are a superset of the pairs the box test and
-    ``_depth_clip`` keep within the record's ranges, as ``_pairs_of_runs``
-    then applies both.
+    ``_depth_clip`` keep within [J_lo, J_hi], as ``_pairs_of_runs`` then
+    applies both.
     """
     det, clip, step = ctx.detector, ctx.clip, ctx.settings.step
-    n, nu, pitch = table.n_rays, det.nu, det.pitch
-    e = table.elem
-    t0 = np.maximum(clip.t_lo[e], (table.j_min[table.rec] + 0.5) * step)
-    t1 = np.minimum(clip.t_hi[e], (table.j_max[table.rec] + 0.5) * step)
+    nu, pitch = det.nu, det.pitch
+    j_lo, j_hi = ctx.grid
+    t0 = np.maximum(clip.t_lo[e], (j_lo + 0.5) * step)
+    t1 = np.minimum(clip.t_hi[e], (j_hi + 0.5) * step)
     # the clip's plane values, depth bounds and grid indices round within
     # ~1e-14 of this scale; a slack far above that and far below a pixel
     # keeps every pair the clip keeps and adds few others
@@ -771,7 +738,7 @@ def _footprint_runs(ctx: _RenderContext, table: _RecordTable, r_lo: int, budget:
     live = np.flatnonzero((t0 <= t1 + slack) & (k_a <= k_b))
     e, t0, t1 = e[live], t0[live], t1[live]
     n_t = clip.n_t[:, e]
-    entries = (e, table.rec[live] * n, clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack)
+    entries = (e, clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack)
     rows = _split_runs(k_a[live], k_b[live] - k_a[live] + 1, budget)
     for src, k0, n_rows in _regroup([rows], budget, weight=2):
         yield _row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
@@ -780,10 +747,9 @@ def _footprint_runs(ctx: _RenderContext, table: _RecordTable, r_lo: int, budget:
 def _row_runs(
     ctx: _RenderContext, entries, src, k0, n_rows, r_lo: int, n: int, slack: float, budget: int
 ):
-    """The column runs (key0, element, count) of the pixel rows
-    k0 .. k0 + n_rows - 1 of the ``entries`` ``src``: (element, record key
-    base, (4, entries) right-hand sides c0 of the faces' half-planes
-    n_a * a + n_b * b <= c0).
+    """The column runs (ray0, element, count) of the pixel rows
+    k0 .. k0 + n_rows - 1 of the ``entries`` ``src``: (element, (4, entries)
+    right-hand sides c0 of the faces' half-planes n_a * a + n_b * b <= c0).
 
     In a row, a face with n_a > 0 bounds a from above, one with n_a < 0 from
     below, and one with n_a == 0 keeps the row or drops it whole.  The sign
@@ -795,7 +761,7 @@ def _row_runs(
     nu, pitch = det.nu, det.pitch
     ent = np.repeat(src, n_rows)
     k = _ragged_arange(k0, n_rows)
-    e, base, rhs = entries
+    e, rhs = entries
     e = e[ent]
     b = k * pitch
     a_lo = clip.lo[e, 0] - slack
@@ -815,48 +781,45 @@ def _row_runs(
     run = np.flatnonzero((i_lo <= i_hi) & ~empty)
     i_lo = i_lo[run].astype(np.int64)
     count = i_hi[run].astype(np.int64) - i_lo + 1
-    src, key0, count = _split_runs(base[ent[run]] + i_lo - first[run], count, budget)
-    return key0, e[run][src], count
+    src, ray0, count = _split_runs(i_lo - first[run], count, budget)
+    return ray0, e[run][src], count
 
 
-def _pairs_of_runs(ctx: _RenderContext, table: _RecordTable, ray_a, ray_b, key0, elem, count):
+def _pairs_of_runs(ctx: _RenderContext, ray_a, ray_b, ray0, elem, count):
     """The clipped pairs (ray, element, j1, counts) of a batch of column
-    runs: each key found in the table whose ray crosses the element box's
-    (a, b) footprint is clipped by ``_depth_clip``, and its grid range is
-    cut to the ray's own range in the record."""
-    clip, n = ctx.clip, table.n_rays
-    ray = _ragged_arange(key0, count)
-    pos = np.searchsorted(table.keys, ray)
-    found = table.keys[pos] == ray
-    ray %= n  # the keys' tile-local ray ids
+    runs: each pair whose ray crosses the element box's (a, b) footprint is
+    clipped by ``_depth_clip``, and its grid range is cut to [J_lo, J_hi]."""
+    clip = ctx.clip
+    ray = _ragged_arange(ray0, count)
     e = np.repeat(elem, count)
     a, b = ray_a[ray], ray_b[ray]
     keep = np.flatnonzero(
-        found & (a >= clip.lo[e, 0]) & (a <= clip.hi[e, 0]) & (b >= clip.lo[e, 1]) & (b <= clip.hi[e, 1])
+        (a >= clip.lo[e, 0]) & (a <= clip.hi[e, 0]) & (b >= clip.lo[e, 1]) & (b <= clip.hi[e, 1])
     )
-    ray, e, pos, a, b = ray[keep], e[keep], pos[keep], a[keep], b[keep]
+    ray, e, a, b = ray[keep], e[keep], a[keep], b[keep]
     t_in, t_out = _depth_clip(clip, a, b, e)
     j1, j2 = _grid_range(t_in, t_out, ctx.settings.step)
-    j1 = np.maximum(j1, table.j_lo[pos])
-    j2 = np.minimum(j2, table.j_hi[pos])
+    j1 = np.maximum(j1, ctx.grid[0])
+    j2 = np.minimum(j2, ctx.grid[1])
     keep = np.flatnonzero(j2 >= j1)
     return ray[keep], e[keep], j1[keep], j2[keep] - j1[keep] + 1
 
 
-def _clipped_pairs(ctx: _RenderContext, table: _RecordTable, ray_a, ray_b, r_lo: int):
-    """Yield (ray, element, j1, counts) for the (ray, element) pairs with
-    candidate samples j1 .. j1 + counts - 1: the grid points inside the
-    element clip and inside the record's own range.
+def _clipped_pairs(ctx: _RenderContext, elems, ray_a, ray_b, r_lo: int):
+    """Yield (ray, element, j1, counts) for the (ray, element) pairs of the
+    candidate elements ``elems`` and the tile's rays, with candidate samples
+    j1 .. j1 + counts - 1: the grid points inside the element clip and
+    inside [J_lo, J_hi].
 
     The pairs are enumerated from each element's clip cross-section
     (``_footprint_runs``), so no (elements x rays) mask is built, and are
     box-tested and clipped at most ``NEWTON_CHUNK`` candidates at a time.
-    Each element sits in one leaf, so a pair arises once per tile; the
-    record range keeps every Newton lane inside the render's samples.
+    Each element is a candidate once, so a pair arises once per tile.
     """
     budget = NEWTON_CHUNK
-    for key0, elem, count in _regroup(_footprint_runs(ctx, table, r_lo, budget), budget, weight=2):
-        pairs = _pairs_of_runs(ctx, table, ray_a, ray_b, key0, elem, count)
+    runs = _footprint_runs(ctx, elems, r_lo, ray_a.size, budget)
+    for ray0, elem, count in _regroup(runs, budget, weight=2):
+        pairs = _pairs_of_runs(ctx, ray_a, ray_b, ray0, elem, count)
         if pairs[0].size:
             yield pairs
 
@@ -870,17 +833,20 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     mu = np.zeros(n_rays) if ctx.want_mu else None
     stats = RenderStats(rays=n_rays)
 
+    elems = _tile_elements(ctx, r_lo, r_hi)
+    if not elems.size:
+        return pd, mu, stats
     ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
     records = _scan_leaves(ctx, r_lo, r_hi, ray_a, ray_b)
-    if not records:
-        return pd, mu, stats
-
-    # a sample is its grid point (ray, j); claims are keyed ray * span + j,
-    # which sorts like (ray, j)
-    span = max(int(rec[3].max()) for rec in records) + 1
-    stats.samples = _count_samples(records, span)
-    table = _RecordTable.of(records, n_rays)
+    if records:
+        # an oriented leaf box can reach past the model's depth range, so
+        # the count keys the leaf ranges by their own span
+        stats.samples = _count_samples(records, max(int(rec[3].max()) for rec in records) + 1)
     del records
+
+    # a lane's grid point (ray, j) has j <= J_hi; claims are keyed
+    # ray * span + j, which sorts like (ray, j)
+    span = int(ctx.grid[1]) + 1
     det = ctx.detector
     claims_k: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
@@ -888,7 +854,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # batches of whole pairs, weighted by their lane counts, share one
     # Newton workspace; it is dropped before the claims are resolved
     work = newton_workspace(NEWTON_CHUNK)
-    pairs = _clipped_pairs(ctx, table, ray_a, ray_b, r_lo)
+    pairs = _clipped_pairs(ctx, elems, ray_a, ray_b, r_lo)
     for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
@@ -988,8 +954,8 @@ def render(
     # the model box's depth range along the rays, from t = 0 on: a step with
     # no grid point in it would render a blank image
     depth = (np.where(_BOX_CORNERS, box.pmax, box.pmin) - detector.origin) @ detector.normal
-    j_lo, j_hi = _grid_range(depth.min(), depth.max(), settings.step)
-    if depth.max() >= 0.0 and j_hi < j_lo:
+    grid = _grid_range(depth.min(), depth.max(), settings.step)
+    if depth.max() >= 0.0 and grid[1] < grid[0]:
         raise ValueError(
             f"step {settings.step:g} puts no depth grid point (j + 1/2) * step inside "
             f"the model's depth range [{max(depth.min(), 0.0):g}, {depth.max():g}]"
@@ -999,7 +965,7 @@ def render(
         and np.array_equal(tree.mesh.elements, mesh.elements)
     ):
         raise ValueError("tree was built over another mesh (nodes or elements differ)")
-    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip)
+    ctx = _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip, grid)
 
     tiles = _ray_tiles(detector.n_rays, _depth_points(box, detector.normal, settings.step))
     density = np.empty(detector.n_rays)

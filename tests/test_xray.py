@@ -366,19 +366,33 @@ class TestRender:
         # the tree prunes no accepted (sample, element) pair
         assert a.stats.pairs_inside == b.stats.pairs_inside > 0
 
-    @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
-    @pytest.mark.parametrize("face", ["+y", "+z"])
-    def test_tree_matches_brute_force_on_golden_scenes(self, name, face):
-        # at every leaf size the tree prunes no accepted (sample, element)
-        # pair
-        mesh, field = golden_scene(name)
-        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
-        settings = IntegrationSettings(step=0.02)
+    @pytest.mark.parametrize(
+        "name, face",
+        [(n, f) for f in ("+y", "+z") for n in ("ball8", "cylinder100")]
+        + [("ball-fine-mesh", None), ("cylinder-single-sample", None)],
+        ids=["+y-ball8", "+y-cylinder100", "+z-ball8", "+z-cylinder100",
+             "ball-fine-mesh", "cylinder-single-sample"],
+    )
+    def test_tree_matches_brute_force_on_golden_scenes(self, monkeypatch, name, face):
+        # at every leaf size the tree makes the same pairs as brute force:
+        # only ``samples`` counts the leaf boxes.  The benchmark scenes
+        # render at seed 7
+        if face is None:
+            mesh, field, det, settings, _ = _benchmark_scene(monkeypatch, name)
+        else:
+            mesh, field = golden_scene(name)
+            det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+            settings = IntegrationSettings(step=0.02)
         brute = render(mesh, field, det, settings, brute_force=True)
+        want = counters(brute.stats)
+        del want["samples"]
         for leaf_size in LEAF_SIZES:
             img = render(mesh, field, det, settings, tree=build_obb_tree(mesh, leaf_size))
             assert img.density.tobytes() == brute.density.tobytes()
             assert img.stats.pairs_inside == brute.stats.pairs_inside > 0
+            got = counters(img.stats)
+            del got["samples"]
+            assert got == want, leaf_size
 
     def test_worker_count_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -766,8 +780,9 @@ class TestPairPass:
             assert a.stats.pairs_inside > 0
 
     def test_brute_force_memory_bounded(self):
-        # all rays x all elements is one record; it must be split by rays, so
-        # the brute-force peak stays near the tree render's peak
+        # every element is a candidate of every tile; the pairs must be
+        # split by rays, so the brute-force peak stays near the tree
+        # render's peak
         mesh, field = golden_scene("cylinder100")
         box = model_aabb(mesh)
         det = make_detector(box, "+z", rays_per_cm2=625.0)
@@ -796,15 +811,15 @@ class TestPairStreamBounds:
         monkeypatch.setattr(xray, "TILE_SAMPLES", det.nu * 5 // 2 * depth)
         if chunk is not None:
             monkeypatch.setattr(xray, "NEWTON_CHUNK", chunk)
-        runs, tables = [], []
+        runs, tiles = [], []
         pairs_of_runs = xray._pairs_of_runs
 
-        def spy(ctx, table, ray_a, ray_b, key0, elem, count):
+        def spy(ctx, ray_a, ray_b, ray0, elem, count):
             assert int(count.sum()) <= xray.NEWTON_CHUNK
-            if not tables or table is not tables[-1]:
-                tables.append(table)
-            runs.append(np.column_stack([np.full_like(elem, len(tables)), elem, key0, count]))
-            return pairs_of_runs(ctx, table, ray_a, ray_b, key0, elem, count)
+            if not tiles or ray_a is not tiles[-1]:  # each tile has its own rays
+                tiles.append(ray_a)
+            runs.append(np.column_stack([np.full_like(elem, len(tiles)), elem, ray0, count]))
+            return pairs_of_runs(ctx, ray_a, ray_b, ray0, elem, count)
 
         row_runs = xray._row_runs
 
@@ -818,10 +833,10 @@ class TestPairStreamBounds:
         monkeypatch.setattr(xray, "_row_runs", row_spy)
         ctx = _render_context(mesh, field, det, settings, brute_force=brute_force)
         _drain_pair_stream(ctx)
-        # runs of one element in one tile that abut in key order are the
+        # runs of one element in one tile that abut in ray order are the
         # pieces of one row; the widest row must pass the budget of 7
-        tile, elem, key0, count = _sorted_rows(np.concatenate(runs)).T
-        cut = (tile[1:] == tile[:-1]) & (elem[1:] == elem[:-1]) & (key0[:-1] + count[:-1] == key0[1:])
+        tile, elem, ray0, count = _sorted_rows(np.concatenate(runs)).T
+        cut = (tile[1:] == tile[:-1]) & (elem[1:] == elem[:-1]) & (ray0[:-1] + count[:-1] == ray0[1:])
         widest = np.add.reduceat(count, np.flatnonzero(np.r_[True, ~cut])).max()
         assert widest > 7
 
@@ -830,7 +845,7 @@ class TestPairStreamBounds:
     )
     def test_pairs_into_the_depth_clip(self, monkeypatch, workload, bound):
         # a count, not a time: the clip cross-sections hand the depth clip
-        # 45 477 and 35 198 pairs at seed 7, where an (elements x rays) box
+        # 45 586 and 31 453 pairs at seed 7, where an (elements x rays) box
         # mask handed it 64 927 and 359 343
         ctx = _benchmark_context(monkeypatch, workload)
         assert sum(e.size for _, _, e in _clip_inputs(ctx)) <= bound
@@ -839,45 +854,41 @@ class TestPairStreamBounds:
 def _render_context(mesh, field, det, settings, tree=None, brute_force=False):
     """The render's per-render state, built as ``render`` builds it."""
     box, clip = xray._box_and_clip(mesh, det)
-    return xray._render_context(mesh, field, det, settings, None, tree, brute_force, box, clip)
+    depth = (np.where(xray._BOX_CORNERS, box.pmax, box.pmin) - det.origin) @ det.normal
+    grid = xray._grid_range(depth.min(), depth.max(), settings.step)
+    return xray._render_context(mesh, field, det, settings, None, tree, brute_force, box, clip, grid)
 
 
-def _ray_major_box_pairs(clip, records, ray_a, ray_b):
-    """(ray, element, j_lo, j_hi) of the leaf records' pairs whose ray
-    crosses the element's box footprint, from the full ray-major expansion:
-    every pair of a record is built, then masked."""
-    cols = []
-    for elems, ids, j_lo, j_hi in records:
-        ray, e = np.repeat(ids, elems.size), np.tile(elems, ids.size)
-        a, b = ray_a[ray], ray_b[ray]
-        lo, hi = clip.lo[e], clip.hi[e]
-        box = (a >= lo[:, 0]) & (a <= hi[:, 0]) & (b >= lo[:, 1]) & (b <= hi[:, 1])
-        cols.append((ray[box], e[box], np.repeat(j_lo, elems.size)[box], np.repeat(j_hi, elems.size)[box]))
-    return tuple(np.concatenate(c) for c in zip(*cols))
-
-
-def _oracle_pairs(ctx, records, ray_a, ray_b):
+def _oracle_pairs(ctx, elems, ray_a, ray_b):
     """Lexsorted (ray, element, j1, count) rows of the clipped pairs of the
-    leaf records, from the full ray-major expansion: the pairs inside the
-    element boxes, clipped by ``_depth_clip`` and cut to the record ranges."""
-    ray, e, j_lo, j_hi = _ray_major_box_pairs(ctx.clip, records, ray_a, ray_b)
-    t_in, t_out = xray._depth_clip(ctx.clip, ray_a[ray], ray_b[ray], e)
+    elements ``elems`` and the rays at (ray_a, ray_b), from the full
+    ray-major expansion: every (ray, element) pair is box-tested, those
+    inside the element boxes are clipped by ``_depth_clip``, and their
+    ranges are cut to the model's grid range ``ctx.grid``."""
+    clip, cols = ctx.clip, []
+    for first in range(0, elems.size, 64):  # an (elements, rays) mask of 64 rows at a time
+        e = elems[first:first + 64]
+        lo, hi = clip.lo[e, :2, None], clip.hi[e, :2, None]
+        box = (ray_a >= lo[:, 0]) & (ray_a <= hi[:, 0]) & (ray_b >= lo[:, 1]) & (ray_b <= hi[:, 1])
+        k, ray = np.nonzero(box)
+        cols.append((ray, e[k]))
+    ray, e = (np.concatenate(c) for c in zip(*cols))
+    t_in, t_out = xray._depth_clip(clip, ray_a[ray], ray_b[ray], e)
     j1, j2 = xray._grid_range(t_in, t_out, ctx.settings.step)
-    j1, j2 = np.maximum(j1, j_lo), np.minimum(j2, j_hi)
+    j1, j2 = np.maximum(j1, ctx.grid[0]), np.minimum(j2, ctx.grid[1])
     keep = j2 >= j1
     return _sorted_rows(np.column_stack([ray, e, j1, j2 - j1 + 1])[keep])
 
 
 def _expanded_lanes(ctx):
     """(element, x, y, z) rows of the Newton lanes of the full (ray, element)
-    expansion of the whole detector's leaf records, lexsorted: every pair of
-    a record is built, then clipped to the element box and face planes."""
+    expansion of the whole detector over every element, lexsorted: every
+    pair is built, then clipped to the element box and face planes."""
     step, det = ctx.settings.step, ctx.detector
     ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
     origins = det.origin + ray_a[:, None] * det.axis_u + ray_b[:, None] * det.axis_v
-    records = xray._scan_leaves(ctx, 0, det.n_rays, ray_a, ray_b)
     rows = []
-    for r, el, first, count in _oracle_pairs(ctx, records, ray_a, ray_b):
+    for r, el, first, count in _oracle_pairs(ctx, np.arange(ctx.mesh.n_elements), ray_a, ray_b):
         j = np.arange(first, first + count)
         pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
         rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
@@ -1366,23 +1377,22 @@ class TestClipPairs:
                 assert inside(t), (t, t_in, t_out)
 
 
-def _tile_records(ctx):
-    """(records, ray_a, ray_b, r_lo) of a render's tiles, as
-    ``_render_block`` scans them."""
+def _tile_candidates(ctx):
+    """(candidate elements, ray_a, ray_b, r_lo) of a render's tiles that have
+    candidates, as ``_render_block`` takes them."""
     det = ctx.detector
     depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
-        ray_a, ray_b = xray._block_rays(ctx, lo, hi)
-        yield xray._scan_leaves(ctx, lo, hi, ray_a, ray_b), ray_a, ray_b, lo
+        elems = xray._tile_elements(ctx, lo, hi)
+        if elems.size:
+            yield elems, *xray._block_rays(ctx, lo, hi), lo
 
 
 def _drain_pair_stream(ctx):
     """Run the pair stream over a render's tiles, as ``_render_block`` does."""
-    for records, ray_a, ray_b, r_lo in _tile_records(ctx):
-        if records:
-            table = xray._RecordTable.of(records, ray_a.size)
-            for _ in xray._clipped_pairs(ctx, table, ray_a, ray_b, r_lo):
-                pass
+    for elems, ray_a, ray_b, r_lo in _tile_candidates(ctx):
+        for _ in xray._clipped_pairs(ctx, elems, ray_a, ray_b, r_lo):
+            pass
 
 
 def _clip_inputs(ctx):
@@ -1486,23 +1496,29 @@ class TestDepthClipBytes:
             _assert_clip_bytes(clip, a[ray], b[ray], e)
 
 
-def _benchmark_context(monkeypatch, workload):
-    """The render state of a benchmark workload at seed 7."""
+def _benchmark_scene(monkeypatch, workload):
+    """(mesh, field, detector, settings, tree) of a benchmark workload at
+    seed 7."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import scenes
 
     scene = scenes.make_scene(scenes.WORKLOADS[workload], 7)
     model = scenes.set_up(scene)
-    det = scenes.make_detector(scene, model)
-    return _render_context(model.mesh, model.field, det, scene.settings, model.tree)
+    return model.mesh, model.field, scenes.make_detector(scene, model), scene.settings, model.tree
+
+
+def _benchmark_context(monkeypatch, workload):
+    """The render state of a benchmark workload at seed 7."""
+    return _render_context(*_benchmark_scene(monkeypatch, workload))
 
 
 @st.composite
 def _pair_scenes(draw):
-    """(ctx, records, ray_a, ray_b, r_lo) of one tile of a detector of at
+    """(ctx, elems, ray_a, ray_b, r_lo) of one tile of a detector of at
     most 5 x 5 rays over up to 4 random element clips: box sides and face
     planes through pixel centres and depth grid points, signed-zero normal
-    components, and records of any rays and grid ranges."""
+    components, candidates ``elems`` of any subset and order, and any model
+    grid range, empty ones too."""
     nu, nv = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     pitch = draw(st.sampled_from([0.5, 0.1, 0.3]))
     step = draw(st.sampled_from([0.25, 0.1, 0.7]))
@@ -1530,66 +1546,60 @@ def _pair_scenes(draw):
     clip = xray._ElementClip.from_planes(
         boxes.min(axis=1), boxes.max(axis=1), np.array(normals), np.array(offsets)
     )
-    owner = np.array(draw(st.lists(st.integers(0, 1), min_size=n_el, max_size=n_el)))
-    records = []
-    for k in range(2):
-        elems = np.flatnonzero(owner == k)
-        ids = np.flatnonzero(draw(st.lists(st.booleans(), min_size=r_hi - r_lo, max_size=r_hi - r_lo)))
-        if elems.size and ids.size:
-            j_lo = np.array(draw(st.lists(st.integers(0, 5), min_size=ids.size, max_size=ids.size)))
-            length = np.array(draw(st.lists(st.integers(0, 3), min_size=ids.size, max_size=ids.size)))
-            records.append((elems, ids, j_lo, j_lo + length))
-    assume(records)
+    elems = np.array(draw(st.permutations(range(n_el))))[: draw(st.integers(1, n_el))]
+    j_lo = draw(st.integers(0, 5))
+    grid = (j_lo, j_lo + draw(st.integers(-1, 6)))
     r = np.arange(r_lo, r_hi)
     ctx = SimpleNamespace(
-        detector=SimpleNamespace(nu=nu, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step)
+        detector=SimpleNamespace(nu=nu, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step),
+        grid=grid,
     )
-    return ctx, records, (r % nu) * pitch, (r // nu) * pitch, r_lo
+    return ctx, elems, (r % nu) * pitch, (r // nu) * pitch, r_lo
 
 
 def _one_tile_scene(elements, n, pitch, step):
-    """(ctx, records, ray_a, ray_b) of an n x n detector in one tile and one
-    record holding grid points 0 .. 3 of every ray, over element clips
+    """(ctx, elems, ray_a, ray_b) of an n x n detector in one tile, every
+    element a candidate and the model grid range 0 .. 3, over element clips
     given as (box lo, box hi, four (n_a, n_b, n_t, offset) faces)."""
     lo, hi, faces = zip(*elements)
     faces = np.array(faces)
     clip = xray._ElementClip.from_planes(np.array(lo), np.array(hi), faces[..., :3], faces[..., 3])
     r = np.arange(n * n)
-    records = [(np.arange(len(elements)), r, np.zeros_like(r), np.full_like(r, 3))]
     ctx = SimpleNamespace(
-        detector=SimpleNamespace(nu=n, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step)
+        detector=SimpleNamespace(nu=n, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step),
+        grid=(0, 3),
     )
-    return ctx, records, (r % n) * pitch, (r // n) * pitch
+    return ctx, np.arange(len(elements)), (r % n) * pitch, (r // n) * pitch
 
 
-def _stage_pairs(ctx, records, ray_a, ray_b, r_lo):
+def _stage_pairs(ctx, elems, ray_a, ray_b, r_lo):
     """Lexsorted (ray, element, j1, count) rows of the pair stream's clipped
     pairs of one tile."""
-    table = xray._RecordTable.of(records, ray_a.size)
-    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, table, ray_a, ray_b, r_lo)]
+    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, elems, ray_a, ray_b, r_lo)]
     return _sorted_rows(np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64))
 
 
 class TestBoxPairOrder:
-    """The pair stream builds each record's pairs row by row from the
-    element clip cross-sections; its clipped pairs (ray, element, j1, count)
-    are exactly those of the ray-major mask over every (ray, element) pair
-    of a record, clipped and cut to the record ranges, whatever the budget.
-    As lanes are independent of their batch and claims go to the lowest
-    element id, the order they come in changes no image."""
+    """The pair stream builds the pairs of a tile's candidate elements row by
+    row from the element clip cross-sections; its clipped pairs (ray,
+    element, j1, count) are exactly those of the ray-major mask over every
+    (ray, element) pair of the tile, of every element of the mesh, clipped
+    and cut to the model's grid range, whatever the budget.  As lanes are
+    independent of their batch and claims go to the lowest element id, the
+    order they come in changes no image."""
 
     @staticmethod
     def _assert_ray_major_pairs(ctx, budgets=(None,)):
         n_pairs = 0
+        every = np.arange(ctx.mesh.n_elements)
         with pytest.MonkeyPatch.context() as mp:
-            for records, ray_a, ray_b, r_lo in _tile_records(ctx):
-                if not records:
-                    continue
-                want = _oracle_pairs(ctx, records, ray_a, ray_b)
+            for elems, ray_a, ray_b, r_lo in _tile_candidates(ctx):
+                # no element outside the candidates has a pair in the tile
+                want = _oracle_pairs(ctx, every, ray_a, ray_b)
                 for budget in budgets:
                     if budget is not None:
                         mp.setattr(xray, "NEWTON_CHUNK", budget)
-                    got = _stage_pairs(ctx, records, ray_a, ray_b, r_lo)
+                    got = _stage_pairs(ctx, elems, ray_a, ray_b, r_lo)
                     np.testing.assert_array_equal(got, want, err_msg=str(budget))
                 n_pairs += len(want)
         assert n_pairs > 0
@@ -1631,35 +1641,36 @@ class TestBoxPairOrder:
             ([-1.0, -1.0, 0.0], [2.0, 2.0, 1.0],
              [(-1.0, 0.0, -0.0, -c), (0.0, -1.0, 0.0, -c), (1.0, -0.0, 0.0, c), (-0.0, 1.0, -0.0, c)]),
         ]
-        ctx, records, ray_a, ray_b = _one_tile_scene(elements, 5, pitch, 0.25)
-        want = _oracle_pairs(ctx, records, ray_a, ray_b)
+        ctx, elems, ray_a, ray_b = _one_tile_scene(elements, 5, pitch, 0.25)
+        want = _oracle_pairs(ctx, elems, ray_a, ray_b)
         assert want[:, :2].tolist() == [[18, 0], [18, 1]]
-        np.testing.assert_array_equal(_stage_pairs(ctx, records, ray_a, ray_b, 0), want)
+        np.testing.assert_array_equal(_stage_pairs(ctx, elems, ray_a, ray_b, 0), want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_clips_match_ray_major_mask(self, data):
-        ctx, records, ray_a, ray_b, r_lo = data.draw(_pair_scenes())
+        ctx, elems, ray_a, ray_b, r_lo = data.draw(_pair_scenes())
         budget = data.draw(st.sampled_from([1, 3, 8192]))
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):  # gap / n_t on a tiny n_t
-            want = _oracle_pairs(ctx, records, ray_a, ray_b)
+            want = _oracle_pairs(ctx, elems, ray_a, ray_b)
             mp.setattr(xray, "NEWTON_CHUNK", budget)
-            got = _stage_pairs(ctx, records, ray_a, ray_b, r_lo)
+            got = _stage_pairs(ctx, elems, ray_a, ray_b, r_lo)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     def test_reversed_records_give_the_same_image(self, monkeypatch, name, face):
+        # each tile takes its candidate elements in reverse order
         mesh, field = golden_scene(name)
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
         ref = render(mesh, field, det, settings, model=TABLE_MODEL)
-        scan = xray._scan_leaves
+        tile_elements = xray._tile_elements
 
-        def reversed_scan(*args):
-            return [(elems[::-1], ids, j_lo, j_hi) for elems, ids, j_lo, j_hi in scan(*args)]
+        def reversed_candidates(*args):
+            return tile_elements(*args)[::-1]
 
-        monkeypatch.setattr(xray, "_scan_leaves", reversed_scan)
+        monkeypatch.setattr(xray, "_tile_elements", reversed_candidates)
         rev = render(mesh, field, det, settings, model=TABLE_MODEL)
         assert ref.density.tobytes() == rev.density.tobytes()
         assert ref.intensity.tobytes() == rev.intensity.tobytes()
@@ -1965,18 +1976,25 @@ class TestTraceContract:
             assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
 
     # +z is the benchmark's face; under it the cylinder100 corner faces
-    # parallel to the rays keep or drop whole rays in the clip
+    # parallel to the rays keep or drop whole rays in the clip.  The
+    # benchmark scenes render at seed 7 with their own trees, at the scale
+    # of the benchmark's own cross-check
     @pytest.mark.parametrize(
         "name, face",
-        [("ball8", "+y"), ("cylinder100", "+y"), ("ball8", "+z"), ("cylinder100", "+z")],
-        ids=["ball8", "cylinder100", "ball8-+z", "cylinder100-+z"],
+        [("ball8", "+y"), ("cylinder100", "+y"), ("ball8", "+z"), ("cylinder100", "+z"),
+         ("ball-fine-mesh", None), ("cylinder-single-sample", None)],
+        ids=["ball8", "cylinder100", "ball8-+z", "cylinder100-+z", "ball-fine-mesh", "cylinder-single-sample"],
     )
-    def test_traced_counts_match_render_stats(self, tracing, name, face):
-        mesh, field = golden_scene(name)
-        det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
-        settings = IntegrationSettings(step=0.02)
-        for leaf_size in (3, MAX_LEAF_ELEMENTS, ONE_LEAF):
-            tree = build_obb_tree(mesh, leaf_size)
+    def test_traced_counts_match_render_stats(self, monkeypatch, tracing, name, face):
+        if face is None:
+            mesh, field, det, settings, tree = _benchmark_scene(monkeypatch, name)
+            trees = [tree]
+        else:
+            mesh, field = golden_scene(name)
+            det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
+            settings = IntegrationSettings(step=0.02)
+            trees = [build_obb_tree(mesh, leaf_size) for leaf_size in (3, MAX_LEAF_ELEMENTS, ONE_LEAF)]
+        for tree in trees:
             tracer = tracing.Tracer()
             counter = tracing.LeafSampleCounter(tree, det, settings.step)
             tracer.slab_observer = counter
@@ -1985,7 +2003,7 @@ class TestTraceContract:
             root = next(s.id for s in tracer.spans if s.name == "xray.render")
             totals = tracing.subtree_totals(tracer.spans, root)
             stats = img.stats
-            assert counter.take() == stats.samples > 0, leaf_size
+            assert counter.take() == stats.samples > 0, len(tree.leaves)
             assert totals.count("locate.membership_test", "lanes") == stats.pairs_tested
             assert totals.count("locate.membership_test", "iterations") == stats.newton_iterations
             assert totals.count("locate.membership_test", "non_converged") == stats.non_converged
