@@ -32,8 +32,9 @@ from .mesh import EDGE_VERTICES, Mesh
 # multiplicative box inflation to absorb roundoff in slab tests at box faces
 BOX_INFLATION = 1e-9
 # Default leaf size of the OBB tree.  A leaf costs the render one slab call
-# and a pixel rectangle of lanes; a larger leaf tests more element boxes per
-# ray.  Measured over leaf sizes 10-64, 32 gave the lowest set-up plus render
+# and a pixel rectangle of lanes; the leaves choose no element, so the leaf
+# size moves only the set-up, the slab calls and the ``samples`` count.
+# Measured over leaf sizes 10-64, 32 gave the lowest set-up plus render
 # time summed over the two benchmark workloads without slowing any other
 # scene measured; the images do not depend on it.
 MAX_LEAF_ELEMENTS = 32

@@ -12,24 +12,23 @@ one direction, so a ray is origin + a * axis_u + b * axis_v + t * normal and
 its origin in any box frame is linear in its pixel offsets (a, b).  Once per
 render the detector origin and axes are rotated into the frames of all tree
 leaves, and each leaf box is projected onto the detector as a padded pixel
-rectangle that holds every ray that can meet it.  A tile's candidate
-elements are those of the leaves whose rectangle meets the tile's rows.
-The tile also slab-tests each of those leaf boxes on its rays, and the grid
-points inside the union of the leaf boxes are the render's ``samples``
-count; the boxes cut no pair.  Internal nodes keep no box: the leaves
-partition the elements.  Brute force is the one-leaf case, the model box in
-the identity frame holding every element.  Newton lanes carry their grid
+rectangle that holds every ray that can meet it.  A tile slab-tests each
+leaf box whose rectangle meets its rows on its rays, and the grid points
+inside the union of the leaf boxes are the render's ``samples`` count; the
+leaves neither choose nor cut a pair.  Brute force is the one-leaf case,
+the model box in the identity frame.  Newton lanes carry their grid
 point (ray, j), and all claims on one (ray, j) are resolved together.  The
 lane-sized geometry (leaf-local ray origins, Newton sample points) is
 column-major: each coordinate is one contiguous row, filled in the fixed
 order of the row-major expressions, so the bits are theirs.
 
 Point location then streams (ray, element) pairs through three bounded
-stages.  First the candidates' pairs are enumerated pixel row by pixel row
-from the element clips (in the detector frame): over the depth window where
-the grid points [J_lo, J_hi] meet an element's box, each face plane admits a
-half-plane in (a, b), and each row of the element box's footprint gets one
-column interval cut by all four, so no (elements x rays) mask is built.
+stages.  First the pairs of every element, in id order, are enumerated
+pixel row by pixel row from the element clips (in the detector frame):
+over the depth window where the grid points [J_lo, J_hi] meet an element's
+box, each face plane admits a half-plane in (a, b), and each row of the
+element box's footprint inside the tile gets one column interval cut by all
+four, so no (elements x rays) mask is built.
 The pairs whose ray crosses the element's box footprint go on.  Then each
 pair's ray is clipped to the element's box depth range intersected with the
 four face half-spaces of its corner tetrahedron, each plane pushed out to
@@ -83,7 +82,6 @@ from .spatial import (
     Aabb,
     Basis,
     Obb,
-    ObbNode,
     ObbTree,
     _inflated_box,
     _quadratic_max,
@@ -507,14 +505,14 @@ def _regroup(parts, budget: int, weight: int | None = None):
 
 @dataclass(frozen=True)
 class _LeafFrames:
-    """The leaves with the detector in each leaf's frame.
+    """The leaf boxes with the detector in each box's frame.
 
     In leaf k's frame the ray at detector-frame (a, b) starts at
     c[k] + a * u[k] + b * v[k] and runs along d[k].  Only the rays at pixels
     i0 <= i <= i1 of rows k0 <= row <= k1 (``rect[k]``) can meet the box.
     """
 
-    leaves: list[ObbNode]
+    leaves: list[Obb]
     c: np.ndarray  # (n_leaves, 3)
     u: np.ndarray
     v: np.ndarray
@@ -523,7 +521,7 @@ class _LeafFrames:
     rect: np.ndarray  # (n_leaves, 4) int64: i0, i1, k0, k1
 
 
-def _leaf_frames(leaves: list[ObbNode], det: Detector) -> _LeafFrames:
+def _leaf_frames(leaves: list[Obb], det: Detector) -> _LeafFrames:
     """Rotate the detector into every leaf frame and project each leaf box
     onto the detector, once per render.
 
@@ -533,16 +531,16 @@ def _leaf_frames(leaves: list[ObbNode], det: Detector) -> _LeafFrames:
     the roundoff of the projection and of the slab test, and clipped to the
     detector; it is empty (i0 > i1 or k0 > k1) for a box beside it.
     """
-    rows = np.stack([leaf.obb.basis.rows for leaf in leaves])
-    origins = np.stack([leaf.obb.basis.origin for leaf in leaves])
+    rows = np.stack([leaf.basis.rows for leaf in leaves])
+    origins = np.stack([leaf.basis.origin for leaf in leaves])
     c = _rotate(rows, det.origin - origins)
     u = _rotate(rows, det.axis_u)
     v = _rotate(rows, det.axis_v)
     d = _rotate(rows, det.normal)
     with np.errstate(divide="ignore"):
         inv_d = 1.0 / d
-    pmin = np.stack([leaf.obb.box.pmin for leaf in leaves])
-    pmax = np.stack([leaf.obb.box.pmax for leaf in leaves])
+    pmin = np.stack([leaf.box.pmin for leaf in leaves])
+    pmax = np.stack([leaf.box.pmax for leaf in leaves])
     corners = np.where(_BOX_CORNERS, pmax[:, None], pmin[:, None]) - c[:, None]
     rect = []
     for axis, n in ((u, det.nu), (v, det.nv)):
@@ -569,14 +567,15 @@ class _RenderContext:
 
 def _render_context(mesh, field, detector, settings, model, tree, brute_force, box, clip, grid):
     """Per-render state shared by all tiles; builds the tree if none is given.
-    Brute force is the one-leaf case: the model ``box`` in the identity
-    frame, holding every element.  ``box`` and ``clip`` are
+    The leaf boxes are the tree leaves' own ``Obb`` objects, so a tracer can
+    tell a slab call's leaf by its box; brute force's one leaf is the model
+    ``box`` in the identity frame.  ``box`` and ``clip`` are
     ``_box_and_clip``'s, ``grid`` the grid range of ``box``'s depth range."""
     if brute_force:
-        identity = Obb(Basis(np.eye(3), np.zeros(3)), box)
-        leaves = [ObbNode(identity, 0, np.arange(mesh.n_elements, dtype=np.int64))]
+        leaves = [Obb(Basis(np.eye(3), np.zeros(3)), box)]
     else:
-        leaves = (tree or build_obb_tree(mesh, settings.max_leaf_elements)).leaves
+        tree = tree or build_obb_tree(mesh, settings.max_leaf_elements)
+        leaves = [leaf.obb for leaf in tree.leaves]
     return _RenderContext(
         mesh=mesh,
         values=field.values,
@@ -617,21 +616,10 @@ def _block_rays(ctx: _RenderContext, r_lo: int, r_hi: int):
     return (r % det.nu) * det.pitch, (r // det.nu) * det.pitch
 
 
-def _tile_elements(ctx: _RenderContext, r_lo: int, r_hi: int) -> np.ndarray:
-    """The candidate elements of the rays [r_lo, r_hi), leaf by leaf: those
-    of the leaves whose pixel rectangle meets the tile's rows, so of every
-    leaf ``_scan_leaves`` slab-tests.  A rectangle's padding holds its
-    elements' clip footprints, so no other element has a pair in the tile."""
-    det, lf = ctx.detector, ctx.leaves
-    i0, i1, k0, k1 = lf.rect.T
-    hit = (i0 <= i1) & (k0 <= (r_hi - 1) // det.nu) & (k1 >= r_lo // det.nu)
-    return np.concatenate([lf.leaves[k].elements for k in np.flatnonzero(hit)] + [np.empty(0, np.int64)])
-
-
 def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
-    """Leaf records (elements, ray_ids, j_lo, j_hi) of the rays [r_lo, r_hi):
-    the rays with samples inside each leaf box, tile-local ids, and their
-    grid ranges, leaf by leaf in ``tree.leaves`` order.
+    """Leaf records (leaf, ray_ids, j_lo, j_hi) of the rays [r_lo, r_hi):
+    the index of each leaf in ``ctx.leaves``, the tile-local ids of the rays
+    with samples inside its box, and their grid ranges, leaf by leaf.
 
     A leaf is tested on the tile's rays inside its pixel rectangle
     (``_leaf_frames``), whose local origins are linear in (a, b), with one
@@ -650,31 +638,29 @@ def _scan_leaves(ctx: _RenderContext, r_lo: int, r_hi: int, ray_a, ray_b):
         ids = ids[(ids >= r_lo) & (ids < r_hi)] - r_lo
         if not ids.size:
             continue
-        box = lf.leaves[k].obb.box
+        box = lf.leaves[k].box
         o_local = _lane_origins(lf.c[k], lf.u[k], lf.v[k], ray_a[ids], ray_b[ids])
         te, tx, _ = slab_intervals(o_local, lf.inv_d[k], lf.d[k], box.pmin, box.pmax)
-        _add_record(records, lf.leaves[k].elements, ids, te, tx, step)
+        j_lo, j_hi = _grid_range(te, tx, step)
+        full = np.flatnonzero(j_hi >= j_lo)
+        if full.size:
+            records.append((k, ids[full], j_lo[full], j_hi[full]))
     return records
 
 
-def _add_record(records, elems, ids, t_enter, t_exit, step: float):
-    """Append (elems, ray_ids, j_lo, j_hi) for the rays whose slab interval
-    holds grid points; a missed box has an empty range."""
-    j_lo, j_hi = _grid_range(t_enter, t_exit, step)
-    full = np.flatnonzero(j_hi >= j_lo)
-    if full.size:
-        records.append((elems, ids[full], j_lo[full], j_hi[full]))
-
-
-def _count_samples(records, span: int) -> int:
-    """Grid points in the per-ray union of the leaf records' ranges, every
-    j_hi below ``span``.
+def _count_samples(records) -> int:
+    """Grid points in the per-ray union of the records' ranges (0 for none).
 
     With the ranges sorted by (ray, j_lo), each adds the points past the
     farthest end of the ranges before it.  Ray-major keys ray * span + j
-    sort by (ray, j) and keep the running maximum inside the ray.
+    sort by (ray, j) and keep the running maximum inside the ray; an
+    oriented leaf box can reach past the model's depth range, so the span
+    comes from the records' own ranges.
     """
+    if not records:
+        return 0
     ray, j_lo, j_hi = (np.concatenate(c) for c in list(zip(*records))[1:])
+    span = int(j_hi.max()) + 1
     lo = ray * span + j_lo
     order = np.argsort(lo)
     lo = lo[order]
@@ -704,11 +690,11 @@ def _split_runs(start, count, budget: int):
     return src, start[src] + off, np.minimum(count[src] - off, budget)
 
 
-def _footprint_runs(ctx: _RenderContext, e, r_lo: int, n: int, budget: int):
-    """Yield (ray0, element, count) column runs of the candidate elements
-    ``e``: the tile-local rays ray0 .. ray0 + count - 1 of the tile's
-    ``n`` rays are the element's candidate rays.  Runs hold at most
-    ``budget`` rays and come at most ``budget`` rows at a time.
+def _footprint_runs(ctx: _RenderContext, r_lo: int, n: int, budget: int):
+    """Yield (ray0, element, count) column runs of every element, in id
+    order: the tile-local rays ray0 .. ray0 + count - 1 of the tile's ``n``
+    rays are the element's candidate rays.  Runs hold at most ``budget``
+    rays and come at most ``budget`` rows at a time.
 
     Each element's depth window is its box's depth range cut to the model's
     grid points [t(J_lo), t(J_hi)], t(j) = (j + 1/2) * step.  A pair can
@@ -724,22 +710,22 @@ def _footprint_runs(ctx: _RenderContext, e, r_lo: int, n: int, budget: int):
     det, clip, step = ctx.detector, ctx.clip, ctx.settings.step
     nu, pitch = det.nu, det.pitch
     j_lo, j_hi = ctx.grid
-    t0 = np.maximum(clip.t_lo[e], (j_lo + 0.5) * step)
-    t1 = np.minimum(clip.t_hi[e], (j_hi + 0.5) * step)
+    t0 = np.maximum(clip.t_lo, (j_lo + 0.5) * step)
+    t1 = np.minimum(clip.t_hi, (j_hi + 0.5) * step)
     # the clip's plane values, depth bounds and grid indices round within
     # ~1e-14 of this scale; a slack far above that and far below a pixel
     # keeps every pair the clip keeps and adds few others
-    slack = 1e-9 * (step + max(np.abs(clip.lo[e]).max(), np.abs(clip.hi[e]).max()))
+    slack = 1e-9 * (step + max(np.abs(clip.lo).max(), np.abs(clip.hi).max()))
     # the box rows inside the tile, the box grown by the slack for the
     # roundoff of k * pitch
     row_lo, row_hi = r_lo // nu, (r_lo + n - 1) // nu
-    k_a = np.clip(np.ceil((clip.lo[e, 1] - slack) / pitch), row_lo, row_hi + 1).astype(np.int64)
-    k_b = np.clip(np.floor((clip.hi[e, 1] + slack) / pitch), row_lo - 1, row_hi).astype(np.int64)
-    live = np.flatnonzero((t0 <= t1 + slack) & (k_a <= k_b))
-    e, t0, t1 = e[live], t0[live], t1[live]
+    k_a = np.clip(np.ceil((clip.lo[:, 1] - slack) / pitch), row_lo, row_hi + 1).astype(np.int64)
+    k_b = np.clip(np.floor((clip.hi[:, 1] + slack) / pitch), row_lo - 1, row_hi).astype(np.int64)
+    e = np.flatnonzero((t0 <= t1 + slack) & (k_a <= k_b))
+    t0, t1 = t0[e], t1[e]
     n_t = clip.n_t[:, e]
     entries = (e, clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack)
-    rows = _split_runs(k_a[live], k_b[live] - k_a[live] + 1, budget)
+    rows = _split_runs(k_a[e], k_b[e] - k_a[e] + 1, budget)
     for src, k0, n_rows in _regroup([rows], budget, weight=2):
         yield _row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
 
@@ -805,19 +791,19 @@ def _pairs_of_runs(ctx: _RenderContext, ray_a, ray_b, ray0, elem, count):
     return ray[keep], e[keep], j1[keep], j2[keep] - j1[keep] + 1
 
 
-def _clipped_pairs(ctx: _RenderContext, elems, ray_a, ray_b, r_lo: int):
-    """Yield (ray, element, j1, counts) for the (ray, element) pairs of the
-    candidate elements ``elems`` and the tile's rays, with candidate samples
+def _clipped_pairs(ctx: _RenderContext, ray_a, ray_b, r_lo: int):
+    """Yield (ray, element, j1, counts) for the (ray, element) pairs of
+    every element and the tile's rays, with candidate samples
     j1 .. j1 + counts - 1: the grid points inside the element clip and
     inside [J_lo, J_hi].
 
     The pairs are enumerated from each element's clip cross-section
     (``_footprint_runs``), so no (elements x rays) mask is built, and are
     box-tested and clipped at most ``NEWTON_CHUNK`` candidates at a time.
-    Each element is a candidate once, so a pair arises once per tile.
+    Each element is enumerated once, so a pair arises once per tile.
     """
     budget = NEWTON_CHUNK
-    runs = _footprint_runs(ctx, elems, r_lo, ray_a.size, budget)
+    runs = _footprint_runs(ctx, r_lo, ray_a.size, budget)
     for ray0, elem, count in _regroup(runs, budget, weight=2):
         pairs = _pairs_of_runs(ctx, ray_a, ray_b, ray0, elem, count)
         if pairs[0].size:
@@ -833,16 +819,8 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     mu = np.zeros(n_rays) if ctx.want_mu else None
     stats = RenderStats(rays=n_rays)
 
-    elems = _tile_elements(ctx, r_lo, r_hi)
-    if not elems.size:
-        return pd, mu, stats
     ray_a, ray_b = _block_rays(ctx, r_lo, r_hi)
-    records = _scan_leaves(ctx, r_lo, r_hi, ray_a, ray_b)
-    if records:
-        # an oriented leaf box can reach past the model's depth range, so
-        # the count keys the leaf ranges by their own span
-        stats.samples = _count_samples(records, max(int(rec[3].max()) for rec in records) + 1)
-    del records
+    stats.samples = _count_samples(_scan_leaves(ctx, r_lo, r_hi, ray_a, ray_b))
 
     # a lane's grid point (ray, j) has j <= J_hi; claims are keyed
     # ray * span + j, which sorts like (ray, j)
@@ -854,7 +832,7 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     # batches of whole pairs, weighted by their lane counts, share one
     # Newton workspace; it is dropped before the claims are resolved
     work = newton_workspace(NEWTON_CHUNK)
-    pairs = _clipped_pairs(ctx, elems, ray_a, ray_b, r_lo)
+    pairs = _clipped_pairs(ctx, ray_a, ray_b, r_lo)
     for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
         lane_r = np.repeat(ray, counts)
         lane_j = _ragged_arange(j1, counts)
@@ -934,9 +912,9 @@ def render(
 ) -> ProjectionImage:
     """Render the full detector grid.
 
-    ``brute_force`` drops the OBB tree: every ray samples the model box
-    interval and every element is a candidate (same claim rule); on any
-    mesh this is bitwise-identical to the accelerated path.  The rays run
+    ``brute_force`` drops the OBB tree: the model box stands in for the
+    leaf boxes, so only ``samples`` changes; on any mesh the image is
+    bitwise-identical to the accelerated path's.  The rays run
     in tiles of a fixed sample budget, serially or, for ``workers`` > 1, in
     an ordered pool of up to ``workers`` processes; images are
     bitwise-identical across worker counts.  A ``step`` that puts no depth

@@ -223,11 +223,7 @@ def _suite_newton_round_trip(n, seed):
         xi_true = random_simplex_points(rng, per_elem)
         nodes = mesh.element_nodes(e)
         x = map_points(nodes, xi_true, mesh.order)
-        a = nodes[1] - nodes[0]
-        b = nodes[2] - nodes[0]
-        c = nodes[3] - nodes[0]
-        det_scale = abs(float(np.dot(a, np.cross(b, c))))
-        xi, converged, _ = newton_solve(nodes, mesh.order, x, settings, det_scale)
+        xi, converged, _ = newton_solve(nodes, x, settings)
         failures += int((~converged).sum())
         worst = max(worst, float(np.abs(xi[converged] - xi_true[converged]).max()))
         total += per_elem

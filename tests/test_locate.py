@@ -101,7 +101,7 @@ class TestGlobalToLocal:
         mesh = single_tet_mesh(corners)
         xi_true = random_simplex_points(rng, 20)
         pts = map_points(mesh.nodes, xi_true)
-        xi, converged, _ = newton_solve(mesh.nodes, "quadratic", pts, NewtonSettings())
+        xi, converged, _ = newton_solve(mesh.nodes, pts, NewtonSettings())
         assert converged.all()
         np.testing.assert_allclose(xi, xi_true, atol=1e-12)
 
@@ -126,7 +126,7 @@ class TestGlobalToLocal:
     def test_far_point_returns_none_or_outside(self):
         mesh = single_tet_mesh()
         far = np.full((1, 3), 50.0)
-        xi, converged, _ = newton_solve(mesh.nodes, "quadratic", far, NewtonSettings())
+        xi, converged, _ = newton_solve(mesh.nodes, far, NewtonSettings())
         assert not converged[0] or not in_hull(xi[0])
         assert not located(mesh, 0, far)[0][0]
 
@@ -135,7 +135,7 @@ class TestGlobalToLocal:
         settings = NewtonSettings(max_iter=3, eps_tol=1e-15)
         # must return without looping forever, within the budget
         x = np.full((1, 3), 0.1)
-        _, _, iters = newton_solve(mesh.element_nodes(0), "quadratic", x, settings)
+        _, _, iters = newton_solve(mesh.element_nodes(0), x, settings)
         assert iters[0] <= 3
 
 
@@ -259,7 +259,7 @@ class TestLinearOrder:
         mesh = single_tet_mesh(REFERENCE_TET * 1.3 + [0.1, 0.2, -0.1], quadratic=False)
         xi_true = random_simplex_points(rng, 10)
         pts = map_points(mesh.nodes, xi_true, "linear")
-        xi, converged, _ = newton_solve(mesh.nodes, "linear", pts, NewtonSettings())
+        xi, converged, _ = newton_solve(mesh.nodes, pts, NewtonSettings())
         assert converged.all()
         np.testing.assert_allclose(xi, xi_true, atol=1e-12)
 
@@ -342,7 +342,7 @@ class TestReferenceFrame:
         nodes = straight_quadratic_nodes(REFERENCE_TET)
         nodes[3] = [0.5, 0.5, 0.0]  # corner 3 in the plane of the others
         nodes[7:] = [0.5 * (nodes[a] + nodes[3]) for a in range(3)]
-        xi, converged, iters = newton_solve(nodes, "quadratic", np.ones((2, 3)), NewtonSettings())
+        xi, converged, iters = newton_solve(nodes, np.ones((2, 3)), NewtonSettings())
         assert not converged.any() and (iters == 1).all()
 
 
@@ -525,6 +525,19 @@ class TestNewtonWorkspace:
                 assert shared_rho.tobytes() == fresh_rho.tobytes()
                 # a workspace holding stale lanes changes nothing
                 work[:] = np.nan
+
+    def test_workspace_rows_start_on_cache_lines(self):
+        # wherever malloc puts the block, after allocations of any size
+        held = []
+        for lanes in (8192, 10, 8192, 7, 20_000):
+            for pad in range(1, 9):
+                held.append(np.empty(pad * 3))
+                work = newton_workspace(lanes)
+                assert work.shape == (locate.WORK_ROWS, lanes) and work.flags.c_contiguous
+                starts = work.ctypes.data + np.arange(locate.WORK_ROWS) * work.strides[0]
+                assert starts[0] % 64 == 0
+                if lanes % 8 == 0:
+                    assert (starts % 64 == 0).all()
 
     def test_too_small_workspace_is_replaced(self, ball_mesh_field, rng):
         mesh, _ = ball_mesh_field

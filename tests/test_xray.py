@@ -374,25 +374,35 @@ class TestRender:
              "ball-fine-mesh", "cylinder-single-sample"],
     )
     def test_tree_matches_brute_force_on_golden_scenes(self, monkeypatch, name, face):
-        # at every leaf size the tree makes the same pairs as brute force:
-        # only ``samples`` counts the leaf boxes.  The benchmark scenes
-        # render at seed 7
+        # at every leaf size the tree makes the same pairs as brute force,
+        # and hands Newton the same batches in the same order: only
+        # ``samples`` counts the leaf boxes.  The benchmark scenes render
+        # at seed 7
         if face is None:
             mesh, field, det, settings, _ = _benchmark_scene(monkeypatch, name)
         else:
             mesh, field = golden_scene(name)
             det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
             settings = IntegrationSettings(step=0.02)
+        batches = []
+
+        def member(mesh, e, pts, *args):
+            batches.append((e.tobytes(), pts.tobytes()))
+            return membership_test(mesh, e, pts, *args)
+
+        monkeypatch.setattr(xray, "membership_test", member)
         brute = render(mesh, field, det, settings, brute_force=True)
-        want = counters(brute.stats)
+        want, want_batches = counters(brute.stats), batches[:]
         del want["samples"]
         for leaf_size in LEAF_SIZES:
+            batches.clear()
             img = render(mesh, field, det, settings, tree=build_obb_tree(mesh, leaf_size))
             assert img.density.tobytes() == brute.density.tobytes()
             assert img.stats.pairs_inside == brute.stats.pairs_inside > 0
             got = counters(img.stats)
             del got["samples"]
             assert got == want, leaf_size
+            assert batches == want_batches, leaf_size
 
     def test_worker_count_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -859,13 +869,14 @@ def _render_context(mesh, field, det, settings, tree=None, brute_force=False):
     return xray._render_context(mesh, field, det, settings, None, tree, brute_force, box, clip, grid)
 
 
-def _oracle_pairs(ctx, elems, ray_a, ray_b):
-    """Lexsorted (ray, element, j1, count) rows of the clipped pairs of the
-    elements ``elems`` and the rays at (ray_a, ray_b), from the full
-    ray-major expansion: every (ray, element) pair is box-tested, those
-    inside the element boxes are clipped by ``_depth_clip``, and their
-    ranges are cut to the model's grid range ``ctx.grid``."""
+def _oracle_pairs(ctx, ray_a, ray_b):
+    """Lexsorted (ray, element, j1, count) rows of the clipped pairs of every
+    element and the rays at (ray_a, ray_b), from the full ray-major
+    expansion: every (ray, element) pair is box-tested, those inside the
+    element boxes are clipped by ``_depth_clip``, and their ranges are cut
+    to the model's grid range ``ctx.grid``."""
     clip, cols = ctx.clip, []
+    elems = np.arange(clip.t_lo.size)
     for first in range(0, elems.size, 64):  # an (elements, rays) mask of 64 rows at a time
         e = elems[first:first + 64]
         lo, hi = clip.lo[e, :2, None], clip.hi[e, :2, None]
@@ -888,7 +899,7 @@ def _expanded_lanes(ctx):
     ray_a, ray_b = xray._block_rays(ctx, 0, det.n_rays)
     origins = det.origin + ray_a[:, None] * det.axis_u + ray_b[:, None] * det.axis_v
     rows = []
-    for r, el, first, count in _oracle_pairs(ctx, np.arange(ctx.mesh.n_elements), ray_a, ray_b):
+    for r, el, first, count in _oracle_pairs(ctx, ray_a, ray_b):
         j = np.arange(first, first + count)
         pts = origins[r] + ((j + 0.5) * step)[:, None] * det.normal
         rows.append(np.column_stack([np.full(j.size, el, dtype=float), pts]))
@@ -1377,21 +1388,19 @@ class TestClipPairs:
                 assert inside(t), (t, t_in, t_out)
 
 
-def _tile_candidates(ctx):
-    """(candidate elements, ray_a, ray_b, r_lo) of a render's tiles that have
-    candidates, as ``_render_block`` takes them."""
+def _render_tiles(ctx):
+    """(ray_a, ray_b, r_lo) of a render's tiles, as ``_render_block`` takes
+    them."""
     det = ctx.detector
     depth = xray._depth_points(model_aabb(ctx.mesh), det.normal, ctx.settings.step)
     for lo, hi in xray._ray_tiles(det.n_rays, depth):
-        elems = xray._tile_elements(ctx, lo, hi)
-        if elems.size:
-            yield elems, *xray._block_rays(ctx, lo, hi), lo
+        yield *xray._block_rays(ctx, lo, hi), lo
 
 
 def _drain_pair_stream(ctx):
     """Run the pair stream over a render's tiles, as ``_render_block`` does."""
-    for elems, ray_a, ray_b, r_lo in _tile_candidates(ctx):
-        for _ in xray._clipped_pairs(ctx, elems, ray_a, ray_b, r_lo):
+    for ray_a, ray_b, r_lo in _render_tiles(ctx):
+        for _ in xray._clipped_pairs(ctx, ray_a, ray_b, r_lo):
             pass
 
 
@@ -1514,11 +1523,10 @@ def _benchmark_context(monkeypatch, workload):
 
 @st.composite
 def _pair_scenes(draw):
-    """(ctx, elems, ray_a, ray_b, r_lo) of one tile of a detector of at
-    most 5 x 5 rays over up to 4 random element clips: box sides and face
-    planes through pixel centres and depth grid points, signed-zero normal
-    components, candidates ``elems`` of any subset and order, and any model
-    grid range, empty ones too."""
+    """(ctx, ray_a, ray_b, r_lo) of one tile of a detector of at most 5 x 5
+    rays over up to 4 random element clips: box sides and face planes
+    through pixel centres and depth grid points, signed-zero normal
+    components, and any model grid range, empty ones too."""
     nu, nv = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     pitch = draw(st.sampled_from([0.5, 0.1, 0.3]))
     step = draw(st.sampled_from([0.25, 0.1, 0.7]))
@@ -1546,7 +1554,6 @@ def _pair_scenes(draw):
     clip = xray._ElementClip.from_planes(
         boxes.min(axis=1), boxes.max(axis=1), np.array(normals), np.array(offsets)
     )
-    elems = np.array(draw(st.permutations(range(n_el))))[: draw(st.integers(1, n_el))]
     j_lo = draw(st.integers(0, 5))
     grid = (j_lo, j_lo + draw(st.integers(-1, 6)))
     r = np.arange(r_lo, r_hi)
@@ -1554,13 +1561,13 @@ def _pair_scenes(draw):
         detector=SimpleNamespace(nu=nu, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step),
         grid=grid,
     )
-    return ctx, elems, (r % nu) * pitch, (r // nu) * pitch, r_lo
+    return ctx, (r % nu) * pitch, (r // nu) * pitch, r_lo
 
 
 def _one_tile_scene(elements, n, pitch, step):
-    """(ctx, elems, ray_a, ray_b) of an n x n detector in one tile, every
-    element a candidate and the model grid range 0 .. 3, over element clips
-    given as (box lo, box hi, four (n_a, n_b, n_t, offset) faces)."""
+    """(ctx, ray_a, ray_b) of an n x n detector in one tile and the model
+    grid range 0 .. 3, over element clips given as (box lo, box hi, four
+    (n_a, n_b, n_t, offset) faces)."""
     lo, hi, faces = zip(*elements)
     faces = np.array(faces)
     clip = xray._ElementClip.from_planes(np.array(lo), np.array(hi), faces[..., :3], faces[..., 3])
@@ -1569,37 +1576,35 @@ def _one_tile_scene(elements, n, pitch, step):
         detector=SimpleNamespace(nu=n, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step),
         grid=(0, 3),
     )
-    return ctx, np.arange(len(elements)), (r % n) * pitch, (r // n) * pitch
+    return ctx, (r % n) * pitch, (r // n) * pitch
 
 
-def _stage_pairs(ctx, elems, ray_a, ray_b, r_lo):
+def _stage_pairs(ctx, ray_a, ray_b, r_lo):
     """Lexsorted (ray, element, j1, count) rows of the pair stream's clipped
     pairs of one tile."""
-    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, elems, ray_a, ray_b, r_lo)]
+    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, ray_a, ray_b, r_lo)]
     return _sorted_rows(np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64))
 
 
 class TestBoxPairOrder:
-    """The pair stream builds the pairs of a tile's candidate elements row by
-    row from the element clip cross-sections; its clipped pairs (ray,
-    element, j1, count) are exactly those of the ray-major mask over every
-    (ray, element) pair of the tile, of every element of the mesh, clipped
-    and cut to the model's grid range, whatever the budget.  As lanes are
+    """The pair stream builds a tile's pairs of every element row by row
+    from the element clip cross-sections; its clipped pairs (ray, element,
+    j1, count) are exactly those of the ray-major mask over every (ray,
+    element) pair of the tile, clipped and cut to the model's grid range,
+    whatever the budget.  As lanes are
     independent of their batch and claims go to the lowest element id, the
     order they come in changes no image."""
 
     @staticmethod
     def _assert_ray_major_pairs(ctx, budgets=(None,)):
         n_pairs = 0
-        every = np.arange(ctx.mesh.n_elements)
         with pytest.MonkeyPatch.context() as mp:
-            for elems, ray_a, ray_b, r_lo in _tile_candidates(ctx):
-                # no element outside the candidates has a pair in the tile
-                want = _oracle_pairs(ctx, every, ray_a, ray_b)
+            for ray_a, ray_b, r_lo in _render_tiles(ctx):
+                want = _oracle_pairs(ctx, ray_a, ray_b)
                 for budget in budgets:
                     if budget is not None:
                         mp.setattr(xray, "NEWTON_CHUNK", budget)
-                    got = _stage_pairs(ctx, elems, ray_a, ray_b, r_lo)
+                    got = _stage_pairs(ctx, ray_a, ray_b, r_lo)
                     np.testing.assert_array_equal(got, want, err_msg=str(budget))
                 n_pairs += len(want)
         assert n_pairs > 0
@@ -1641,36 +1646,37 @@ class TestBoxPairOrder:
             ([-1.0, -1.0, 0.0], [2.0, 2.0, 1.0],
              [(-1.0, 0.0, -0.0, -c), (0.0, -1.0, 0.0, -c), (1.0, -0.0, 0.0, c), (-0.0, 1.0, -0.0, c)]),
         ]
-        ctx, elems, ray_a, ray_b = _one_tile_scene(elements, 5, pitch, 0.25)
-        want = _oracle_pairs(ctx, elems, ray_a, ray_b)
+        ctx, ray_a, ray_b = _one_tile_scene(elements, 5, pitch, 0.25)
+        want = _oracle_pairs(ctx, ray_a, ray_b)
         assert want[:, :2].tolist() == [[18, 0], [18, 1]]
-        np.testing.assert_array_equal(_stage_pairs(ctx, elems, ray_a, ray_b, 0), want)
+        np.testing.assert_array_equal(_stage_pairs(ctx, ray_a, ray_b, 0), want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_clips_match_ray_major_mask(self, data):
-        ctx, elems, ray_a, ray_b, r_lo = data.draw(_pair_scenes())
+        ctx, ray_a, ray_b, r_lo = data.draw(_pair_scenes())
         budget = data.draw(st.sampled_from([1, 3, 8192]))
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):  # gap / n_t on a tiny n_t
-            want = _oracle_pairs(ctx, elems, ray_a, ray_b)
+            want = _oracle_pairs(ctx, ray_a, ray_b)
             mp.setattr(xray, "NEWTON_CHUNK", budget)
-            got = _stage_pairs(ctx, elems, ray_a, ray_b, r_lo)
+            got = _stage_pairs(ctx, ray_a, ray_b, r_lo)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("face", ["+x", "-y", "+z"])
     @pytest.mark.parametrize("name", ["ball8", "cylinder100"])
     def test_reversed_records_give_the_same_image(self, monkeypatch, name, face):
-        # each tile takes its candidate elements in reverse order
+        # each tile takes its clipped pair batches in reverse order, and the
+        # pairs inside each batch too
         mesh, field = golden_scene(name)
         det = make_detector(model_aabb(mesh), face, rays_per_cm2=400.0)
         settings = IntegrationSettings(step=0.02)
         ref = render(mesh, field, det, settings, model=TABLE_MODEL)
-        tile_elements = xray._tile_elements
+        clipped_pairs = xray._clipped_pairs
 
-        def reversed_candidates(*args):
-            return tile_elements(*args)[::-1]
+        def reversed_pairs(*args):
+            return [tuple(c[::-1] for c in pairs) for pairs in list(clipped_pairs(*args))[::-1]]
 
-        monkeypatch.setattr(xray, "_tile_elements", reversed_candidates)
+        monkeypatch.setattr(xray, "_clipped_pairs", reversed_pairs)
         rev = render(mesh, field, det, settings, model=TABLE_MODEL)
         assert ref.density.tobytes() == rev.density.tobytes()
         assert ref.intensity.tobytes() == rev.intensity.tobytes()
@@ -1763,30 +1769,30 @@ range_rows = st.lists(
 
 
 class TestSampleMerge:
-    @given(st.lists(range_rows, min_size=1, max_size=4), st.integers(1, 3))
+    @given(st.lists(range_rows, min_size=1, max_size=4))
     # overlapping, nested, adjacent, duplicate and empty ranges of one ray
-    @example([[(0, 2, 4), (0, 3, 2), (1, 0, 4)], [(0, 6, 3), (0, 2, 4), (0, 10, 0), (1, 2, 6)]], 2)
-    def test_merge_matches_unique_keys(self, leaves, n_elems):
+    @example([[(0, 2, 4), (0, 3, 2), (1, 0, 4)], [(0, 6, 3), (0, 2, 4), (0, 10, 0), (1, 2, 6)]])
+    def test_merge_matches_unique_keys(self, leaves):
         # with step 1 the interval [lo + 1/4, lo + n - 1/4] holds the grid
-        # indices lo .. lo + n - 1
+        # indices lo .. lo + n - 1; the records are made as ``_scan_leaves``
+        # makes them from its slab intervals
         records, rows = [], []
         for k, leaf in enumerate(leaves):
             ray, lo, n = (np.array(c, dtype=np.int64) for c in zip(*leaf))
-            elems = np.arange(k, k + n_elems, dtype=np.int64)
-            xray._add_record(records, elems, ray, lo + 0.25, lo + n - 0.25, 1.0)
+            j_lo, j_hi = xray._grid_range(lo + 0.25, lo + n - 0.25, 1.0)
+            full = np.flatnonzero(j_hi >= j_lo)
+            if full.size:
+                records.append((k, ray[full], j_lo[full], j_hi[full]))
             rows += [(k, r, j_lo, j_lo + m - 1) for r, j_lo, m in leaf if m > 0]
         # records keep the leaf order and exactly the non-empty ranges
         kept = [
-            (int(elems[0]), int(r), int(lo), int(hi))
-            for elems, ids, j_lo, j_hi in records
+            (k, int(r), int(lo), int(hi))
+            for k, ids, j_lo, j_hi in records
             for r, lo, hi in zip(ids, j_lo, j_hi)
         ]
         assert kept == rows
-        if not records:
-            return
         keys = np.unique([(r << 32) + j for _, r, lo, hi in rows for j in range(lo, hi + 1)])
-        span = max(int(j_hi.max()) for *_, j_hi in records) + 1
-        assert xray._count_samples(records, span) == keys.size
+        assert xray._count_samples(records) == keys.size
 
 
 def _oblique_detector(mesh):
@@ -1802,16 +1808,17 @@ def _oblique_detector(mesh):
 
 
 def _scan_records(ctx, tile_rays):
-    """{(elements, ray, j_lo, j_hi)} of the flat leaf scan over tiles of
-    ``tile_rays`` rays, ray ids global."""
+    """{(leaf, ray, j_lo, j_hi)} of the flat leaf scan over tiles of
+    ``tile_rays`` rays, a leaf named by its index in ``tree.leaves`` and ray
+    ids global."""
     n_rays = ctx.detector.n_rays
     out = set()
     for r_lo in range(0, n_rays, tile_rays):
         r_hi = min(r_lo + tile_rays, n_rays)
         a, b = xray._block_rays(ctx, r_lo, r_hi)
-        for elems, ids, j_lo, j_hi in xray._scan_leaves(ctx, r_lo, r_hi, a, b):
+        for leaf, ids, j_lo, j_hi in xray._scan_leaves(ctx, r_lo, r_hi, a, b):
             out |= {
-                (tuple(elems), r_lo + int(r), int(lo), int(hi))
+                (int(leaf), r_lo + int(r), int(lo), int(hi))
                 for r, lo, hi in zip(ids, j_lo, j_hi)
             }
     return out
@@ -1819,10 +1826,10 @@ def _scan_records(ctx, tile_rays):
 
 def _per_ray_records(ctx, tree):
     """The same set from the per-ray reference walk down the tree; no tree
-    is brute force."""
+    is brute force, its one leaf index 0."""
     det, step = ctx.detector, ctx.settings.step
     per_ray = set()
-    all_elems = tuple(range(ctx.mesh.n_elements))
+    index = {} if tree is None else {id(leaf): k for k, leaf in enumerate(tree.leaves)}
     for j in range(det.nv):
         for i in range(det.nu):
             ray = detector_ray(det, i, j)
@@ -1831,13 +1838,13 @@ def _per_ray_records(ctx, tree):
                 te, tx, hit = slab_intervals(
                     ray.origin, ray.inv_direction, ray.direction, box.pmin, box.pmax
                 )
-                hits = [(all_elems, (te, tx))] if hit else []
+                hits = [(0, (te, tx))] if hit else []
             else:
-                hits = [(tuple(node.elements), hit) for node, hit in traverse(tree, ray)]
-            for elems, (t_enter, t_exit) in hits:
+                hits = [(index[id(node)], hit) for node, hit in traverse(tree, ray)]
+            for leaf, (t_enter, t_exit) in hits:
                 lo, hi = xray._grid_range(np.float64(t_enter), np.float64(t_exit), step)
                 if hi >= lo:
-                    per_ray.add((elems, j * det.nu + i, int(lo), int(hi)))
+                    per_ray.add((leaf, j * det.nu + i, int(lo), int(hi)))
     return per_ray
 
 
@@ -1875,8 +1882,7 @@ class TestTraversal:
         basis = Basis(_signed_permutation(rng) if axis_basis else _random_rows(rng), center)
 
         def leaf_frames(box):
-            leaf = spatial.ObbNode(spatial.Obb(basis, box), 0, np.zeros(1, dtype=np.int64))
-            return xray._leaf_frames([leaf], det)
+            return xray._leaf_frames([spatial.Obb(basis, box)], det)
 
         lf = leaf_frames(Aabb(-np.ones(3), np.ones(3)))  # the frame, whatever the box
         r = np.arange(det.n_rays)
@@ -1916,7 +1922,7 @@ class TestTraversal:
             assert _scan_records(ctx, tile_rays) == per_ray, tile_rays
         assert per_ray
         if tree is not None and len(tree.leaves) > 1:
-            assert len({elems for elems, *_ in per_ray}) > 1
+            assert len({leaf for leaf, *_ in per_ray}) > 1
 
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
