@@ -61,7 +61,7 @@ class Mesh:
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
+        elements = np.ascontiguousarray(_node_ids(self.elements))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         validate_mesh(self)
@@ -113,7 +113,48 @@ def check_field(mesh: Mesh, field: NodalField) -> None:
         raise ValueError(f"field has {len(field)} values for {mesh.n_nodes} mesh nodes")
 
 
+def _node_ids(elements) -> np.ndarray:
+    """Connectivity as int64, rejecting bool ids and float ids that are not
+    whole numbers instead of casting them (4.9 would become node 4)."""
+    raw = np.asarray(elements)
+    if raw.ndim == 2 and raw.dtype.kind in "bf":
+        with np.errstate(invalid="ignore"):
+            ids = raw.astype(np.int64)
+        bad = np.ones(raw.shape, bool) if raw.dtype.kind == "b" else ids != raw
+        if bad.any():
+            e = int(np.argmax(bad.any(axis=1)))
+            raise MeshError(f"element {e}: node ids must be integers, got {raw[e].tolist()}")
+    return np.asarray(raw, dtype=np.int64)
+
+
 def validate_mesh(mesh: Mesh) -> None:
+    """Raise MeshError at the first of these checks that ``mesh`` fails.
+
+    1. ``nodes`` has shape (n_nodes, 3), else "nodes must have shape ...".
+    2. Every coordinate is finite, else "node coordinates contain
+       non-finite values".
+    3. ``elements`` has shape (n_elements, 4) or (n_elements, 10), else
+       "elements must have shape ...".
+    4. There is an element, else "mesh has no elements".
+    5. Every node id is in [0, n_nodes), else "element connectivity
+       references nonexistent nodes".
+    6. Six times each corner tetrahedron's signed volume is finite, else
+       "element e: corner volume overflows", and positive, else "element e
+       has non-positive corner volume".
+
+    10-node elements are also checked that:
+
+    7. each mid-edge node lies within half its edge length of the edge
+       midpoint, else "element e: mid-edge node k too far from edge
+       midpoint", for the first such node k in node order;
+    8. no two nodes of an element lie within 1e-12 cm, else "element e:
+       nodes i and j share coordinates", for the lowest such pair (i, j);
+    9. det J is finite, else "element e: det J overflows at reference point
+       p", and positive, else "element e is folded: det J <= 0 at reference
+       point p", at the 20 points of ``_FOLD_LATTICE``.
+
+    Each message names the lowest element id that fails its check.
+    """
     nodes, elements = mesh.nodes, mesh.elements
     if nodes.ndim != 2 or nodes.shape[1] != 3:
         raise MeshError("nodes must have shape (n_nodes, 3)")
@@ -133,8 +174,10 @@ def validate_mesh(mesh: Mesh) -> None:
 
 
 def _validate_geometry(nodes: np.ndarray, elements: np.ndarray) -> None:
-    corners = nodes[elements[:, :4]]
-    vol6 = _corner_volume6(corners)
+    # rows[a, i, e] is coordinate a of node i of element e
+    rows = np.ascontiguousarray(nodes.T)[:, elements.T]
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = rows[:, 1:4] - rows[:, :1]
+    vol6 = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
     if not np.isfinite(vol6).all():
         bad = int(np.argmin(np.isfinite(vol6)))
         raise MeshError(f"element {bad}: corner volume overflows")
@@ -143,23 +186,33 @@ def _validate_geometry(nodes: np.ndarray, elements: np.ndarray) -> None:
         raise MeshError(f"element {bad} has non-positive corner volume")
 
     if elements.shape[1] == 10:
-        for m, (a, b) in enumerate(EDGE_VERTICES):
-            pa = nodes[elements[:, a]]
-            pb = nodes[elements[:, b]]
-            mid = nodes[elements[:, 4 + m]]
-            edge_len = np.linalg.norm(pb - pa, axis=1)
-            off = np.linalg.norm(mid - 0.5 * (pa + pb), axis=1)
-            if (off > 0.5 * edge_len).any():
-                bad = int(np.argmax(off > 0.5 * edge_len))
-                raise MeshError(
-                    f"element {bad}: mid-edge node {4 + m} too far from edge midpoint"
-                )
-        # duplicate nodes within one element collapse the geometry mapping
-        pts = nodes[elements]  # (m, 10, 3)
-        d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
-        iu = np.triu_indices(elements.shape[1], k=1)
-        if (d2[:, iu[0], iu[1]] < (1e-12) ** 2).any():
-            raise MeshError("element contains duplicate node coordinates")
+        # (3, 6, n_elements) edge ends; norms sum x*x + y*y + z*z left to right,
+        # as np.linalg.norm does, so every comparison keeps its bits
+        ends_a, ends_b = np.array(EDGE_VERTICES).T
+        pa, pb = rows[:, ends_a], rows[:, ends_b]
+        e = pb - pa
+        o = rows[:, 4:] - 0.5 * (pa + pb)
+        edge_len = np.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
+        off = np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2])
+        far = off > 0.5 * edge_len
+        if far.any():
+            m, bad = np.unravel_index(int(np.argmax(far)), far.shape)
+            raise MeshError(f"element {bad}: mid-edge node {4 + m} too far from edge midpoint")
+        # duplicate nodes within one element collapse the geometry mapping.
+        # The one (n_elements, 10, 10, 3) block stays on purpose: freeing a
+        # block this large (4.9 MB on 2058 elements) raises glibc's trim
+        # threshold to twice its size, above the 9-10 MB heap swing of a
+        # render of that mesh; a check without it lets every later render
+        # trim the heap and fault it in again (2-2.5 k minor faults each).
+        pts = nodes[elements]  # (n_elements, 10, 3)
+        d2 = pts[:, :, None, :] - pts[:, None, :, :]
+        np.square(d2, out=d2)
+        d2 = d2[..., 0] + d2[..., 1] + d2[..., 2]
+        iu, ju = np.triu_indices(elements.shape[1], k=1)
+        close = d2[:, iu, ju] < (1e-12) ** 2
+        if close.any():
+            bad, k = np.unravel_index(int(np.argmax(close)), close.shape)
+            raise MeshError(f"element {bad}: nodes {iu[k]} and {ju[k]} share coordinates")
         det = _lattice_jacobian_dets(pts)
         if not np.isfinite(det).all():
             bad, at = np.unravel_index(int(np.argmin(np.isfinite(det))), det.shape)
@@ -190,18 +243,6 @@ def _lattice_jacobian_dets(pts: np.ndarray) -> np.ndarray:
         - t[:, 0, :, 1] * (t[:, 1, :, 0] * t[:, 2, :, 2] - t[:, 1, :, 2] * t[:, 2, :, 0])
         + t[:, 0, :, 2] * (t[:, 1, :, 0] * t[:, 2, :, 1] - t[:, 1, :, 1] * t[:, 2, :, 0])
     ).T
-
-
-def _corner_volume6(corners: np.ndarray) -> np.ndarray:
-    """6x signed volume of corner tetrahedra; corners has shape (..., 4, 3)."""
-    a = corners[..., 1, :] - corners[..., 0, :]
-    b = corners[..., 2, :] - corners[..., 0, :]
-    c = corners[..., 3, :] - corners[..., 0, :]
-    return (
-        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
-        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
-    )
 
 
 def shape_values(xi: np.ndarray, order: str = "quadratic") -> np.ndarray:

@@ -23,7 +23,7 @@ from fexray.io_text import (
     write_mesh,
 )
 from fexray.mesh import NodalField
-from tests.conftest import folded_quadratic_nodes
+from tests.conftest import folded_quadratic_nodes, two_tet_mesh
 
 
 @pytest.fixture()
@@ -131,6 +131,20 @@ class TestOverflow:
 
 
 class TestInfo:
+    def test_duplicate_nodes_name_their_element(self, tmp_path, capsys):
+        tets = two_tet_mesh()
+        nodes, elements = tets.nodes.copy(), tets.elements
+        # element 1's own mid-edge nodes on edges (1-4) and (2-4) coincide
+        nodes[elements[1, 8]] = nodes[elements[1, 7]]
+        mesh = tmp_path / "dup.mesh"
+        mesh.write_text(
+            f"{len(nodes)} 2 10\n"
+            + "".join(f"{i} {x:.17g} {y:.17g} {z:.17g}\n" for i, (x, y, z) in enumerate(nodes))
+            + "".join(f"{e} " + " ".join(map(str, row)) + "\n" for e, row in enumerate(elements))
+        )
+        assert main(["info", "--mesh", str(mesh)]) == 2
+        assert "element 1: nodes 7 and 8 share coordinates" in capsys.readouterr().err
+
     def test_field_count_mismatch(self, tmp_path, ball_files, capsys):
         mesh, _ = ball_files
         short = tmp_path / "short.field"

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fexray.bench import BallSpec, generate_ball
 from fexray.mesh import (
     _FOLD_LATTICE,
+    EDGE_VERTICES,
     REFERENCE_NODES,
     Mesh,
     MeshError,
@@ -20,6 +22,7 @@ from fexray.mesh import (
 from tests.conftest import (
     REFERENCE_TET,
     folded_quadratic_nodes,
+    golden_scene,
     mesh_from_corner_tets,
     random_simplex_points,
     single_tet_mesh,
@@ -274,8 +277,45 @@ class TestMeshValidation:
     def test_duplicate_nodes_rejected(self):
         nodes = straight_quadratic_nodes(REFERENCE_TET)
         nodes[5] = nodes[4]
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="^element 0: nodes 4 and 5 share coordinates$"):
             Mesh(nodes, np.arange(10).reshape(1, 10))
+
+    def test_fractional_node_id_rejected(self):
+        mesh = two_tet_mesh()
+        elements = mesh.elements.astype(np.float64)
+        elements[1, 4] += 0.9  # at 4.9 it used to be read as node 4
+        with pytest.raises(MeshError, match="^element 1: node ids must be integers"):
+            Mesh(mesh.nodes, elements)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**63])
+    def test_non_finite_or_huge_float_node_id_rejected(self, bad):
+        mesh = two_tet_mesh()
+        elements = mesh.elements.astype(np.float64)
+        elements[1, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-cast warning either
+            with pytest.raises(MeshError, match="^element 1: node ids must be integers"):
+                Mesh(mesh.nodes, elements)
+
+    def test_bool_connectivity_rejected(self):
+        nodes = straight_quadratic_nodes(REFERENCE_TET)[:2]
+        with pytest.raises(MeshError, match="^element 0: node ids must be integers"):
+            Mesh(nodes, np.array([[False, True, True, True]]))
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda e: e.tolist(),
+            lambda e: e.astype(np.int32),
+            lambda e: e.astype(np.uint16),
+            lambda e: e.astype(np.float64),  # whole numbers are ids
+        ],
+    )
+    def test_integer_connectivity_accepted(self, convert):
+        mesh = two_tet_mesh()
+        again = Mesh(mesh.nodes, convert(mesh.elements))
+        assert again.elements.dtype == np.int64
+        np.testing.assert_array_equal(again.elements, mesh.elements)
 
     @pytest.mark.parametrize(
         "scale, bulge, message",
@@ -303,3 +343,142 @@ class TestMeshValidation:
     def test_field_requires_finite(self):
         with pytest.raises(ValueError):
             NodalField(np.array([1.0, np.nan]))
+
+
+def _reference_corner_volume6(corners: np.ndarray) -> np.ndarray:
+    """6x signed volume of corner tetrahedra; corners has shape (..., 4, 3)."""
+    a = corners[..., 1, :] - corners[..., 0, :]
+    b = corners[..., 2, :] - corners[..., 0, :]
+    c = corners[..., 3, :] - corners[..., 0, :]
+    return (
+        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    )
+
+
+def _reference_geometry(nodes: np.ndarray, elements: np.ndarray) -> None:
+    """The geometry checks of ``validate_mesh`` on (n_elements, k, 3) node
+    gathers: one edge at a time with ``np.linalg.norm``, and the duplicate
+    check squared and summed over its last axis."""
+    corners = nodes[elements[:, :4]]
+    vol6 = _reference_corner_volume6(corners)
+    if not np.isfinite(vol6).all():
+        bad = int(np.argmin(np.isfinite(vol6)))
+        raise MeshError(f"element {bad}: corner volume overflows")
+    if (vol6 <= 0.0).any():
+        bad = int(np.argmax(vol6 <= 0.0))
+        raise MeshError(f"element {bad} has non-positive corner volume")
+
+    if elements.shape[1] == 10:
+        for m, (a, b) in enumerate(EDGE_VERTICES):
+            pa = nodes[elements[:, a]]
+            pb = nodes[elements[:, b]]
+            mid = nodes[elements[:, 4 + m]]
+            edge_len = np.linalg.norm(pb - pa, axis=1)
+            off = np.linalg.norm(mid - 0.5 * (pa + pb), axis=1)
+            if (off > 0.5 * edge_len).any():
+                bad = int(np.argmax(off > 0.5 * edge_len))
+                raise MeshError(
+                    f"element {bad}: mid-edge node {4 + m} too far from edge midpoint"
+                )
+        pts = nodes[elements]  # (m, 10, 3)
+        d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
+        iu = np.triu_indices(elements.shape[1], k=1)
+        close = d2[:, iu[0], iu[1]] < (1e-12) ** 2
+        if close.any():
+            bad, k = np.unravel_index(int(np.argmax(close)), close.shape)
+            raise MeshError(f"element {bad}: nodes {iu[0][k]} and {iu[1][k]} share coordinates")
+        det = _lattice_jacobian_dets(pts)
+        if not np.isfinite(det).all():
+            bad, at = np.unravel_index(int(np.argmin(np.isfinite(det))), det.shape)
+            raise MeshError(
+                f"element {bad}: det J overflows at reference point {_FOLD_LATTICE[at].tolist()}"
+            )
+        if (det <= 0.0).any():
+            bad, at = np.unravel_index(int(np.argmax(det <= 0.0)), det.shape)
+            raise MeshError(
+                f"element {bad} is folded: det J <= 0 at reference point "
+                f"{_FOLD_LATTICE[at].tolist()}"
+            )
+
+
+def _faulted_copies(mesh: Mesh, rng):
+    """(nodes, elements) copies of ``mesh`` with one fault each.
+
+    The faulted element gets its own copy of its nodes, so a fault moves
+    no node of another element.
+    """
+    n = mesh.n_nodes
+
+    def copy():
+        e = int(rng.integers(mesh.n_elements))
+        nodes = np.vstack([mesh.nodes, mesh.nodes[mesh.elements[e]]])
+        elements = mesh.elements.copy()
+        elements[e] = n + np.arange(10)
+        return nodes, elements, nodes[n:]
+
+    for i, j in zip(*np.triu_indices(10, k=1)):
+        for gap in (0.0, 5e-13, 2e-12):
+            for axis in range(3) if gap else (0,):
+                nodes, elements, own = copy()
+                own[j] = own[i]
+                own[j, axis] += gap
+                yield nodes, elements
+    for m, (a, b) in enumerate(EDGE_VERTICES):
+        for frac in (0.999999, 1.0, 1.000001):
+            nodes, elements, own = copy()
+            half = 0.5 * np.linalg.norm(own[b] - own[a])
+            way = rng.normal(size=3)
+            own[4 + m] = 0.5 * (own[a] + own[b]) + frac * half * way / np.linalg.norm(way)
+            yield nodes, elements
+    for i, j in zip(*np.triu_indices(4, k=1)):
+        nodes, elements, own = copy()
+        own[[i, j]] = own[[j, i]]
+        yield nodes, elements
+    for _ in range(24):
+        nodes, elements, own = copy()
+        own[4 + rng.integers(6)] += rng.normal(0.0, 0.05, 3)
+        yield nodes, elements
+    for scale in (1e150, 1e300):
+        yield scale * mesh.nodes, mesh.elements
+
+
+_GEOMETRY_ERRORS = (
+    "corner volume overflows",
+    "non-positive corner volume",
+    "too far from edge midpoint",
+    "share coordinates",
+    "det J overflows",
+    "is folded",
+)
+
+
+def _outcome(check, nodes, elements):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            check(nodes, elements)
+    except MeshError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("scene", ["ball64", "cylinder100", "ball512"])
+def test_validation_matches_reference_on_faulted_meshes(scene, ball_mesh_field):
+    if scene == "ball64":
+        mesh = ball_mesh_field[0]
+    elif scene == "ball512":
+        mesh = generate_ball(BallSpec(target_elements=512))[0]
+    else:
+        mesh = golden_scene(scene)[0]
+    rng = np.random.default_rng(sum(map(ord, scene)))
+    reached, passed = set(), 0
+    for nodes, elements in _faulted_copies(mesh, rng):
+        want = _outcome(_reference_geometry, nodes, elements)
+        assert _outcome(Mesh, nodes, elements) == want
+        passed += want is None
+        reached.update(check for check in _GEOMETRY_ERRORS if want and check in want)
+    # the sweep reaches every geometry check that can fail on finite
+    # coordinates, and some faults are accepted
+    assert reached == set(_GEOMETRY_ERRORS) - {"det J overflows"}, reached
+    assert passed
