@@ -38,12 +38,16 @@ normal's t component alone.  The planes are stored as face rows, one
 contiguous array per face and normal component, so the clip is four passes
 over the pairs, each folding one face's bound into the depth range.  The
 element lies inside that clip, so the clip drops only (sample, element)
-pairs Newton would reject.  Last, whole pairs fill fixed-size lane batches,
-each with one ``membership_test`` call, each lane carrying its own element
-id; the Newton reference frames of all elements are built once per render.
-Every lane is independent of its batch and a sample claimed by several
-elements goes to the lowest element id, whatever order the lanes come in,
-so neither batch sizes nor the pair order change an image.
+pairs Newton would reject.  Last, the pairs' lanes come in batches of
+exactly ``NEWTON_CHUNK`` (a tile's last batch may hold fewer), a pair cut
+at a batch edge, each batch with one ``membership_test`` call and each lane
+carrying its own element id; the Newton reference frames of all elements
+are built once per render.  All three stages cut their runs (element rows,
+column runs, pairs) into batches of ``NEWTON_CHUNK`` items with one
+expander, ``_expand``.  Every lane is independent of its batch and a sample
+claimed by several elements goes to the lowest element id, whatever order
+the lanes come in, so neither batch sizes nor the pair order change an
+image.
 
 The detector is rendered as contiguous row-major ray ranges (tiles) of
 ``TILE_SAMPLES`` samples, counting each ray at the grid points on the
@@ -349,43 +353,25 @@ def _grid_range(t_enter, t_exit, step: float):
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate arange(start, start+count) rows."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-
-
 @dataclass(frozen=True)
 class _ElementClip:
-    """Per-element clip volumes in detector-frame coordinates, as face rows.
+    """Per-element clip volumes in detector-frame coordinates, as rows.
 
     A point origin + a * axis_u + b * axis_v + t * normal has frame
     coordinates (a, b, t).  It lies in element e's clip when it is inside
-    the box [lo[e], hi[e]] and, for each face f,
+    the box ``lo[:, e] <= (a, b, t) <= hi[:, e]`` and, for each face f,
     ``n_a[f, e] * a + n_b[f, e] * b + n_t[f, e] * t <= offset[f, e]``.
     Row f of each (4, n_elements) face array holds face f of every element,
-    so a pass over face f takes contiguous values per element; ``t_lo`` and
-    ``t_hi`` are the box's depth bounds.
+    so a pass over face f takes contiguous values per element; rows 0, 1
+    and 2 of the box bounds are its a, b and depth (t) bounds.
     """
 
-    lo: np.ndarray  # (n_elements, 3)
+    lo: np.ndarray  # (3, n_elements)
     hi: np.ndarray
-    t_lo: np.ndarray  # (n_elements,)
-    t_hi: np.ndarray
     n_a: np.ndarray  # (4, n_elements) components of the unit outward normals
     n_b: np.ndarray
     n_t: np.ndarray
     offset: np.ndarray
-
-    @classmethod
-    def from_planes(cls, lo, hi, normals, offsets) -> "_ElementClip":
-        """Clip of boxes [lo, hi], (n, 3) each, and face planes with
-        (n, 4, 3) normals and (n, 4) offsets."""
-        n_a, n_b, n_t = np.ascontiguousarray(np.transpose(normals, (2, 1, 0)))
-        return cls(
-            lo, hi, np.ascontiguousarray(lo[:, 2]), np.ascontiguousarray(hi[:, 2]),
-            n_a, n_b, n_t, np.ascontiguousarray(offsets.T),
-        )
 
 
 # corners, then the edge control points of ``element_bounding_points``: the
@@ -439,10 +425,7 @@ def _element_clip(mesh: Mesh, det: Detector, nets: np.ndarray) -> _ElementClip:
     top = _quadratic_max(values) if mesh.order == "quadratic" else values.max(axis=0)
     hi, lo = top[4:7], -top[7:10]
     margin = ELEMENT_BOX_MARGIN * np.sqrt(((hi - lo) ** 2).sum(axis=0))
-    return _ElementClip.from_planes(
-        np.ascontiguousarray((lo - margin).T), np.ascontiguousarray((hi + margin).T),
-        n.transpose(2, 1, 0), (top[:4] + margin).T,
-    )
+    return _ElementClip(lo - margin, hi + margin, *n, top[:4] + margin)
 
 
 def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray):
@@ -459,7 +442,7 @@ def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     on a tie of +0.0 and -0.0, so the range has the bytes of a reduction over
     the faces in face order.
     """
-    t_in, t_out = clip.t_lo[e], clip.t_hi[e]
+    t_in, t_out = clip.lo[2][e], clip.hi[2][e]
     with np.errstate(divide="ignore", invalid="ignore"):  # n_t == 0 lanes are replaced
         for f in range(len(TET_FACES)):
             n_t = clip.n_t[f][e]
@@ -471,36 +454,42 @@ def _depth_clip(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.ndarray)
     return t_in, t_out
 
 
-def _regroup(parts, budget: int, weight: int | None = None):
-    """Re-cut a stream of column tuples into batches of at most ``budget``
-    summed row weight: column ``weight``'s positive values, or 1 per row
-    without one.
+def _expand(parts, budget: int):
+    """Expand a stream of run tables into batches of exactly ``budget``
+    items, the last batch alone holding fewer.
 
-    Rows keep their order, and a row heavier than the budget is a batch of
-    its own.  Parts are held until they pass the budget, so at most one
-    batch plus one part is held at a time.
+    Each part is a run table (start, count, *cols): run i stands for the
+    items start[i] .. start[i] + count[i] - 1, each carrying run i's cols.
+    A batch is (items, *cols per item), in stream order; a run that crosses
+    a batch edge is cut there.  Only the runs of the batch at hand are
+    expanded, so at most one part and fewer than ``budget`` leftover items
+    are held at a time.
     """
-    held, n_held, w_held = [], 0, 0
-    for cols in parts:
-        held.append(cols)
-        n_held += cols[0].size
-        w_held += cols[0].size if weight is None else int(cols[weight].sum())
-        if w_held <= budget:
-            continue
-        cols = tuple(np.concatenate(c) for c in zip(*held))
-        cum = np.arange(1, n_held + 1) if weight is None else np.cumsum(cols[weight])
-        first, base = 0, 0
-        while True:
-            end = int(np.searchsorted(cum, base + budget, side="right"))
-            if end >= n_held:
-                break
-            end = max(end, first + 1)
-            yield tuple(c[first:end] for c in cols)
-            first, base = end, int(cum[end - 1])
-        held = [tuple(c[first:] for c in cols)]
-        n_held, w_held = n_held - first, w_held - base
-    if n_held:
-        yield tuple(np.concatenate(c) for c in zip(*held))
+    held, n_held = [], 0
+    for start, count, *cols in parts:
+        edges = np.concatenate(([0], np.cumsum(count)))
+        base = start - edges[:-1]  # an item is its run's base plus its place in the part
+        done, total = 0, int(edges[-1])
+        while done < total:
+            stop = min(done + budget - n_held, total)
+            # runs r0 .. r1 - 1 hold the part's items done .. stop - 1
+            r0 = int(np.searchsorted(edges, done, side="right")) - 1
+            r1 = int(np.searchsorted(edges, stop))
+            n = np.diff(np.clip(edges[r0:r1 + 1], done, stop))
+            held.append((np.repeat(base[r0:r1], n) + np.arange(done, stop),
+                         *(np.repeat(c[r0:r1], n) for c in cols)))
+            n_held += stop - done
+            done = stop
+            if n_held == budget:
+                yield _joined(held)
+                held, n_held = [], 0
+    if held:
+        yield _joined(held)
+
+
+def _joined(held):
+    """One batch of the column tuples ``held``."""
+    return held[0] if len(held) == 1 else tuple(np.concatenate(c) for c in zip(*held))
 
 
 @dataclass(frozen=True)
@@ -670,8 +659,9 @@ def _count_samples(records) -> int:
 
 
 # pixel rows and (ray, element) candidates enumerated, box-tested and
-# clipped at once, and (sample, element) lanes per Newton batch; the one cap
-# keeps the transient arrays of a tile bounded, and a Newton batch's arrays
+# clipped at once, and (sample, element) lanes per Newton batch, each stage's
+# batches cut by ``_expand``; the one cap keeps the transient arrays of a
+# tile bounded, and a Newton batch's arrays
 # (the residual check gathers the nodes of each accepted lane) set the
 # render's peak memory
 NEWTON_CHUNK = 8192
@@ -681,20 +671,11 @@ NEWTON_CHUNK = 8192
 TILE_SAMPLES = 1 << 17
 
 
-def _split_runs(start, count, budget: int):
-    """Cut the runs start .. start + count - 1 (count >= 1) into runs of at
-    most ``budget``: (index of the cut run, start, count) per piece."""
-    pieces = (count - 1) // budget + 1
-    src = np.repeat(np.arange(count.size), pieces)
-    off = _ragged_arange(np.zeros_like(pieces), pieces) * budget
-    return src, start[src] + off, np.minimum(count[src] - off, budget)
-
-
-def _footprint_runs(ctx: _RenderContext, r_lo: int, n: int, budget: int):
-    """Yield (ray0, element, count) column runs of every element, in id
-    order: the tile-local rays ray0 .. ray0 + count - 1 of the tile's ``n``
-    rays are the element's candidate rays.  Runs hold at most ``budget``
-    rays and come at most ``budget`` rows at a time.
+def _footprint_runs(ctx: _RenderContext, r_lo: int, n: int):
+    """Yield (ray0, count, element) column-run tables of every element, in
+    id order: the tile-local rays ray0 .. ray0 + count - 1 of the tile's
+    ``n`` rays are the element's candidate rays.  Each table covers
+    ``NEWTON_CHUNK`` pixel rows at most.
 
     Each element's depth window is its box's depth range cut to the model's
     grid points [t(J_lo), t(J_hi)], t(j) = (j + 1/2) * step.  A pair can
@@ -710,8 +691,8 @@ def _footprint_runs(ctx: _RenderContext, r_lo: int, n: int, budget: int):
     det, clip, step = ctx.detector, ctx.clip, ctx.settings.step
     nu, pitch = det.nu, det.pitch
     j_lo, j_hi = ctx.grid
-    t0 = np.maximum(clip.t_lo, (j_lo + 0.5) * step)
-    t1 = np.minimum(clip.t_hi, (j_hi + 0.5) * step)
+    t0 = np.maximum(clip.lo[2], (j_lo + 0.5) * step)
+    t1 = np.minimum(clip.hi[2], (j_hi + 0.5) * step)
     # the clip's plane values, depth bounds and grid indices round within
     # ~1e-14 of this scale; a slack far above that and far below a pixel
     # keeps every pair the clip keeps and adds few others
@@ -719,23 +700,21 @@ def _footprint_runs(ctx: _RenderContext, r_lo: int, n: int, budget: int):
     # the box rows inside the tile, the box grown by the slack for the
     # roundoff of k * pitch
     row_lo, row_hi = r_lo // nu, (r_lo + n - 1) // nu
-    k_a = np.clip(np.ceil((clip.lo[:, 1] - slack) / pitch), row_lo, row_hi + 1).astype(np.int64)
-    k_b = np.clip(np.floor((clip.hi[:, 1] + slack) / pitch), row_lo - 1, row_hi).astype(np.int64)
+    k_a = np.clip(np.ceil((clip.lo[1] - slack) / pitch), row_lo, row_hi + 1).astype(np.int64)
+    k_b = np.clip(np.floor((clip.hi[1] + slack) / pitch), row_lo - 1, row_hi).astype(np.int64)
     e = np.flatnonzero((t0 <= t1 + slack) & (k_a <= k_b))
     t0, t1 = t0[e], t1[e]
     n_t = clip.n_t[:, e]
-    entries = (e, clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack)
-    rows = _split_runs(k_a[e], k_b[e] - k_a[e] + 1, budget)
-    for src, k0, n_rows in _regroup([rows], budget, weight=2):
-        yield _row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
+    rhs = clip.offset[:, e] - np.minimum(n_t * t0, n_t * t1) + slack
+    rows = (k_a[e], k_b[e] - k_a[e] + 1, e, *rhs)
+    for k, e, *rhs in _expand([rows], NEWTON_CHUNK):
+        yield _row_runs(ctx, k, e, rhs, r_lo, n, slack)
 
 
-def _row_runs(
-    ctx: _RenderContext, entries, src, k0, n_rows, r_lo: int, n: int, slack: float, budget: int
-):
-    """The column runs (ray0, element, count) of the pixel rows
-    k0 .. k0 + n_rows - 1 of the ``entries`` ``src``: (element, (4, entries)
-    right-hand sides c0 of the faces' half-planes n_a * a + n_b * b <= c0).
+def _row_runs(ctx: _RenderContext, k, e, rhs, r_lo: int, n: int, slack: float):
+    """The column runs (ray0, count, element) of the pixel rows k of the
+    elements e, with the right-hand sides c0 = ``rhs[f]`` of the faces'
+    half-planes n_a * a + n_b * b <= c0, row by row.
 
     In a row, a face with n_a > 0 bounds a from above, one with n_a < 0 from
     below, and one with n_a == 0 keeps the row or drops it whole.  The sign
@@ -745,18 +724,14 @@ def _row_runs(
     """
     clip, det = ctx.clip, ctx.detector
     nu, pitch = det.nu, det.pitch
-    ent = np.repeat(src, n_rows)
-    k = _ragged_arange(k0, n_rows)
-    e, rhs = entries
-    e = e[ent]
     b = k * pitch
-    a_lo = clip.lo[e, 0] - slack
-    a_hi = clip.hi[e, 0] + slack
+    a_lo = clip.lo[0][e] - slack
+    a_hi = clip.hi[0][e] + slack
     empty = np.zeros(e.size, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for f in range(len(TET_FACES)):
             n_a = clip.n_a[f][e]
-            c = rhs[f][ent] - clip.n_b[f][e] * b
+            c = rhs[f] - clip.n_b[f][e] * b
             q = c / n_a
             np.maximum(a_lo, np.where(n_a < 0.0, q, -np.inf), out=a_lo)
             np.minimum(a_hi, np.where(n_a > 0.0, q, np.inf), out=a_hi)
@@ -766,21 +741,18 @@ def _row_runs(
     i_hi = np.minimum(np.floor(a_hi / pitch), np.minimum(first + n - 1, nu - 1))
     run = np.flatnonzero((i_lo <= i_hi) & ~empty)
     i_lo = i_lo[run].astype(np.int64)
-    count = i_hi[run].astype(np.int64) - i_lo + 1
-    src, ray0, count = _split_runs(i_lo - first[run], count, budget)
-    return ray0, e[run][src], count
+    return i_lo - first[run], i_hi[run].astype(np.int64) - i_lo + 1, e[run]
 
 
-def _pairs_of_runs(ctx: _RenderContext, ray_a, ray_b, ray0, elem, count):
-    """The clipped pairs (ray, element, j1, counts) of a batch of column
-    runs: each pair whose ray crosses the element box's (a, b) footprint is
-    clipped by ``_depth_clip``, and its grid range is cut to [J_lo, J_hi]."""
+def _pairs_of_runs(ctx: _RenderContext, ray_a, ray_b, ray, e):
+    """The clipped pairs (j1, counts, ray, element) of a batch of candidate
+    (ray, element) pairs: each pair whose ray crosses the element box's
+    (a, b) footprint is clipped by ``_depth_clip``, and its grid range is
+    cut to [J_lo, J_hi]."""
     clip = ctx.clip
-    ray = _ragged_arange(ray0, count)
-    e = np.repeat(elem, count)
     a, b = ray_a[ray], ray_b[ray]
     keep = np.flatnonzero(
-        (a >= clip.lo[e, 0]) & (a <= clip.hi[e, 0]) & (b >= clip.lo[e, 1]) & (b <= clip.hi[e, 1])
+        (a >= clip.lo[0][e]) & (a <= clip.hi[0][e]) & (b >= clip.lo[1][e]) & (b <= clip.hi[1][e])
     )
     ray, e, a, b = ray[keep], e[keep], a[keep], b[keep]
     t_in, t_out = _depth_clip(clip, a, b, e)
@@ -788,24 +760,23 @@ def _pairs_of_runs(ctx: _RenderContext, ray_a, ray_b, ray0, elem, count):
     j1 = np.maximum(j1, ctx.grid[0])
     j2 = np.minimum(j2, ctx.grid[1])
     keep = np.flatnonzero(j2 >= j1)
-    return ray[keep], e[keep], j1[keep], j2[keep] - j1[keep] + 1
+    return j1[keep], j2[keep] - j1[keep] + 1, ray[keep], e[keep]
 
 
 def _clipped_pairs(ctx: _RenderContext, ray_a, ray_b, r_lo: int):
-    """Yield (ray, element, j1, counts) for the (ray, element) pairs of
+    """Yield (j1, counts, ray, element) for the (ray, element) pairs of
     every element and the tile's rays, with candidate samples
     j1 .. j1 + counts - 1: the grid points inside the element clip and
     inside [J_lo, J_hi].
 
     The pairs are enumerated from each element's clip cross-section
     (``_footprint_runs``), so no (elements x rays) mask is built, and are
-    box-tested and clipped at most ``NEWTON_CHUNK`` candidates at a time.
+    box-tested and clipped ``NEWTON_CHUNK`` candidates at a time.
     Each element is enumerated once, so a pair arises once per tile.
     """
-    budget = NEWTON_CHUNK
-    runs = _footprint_runs(ctx, r_lo, ray_a.size, budget)
-    for ray0, elem, count in _regroup(runs, budget, weight=2):
-        pairs = _pairs_of_runs(ctx, ray_a, ray_b, ray0, elem, count)
+    runs = _footprint_runs(ctx, r_lo, ray_a.size)
+    for ray, e in _expand(runs, NEWTON_CHUNK):
+        pairs = _pairs_of_runs(ctx, ray_a, ray_b, ray, e)
         if pairs[0].size:
             yield pairs
 
@@ -829,14 +800,10 @@ def _render_block(ctx: _RenderContext, r_lo: int, r_hi: int):
     claims_k: list[np.ndarray] = []
     claims_e: list[np.ndarray] = []
     claims_rho: list[np.ndarray] = []
-    # batches of whole pairs, weighted by their lane counts, share one
-    # Newton workspace; it is dropped before the claims are resolved
+    # lane batches of NEWTON_CHUNK share one Newton workspace; it is
+    # dropped before the claims are resolved
     work = newton_workspace(NEWTON_CHUNK)
-    pairs = _clipped_pairs(ctx, ray_a, ray_b, r_lo)
-    for ray, elem, j1, counts in _regroup(pairs, NEWTON_CHUNK, weight=3):
-        lane_r = np.repeat(ray, counts)
-        lane_j = _ragged_arange(j1, counts)
-        lane_e = np.repeat(elem, counts)
+    for lane_j, lane_r, lane_e in _expand(_clipped_pairs(ctx, ray_a, ray_b, r_lo), NEWTON_CHUNK):
         # the lane points origin + t * normal, built column by column
         pts = _lane_origins(det.origin, det.axis_u, det.axis_v, ray_a[lane_r], ray_b[lane_r])
         t = (lane_j + 0.5) * step
@@ -917,9 +884,10 @@ def render(
     bitwise-identical to the accelerated path's.  The rays run
     in tiles of a fixed sample budget, serially or, for ``workers`` > 1, in
     an ordered pool of up to ``workers`` processes; images are
-    bitwise-identical across worker counts.  A ``step`` that puts no depth
-    grid point inside the model box's depth range (from t = 0 on) is
-    rejected, as it would render a blank image.
+    bitwise-identical across worker counts.  A model box whose depth range
+    along the rays ends at or before t = 0 (behind the detector), and a
+    ``step`` that puts no depth grid point inside that range from t = 0 on,
+    are rejected, as either would render a blank image.
     """
     check_field(mesh, field)
     if (field.values < 0.0).any():
@@ -929,11 +897,17 @@ def render(
     box, clip = _box_and_clip(mesh, detector)
     if float(np.linalg.norm(box.extents)) / settings.step >= 2**31:
         raise ValueError("step too small for the model extent (sample index overflow)")
-    # the model box's depth range along the rays, from t = 0 on: a step with
-    # no grid point in it would render a blank image
+    # the model box's depth range along the rays, from t = 0 on: a model
+    # behind the detector, or a step with no grid point in that range,
+    # would render a blank image
     depth = (np.where(_BOX_CORNERS, box.pmax, box.pmin) - detector.origin) @ detector.normal
+    if depth.max() <= 0.0:
+        raise ValueError(
+            "the model lies behind the detector: its depth range along the rays, "
+            f"[{depth.min():g}, {depth.max():g}], ends at or before t = 0"
+        )
     grid = _grid_range(depth.min(), depth.max(), settings.step)
-    if depth.max() >= 0.0 and grid[1] < grid[0]:
+    if grid[1] < grid[0]:
         raise ValueError(
             f"step {settings.step:g} puts no depth grid point (j + 1/2) * step inside "
             f"the model's depth range [{max(depth.min(), 0.0):g}, {depth.max():g}]"

@@ -145,7 +145,7 @@ def depth_clip_planes(clip: _ElementClip, a: np.ndarray, b: np.ndarray, e: np.nd
     outside = (n_t == 0.0) & (gap < 0.0)
     t_in = np.where(n_t < 0.0, t, np.where(outside, np.inf, -np.inf)).max(axis=1)
     t_out = np.where(n_t > 0.0, t, np.inf).min(axis=1)
-    return np.maximum(clip.lo[e, 2], t_in), np.minimum(clip.hi[e, 2], t_out)
+    return np.maximum(clip.lo[2][e], t_in), np.minimum(clip.hi[2][e], t_out)
 
 
 def control_net_clip(mesh: Mesh, det, nets=None) -> _ElementClip:
@@ -168,8 +168,9 @@ def control_net_clip(mesh: Mesh, det, nets=None) -> _ElementClip:
     frame = np.stack([det.axis_u, det.axis_v, det.normal])
     normals = normals @ frame.T
     bpts = (world - det.origin) @ frame.T
-    lo = bpts.min(axis=1)
-    hi = bpts.max(axis=1)
-    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=1)[:, None]
-    offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1) + margin
-    return _ElementClip.from_planes(lo - margin, hi + margin, normals, offsets)
+    # (3, n_elements) box rows and (4, n_elements) face rows
+    lo = bpts.min(axis=1).T
+    hi = bpts.max(axis=1).T
+    margin = ELEMENT_BOX_MARGIN * np.linalg.norm(hi - lo, axis=0)
+    offsets = (bpts @ normals.transpose(0, 2, 1)).max(axis=1).T + margin
+    return _ElementClip(lo - margin, hi + margin, *normals.transpose(2, 1, 0), offsets)

@@ -668,7 +668,7 @@ class TestHullInput:
     @pytest.mark.parametrize(
         "name", ["ball8", "cylinder100", "ball8-linear", "ball512", "cylinder2058"]
     )
-    def test_one_qhull_call_per_leaf_on_its_points(self, name, cylinder_full):
+    def test_each_leaf_fitted_on_its_points(self, name, cylinder_full):
         # each leaf is fitted on exactly its distinct corners and edge
         # control points (never 16 points per element), with no hull; a
         # split node keeps no box

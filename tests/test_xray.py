@@ -324,6 +324,7 @@ class TestRender:
         assert chords[0] > 1.99 and abs(chords[1] - chords[0]) <= 2e-5
 
     def test_model_behind_plane(self, ball_mesh_field):
+        # a blank image would hide the misplaced detector
         mesh, field = ball_mesh_field
         det = Detector(
             np.array([-0.5, -0.5, 3.0]),
@@ -335,9 +336,27 @@ class TestRender:
             0.25,
         )
         model = AttenuationModel("identity", i_in=1.5)
-        img = render(mesh, field, det, IntegrationSettings(step=0.05), model=model)
-        assert (img.density == 0.0).all()
-        np.testing.assert_array_equal(img.intensity, np.full((4, 4), 1.5))
+        with pytest.raises(ValueError, match="^the model lies behind the detector"):
+            render(mesh, field, det, IntegrationSettings(step=0.05), model=model)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.1], ids=["on-face", "beyond"])
+    def test_detector_facing_away_rejected(self, gap):
+        # make_detector's -z detector with its normal flipped, on the model
+        # face (depths up to exactly 0) or 0.1 further out: no step helps,
+        # so the message names the placement and the depth range, not the step
+        mesh, field = golden_scene("ball8")
+        box = model_aabb(mesh)
+        det = make_detector(box, "-z", rays_per_cm2=25.0)
+        det = dataclasses.replace(det, origin=det.origin - [0.0, 0.0, gap], normal=-det.normal)
+        depth = (np.where(xray._BOX_CORNERS, box.pmax, box.pmin) - det.origin) @ det.normal
+        assert depth.max() == pytest.approx(-gap, abs=1e-12)
+        message = (
+            "the model lies behind the detector: its depth range along the rays, "
+            f"[{depth.min():g}, {depth.max():g}]"
+        )
+        with pytest.raises(ValueError) as err:
+            render(mesh, field, det, IntegrationSettings(step=0.01))
+        assert str(err.value).startswith(message)
 
     def test_reference_path_bitwise(self, ball_mesh_field):
         mesh, field = ball_mesh_field
@@ -824,20 +843,21 @@ class TestPairStreamBounds:
         runs, tiles = [], []
         pairs_of_runs = xray._pairs_of_runs
 
-        def spy(ctx, ray_a, ray_b, ray0, elem, count):
-            assert int(count.sum()) <= xray.NEWTON_CHUNK
+        def spy(ctx, ray_a, ray_b, ray, elem):
+            assert ray.size <= xray.NEWTON_CHUNK
             if not tiles or ray_a is not tiles[-1]:  # each tile has its own rays
                 tiles.append(ray_a)
-            runs.append(np.column_stack([np.full_like(elem, len(tiles)), elem, ray0, count]))
-            return pairs_of_runs(ctx, ray_a, ray_b, ray0, elem, count)
+            count = np.ones_like(ray)  # each candidate pair is a run of one ray
+            runs.append(np.column_stack([np.full_like(elem, len(tiles)), elem, ray, count]))
+            return pairs_of_runs(ctx, ray_a, ray_b, ray, elem)
 
         row_runs = xray._row_runs
 
-        def row_spy(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget):
+        def row_spy(ctx, k, e, rhs, r_lo, n, slack):
             # the rows lie in the tile's rows, at most a budget of them
-            assert r_lo // det.nu <= k0.min() and (k0 + n_rows).max() - 1 <= (r_lo + n - 1) // det.nu
-            assert int(n_rows.sum()) <= budget
-            return row_runs(ctx, entries, src, k0, n_rows, r_lo, n, slack, budget)
+            assert r_lo // det.nu <= k.min() and k.max() <= (r_lo + n - 1) // det.nu
+            assert k.size <= xray.NEWTON_CHUNK
+            return row_runs(ctx, k, e, rhs, r_lo, n, slack)
 
         monkeypatch.setattr(xray, "_pairs_of_runs", spy)
         monkeypatch.setattr(xray, "_row_runs", row_spy)
@@ -876,11 +896,11 @@ def _oracle_pairs(ctx, ray_a, ray_b):
     element boxes are clipped by ``_depth_clip``, and their ranges are cut
     to the model's grid range ``ctx.grid``."""
     clip, cols = ctx.clip, []
-    elems = np.arange(clip.t_lo.size)
+    elems = np.arange(clip.lo.shape[1])
     for first in range(0, elems.size, 64):  # an (elements, rays) mask of 64 rows at a time
         e = elems[first:first + 64]
-        lo, hi = clip.lo[e, :2, None], clip.hi[e, :2, None]
-        box = (ray_a >= lo[:, 0]) & (ray_a <= hi[:, 0]) & (ray_b >= lo[:, 1]) & (ray_b <= hi[:, 1])
+        lo, hi = clip.lo[:2, e, None], clip.hi[:2, e, None]
+        box = (ray_a >= lo[0]) & (ray_a <= hi[0]) & (ray_b >= lo[1]) & (ray_b <= hi[1])
         k, ray = np.nonzero(box)
         cols.append((ray, e[k]))
     ray, e = (np.concatenate(c) for c in zip(*cols))
@@ -930,12 +950,9 @@ class TestPairStream:
         monkeypatch.setattr(xray, "membership_test", member)
         img = render(mesh, field, det, settings, tree=tree)
         assert img.stats.pairs_inside > 0
-        # one Newton call per batch; a batch passes the lane budget only as
-        # one pair.  The rays run along -z, so a lane's (element, x, y)
-        # names its (ray, element) pair
+        # one Newton call per batch, each batch within the lane budget
         for batch in lanes:
-            n_pairs = len(np.unique(batch[:, :3], axis=0))
-            assert len(batch) <= xray.NEWTON_CHUNK or n_pairs == 1
+            assert len(batch) <= xray.NEWTON_CHUNK
         ctx = _render_context(mesh, field, det, settings, tree)
         np.testing.assert_array_equal(_sorted_rows(np.concatenate(lanes)), _expanded_lanes(ctx))
 
@@ -946,19 +963,51 @@ class TestPairStream:
     )
     @example([[5, 5], [9], [1, 1, 1]], 6, True)
     @example([[1, 1, 1], [1, 1]], 2, False)
-    def test_regroup_cuts_full_batches(self, parts, budget, weighted):
-        # rows are numbered, so order and completeness show in the ids;
-        # without the weight column every row weighs 1
-        counts = np.cumsum([0] + [len(p) for p in parts])
-        stream = [(np.arange(lo, lo + len(p)), np.array(p)) for lo, p in zip(counts, parts)]
-        batches = list(xray._regroup(iter(stream), budget, 1 if weighted else None))
-        ids = [int(i) for batch, _ in batches for i in batch]
-        assert ids == list(range(counts[-1]))
-        weights = [w if weighted else np.ones_like(w) for _, w in batches]
-        for k, w in enumerate(weights):
-            assert w.sum() <= budget or w.size == 1
-            if k + 1 < len(weights):  # full: the next row would pass the budget
-                assert w.sum() + weights[k + 1][0] > budget
+    def test_regroup_cuts_full_batches(self, parts, budget, with_cols):
+        # ``_expand`` on run tables (start, count[, run id]): run r of at
+        # most 9 items starts at 10 r, so its items 10 r + k name it, and
+        # order and completeness show in them
+        runs = np.cumsum([0] + [len(p) for p in parts])
+        stream = [
+            (10 * np.arange(lo, hi), np.array(p), *((np.arange(lo, hi),) if with_cols else ()))
+            for lo, hi, p in zip(runs, runs[1:], parts)
+        ]
+        batches = list(xray._expand(iter(stream), budget))
+        counts = [c for p in parts for c in p]
+        items = [int(i) for batch in batches for i in batch[0]]
+        assert items == [10 * r + k for r, c in enumerate(counts) for k in range(c)]
+        for batch in batches:
+            assert len(batch) == (2 if with_cols else 1)
+            if with_cols:  # each item carries its run's col
+                assert (batch[1] == batch[0] // 10).all()
+        # every batch but the last holds exactly the budget, the last at
+        # most it; as the items come complete and in order, a run's items
+        # are split only where a batch ends
+        sizes = [batch[0].size for batch in batches]
+        assert all(n == budget for n in sizes[:-1])
+        assert not sizes or 0 < sizes[-1] <= budget
+
+    def test_fine_step_newton_batches_within_budget(self, monkeypatch):
+        # at step 5e-5 a pair of ball8 holds up to 20 000 lanes, more than
+        # NEWTON_CHUNK: it is cut across batches, and no Newton call takes
+        # more than NEWTON_CHUNK lanes, on the tree or brute force
+        mesh, field = golden_scene("ball8")
+        det = make_detector(model_aabb(mesh), "+z", rays_per_cm2=4.0)
+        settings = IntegrationSettings(step=5e-5)
+        sizes = []
+
+        def member(mesh, e, pts, *args):
+            sizes.append(e.size)
+            return membership_test(mesh, e, pts, *args)
+
+        monkeypatch.setattr(xray, "membership_test", member)
+        tree = render(mesh, field, det, settings)
+        brute = render(mesh, field, det, settings, brute_force=True)
+        assert max(sizes) <= xray.NEWTON_CHUNK and len(sizes) > 2
+        assert tree.density.tobytes() == brute.density.tobytes()
+        want, got = counters(brute.stats), counters(tree.stats)
+        del want["samples"], got["samples"]
+        assert got == want and got["pairs_tested"] > 2 * xray.NEWTON_CHUNK
 
 
 def test_grid_range_of_huge_bounds_is_empty():
@@ -1048,7 +1097,7 @@ def _clip_ray(clip, a, b):
     """Depth range (t_in, t_out) of the ray at detector-frame (a, b) in the
     clip of element 0, through the pair stream's box test and depth clip;
     None when the ray misses the element box footprint."""
-    lo, hi = clip.lo[0], clip.hi[0]
+    lo, hi = clip.lo[:, 0], clip.hi[:, 0]
     if not (a >= lo[0] and a <= hi[0] and b >= lo[1] and b <= hi[1]):
         return None
     one = np.zeros(1, dtype=np.int64)
@@ -1362,7 +1411,8 @@ class TestClipPairs:
         normals = np.array([f[:3] for f in faces])
         offsets = np.array([f[3] for f in faces])
         lo, hi = np.minimum(c1, c2), np.maximum(c1, c2)
-        clip = xray._ElementClip.from_planes(lo[None], hi[None], normals[None], offsets[None])
+        # one element: (3, 1) box rows, (4, 1) face rows
+        clip = xray._ElementClip(lo[:, None], hi[:, None], *normals.T[:, :, None], offsets[:, None])
         clipped = _clip_ray(clip, a, b)
 
         def inside(t):
@@ -1491,13 +1541,14 @@ class TestDepthClipBytes:
     )
     def test_face_rows_match_plane_gather(self, elements, rays):
         a0, b0 = rays[0]
-        lo = np.array([np.minimum(c1, c2) for c1, c2, _ in elements])
-        hi = np.array([np.maximum(c1, c2) for c1, c2, _ in elements])
-        normals = np.array([[f[:3] for f in faces] for _, _, faces in elements])
-        offsets = np.array(
+        # (3, elements) box rows and (4, elements) face rows
+        lo = np.column_stack([np.minimum(c1, c2) for c1, c2, _ in elements])
+        hi = np.column_stack([np.maximum(c1, c2) for c1, c2, _ in elements])
+        n_a, n_b, n_t = np.array([[f[:3] for f in faces] for _, _, faces in elements]).T
+        offsets = np.column_stack(
             [[f[0] * a0 + f[1] * b0 if f[4] else f[3] for f in faces] for _, _, faces in elements]
         )
-        clip = xray._ElementClip.from_planes(lo, hi, normals, offsets)
+        clip = xray._ElementClip(lo, hi, n_a, n_b, n_t, offsets)
         a, b = (np.array(c, dtype=float) for c in zip(*rays))
         ray = np.repeat(np.arange(a.size), len(elements))
         e = np.tile(np.arange(len(elements)), a.size)
@@ -1550,9 +1601,10 @@ def _pair_scenes(draw):
             if draw(st.booleans()) else draw(st.floats(-3.0, 3.0))
             for n_a, n_b, n_t in faces
         ])
-    boxes = np.array(boxes)
-    clip = xray._ElementClip.from_planes(
-        boxes.min(axis=1), boxes.max(axis=1), np.array(normals), np.array(offsets)
+    # (3, elements) box rows and (4, elements) face rows
+    boxes = np.array(boxes).T
+    clip = xray._ElementClip(
+        boxes.min(axis=1), boxes.max(axis=1), *np.array(normals).T, np.array(offsets).T
     )
     j_lo = draw(st.integers(0, 5))
     grid = (j_lo, j_lo + draw(st.integers(-1, 6)))
@@ -1569,8 +1621,8 @@ def _one_tile_scene(elements, n, pitch, step):
     grid range 0 .. 3, over element clips given as (box lo, box hi, four
     (n_a, n_b, n_t, offset) faces)."""
     lo, hi, faces = zip(*elements)
-    faces = np.array(faces)
-    clip = xray._ElementClip.from_planes(np.array(lo), np.array(hi), faces[..., :3], faces[..., 3])
+    # (3, elements) box rows and (4, elements) rows of n_a, n_b, n_t, offset
+    clip = xray._ElementClip(np.column_stack(lo), np.column_stack(hi), *np.array(faces).T)
     r = np.arange(n * n)
     ctx = SimpleNamespace(
         detector=SimpleNamespace(nu=n, pitch=pitch), clip=clip, settings=SimpleNamespace(step=step),
@@ -1582,7 +1634,10 @@ def _one_tile_scene(elements, n, pitch, step):
 def _stage_pairs(ctx, ray_a, ray_b, r_lo):
     """Lexsorted (ray, element, j1, count) rows of the pair stream's clipped
     pairs of one tile."""
-    parts = [np.column_stack(p) for p in xray._clipped_pairs(ctx, ray_a, ray_b, r_lo)]
+    parts = [
+        np.column_stack([ray, e, j1, n])
+        for j1, n, ray, e in xray._clipped_pairs(ctx, ray_a, ray_b, r_lo)
+    ]
     return _sorted_rows(np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64))
 
 
